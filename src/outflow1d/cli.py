@@ -21,8 +21,8 @@ from .gas import GasParams
 from .layer import LayerError
 from .rarefaction import BurgersWave, burgers_eval
 from .reduced import format_case_table, reduce_case
-from .scenarios import ScenarioError, prepare_scenario, run_batch, \
-    run_scenario
+from .scenarios import ScenarioError, _layer_toward, prepare_scenario, \
+    run_batch, run_scenario
 from .solver import SolverError, write_snapshot_csv
 from .layer import export_csv as export_layer_csv
 
@@ -116,13 +116,9 @@ def _cmd_profile(args) -> int:
                     fh.write("%.17g,%.17g,%.17g\n" % (xi, wi, wxi))
             print(f"wrote fan speed profile to {out}")
         elif cfg.scenario == "layer_decay":
-            from .layer import boundary_data_for_strength, construct_layer
-            from .scenarios import _BRANCH_MAP
             params = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
             far = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
-            data = boundary_data_for_strength(
-                params, far, cfg.delta, branch=_BRANCH_MAP[cfg.layer_branch])
-            layer = construct_layer(params, far, data)
+            _, layer = _layer_toward(cfg, params, far)
             export_layer_csv(layer, os.path.join(out, "layer_profile.csv"))
             print(f"wrote layer profile to {out}")
         else:

@@ -70,7 +70,6 @@ class ScenarioConfig:
     record_dt: float | None = None    # None: t_final / 50
     source_treatment: str = "exact"
     far_field: str = "dirichlet"
-    rho_boundary: str = "evolve"
     # perturbation
     amplitude: float = 1e-2
     center: float = 5.0
@@ -143,8 +142,6 @@ class ScenarioConfig:
             errs.append("source_treatment must be exact or explicit")
         if self.far_field not in ("dirichlet", "sponge"):
             errs.append("far_field must be dirichlet or sponge")
-        if self.rho_boundary not in ("evolve", "extrap1", "extrap0"):
-            errs.append("rho_boundary must be evolve, extrap1 or extrap0")
         if self.amplitude < 0:
             errs.append("amplitude must be nonnegative")
         if self.width <= 0:

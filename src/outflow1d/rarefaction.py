@@ -143,9 +143,6 @@ class BurgersWave:
     def eval(self, x, tau):
         """w and w_x at Burgers time tau (no shock: w0 is nondecreasing).
 
-        The characteristic foot x0 solves x0 + w0(x0)*tau = x, bracketed by
-        [x - w_plus*tau, x - w_minus*tau]; bisection to width ~1e-16*span and
-        two Newton polish steps leave |x0 + w0(x0)tau - x| below 1e-10.
         Points left of the fan edge x <= w_-*tau short-circuit to w_- exactly.
         """
         x = np.asarray(x, dtype=float)
@@ -155,19 +152,7 @@ class BurgersWave:
         wx = np.zeros(x.shape, dtype=float)
         act = x > self.w_minus * tau
         if np.any(act):
-            xa = x[act]
-            lo = xa - self.w_plus * tau
-            hi = xa - self.w_minus * tau
-            for _ in range(56):
-                mid = 0.5 * (lo + hi)
-                g = mid + self.w0(mid) * tau - xa
-                neg = g < 0.0
-                lo = np.where(neg, mid, lo)
-                hi = np.where(neg, hi, mid)
-            x0 = 0.5 * (lo + hi)
-            for _ in range(2):
-                g = x0 + self.w0(x0) * tau - xa
-                x0 = x0 - g / (1.0 + self.w0_prime(x0) * tau)
+            x0 = self._feet(x[act], tau)
             wp = self.w0_prime(x0)
             w[act] = self.w0(x0)
             wx[act] = wp / (1.0 + wp * tau)
@@ -178,27 +163,34 @@ class BurgersWave:
     def residual(self, x, tau):
         """|x0 + w0(x0)tau - x| of the recovered characteristic feet."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        w, _ = self.eval(x, tau)
-        # invert w -> x0 through the data is ill-posed on the flat part;
-        # recompute the foot the same way eval does and measure directly
         res = np.zeros(x.shape)
         act = x > self.w_minus * tau
         if np.any(act):
             xa = x[act]
-            lo = xa - self.w_plus * tau
-            hi = xa - self.w_minus * tau
-            for _ in range(56):
-                mid = 0.5 * (lo + hi)
-                g = mid + self.w0(mid) * tau - xa
-                neg = g < 0.0
-                lo = np.where(neg, mid, lo)
-                hi = np.where(neg, hi, mid)
-            x0 = 0.5 * (lo + hi)
-            for _ in range(2):
-                g = x0 + self.w0(x0) * tau - xa
-                x0 = x0 - g / (1.0 + self.w0_prime(x0) * tau)
+            x0 = self._feet(xa, tau)
             res[act] = np.abs(x0 + self.w0(x0) * tau - xa)
         return res
+
+    def _feet(self, xa, tau):
+        """Feet of the characteristics through xa > w_minus * tau.
+
+        The foot x0 solves x0 + w0(x0)*tau = xa, bracketed by
+        [xa - w_plus*tau, xa - w_minus*tau]; bisection to width ~1e-16*span
+        and two Newton polish steps leave |x0 + w0(x0)tau - xa| below 1e-10.
+        """
+        lo = xa - self.w_plus * tau
+        hi = xa - self.w_minus * tau
+        for _ in range(56):
+            mid = 0.5 * (lo + hi)
+            g = mid + self.w0(mid) * tau - xa
+            neg = g < 0.0
+            lo = np.where(neg, mid, lo)
+            hi = np.where(neg, hi, mid)
+        x0 = 0.5 * (lo + hi)
+        for _ in range(2):
+            g = x0 + self.w0(x0) * tau - xa
+            x0 = x0 - g / (1.0 + self.w0_prime(x0) * tau)
+        return x0
 
 
 def burgers_eval(wave: BurgersWave, x, t):

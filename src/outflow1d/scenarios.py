@@ -26,7 +26,7 @@ from .diagnostics import (Perturbation, fit_convergence, record_from_state,
                           write_diag_csv)
 from .gas import EndStates, GasParams, classify_regime, dielectric_bound, \
     sound_speed
-from .layer import LayerConfig, boundary_data_for_strength, construct_layer, \
+from .layer import boundary_data_for_strength, construct_layer, \
     export_csv, find_M0, layer_jacobian, measure_decay, _eigen
 from .rarefaction import BurgersWave, R3Curve, r3_connect, \
     rarefaction_decay_check, superpose
@@ -37,8 +37,6 @@ from .solver import FieldState, Grid1D, SolverConfig, default_domain_length, \
 
 __all__ = ["ScenarioError", "PreparedRun", "prepare_scenario",
            "run_scenario", "run_batch"]
-
-_BRANCH_MAP = {"lower": None, "upper": "upper", "degenerate": "degenerate"}
 
 
 class ScenarioError(RuntimeError):
@@ -69,17 +67,17 @@ def _resolve_eps(cfg: ScenarioConfig, params0: GasParams,
     return cfg.eps_fraction * bound.c_bar
 
 
-def _solver_config(cfg: ScenarioConfig) -> SolverConfig:
-    return SolverConfig(cfl_factor=cfg.cfl_factor, dt_max=cfg.dt_max,
-                        far_field=cfg.far_field,
-                        source_treatment=cfg.source_treatment,
-                        rho_boundary=cfg.rho_boundary)
+def _pin_boundary(params: GasParams, end: EndStates,
+                  state: FieldState) -> None:
+    """Make node 0 exactly compatible with the boundary conditions."""
+    state.u[0] = end.u_minus
+    state.theta[0] = end.theta_minus
+    state.b[0] = params.sqrt_eps * state.E[0]
 
 
 def _apply_perturbation(cfg: ScenarioConfig, grid: Grid1D, state: FieldState,
                         params: GasParams, end: EndStates) -> dict:
-    """Add the configured bumps, then pin the boundary node so the data is
-    exactly compatible with the boundary conditions."""
+    """Add the configured bumps, then pin the boundary node."""
     targets = cfg.target_list()
     center = cfg.center
     signs = {name: 1.0 for name in ("rho", "u", "theta", "em")}
@@ -99,9 +97,7 @@ def _apply_perturbation(cfg: ScenarioConfig, grid: Grid1D, state: FieldState,
         else:
             getattr(state, name)[:] += signs[name] * profile
 
-    state.u[0] = end.u_minus
-    state.theta[0] = end.theta_minus
-    state.b[0] = params.sqrt_eps * state.E[0]
+    _pin_boundary(params, end, state)
     return {"center": center, "signs": {k: signs[k] for k in targets}}
 
 
@@ -121,43 +117,46 @@ def _check_compatibility(params: GasParams, end: EndStates,
 
 
 def _state_from_background(grid: Grid1D, background) -> FieldState:
-    rho, u, theta = background.eval(grid.x, 0.0)
-    n = grid.n_nodes
-    return FieldState(np.asarray(rho, float).copy(),
-                      np.asarray(u, float).copy(),
-                      np.asarray(theta, float).copy(),
-                      np.zeros(n), np.zeros(n))
-
-
-def _grid_for(cfg: ScenarioConfig, params: GasParams,
-              end: EndStates) -> Grid1D:
-    length = cfg.length
-    if length is None:
-        length = default_domain_length(params, end, cfg.t_final)
-    return Grid1D(length, cfg.n_cells)
+    rho, u, theta = (np.array(v, dtype=float)
+                     for v in background.eval(grid.x, 0.0))
+    return FieldState(rho, u, theta, np.zeros(grid.n_nodes),
+                      np.zeros(grid.n_nodes))
 
 
 def _finish_prepared(cfg, params, end, background, meta) -> PreparedRun:
-    grid = _grid_for(cfg, params, end)
+    length = cfg.length
+    if length is None:
+        length = default_domain_length(params, end, cfg.t_final)
+    grid = Grid1D(length, cfg.n_cells)
     state0 = _state_from_background(grid, background)
     meta["perturbation"] = _apply_perturbation(cfg, grid, state0, params, end)
     _check_compatibility(params, end, state0)
     record_dt = cfg.record_dt if cfg.record_dt is not None else cfg.t_final / 50.0
     return PreparedRun(params=params, end=end, grid=grid,
                        background=background, state0=state0,
-                       solver_config=_solver_config(cfg),
+                       solver_config=SolverConfig(
+                           cfl_factor=cfg.cfl_factor, dt_max=cfg.dt_max,
+                           far_field=cfg.far_field,
+                           source_treatment=cfg.source_treatment),
                        record_dt=record_dt, meta=meta)
+
+
+def _layer_toward(cfg: ScenarioConfig, params: GasParams, far) -> tuple:
+    """Boundary data and stationary layer of strength cfg.delta on
+    cfg.layer_branch toward the state far = (rho, u, theta)."""
+    branch = None if cfg.layer_branch == "lower" else cfg.layer_branch
+    data = boundary_data_for_strength(params, far, cfg.delta, branch=branch)
+    layer = construct_layer(params, far, data)
+    if not layer.exists:
+        raise ScenarioError("no boundary layer exists for this data "
+                            f"(strength {cfg.delta:g}, far state {far})")
+    return data, layer
 
 
 def _build_layer_stability(cfg: ScenarioConfig) -> PreparedRun:
     params0 = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
     far = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
-    data = boundary_data_for_strength(params0, far, cfg.delta,
-                                      branch=_BRANCH_MAP[cfg.layer_branch])
-    layer = construct_layer(params0, far, data)
-    if not layer.exists:
-        raise ScenarioError("no boundary layer exists for this data "
-                            f"(strength {cfg.delta:g}, far state {far})")
+    data, layer = _layer_toward(cfg, params0, far)
     end = EndStates(u_minus=data[0], theta_minus=data[1],
                     rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
                     theta_plus=cfg.theta_plus)
@@ -195,12 +194,7 @@ def _build_superposition(cfg: ScenarioConfig) -> PreparedRun:
     if w_star < 0:
         raise ScenarioError("fan edge speed is negative; lower theta_star "
                             "until the expansion moves into the domain")
-    data = boundary_data_for_strength(params0, star, cfg.delta,
-                                      branch=_BRANCH_MAP[cfg.layer_branch])
-    layer = construct_layer(params0, star, data)
-    if not layer.exists:
-        raise ScenarioError("no boundary layer exists toward the "
-                            "intermediate state")
+    data, layer = _layer_toward(cfg, params0, star)
     end = EndStates(u_minus=data[0], theta_minus=data[1],
                     rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
                     theta_plus=cfg.theta_plus,
@@ -234,30 +228,9 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedRun:
 # artifact emission
 # --------------------------------------------------------------------------
 
-def _ensure_dir(path) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 def _write_text(path, text) -> None:
     with open(path, "w") as fh:
         fh.write(text)
-
-
-def _write_dat(path, xs, ys) -> None:
-    with open(path, "w") as fh:
-        for x, y in zip(xs, ys):
-            fh.write("%.17g %.17g\n" % (x, y))
-
-
-def _write_plots(out_dir, traces: dict, descriptions: dict) -> None:
-    plot_dir = os.path.join(out_dir, "plots")
-    _ensure_dir(plot_dir)
-    manifest = []
-    for name, (xs, ys) in traces.items():
-        _write_dat(os.path.join(plot_dir, name + ".dat"), xs, ys)
-        manifest.append(f"{name}.dat: {descriptions[name]}")
-    _write_text(os.path.join(plot_dir, "MANIFEST.txt"),
-                "\n".join(manifest) + "\n")
 
 
 def _verdict_text(summary: dict) -> str:
@@ -278,31 +251,40 @@ def _verdict_text(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --------------------------------------------------------------------------
-# scenario drivers
-# --------------------------------------------------------------------------
+def _emit(cfg: ScenarioConfig, out_dir, summary: dict, files: dict,
+          plots: dict) -> None:
+    """Write config.echo, files (name -> writer(path)), verdict.txt and any
+    plots (name -> (description, xs, ys)) with their MANIFEST.txt."""
+    os.makedirs(out_dir, exist_ok=True)
+    _write_text(os.path.join(out_dir, "config.echo"), echo_config(cfg))
+    for name, write in files.items():
+        write(os.path.join(out_dir, name))
+    _write_text(os.path.join(out_dir, "verdict.txt"), _verdict_text(summary))
+    if not plots:
+        return
+    plot_dir = os.path.join(out_dir, "plots")
+    os.makedirs(plot_dir, exist_ok=True)
+    manifest = []
+    for name, (description, xs, ys) in plots.items():
+        with open(os.path.join(plot_dir, name + ".dat"), "w") as fh:
+            fh.writelines("%.17g %.17g\n" % xy for xy in zip(xs, ys))
+        manifest.append(f"{name}.dat: {description}")
+    _write_text(os.path.join(plot_dir, "MANIFEST.txt"),
+                "\n".join(manifest) + "\n")
 
-def _record_times(cfg: ScenarioConfig, record_dt: float) -> list:
-    times = []
-    k = 1
-    while k * record_dt < cfg.t_final * (1.0 - 1e-12):
-        times.append(k * record_dt)
-        k += 1
-    times.append(cfg.t_final)
-    return times
 
+# --------------------------------------------------------------------------
+# scenario drivers: each returns (summary, files, plots) for _emit
+# --------------------------------------------------------------------------
 
 def _sup_diff(sa, sb) -> tuple:
-    fluid = max(float(np.max(np.abs(sa.rho - sb.rho))),
-                float(np.max(np.abs(sa.u - sb.u))),
-                float(np.max(np.abs(sa.theta - sb.theta))))
-    field = max(float(np.max(np.abs(sa.E - sb.E))),
-                float(np.max(np.abs(sa.b - sb.b))))
-    return fluid, field
+    """(fluid, field) sup norms of the difference of two states."""
+    sup = [float(np.max(np.abs(getattr(sa, name) - getattr(sb, name))))
+           for name in ("rho", "u", "theta", "E", "b")]
+    return max(sup[:3]), max(sup[3:])
 
 
-def _drive_solver_scenario(cfg: ScenarioConfig, out_dir,
-                           progress: bool) -> dict:
+def _drive_solver_scenario(cfg: ScenarioConfig, progress: bool) -> tuple:
     """March the perturbed data and, alongside it, a zero-amplitude
     reference with the same background.
 
@@ -312,24 +294,32 @@ def _drive_solver_scenario(cfg: ScenarioConfig, out_dir,
     drift.  The verdict therefore judges the decay of the perturbed-minus-
     reference difference, which isolates the fate of the injected bump;
     norms against the analytic background are still recorded for the
-    diagnostics file.
+    diagnostics file.  The reference reuses the prepared background and
+    keeps its state at every record for the perturbed march to subtract.
     """
     prep = prepare_scenario(cfg)
-    diag_records = []
+    reference, diag_records, rel_fluid, rel_field = [], [], [], []
 
     def recorder(t, state):
         rec = record_from_state(prep.params, prep.grid, state,
                                 prep.background, t)
         diag_records.append(rec)
-        return {"sup_fluid": rec.sup_fluid, "sup_field": rec.sup_field,
-                "energy": rec.energy}
+        if reference:
+            fluid, field = _sup_diff(state, reference.pop(0))
+            rel_fluid.append(fluid)
+            rel_field.append(field)
 
-    snap_times = _record_times(cfg, prep.record_dt)
     t0 = time.perf_counter()
+    if cfg.amplitude != 0.0:
+        ref0 = _state_from_background(prep.grid, prep.background)
+        _pin_boundary(prep.params, prep.end, ref0)
+        run(prep.params, prep.end, prep.grid, ref0, cfg.t_final,
+            prep.solver_config, record_dt=prep.record_dt,
+            recorder=lambda t, state: reference.append(state.copy()),
+            progress=progress)
     result = run(prep.params, prep.end, prep.grid, prep.state0, cfg.t_final,
                  prep.solver_config, record_dt=prep.record_dt,
-                 snapshot_times=snap_times, recorder=recorder,
-                 progress=progress)
+                 recorder=recorder, progress=progress)
     for srec, drec in zip(result.records, diag_records):
         drec.mass_residual = srec["mass_residual"]
 
@@ -341,24 +331,10 @@ def _drive_solver_scenario(cfg: ScenarioConfig, out_dir,
         verdict = "PASS"
         fit_rel_fluid = fit_rel_field = {
             "verdict": "PASS", "note": "zero amplitude: nothing to damp"}
-        rel_times, rel_fluid, rel_field = times, sup_fluid, sup_field
-        ref_result = None
+        rel_fluid, rel_field = sup_fluid, sup_field
     else:
-        ref_prep = prepare_scenario(replace(cfg, amplitude=0.0))
-        ref_result = run(ref_prep.params, ref_prep.end, ref_prep.grid,
-                         ref_prep.state0, cfg.t_final,
-                         ref_prep.solver_config,
-                         snapshot_times=snap_times, progress=progress)
-        rel_times = [0.0]
-        f0, g0 = _sup_diff(prep.state0, ref_prep.state0)
-        rel_fluid, rel_field = [f0], [g0]
-        for (ta, sa), (_, sb) in zip(result.snapshots, ref_result.snapshots):
-            fd, gd = _sup_diff(sa, sb)
-            rel_times.append(ta)
-            rel_fluid.append(fd)
-            rel_field.append(gd)
-        fit_rel_fluid = fit_convergence(rel_times, rel_fluid)
-        fit_rel_field = fit_convergence(rel_times, rel_field)
+        fit_rel_fluid = fit_convergence(times, rel_fluid)
+        fit_rel_field = fit_convergence(times, rel_field)
         verdicts = (fit_rel_fluid["verdict"], fit_rel_field["verdict"])
         if "FAIL" in verdicts:
             verdict = "FAIL"
@@ -369,7 +345,7 @@ def _drive_solver_scenario(cfg: ScenarioConfig, out_dir,
     runtime = time.perf_counter() - t0
 
     summary = {
-        "scenario": cfg.scenario, "verdict": verdict, "out_dir": str(out_dir),
+        "verdict": verdict,
         "fit_rel_fluid": fit_rel_fluid, "fit_rel_field": fit_rel_field,
         "rel_fluid_initial": rel_fluid[0], "rel_fluid_final": rel_fluid[-1],
         "rel_field_initial": rel_field[0], "rel_field_final": rel_field[-1],
@@ -379,71 +355,61 @@ def _drive_solver_scenario(cfg: ScenarioConfig, out_dir,
         "steps": result.steps, "runtime_s": runtime,
         "warnings": list(result.warnings),
     }
-
-    _ensure_dir(out_dir)
-    _write_text(os.path.join(out_dir, "config.echo"), echo_config(cfg))
-    write_diag_csv(os.path.join(out_dir, "diagnostics.csv"), diag_records)
-    write_snapshot_csv(os.path.join(out_dir, "snapshot_initial.csv"),
-                       prep.grid, 0.0, prep.state0)
-    write_snapshot_csv(os.path.join(out_dir, "snapshot_final.csv"),
-                       prep.grid, result.t_final, result.state)
-    _write_text(os.path.join(out_dir, "verdict.txt"), _verdict_text(summary))
-    _write_plots(out_dir, {
-        "sup_fluid": (times, sup_fluid),
-        "sup_field": (times, sup_field),
-        "rel_fluid": (rel_times, rel_fluid),
-        "rel_field": (rel_times, rel_field),
-        "energy": (times, [r.energy for r in diag_records]),
-        "profile_u_final": (prep.grid.x, result.state.u),
-    }, {
-        "sup_fluid": "t  max |phi|, |psi|, |zeta| against the analytic background",
-        "sup_field": "t  max |E|, |b|",
-        "rel_fluid": "t  max fluid difference, perturbed minus reference run",
-        "rel_field": "t  max field difference, perturbed minus reference run",
-        "energy": "t  weighted perturbation energy",
-        "profile_u_final": "x  u at the final time",
-    })
-    return summary
+    files = {
+        "diagnostics.csv": lambda path: write_diag_csv(path, diag_records),
+        "snapshot_initial.csv": lambda path: write_snapshot_csv(
+            path, prep.grid, 0.0, prep.state0),
+        "snapshot_final.csv": lambda path: write_snapshot_csv(
+            path, prep.grid, result.t_final, result.state),
+    }
+    plots = {
+        "sup_fluid": ("t  max |phi|, |psi|, |zeta| against the analytic "
+                      "background", times, sup_fluid),
+        "sup_field": ("t  max |E|, |b|", times, sup_field),
+        "rel_fluid": ("t  max fluid difference, perturbed minus reference "
+                      "run", times, rel_fluid),
+        "rel_field": ("t  max field difference, perturbed minus reference "
+                      "run", times, rel_field),
+        "energy": ("t  weighted perturbation energy", times,
+                   [r.energy for r in diag_records]),
+        "profile_u_final": ("x  u at the final time", prep.grid.x,
+                            result.state.u),
+    }
+    return summary, files, plots
 
 
-def _drive_burgers_decay(cfg: ScenarioConfig, out_dir) -> dict:
+def _drive_burgers_decay(cfg: ScenarioConfig) -> tuple:
     params = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
     wave = BurgersWave(cfg.w_minus, cfg.fan_delta, cfg.alpha, cfg.q)
     check_sup = rarefaction_decay_check(params, wave, math.inf)
     check_l2 = rarefaction_decay_check(params, wave, 2.0)
     verdict = "PASS" if (check_sup["passed"] and check_l2["passed"]) else "FAIL"
     summary = {
-        "scenario": cfg.scenario, "verdict": verdict, "out_dir": str(out_dir),
+        "verdict": verdict,
         "slope_sup": check_sup["fitted"], "expected_sup": check_sup["expected"],
         "slope_l2": check_l2["fitted"], "expected_l2": check_l2["expected"],
-        "warnings": [],
     }
-    _ensure_dir(out_dir)
-    _write_text(os.path.join(out_dir, "config.echo"), echo_config(cfg))
-    with open(os.path.join(out_dir, "decay_norms.csv"), "w") as fh:
-        fh.write("t,sup_slope_norm,l2_slope_norm\n")
-        for t, vs, v2 in zip(check_sup["times"], check_sup["norms"],
-                             check_l2["norms"]):
-            fh.write("%.17g,%.17g,%.17g\n" % (t, vs, v2))
-    _write_text(os.path.join(out_dir, "verdict.txt"), _verdict_text(summary))
-    _write_plots(out_dir, {
-        "slope_sup": (check_sup["times"], check_sup["norms"]),
-        "slope_l2": (check_l2["times"], check_l2["norms"]),
-    }, {
-        "slope_sup": "t  sup norm of the fan velocity slope",
-        "slope_l2": "t  L2 norm of the fan velocity slope",
-    })
-    return summary
+
+    def write_norms(path):
+        with open(path, "w") as fh:
+            fh.write("t,sup_slope_norm,l2_slope_norm\n")
+            for t, vs, v2 in zip(check_sup["times"], check_sup["norms"],
+                                 check_l2["norms"]):
+                fh.write("%.17g,%.17g,%.17g\n" % (t, vs, v2))
+
+    plots = {
+        "slope_sup": ("t  sup norm of the fan velocity slope",
+                      check_sup["times"], check_sup["norms"]),
+        "slope_l2": ("t  L2 norm of the fan velocity slope",
+                     check_l2["times"], check_l2["norms"]),
+    }
+    return summary, {"decay_norms.csv": write_norms}, plots
 
 
-def _drive_layer_decay(cfg: ScenarioConfig, out_dir) -> dict:
+def _drive_layer_decay(cfg: ScenarioConfig) -> tuple:
     params = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
     far = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
-    data = boundary_data_for_strength(params, far, cfg.delta,
-                                      branch=_BRANCH_MAP[cfg.layer_branch])
-    layer = construct_layer(params, far, data)
-    if not layer.exists:
-        raise ScenarioError("no boundary layer exists for this data")
+    _, layer = _layer_toward(cfg, params, far)
 
     fit_u = measure_decay(layer, "u")
     fit_th = measure_decay(layer, "theta")
@@ -461,28 +427,22 @@ def _drive_layer_decay(cfg: ScenarioConfig, out_dir) -> dict:
               and abs(rate - lam_slow) <= 0.1 * abs(lam_slow))
         detail = {"kind": fit_u["kind"], "rate": rate,
                   "rate_oracle": lam_slow}
-    verdict = "PASS" if ok else "FAIL"
     summary = {
-        "scenario": cfg.scenario, "verdict": verdict, "out_dir": str(out_dir),
+        "verdict": "PASS" if ok else "FAIL",
         "case_tag": layer.case_tag, "decay_u": detail,
         "decay_theta_kind": fit_th["kind"], "monotone_from": m0,
-        "x_max": layer.x_max, "warnings": [],
+        "x_max": layer.x_max,
     }
-    _ensure_dir(out_dir)
-    _write_text(os.path.join(out_dir, "config.echo"), echo_config(cfg))
-    export_csv(layer, os.path.join(out_dir, "layer_profile.csv"))
-    _write_text(os.path.join(out_dir, "verdict.txt"), _verdict_text(summary))
-    _write_plots(out_dir, {
-        "layer_u": (layer.x, layer.u),
-        "layer_theta": (layer.x, layer.theta),
-    }, {
-        "layer_u": "x  stationary velocity profile",
-        "layer_theta": "x  stationary temperature profile",
-    })
-    return summary
+    files = {"layer_profile.csv": lambda path: export_csv(layer, path)}
+    plots = {
+        "layer_u": ("x  stationary velocity profile", layer.x, layer.u),
+        "layer_theta": ("x  stationary temperature profile", layer.x,
+                        layer.theta),
+    }
+    return summary, files, plots
 
 
-def _drive_reduced_check(cfg: ScenarioConfig, out_dir) -> dict:
+def _drive_reduced_check(cfg: ScenarioConfig) -> tuple:
     params0 = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
     end = EndStates(u_minus=cfg.u_plus, theta_minus=cfg.theta_plus,
                     rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
@@ -513,28 +473,32 @@ def _drive_reduced_check(cfg: ScenarioConfig, out_dir) -> dict:
                               branch=cfg.branch,
                               source_treatment=cfg.source_treatment,
                               n_relax=cfg.n_relax)
-    verdict = "PASS" if report["passed"] else "FAIL"
-    summary = {"scenario": cfg.scenario, "verdict": verdict,
-               "out_dir": str(out_dir), "report": report, "warnings": []}
-    _ensure_dir(out_dir)
-    _write_text(os.path.join(out_dir, "config.echo"), echo_config(cfg))
-    _write_text(os.path.join(out_dir, "case_table.txt"),
-                format_case_table() + "\n")
-    _write_text(os.path.join(out_dir, "verdict.txt"), _verdict_text(summary))
-    return summary
+    summary = {"verdict": "PASS" if report["passed"] else "FAIL",
+               "report": report}
+    files = {"case_table.txt": lambda path: _write_text(
+        path, format_case_table() + "\n")}
+    return summary, files, {}
+
+
+_DRIVERS = {
+    "burgers_decay": _drive_burgers_decay,
+    "layer_decay": _drive_layer_decay,
+    "reduced_model_check": _drive_reduced_check,
+}
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, progress: bool = False) -> dict:
     """Execute one configured scenario, emitting artifacts into out_dir."""
     if cfg.scenario in _BUILDERS:
-        return _drive_solver_scenario(cfg, out_dir, progress)
-    if cfg.scenario == "burgers_decay":
-        return _drive_burgers_decay(cfg, out_dir)
-    if cfg.scenario == "layer_decay":
-        return _drive_layer_decay(cfg, out_dir)
-    if cfg.scenario == "reduced_model_check":
-        return _drive_reduced_check(cfg, out_dir)
-    raise ScenarioError(f"unknown scenario {cfg.scenario!r}")
+        summary, files, plots = _drive_solver_scenario(cfg, progress)
+    elif cfg.scenario in _DRIVERS:
+        summary, files, plots = _DRIVERS[cfg.scenario](cfg)
+    else:
+        raise ScenarioError(f"unknown scenario {cfg.scenario!r}")
+    summary = {"scenario": cfg.scenario, "out_dir": str(out_dir), **summary}
+    summary.setdefault("warnings", [])
+    _emit(cfg, out_dir, summary, files, plots)
+    return summary
 
 
 # --------------------------------------------------------------------------
@@ -563,7 +527,7 @@ def run_batch(config_paths, out_root, workers: int = 2,
     """Run several configs in worker processes; one failure never takes the
     batch down.  Writes out_root/batch_summary.csv and returns the rows."""
     config_paths = [str(p) for p in config_paths]
-    _ensure_dir(out_root)
+    os.makedirs(out_root, exist_ok=True)
     jobs = []
     for path in config_paths:
         stem = os.path.splitext(os.path.basename(path))[0]

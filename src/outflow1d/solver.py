@@ -50,7 +50,6 @@ DT_FLOOR = 1e-14          # below this the march has stagnated
 FAR_FIELDS = ("dirichlet", "sponge")
 SOURCE_TREATMENTS = ("exact", "explicit")
 MAXWELL_MODES = ("full", "decoupled")
-RHO_BOUNDARIES = ("evolve", "extrap1", "extrap0")
 
 
 class SolverError(RuntimeError):
@@ -129,9 +128,6 @@ class SolverConfig:
     maxwell_mode "decoupled" drops transport and coupling from the field
     block (pointwise E-relaxation, frozen b, no characteristic boundary
     work) and removes the field speed from the CFL bound.
-    rho_boundary "evolve" integrates the half-cell flux balance at node 0;
-    "extrap1"/"extrap0" overwrite rho(0) by linear/constant extrapolation
-    instead (cheaper, but mass is then only accurate to truncation order).
     """
 
     cfl_factor: float = 0.9
@@ -141,7 +137,6 @@ class SolverConfig:
     sponge_strength: float = 1.0
     source_treatment: str = "exact"
     maxwell_mode: str = "full"
-    rho_boundary: str = "evolve"
     freeze_fluid: bool = False
 
     def __post_init__(self) -> None:
@@ -160,8 +155,6 @@ class SolverConfig:
                 f"source_treatment must be one of {SOURCE_TREATMENTS}")
         if self.maxwell_mode not in MAXWELL_MODES:
             raise ValueError(f"maxwell_mode must be one of {MAXWELL_MODES}")
-        if self.rho_boundary not in RHO_BOUNDARIES:
-            raise ValueError(f"rho_boundary must be one of {RHO_BOUNDARIES}")
 
 
 def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
@@ -190,8 +183,7 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
     flux_right = flux[-1]                        # last interior face
     if not config.freeze_fluid:
         drho[1:-1] = -(flux[1:] - flux[:-1]) / dx
-        if config.rho_boundary == "evolve":
-            drho[0] = -(flux[0] - flux_left) / (0.5 * dx)
+        drho[0] = -(flux[0] - flux_left) / (0.5 * dx)
 
         # --- momentum and temperature ---------------------------------------
         u_pos = np.maximum(u[1:-1], 0.0)
@@ -253,7 +245,7 @@ def apply_boundary(params: GasParams, end: EndStates, state: FieldState,
                    config: SolverConfig) -> None:
     """Enforce boundary values in place.
 
-    x = 0: u and theta Dirichlet; rho per rho_boundary; the outgoing field
+    x = 0: u and theta Dirichlet (rho(0) is evolved); the outgoing field
     characteristic W2 is extrapolated from the interior, the incoming one is
     zero, and b(0) is assigned literally as sqrt(eps) * E(0).
     x = L: fluid Dirichlet to the far state; the outgoing W1 is extrapolated
@@ -262,10 +254,6 @@ def apply_boundary(params: GasParams, end: EndStates, state: FieldState,
     if not config.freeze_fluid:
         state.u[0] = end.u_minus
         state.theta[0] = end.theta_minus
-        if config.rho_boundary == "extrap1":
-            state.rho[0] = 2.0 * state.rho[1] - state.rho[2]
-        elif config.rho_boundary == "extrap0":
-            state.rho[0] = state.rho[1]
         state.rho[-1] = end.rho_plus
         state.u[-1] = end.u_plus
         state.theta[-1] = end.theta_plus
@@ -388,8 +376,9 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     record_dt samples scalar records (plus t = 0 and t_final); recorder, if
     given, is called as recorder(t, state) and may return a dict merged into
     each record.  snapshot_times are landed on exactly and stored as deep
-    copies.  Raises PositivityError if rho or theta leaves the positive
-    cone and SolverError if the step size collapses.
+    copies.  Raises SolverError if a field turns non-finite or the step
+    size collapses, and PositivityError if rho or theta leaves the positive
+    cone.
     """
     if config is None:
         config = SolverConfig()
@@ -410,7 +399,7 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
 
     state = result.state
     apply_boundary(params, end, state, config)
-    _check_positive(state, 0.0, 0)
+    _check_state(state, 0.0, 0)
 
     # event times: records, snapshots, final time
     events = {float(t_final)}
@@ -456,11 +445,11 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
             mass_after = _mass(grid, state)
             t = t_event if landed else t + dt
             result.steps += 1
-            _check_positive(state, t, result.steps)
+            _check_state(state, t, result.steps)
 
             resid = abs((mass_after - mass_before) / dt
                         - (info["flux_left"] - info["flux_right"]))
-            if config.rho_boundary == "evolve" and not config.freeze_fluid:
+            if not config.freeze_fluid:
                 result.mass_residual_max = max(result.mass_residual_max, resid)
             result.cfl_margin_max = max(result.cfl_margin_max, dt / dt_stab)
             result.dt_min = min(result.dt_min, dt)
@@ -485,12 +474,24 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     return result
 
 
-def _check_positive(state: FieldState, t: float, n_step: int) -> None:
-    if not np.all(state.rho > 0.0) or not np.all(state.theta > 0.0):
-        bad = "rho" if not np.all(state.rho > 0.0) else "theta"
-        raise PositivityError(
-            f"{bad} lost positivity at t = {t:g} (step {n_step}); "
-            "refusing to clip")
+def _check_state(state: FieldState, t: float, n_step: int) -> None:
+    """Refuse a non-finite field (SolverError) or a non-positive rho/theta
+    (PositivityError).  The fast path folds the finiteness tests into dot
+    products, non-finite whenever a factor holds a NaN or inf, and the
+    positivity tests into minima, which propagate NaN."""
+    rho, theta = state.rho, state.theta
+    if (math.isfinite(rho @ state.u + theta @ state.E + state.b @ state.b)
+            and rho.min() > 0.0 and theta.min() > 0.0):
+        return
+    for name in ("rho", "u", "theta", "E", "b"):
+        if not np.isfinite(getattr(state, name)).all():
+            raise SolverError(f"{name} became non-finite at t = {t:g} "
+                              f"(step {n_step})")
+    for name in ("rho", "theta"):
+        if not (getattr(state, name) > 0.0).all():
+            raise PositivityError(
+                f"{name} lost positivity at t = {t:g} (step {n_step}); "
+                "refusing to clip")
 
 
 # --------------------------------------------------------------------------

@@ -6,11 +6,13 @@ suite.
 """
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from outflow1d import scenarios
 from outflow1d.config import ScenarioConfig, parse_config_text
 from outflow1d.diagnostics import DIAG_COLUMNS, Perturbation
 from outflow1d.gas import GasParams, dielectric_bound, sound_speed
@@ -18,7 +20,7 @@ from outflow1d.rarefaction import r3_connect
 from outflow1d.scenarios import (PreparedRun, ScenarioError,
                                  _check_compatibility, prepare_scenario,
                                  run_batch, run_scenario)
-from outflow1d.solver import FieldState, default_domain_length
+from outflow1d.solver import FieldState, default_domain_length, run
 
 
 def layer_cfg(**over) -> ScenarioConfig:
@@ -277,6 +279,45 @@ class TestSolverScenarioRun:
         cfg = ScenarioConfig(scenario="nonsense")
         with pytest.raises(ScenarioError, match="unknown scenario"):
             run_scenario(cfg, tmp_path)
+
+
+class TestReferencePairing:
+    """The reference march reuses the prepared background and is paired
+    with the perturbed march record by record."""
+
+    @staticmethod
+    def sup_diffs(sa, sb):
+        def sup(names):
+            return max(float(np.max(np.abs(getattr(sa, n) - getattr(sb, n))))
+                       for n in names)
+        return sup(("rho", "u", "theta")), sup(("E", "b"))
+
+    def test_paired_differences_match_independent_marches(self, tmp_path,
+                                                          monkeypatch):
+        cfg = layer_cfg(n_cells=64, t_final=5.0)
+        prepared = []
+
+        def counting_prepare(c):
+            prepared.append(c)
+            return prepare_scenario(c)
+
+        monkeypatch.setattr(scenarios, "prepare_scenario", counting_prepare)
+        run_scenario(cfg, tmp_path)
+        assert prepared == [cfg]
+
+        rel_fluid = np.loadtxt(tmp_path / "plots" / "rel_fluid.dat")
+        rel_field = np.loadtxt(tmp_path / "plots" / "rel_field.dat")
+        times = rel_fluid[1:, 0]
+        preps = [prepare_scenario(cfg),
+                 prepare_scenario(replace(cfg, amplitude=0.0))]
+        runs = [run(p.params, p.end, p.grid, p.state0, cfg.t_final,
+                    p.solver_config, snapshot_times=times) for p in preps]
+        expected = [self.sup_diffs(preps[0].state0, preps[1].state0)]
+        expected += [self.sup_diffs(sa, sb) for (_, sa), (_, sb)
+                     in zip(runs[0].snapshots, runs[1].snapshots)]
+        assert len(expected) == len(rel_fluid) == 51
+        assert rel_fluid[:, 1].tolist() == [f for f, _ in expected]
+        assert rel_field[:, 1].tolist() == [g for _, g in expected]
 
 
 GOOD_BATCH = """\

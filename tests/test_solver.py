@@ -59,7 +59,7 @@ class TestConstruction:
         {"cfl_factor": 0.0}, {"cfl_factor": 0.95}, {"dt_max": -1.0},
         {"far_field": "open"}, {"sponge_width": 0.6},
         {"sponge_strength": 0.0}, {"source_treatment": "imex"},
-        {"maxwell_mode": "half"}, {"rho_boundary": "clamp"},
+        {"maxwell_mode": "half"},
     ])
     def test_config_validation(self, kw):
         with pytest.raises(ValueError):
@@ -205,6 +205,16 @@ class TestFailureModes:
         state0 = constant_state(grid, end)
         state0.theta[30] = -0.2
         with pytest.raises(PositivityError):
+            run(params, end, grid, state0, 1.0)
+
+    def test_non_finite_field_is_caught_where_it_appears(self):
+        params = GasParams(eps=0.01)
+        end = uniform_end()
+        grid = Grid1D(40.0, 64)
+        state0 = constant_state(grid, end)
+        state0.E[30] = np.nan
+        with pytest.raises(SolverError, match=r"^E became non-finite at "
+                                              r"t = 0 \(step 0\)"):
             run(params, end, grid, state0, 1.0)
 
     def test_state_grid_mismatch(self):
