@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .gas import GasParams
-from .solver import FieldState, Grid1D
+from .solver import FIELDS, FieldState, Grid1D
 
 __all__ = [
     "Perturbation", "DiagRecord",
@@ -73,7 +73,7 @@ def perturb(grid: Grid1D, state: FieldState, pert: Perturbation,
     out = state.copy()
     bump = pert.profile(grid.x)
     for name in targets:
-        if name not in ("rho", "u", "theta", "E", "b"):
+        if name not in FIELDS:
             raise ValueError(f"unknown field {name!r}")
         getattr(out, name)[:] += bump
     return out
@@ -123,23 +123,29 @@ def compound_dissipation(x, E, b, psi, u_hat) -> float:
 # --------------------------------------------------------------------------
 
 def gradient(x, f) -> np.ndarray:
-    """Centered first differences, one-sided at the ends."""
-    return np.gradient(np.asarray(f, float), np.asarray(x, float))
+    """Centered first differences, one-sided at the ends (along the last
+    axis, so a stack of fields is differentiated row by row)."""
+    return np.gradient(np.asarray(f, float), np.asarray(x, float), axis=-1)
 
 
-def l2_norm(x, f) -> float:
+def _per_field(norms):
+    """A Python float for one field, the array of row norms for a stack."""
+    return float(norms) if np.ndim(norms) == 0 else norms
+
+
+def l2_norm(x, f):
     f = np.asarray(f, float)
-    return float(math.sqrt(np.trapezoid(f * f, x)))
+    return _per_field(np.sqrt(np.trapezoid(f * f, x, axis=-1)))
 
 
-def h1_norm(x, f) -> float:
+def h1_norm(x, f):
     fx = gradient(x, f)
     f = np.asarray(f, float)
-    return float(math.sqrt(np.trapezoid(f * f + fx * fx, x)))
+    return _per_field(np.sqrt(np.trapezoid(f * f + fx * fx, x, axis=-1)))
 
 
-def sup_norm(f) -> float:
-    return float(np.max(np.abs(f)))
+def sup_norm(f):
+    return _per_field(np.max(np.abs(f), axis=-1))
 
 
 # --------------------------------------------------------------------------
@@ -277,23 +283,16 @@ def record_from_state(params: GasParams, grid: Grid1D, state: FieldState,
     """
     x = grid.x
     rho_h, u_h, th_h = _background_arrays(background, x, t)
-    phi = state.rho - rho_h
-    psi = state.u - u_h
-    zeta = state.theta - th_h
+    pert = state.data.copy()                 # (phi, psi, zeta, E, b)
+    pert[:3] -= (rho_h, u_h, th_h)
+    psi = pert[1]
     return DiagRecord(
-        t=t,
-        l2_phi=l2_norm(x, phi), l2_psi=l2_norm(x, psi),
-        l2_zeta=l2_norm(x, zeta), l2_E=l2_norm(x, state.E),
-        l2_b=l2_norm(x, state.b),
-        h1_phi=h1_norm(x, phi), h1_psi=h1_norm(x, psi),
-        h1_zeta=h1_norm(x, zeta), h1_E=h1_norm(x, state.E),
-        h1_b=h1_norm(x, state.b),
-        sup_phi=sup_norm(phi), sup_psi=sup_norm(psi), sup_zeta=sup_norm(zeta),
-        sup_E=sup_norm(state.E), sup_b=sup_norm(state.b),
+        t, *l2_norm(x, pert).tolist(), *h1_norm(x, pert).tolist(),
+        *sup_norm(pert).tolist(),
         energy=perturbation_energy(params, x, state.rho, state.theta,
                                    rho_h, th_h, psi),
         dissipation=compound_dissipation(x, state.E, state.b, psi, u_h),
-        phi0=float(phi[0]), E0=float(state.E[0]), b0=float(state.b[0]),
+        phi0=float(pert[0, 0]), E0=float(state.E[0]), b0=float(state.b[0]),
         mass_residual=mass_residual,
     )
 

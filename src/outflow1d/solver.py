@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,9 +82,12 @@ class Grid1D:
     def n_nodes(self) -> int:
         return self.n_cells + 1
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(0.0, self.length, self.n_nodes)
+        """Node coordinates, built once and read-only: a grid is shared."""
+        x = np.linspace(0.0, self.length, self.n_nodes)
+        x.flags.writeable = False
+        return x
 
 
 def default_domain_length(params: GasParams, end: EndStates,
@@ -93,29 +97,46 @@ def default_domain_length(params: GasParams, end: EndStates,
     return max(40.0, 2.0 * (end.u_plus + c_plus) * (1.0 + t_final))
 
 
-@dataclass
+FIELDS = ("rho", "u", "theta", "E", "b")
+
+
+def _row(i: int) -> property:
+    def get(self) -> np.ndarray:
+        return self.data[i]
+
+    def put(self, value) -> None:       # lets `state.E *= f` write through
+        self.data[i] = value
+
+    return property(get, put, doc=f"{FIELDS[i]} nodal values (a row view)")
+
+
 class FieldState:
-    """Nodal values of (rho, u, theta, E, b)."""
+    """Nodal values of (rho, u, theta, E, b) as the rows of one C-contiguous
+    (5, n) block `data`; the named attributes are views of its rows."""
 
-    rho: np.ndarray
-    u: np.ndarray
-    theta: np.ndarray
-    E: np.ndarray
-    b: np.ndarray
+    rho, u, theta, E, b = (_row(i) for i in range(len(FIELDS)))
 
-    def __post_init__(self) -> None:
-        n = self.rho.size
-        for name in ("u", "theta", "E", "b"):
-            if getattr(self, name).size != n:
-                raise ValueError("field arrays must share one grid")
+    def __init__(self, rho, u, theta, E, b) -> None:
+        rows = (rho, u, theta, E, b)
+        if any(np.size(r) != np.size(rho) for r in rows):
+            raise ValueError("field arrays must share one grid")
+        self.data = np.array(rows, dtype=float)
+
+    @classmethod
+    def of(cls, data: np.ndarray) -> "FieldState":
+        """Wrap an existing (5, n) block without copying it."""
+        if np.ndim(data) != 2 or len(data) != len(FIELDS):
+            raise ValueError("state block must have shape (5, n)")
+        state = cls.__new__(cls)
+        state.data = data
+        return state
 
     @property
     def n_nodes(self) -> int:
-        return self.rho.size
+        return self.data.shape[1]
 
     def copy(self) -> "FieldState":
-        return FieldState(self.rho.copy(), self.u.copy(), self.theta.copy(),
-                          self.E.copy(), self.b.copy())
+        return FieldState.of(self.data.copy())
 
 
 @dataclass(frozen=True)
@@ -166,14 +187,10 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
     """
     p = params
     dx = grid.dx
-    rho, u, th, E, b = state.rho, state.u, state.theta, state.E, state.b
-    n = rho.size
-
-    drho = np.zeros(n)
-    du = np.zeros(n)
-    dth = np.zeros(n)
-    dE = np.zeros(n)
-    db = np.zeros(n)
+    rho, u, th, E, b = state.data
+    n = state.n_nodes
+    tend = np.zeros((len(FIELDS), n))
+    drho, du, dth, dE, db = tend
 
     # --- continuity, conservative form -------------------------------------
     u_half = 0.5 * (u[:-1] + u[1:])
@@ -231,14 +248,11 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
         ramp = np.zeros(n)
         ramp[mask] = config.sponge_strength * (
             (x[mask] - x_start) / (grid.length - x_start)) ** 2
-        drho -= ramp * (rho - end.rho_plus)
-        du -= ramp * (u - end.u_plus)
-        dth -= ramp * (th - end.theta_plus)
-        dE -= ramp * E
-        db -= ramp * b
+        far = np.array([end.rho_plus, end.u_plus, end.theta_plus, 0.0, 0.0])
+        tend -= ramp * (state.data - far[:, None])
 
-    tend = FieldState(drho, du, dth, dE, db)
-    return tend, {"flux_left": flux_left, "flux_right": flux_right}
+    return FieldState.of(tend), {"flux_left": flux_left,
+                                 "flux_right": flux_right}
 
 
 def apply_boundary(params: GasParams, end: EndStates, state: FieldState,
@@ -294,16 +308,6 @@ def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
     return dt
 
 
-def _heun_combine(y: FieldState, k1: FieldState, k2: FieldState,
-                  dt: float) -> FieldState:
-    h = 0.5 * dt
-    return FieldState(y.rho + h * (k1.rho + k2.rho),
-                      y.u + h * (k1.u + k2.u),
-                      y.theta + h * (k1.theta + k2.theta),
-                      y.E + h * (k1.E + k2.E),
-                      y.b + h * (k1.b + k2.b))
-
-
 def step(params: GasParams, end: EndStates, grid: Grid1D, state: FieldState,
          dt: float, config: SolverConfig):
     """One Heun step, Strang-wrapped in exact relaxation halves when the
@@ -316,12 +320,10 @@ def step(params: GasParams, end: EndStates, grid: Grid1D, state: FieldState,
         apply_boundary(params, end, work, config)
 
     k1, f1 = spatial_rhs(params, end, grid, work, config)
-    stage = FieldState(work.rho + dt * k1.rho, work.u + dt * k1.u,
-                       work.theta + dt * k1.theta, work.E + dt * k1.E,
-                       work.b + dt * k1.b)
+    stage = FieldState.of(work.data + dt * k1.data)
     apply_boundary(params, end, stage, config)
     k2, f2 = spatial_rhs(params, end, grid, stage, config)
-    new = _heun_combine(work, k1, k2, dt)
+    new = FieldState.of(work.data + 0.5 * dt * (k1.data + k2.data))
     apply_boundary(params, end, new, config)
 
     if exact_source:
@@ -337,12 +339,12 @@ def _mass(grid: Grid1D, state: FieldState) -> float:
     return float(np.trapezoid(state.rho, dx=grid.dx))
 
 
-def _base_record(params: GasParams, grid: Grid1D, state: FieldState,
-                 t: float, mass_residual: float) -> dict:
+def _base_record(params: GasParams, state: FieldState, t: float,
+                 mass: float, mass_residual: float) -> dict:
     se = params.sqrt_eps
     return {
         "t": t,
-        "mass": _mass(grid, state),
+        "mass": mass,
         "E0": float(state.E[0]),
         "b0": float(state.b[0]),
         "boundary_identity": float(se * state.E[0] - state.b[0]),
@@ -387,6 +389,8 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     if t_final <= 0:
         raise SolverError("t_final must be positive")
     snapshot_times = tuple(float(t) for t in snapshot_times)
+    if any(t <= 0.0 or t > t_final for t in snapshot_times):
+        raise SolverError("snapshot times must lie in (0, t_final]")
 
     result = RunResult(state=state0.copy(), t_final=0.0, steps=0)
 
@@ -401,37 +405,29 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     apply_boundary(params, end, state, config)
     _check_state(state, 0.0, 0)
 
-    # event times: records, snapshots, final time
-    events = {float(t_final)}
-    events.update(float(t) for t in snapshot_times if 0.0 < t <= t_final)
+    # event times: the record grid plus t_final, and the snapshots
+    record_times = {float(t_final)}
     if record_dt is not None:
         k = 1
         while k * record_dt < t_final * (1.0 - 1e-12):
-            events.add(k * record_dt)
+            record_times.add(k * record_dt)
             k += 1
-    event_list = sorted(events)
+    snapshot_set = set(snapshot_times)
 
-    def make_record(t_now, state_now, mres):
-        rec = _base_record(params, grid, state_now, t_now, mres)
+    def make_record(t_now, state_now, mass_now, mres):
+        rec = _base_record(params, state_now, t_now, mass_now, mres)
         if recorder is not None:
             extra = recorder(t_now, state_now)
             if extra:
                 rec.update(extra)
         return rec
 
-    want_records = record_dt is not None or recorder is not None
-    record_times = (set(np.round(event_list, 12)) if record_dt is not None
-                    else {round(float(t_final), 12)})
-    snapshot_set = {round(float(t), 12) for t in snapshot_times
-                    if 0.0 < t <= t_final}
-    if any(t <= 0.0 or t > t_final for t in snapshot_times):
-        raise SolverError("snapshot times must lie in (0, t_final]")
-
-    result.records.append(make_record(0.0, state, 0.0))
+    mass = _mass(grid, state)
+    result.records.append(make_record(0.0, state, mass, 0.0))
 
     t = 0.0
     next_report = 0.1
-    for t_event in event_list:
+    for t_event in sorted(record_times | snapshot_set):
         while t < t_event:
             dt_stab = cfl_dt(params, end, grid, state, config)
             if dt_stab < DT_FLOOR:
@@ -440,15 +436,15 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
             remaining = t_event - t
             landed = remaining <= dt_stab * (1.0 + 1e-12)
             dt = remaining if landed else dt_stab
-            mass_before = _mass(grid, state)
             state, info = step(params, end, grid, state, dt, config)
             mass_after = _mass(grid, state)
             t = t_event if landed else t + dt
             result.steps += 1
             _check_state(state, t, result.steps)
 
-            resid = abs((mass_after - mass_before) / dt
+            resid = abs((mass_after - mass) / dt
                         - (info["flux_left"] - info["flux_right"]))
+            mass = mass_after
             if not config.freeze_fluid:
                 result.mass_residual_max = max(result.mass_residual_max, resid)
             result.cfl_margin_max = max(result.cfl_margin_max, dt / dt_stab)
@@ -460,31 +456,28 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
                       f"(step {result.steps}, dt = {dt:.3e})")
                 next_report += 0.1
 
-        key = round(t_event, 12)
-        if want_records and key in record_times:
-            result.records.append(make_record(t_event, state,
+        if t_event in record_times:
+            result.records.append(make_record(t_event, state, mass,
                                               result.mass_residual_max))
-        if key in snapshot_set:
+        if t_event in snapshot_set:
             result.snapshots.append((t_event, state.copy()))
 
     result.state = state
     result.t_final = t
-    if not want_records:
-        result.records.append(make_record(t, state, result.mass_residual_max))
     return result
 
 
 def _check_state(state: FieldState, t: float, n_step: int) -> None:
     """Refuse a non-finite field (SolverError) or a non-positive rho/theta
-    (PositivityError).  The fast path folds the finiteness tests into dot
-    products, non-finite whenever a factor holds a NaN or inf, and the
-    positivity tests into minima, which propagate NaN."""
-    rho, theta = state.rho, state.theta
-    if (math.isfinite(rho @ state.u + theta @ state.E + state.b @ state.b)
-            and rho.min() > 0.0 and theta.min() > 0.0):
+    (PositivityError).  The fast path folds the finiteness tests into one
+    dot product of the block with itself, non-finite whenever an entry is
+    NaN or inf, and the positivity tests into minima, which propagate NaN."""
+    flat = state.data.ravel()
+    if (math.isfinite(flat @ flat)
+            and state.rho.min() > 0.0 and state.theta.min() > 0.0):
         return
-    for name in ("rho", "u", "theta", "E", "b"):
-        if not np.isfinite(getattr(state, name)).all():
+    for name, values in zip(FIELDS, state.data):
+        if not np.isfinite(values).all():
             raise SolverError(f"{name} became non-finite at t = {t:g} "
                               f"(step {n_step})")
     for name in ("rho", "theta"):
@@ -503,21 +496,12 @@ SNAPSHOT_HEADER = "t,x,rho,u,theta,E,b"
 
 def write_snapshot_csv(path, grid: Grid1D, t: float,
                        state: FieldState) -> None:
-    x = grid.x
-    with open(path, "w") as fh:
-        fh.write(SNAPSHOT_HEADER + "\n")
-        for i in range(grid.n_nodes):
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                     % (t, x[i], state.rho[i], state.u[i], state.theta[i],
-                        state.E[i], state.b[i]))
+    table = np.column_stack((np.full(grid.n_nodes, t), grid.x, state.data.T))
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
+               header=SNAPSHOT_HEADER, comments="")
 
 
 def read_snapshot_csv(path):
     """Inverse of write_snapshot_csv: returns (t, x, FieldState)."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    data = np.atleast_2d(data)
-    t = float(data[0, 0])
-    x = data[:, 1]
-    state = FieldState(data[:, 2].copy(), data[:, 3].copy(),
-                       data[:, 4].copy(), data[:, 5].copy(), data[:, 6].copy())
-    return t, x, state
+    table = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
+    return float(table[0, 0]), table[:, 1], FieldState.of(table[:, 2:].T.copy())

@@ -100,6 +100,15 @@ class TestNorms:
     def test_sup_norm(self):
         assert sup_norm(np.array([0.1, -3.0, 2.0])) == 3.0
 
+    def test_stacked_fields_give_the_per_field_norms_bitwise(self):
+        x = np.linspace(0.0, 40.0, 2001)
+        stack = np.array([np.sin(k * x) * np.exp(-0.1 * x) for k in range(5)])
+        for norm, args in ((l2_norm, (x,)), (h1_norm, (x,)), (sup_norm, ())):
+            rows = norm(*args, stack)
+            assert rows.shape == (5,)
+            assert rows.tolist() == [norm(*args, f) for f in stack]
+            assert all(type(v) is float for v in rows.tolist())
+
     def test_gradient_of_linear_function(self):
         x = np.linspace(0.0, 1.0, 11)
         np.testing.assert_allclose(gradient(x, 3.0 * x + 1.0), 3.0,

@@ -10,7 +10,7 @@ from outflow1d.layer import boundary_data_for_strength, construct_layer
 from outflow1d.solver import (FieldState, Grid1D, PositivityError,
                               SolverConfig, SolverError, cfl_dt,
                               default_domain_length, read_snapshot_csv, run,
-                              step, write_snapshot_csv)
+                              spatial_rhs, step, write_snapshot_csv)
 
 
 def uniform_end(u=-0.5, theta=1.0, rho=1.0):
@@ -54,6 +54,33 @@ class TestConstruction:
         c = s.copy()
         c.rho[0] = 123.0
         assert s.rho[0] != 123.0
+
+    def test_grid_x_is_built_once_and_read_only(self):
+        g = Grid1D(40.0, 16)
+        assert g.x is g.x
+        with pytest.raises(ValueError):
+            g.x[3] = 1.0
+
+    def test_field_state_is_one_contiguous_block(self):
+        g = Grid1D(40.0, 16)
+        s = constant_state(g, uniform_end())
+        assert s.data.shape == (5, g.n_nodes)
+        assert s.data.flags.c_contiguous
+        np.testing.assert_array_equal(s.data[2], s.theta)
+
+    def test_named_fields_are_row_views(self):
+        g = Grid1D(40.0, 16)
+        s = constant_state(g, uniform_end())
+        s.E[:] = 1.5
+        s.E *= 2.0
+        np.testing.assert_array_equal(s.data[3], 3.0)
+        assert np.shares_memory(s.E, s.data)
+
+    def test_of_wraps_a_block_without_copying(self):
+        a = np.ones((5, 17))
+        assert FieldState.of(a).data is a
+        with pytest.raises(ValueError):
+            FieldState.of(np.ones((4, 17)))
 
     @pytest.mark.parametrize("kw", [
         {"cfl_factor": 0.0}, {"cfl_factor": 0.95}, {"dt_max": -1.0},
@@ -239,6 +266,15 @@ class TestFailureModes:
             run(params, end, grid, constant_state(grid, end), 1.0,
                 snapshot_times=(2.0,))
 
+    def test_records_follow_record_dt_not_snapshot_times(self):
+        params = GasParams(eps=0.01)
+        end = uniform_end()
+        grid = Grid1D(40.0, 64)
+        res = run(params, end, grid, constant_state(grid, end), 2.0,
+                  record_dt=0.5, snapshot_times=(0.7,))
+        assert [r["t"] for r in res.records] == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert [t for t, _ in res.snapshots] == [0.7]
+
     def test_dielectric_warning_above_bound(self):
         params = GasParams(eps=1.0)       # far above the threshold
         end = uniform_end()
@@ -288,6 +324,26 @@ class TestStepControls:
                            sponge_strength=5.0)
         res = run(params, end, grid, state0, 5.0, cfg)
         assert np.max(np.abs(res.state.u - end.u_plus)) < 0.05 * 0.2
+
+    def test_sponge_relaxes_each_field_toward_the_far_state(self):
+        params = GasParams(eps=0.01)
+        end = uniform_end()
+        grid = Grid1D(40.0, 200)
+        state = constant_state(grid, end)
+        fringe = bump(grid.x, 38.0, 3.0)
+        for row, scale in zip(state.data, (0.1, -0.05, 0.2, 0.3, -0.4)):
+            row += scale * fringe
+        plain, _ = spatial_rhs(params, end, grid, state, SolverConfig())
+        damped, _ = spatial_rhs(params, end, grid, state, SolverConfig(
+            far_field="sponge", sponge_width=0.2, sponge_strength=5.0))
+        x_start = grid.length * (1.0 - 0.2)
+        ramp = np.where(grid.x > x_start, 5.0 * (
+            (grid.x - x_start) / (grid.length - x_start)) ** 2, 0.0)
+        far = (end.rho_plus, end.u_plus, end.theta_plus, 0.0, 0.0)
+        for i, target in enumerate(far):
+            np.testing.assert_array_equal(
+                damped.data[i],
+                plain.data[i] - ramp * (state.data[i] - target))
 
 
 class TestSerialization:
