@@ -201,13 +201,43 @@ def _deficit(y, far):
     return abs(y[0] - far[1]) + abs(y[1] - far[2])
 
 
+def _event(fn, terminal=True, direction=0):
+    """Tag fn as a solve_ivp event."""
+    fn.terminal, fn.direction = terminal, direction
+    return fn
+
+
+def _walk(params, far, y0, span, cfg: LayerConfig, events=(), t_eval=None,
+          backward=False):
+    """RK45 orbit of the profile ODE from y0 over [0, span] (in s = -x when
+    backward).  A terminal u = 0 event is appended after `events`, so their
+    t_events indices keep their meaning."""
+
+    def rhs(x, y):
+        dy = np.concatenate(layer_ode_rhs(params, far, y[:1], y[1:]))
+        return -dy if backward else dy
+
+    return solve_ivp(rhs, (0.0, span), y0, method="RK45", rtol=cfg.rtol,
+                     atol=cfg.abstol, t_eval=t_eval,
+                     events=(*events, _event(lambda x, y: y[0])))
+
+
+def _stable_start(params, far, cfg: LayerConfig):
+    """(lambda_s, v_s, eps_mfd, span) of a backward walk that leaves the far
+    point at far + sgn*eps_mfd*v_s; None without a stable eigendirection."""
+    lam_s, v_s = stable_direction(params, far)
+    if lam_s >= -1e-12:
+        return None
+    eps_mfd = cfg.eps_mfd_factor * max(1.0, abs(far[1]))
+    return lam_s, v_s, eps_mfd, 30.0 / abs(lam_s) + 50.0
+
+
 def _forward_layer(params, far, data, cfg: LayerConfig, tag: str,
                    alg: bool) -> LayerProfile | None:
     """Forward orbit from the boundary data; converges for the node and the
     degenerate-transonic attracting side, returns None if it runs away."""
     rho_f, u_f, th_f = far
-    u_m, th_m = data
-    delta = _deficit((u_m, th_m), far)
+    delta = _deficit(data, far)
     scale = max(1.0, abs(u_f), th_f)
     runaway = 10.0 * delta + 0.1 * scale
 
@@ -226,25 +256,11 @@ def _forward_layer(params, far, data, cfg: LayerConfig, tag: str,
                        / rate_min if delta > cfg.fp_tol * scale else 1.0) + 10.0
         xs = np.arange(0.0, x_end, cfg.sample_h)
 
-    def ev_conv(x, y):
-        return _deficit(y, far) - cfg.fp_tol * scale
-    ev_conv.terminal = not alg
-    ev_conv.direction = -1
-
-    def ev_run(x, y):
-        return _deficit(y, far) - runaway
-    ev_run.terminal = True
-
-    def ev_sing(x, y):
-        return y[0]
-    ev_sing.terminal = True
-
-    def rhs(x, y):
-        return np.concatenate(layer_ode_rhs(params, far, y[:1], y[1:]))
-
-    sol = solve_ivp(rhs, (0.0, x_end), np.array([u_m, th_m]), method="RK45",
-                    rtol=cfg.rtol, atol=cfg.abstol, t_eval=xs,
-                    events=(ev_conv, ev_run, ev_sing))
+    ev_conv = _event(lambda x, y: _deficit(y, far) - cfg.fp_tol * scale,
+                     terminal=not alg, direction=-1)
+    ev_run = _event(lambda x, y: _deficit(y, far) - runaway)
+    sol = _walk(params, far, np.array(data, dtype=float), x_end, cfg,
+                (ev_conv, ev_run), t_eval=xs)
     if sol.t_events[1].size or sol.t_events[2].size:
         return None                       # ran away or hit the u=0 singularity
     x, u, th = sol.t, sol.y[0], sol.y[1]
@@ -274,53 +290,35 @@ def _manifold_layer(params, far, data, cfg: LayerConfig, tag: str) -> LayerProfi
     crossing is missing or the temperature misses the data there."""
     rho_f, u_f, th_f = far
     u_m, th_m = data
-    delta = _deficit((u_m, th_m), far)
-    scale = max(1.0, abs(u_f), th_f)
-    eps_mfd = cfg.eps_mfd_factor * max(1.0, abs(u_f))
-    lam_s, v_s = stable_direction(params, far)
-    if lam_s >= -1e-12:
+    start = _stable_start(params, far, cfg)
+    if start is None:
         return None
+    lam_s, v_s, eps_mfd, span = start
+    delta = _deficit(data, far)
+    scale = max(1.0, abs(u_f), th_f)
     tol = _exist_tol(cfg, far)
     runaway = 4.0 * delta + 10.0 * eps_mfd + 0.1 * scale
-    span = 30.0 / abs(lam_s) + 50.0
-
-    def rhs_b(s, y):
-        du, dth = layer_ode_rhs(params, far, y[:1], y[1:])
-        return np.concatenate([-du, -dth])
-
-    def ev_cross(s, y):
-        return y[0] - u_m
-    ev_cross.terminal = True
-
-    def ev_run(s, y):
-        return _deficit(y, far) - runaway
-    ev_run.terminal = True
-
-    def ev_sing(s, y):
-        return y[0]
-    ev_sing.terminal = True
+    ev_cross = _event(lambda s, y: y[0] - u_m)
+    ev_run = _event(lambda s, y: _deficit(y, far) - runaway)
 
     best = None
     sides = [math.copysign(1.0, (u_m - u_f) * v_s[0])] if v_s[0] != 0.0 else [1.0, -1.0]
     for sgn in sides:
         y0 = np.array([u_f, th_f]) + sgn * eps_mfd * v_s
-        sol = solve_ivp(rhs_b, (0.0, span), y0, method="RK45",
-                        rtol=cfg.rtol, atol=cfg.abstol,
-                        events=(ev_cross, ev_run, ev_sing))
+        sol = _walk(params, far, y0, span, cfg, (ev_cross, ev_run),
+                    backward=True)
         if sol.t_events[0].size:
             s_ev = sol.t_events[0][0]
             y_ev = sol.y_events[0][0]
             if abs(y_ev[1] - th_m) <= tol:
-                best = (sgn, s_ev, y_ev)
+                best = (y0, s_ev, y_ev)
                 break
     if best is None:
         return None
 
-    sgn, s_ev, y_ev = best
-    y0 = np.array([u_f, th_f]) + sgn * eps_mfd * v_s
+    y0, s_ev, y_ev = best
     ss = np.arange(0.0, s_ev, cfg.sample_h)
-    sol = solve_ivp(rhs_b, (0.0, s_ev), y0, method="RK45",
-                    rtol=cfg.rtol, atol=cfg.abstol, t_eval=ss)
+    sol = _walk(params, far, y0, s_ev, cfg, t_eval=ss, backward=True)
     s = np.append(sol.t, s_ev)
     u = np.append(sol.y[0], y_ev[0])
     th = np.append(sol.y[1], y_ev[1])
@@ -383,7 +381,7 @@ def boundary_data_for_strength(params: GasParams, far, delta: float,
     slow direction keeps the tail rate equal to the slow eigenvalue).
     subsonic / branch='manifold': walk the stable manifold to the requested
     strength.  branch='degenerate': offset along the center direction on
-    whichever side the forward flow contracts.
+    the attracting (minus) side; integrates nothing.
     """
     cfg = cfg or LayerConfig()
     rho_f, u_f, th_f = far
@@ -401,40 +399,21 @@ def boundary_data_for_strength(params: GasParams, far, delta: float,
         return u_f + sgn * delta * v[0], th_f + sgn * delta * v[1]
 
     if regime == "transonic" and branch == "degenerate":
+        # l.D2F[v_c,v_c] / (l.v_c) > 0 at transonic points: minus side attracts
         v_c = center_direction(params, far)
-        for sgn in (-1.0, 1.0):
-            cand = (u_f + sgn * delta * v_c[0], th_f + sgn * delta * v_c[1])
-            probe = _forward_layer(params, far, cand, cfg,
-                                   "transonic_degenerate", alg=True)
-            if probe is not None:
-                return cand
-        raise LayerError("no attracting side found for the degenerate layer")
+        return u_f - delta * v_c[0], th_f - delta * v_c[1]
 
     # saddle / transonic manifold branch: walk backward to the target strength
-    eps_mfd = cfg.eps_mfd_factor * max(1.0, abs(u_f))
-    lam_s, v_s = stable_direction(params, far)
-    if lam_s >= -1e-12:
+    start = _stable_start(params, far, cfg)
+    if start is None:
         raise LayerError("far state has no stable eigendirection")
-    span = 30.0 / abs(lam_s) + 50.0
-
-    def rhs_b(s, y):
-        du, dth = layer_ode_rhs(params, far, y[:1], y[1:])
-        return np.concatenate([-du, -dth])
-
-    def ev_strength(s, y):
-        return _deficit(y, far) - delta
-    ev_strength.terminal = True
-
-    def ev_sing(s, y):
-        return y[0]
-    ev_sing.terminal = True
-
+    _, v_s, eps_mfd, span = start
     sgn = -math.copysign(1.0, v_s[0])     # default branch: u_- < u_+ side
     if branch == "upper":
         sgn = -sgn
     y0 = np.array([u_f, th_f]) + sgn * eps_mfd * v_s
-    sol = solve_ivp(rhs_b, (0.0, span), y0, method="RK45",
-                    rtol=cfg.rtol, atol=cfg.abstol, events=(ev_strength, ev_sing))
+    ev_strength = _event(lambda s, y: _deficit(y, far) - delta)
+    sol = _walk(params, far, y0, span, cfg, (ev_strength,), backward=True)
     if not sol.t_events[0].size:
         raise LayerError("manifold walk never reached the requested strength")
     y_ev = sol.y_events[0][0]
@@ -486,7 +465,8 @@ def measure_decay(profile: LayerProfile, component: str = "u") -> dict:
 
 
 def find_M0(profile: LayerProfile, params: GasParams) -> float:
-    """Smallest sampled x >= 1 beyond which both ODE slopes are >= -1e-12.
+    """Smallest sampled x >= 1 beyond which both deficits |far - value| are
+    non-increasing, i.e. slope * sign(far - value) >= -1e-12.
 
     Clamped below at 1; raises if the tail never turns monotone.
     """
@@ -495,12 +475,13 @@ def find_M0(profile: LayerProfile, params: GasParams) -> float:
     if profile.x.size < 2:
         return 1.0
     du, dth = profile.slopes(params)
-    ok = (du >= -1e-12) & (dth >= -1e-12)
+    ok = ((du * np.sign(profile.u_far - profile.u) >= -1e-12)
+          & (dth * np.sign(profile.theta_far - profile.theta) >= -1e-12))
     # suffix scan: all samples beyond the candidate must be monotone
     suffix_ok = np.logical_and.accumulate(ok[::-1])[::-1]
     cand = np.nonzero(suffix_ok)[0]
     if cand.size == 0:
-        raise LayerError("profile slopes never become nonnegative")
+        raise LayerError("profile deficits never become non-increasing")
     x0 = profile.x[cand[0]]
     return float(max(1.0, x0))
 

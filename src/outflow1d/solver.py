@@ -180,7 +180,9 @@ class SolverConfig:
 
 def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
                 state: FieldState, config: SolverConfig):
-    """Tendencies at every node plus the boundary mass fluxes.
+    """Tendencies at every node plus the mass budget terms: the boundary
+    fluxes and the sponge's mass source (trapezoid integral of its rho
+    tendency, 0.0 without a sponge).
 
     Boundary-node tendencies are zero for Dirichlet / characteristic
     controlled fields; apply_boundary owns those values.
@@ -241,6 +243,7 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
             dE[:] = -E / p.eps
 
     # --- optional absorbing fringe -------------------------------------------
+    mass_source = 0.0
     if config.far_field == "sponge":
         x = grid.x
         x_start = grid.length * (1.0 - config.sponge_width)
@@ -249,10 +252,13 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
         ramp[mask] = config.sponge_strength * (
             (x[mask] - x_start) / (grid.length - x_start)) ** 2
         far = np.array([end.rho_plus, end.u_plus, end.theta_plus, 0.0, 0.0])
-        tend -= ramp * (state.data - far[:, None])
+        relax = ramp * (state.data - far[:, None])
+        tend -= relax
+        mass_source = -float(np.trapezoid(relax[0], dx=dx))
 
     return FieldState.of(tend), {"flux_left": flux_left,
-                                 "flux_right": flux_right}
+                                 "flux_right": flux_right,
+                                 "mass_source": mass_source}
 
 
 def apply_boundary(params: GasParams, end: EndStates, state: FieldState,
@@ -312,7 +318,8 @@ def step(params: GasParams, end: EndStates, grid: Grid1D, state: FieldState,
          dt: float, config: SolverConfig):
     """One Heun step, Strang-wrapped in exact relaxation halves when the
     source treatment is "exact".  Returns (new_state, info) where info
-    carries the stage-averaged boundary mass fluxes for the mass audit."""
+    carries the stage-averaged mass budget terms of spatial_rhs for the
+    mass audit."""
     work = state.copy()
     exact_source = (config.source_treatment == "exact")
     if exact_source:
@@ -330,9 +337,7 @@ def step(params: GasParams, end: EndStates, grid: Grid1D, state: FieldState,
         new.E *= math.exp(-dt / (2.0 * params.eps))
         apply_boundary(params, end, new, config)
 
-    info = {"flux_left": 0.5 * (f1["flux_left"] + f2["flux_left"]),
-            "flux_right": 0.5 * (f1["flux_right"] + f2["flux_right"])}
-    return new, info
+    return new, {key: 0.5 * (f1[key] + f2[key]) for key in f1}
 
 
 def _mass(grid: Grid1D, state: FieldState) -> float:
@@ -405,14 +410,17 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     apply_boundary(params, end, state, config)
     _check_state(state, 0.0, 0)
 
-    # event times: the record grid plus t_final, and the snapshots
+    # event times: the record grid plus t_final, and the snapshots; a record
+    # time within rounding of a snapshot lands on the snapshot instead
+    snapshot_set = set(snapshot_times)
     record_times = {float(t_final)}
     if record_dt is not None:
         k = 1
         while k * record_dt < t_final * (1.0 - 1e-12):
-            record_times.add(k * record_dt)
+            t_rec = k * record_dt
+            record_times.add(next((ts for ts in snapshot_set if abs(
+                ts - t_rec) <= 1e-12 * t_final), t_rec))
             k += 1
-    snapshot_set = set(snapshot_times)
 
     def make_record(t_now, state_now, mass_now, mres):
         rec = _base_record(params, state_now, t_now, mass_now, mres)
@@ -443,7 +451,8 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
             _check_state(state, t, result.steps)
 
             resid = abs((mass_after - mass) / dt
-                        - (info["flux_left"] - info["flux_right"]))
+                        - (info["flux_left"] - info["flux_right"]
+                           + info["mass_source"]))
             mass = mass_after
             if not config.freeze_fluid:
                 result.mass_residual_max = max(result.mass_residual_max, resid)

@@ -1,10 +1,12 @@
 """Stationary boundary-layer construction across all far-state regimes."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from outflow1d import layer as layer_mod
 from outflow1d.gas import GasParams
 from outflow1d.layer import (LayerConfig, LayerError, boundary_data_for_strength,
                              center_direction, construct_layer, export_csv,
@@ -80,6 +82,27 @@ def super_profile():
 def sub_profile():
     data = boundary_data_for_strength(PARAMS, FAR_SUB, 0.05)
     return construct_layer(PARAMS, FAR_SUB, data)
+
+
+@pytest.fixture(scope="module")
+def degenerate_profile():
+    v_c = center_direction(PARAMS, FAR_TRANS)
+    data = (FAR_TRANS[1] - 0.05 * v_c[0], FAR_TRANS[2] - 0.05 * v_c[1])
+    return construct_layer(PARAMS, FAR_TRANS, data)
+
+
+def center_manifold_coefficient(params, far, h=1e-4):
+    """l.D2F[v_c, v_c] / (l.v_c) with l = (c, -a) the left null vector of
+    the Jacobian [[a, b], [c, d]] and D2F a central second difference of
+    layer_ode_rhs along the center direction."""
+    v = center_direction(params, far)
+    J = layer_jacobian(params, far)
+    ell = np.array([J[1, 0], -J[0, 0]])
+    _, u_f, th_f = far
+    F = [np.array(layer_ode_rhs(params, far, u_f + k * h * v[0],
+                                th_f + k * h * v[1])) for k in (-1, 0, 1)]
+    d2F = (F[0] - 2.0 * F[1] + F[2]) / (h * h)
+    return float(ell @ d2F) / float(ell @ v)
 
 
 class TestSupersonicLayer:
@@ -161,25 +184,61 @@ class TestTransonicLayers:
         fit = measure_decay(prof, "u")
         assert fit["kind"] == "exponential"
 
-    def test_degenerate_branch_has_algebraic_tail(self):
-        v_c = center_direction(PARAMS, FAR_TRANS)
-        data = (FAR_TRANS[1] - 0.05 * v_c[0], FAR_TRANS[2] - 0.05 * v_c[1])
-        prof = construct_layer(PARAMS, FAR_TRANS, data)
+    def test_degenerate_branch_has_algebraic_tail(self, degenerate_profile):
+        prof = degenerate_profile
         assert prof.exists and prof.case_tag == "transonic_degenerate"
         fit = measure_decay(prof, "u")
         assert fit["kind"] == "algebraic"
         assert -1.2 < fit["exponent"] < -0.8
         assert fit["decades"] >= 2.0
 
-    def test_degenerate_tail_is_monotone_beyond_m0(self):
-        v_c = center_direction(PARAMS, FAR_TRANS)
-        data = (FAR_TRANS[1] - 0.05 * v_c[0], FAR_TRANS[2] - 0.05 * v_c[1])
-        prof = construct_layer(PARAMS, FAR_TRANS, data)
+    def test_degenerate_tail_is_monotone_beyond_m0(self, degenerate_profile):
+        prof = degenerate_profile
         x0 = find_M0(prof, PARAMS)
         assert x0 >= 1.0
         du, dth = prof.slopes(PARAMS)
         tail = prof.x >= x0
         assert np.all(du[tail] >= -1e-12) and np.all(dth[tail] >= -1e-12)
+
+    def test_center_manifold_coefficient_is_positive(self):
+        # positive coefficient: the reduced flow xi' ~ xi^2 contracts on the
+        # minus side of the center direction, at every transonic far state
+        for gamma, R, mu, kappa, rho, theta in itertools.product(
+                (1.4, 5.0 / 3.0, 3.0), (0.5, 2.0), (0.3, 3.0), (0.3, 3.0),
+                (0.5, 2.0), (0.2, 2.5)):
+            params = GasParams(R=R, gamma=gamma, mu=mu, kappa=kappa)
+            far = (rho, -math.sqrt(gamma * R * theta), theta)
+            np.testing.assert_allclose(layer_jacobian(params, far)
+                                       @ center_direction(params, far),
+                                       0.0, atol=1e-12)
+            assert center_manifold_coefficient(params, far) > 0.0, far
+
+    def test_degenerate_data_integrates_nothing(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return layer_ode_rhs(*args)
+
+        monkeypatch.setattr(layer_mod, "layer_ode_rhs", counting)
+        u_m, th_m = boundary_data_for_strength(PARAMS, FAR_TRANS, 0.05,
+                                               branch="degenerate")
+        v_c = center_direction(PARAMS, FAR_TRANS)
+        assert (u_m, th_m) == (-1.0 - 0.05 * v_c[0], 0.6 - 0.05 * v_c[1])
+        assert calls == []
+
+    def test_find_m0_accepts_a_tail_falling_to_the_far_state(self):
+        # a manifold layer approaches the far state with u rising and theta
+        # falling; both deficits still shrink monotonically
+        data = boundary_data_for_strength(PARAMS, FAR_TRANS, 0.05)
+        prof = construct_layer(PARAMS, FAR_TRANS, data)
+        du, dth = prof.slopes(PARAMS)
+        assert (dth < -1e-12).any()
+        x0 = find_M0(prof, PARAMS)
+        tail = prof.x >= x0
+        assert np.all(du[tail] * np.sign(prof.u_far - prof.u[tail]) >= -1e-12)
+        assert np.all(dth[tail] * np.sign(prof.theta_far - prof.theta[tail])
+                      >= -1e-12)
 
 
 class TestEdgesAndSerialization:

@@ -189,6 +189,20 @@ class TestPrepareFanScenarios:
             _check_compatibility(prep.params, prep.end, bad)
 
 
+class TestLayerDecay:
+    @pytest.mark.parametrize("far, tag", [
+        ({"u_plus": -0.15}, "subsonic"),
+        ({"u_plus": -1.0, "theta_plus": 0.6}, "transonic_manifold"),
+    ])
+    def test_manifold_layers_pass_against_the_stable_eigenvalue(
+            self, far, tag, tmp_path):
+        cfg = ScenarioConfig(scenario="layer_decay", delta=0.05, **far)
+        summary = run_scenario(cfg, tmp_path)
+        assert summary["case_tag"] == tag
+        assert summary["decay_u"]["rate_oracle"] < 0.0
+        assert summary["verdict"] == "PASS"
+
+
 @pytest.fixture(scope="module")
 def layer_run(tmp_path_factory):
     cfg = layer_cfg()

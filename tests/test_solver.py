@@ -275,6 +275,17 @@ class TestFailureModes:
         assert [r["t"] for r in res.records] == [0.0, 0.5, 1.0, 1.5, 2.0]
         assert [t for t, _ in res.snapshots] == [0.7]
 
+    def test_record_next_to_a_snapshot_lands_on_it(self):
+        # 3 * 0.1 = 0.30000000000000004 must not cost a 5.6e-17 step
+        params = GasParams(eps=0.01)
+        end = uniform_end()
+        grid = Grid1D(40.0, 64)
+        res = run(params, end, grid, constant_state(grid, end), 1.0,
+                  record_dt=0.1, snapshot_times=(0.3,))
+        assert res.dt_min > 1e-6
+        assert len(res.records) == 11
+        assert [t for t, _ in res.snapshots] == [0.3]
+
     def test_dielectric_warning_above_bound(self):
         params = GasParams(eps=1.0)       # far above the threshold
         end = uniform_end()
@@ -324,6 +335,18 @@ class TestStepControls:
                            sponge_strength=5.0)
         res = run(params, end, grid, state0, 5.0, cfg)
         assert np.max(np.abs(res.state.u - end.u_plus)) < 0.05 * 0.2
+
+    def test_mass_audit_counts_the_sponge_source(self):
+        params = GasParams(eps=0.01)
+        end = uniform_end()
+        grid = Grid1D(40.0, 64)
+        state0 = constant_state(grid, end)
+        state0.rho += 0.1 * bump(grid.x, 36.0, 6.0)
+        state0.rho[-1] = end.rho_plus
+        cfg = SolverConfig(far_field="sponge", sponge_width=0.2,
+                           sponge_strength=5.0)
+        res = run(params, end, grid, state0, 3.0, cfg)
+        assert res.mass_residual_max < 1e-10
 
     def test_sponge_relaxes_each_field_toward_the_far_state(self):
         params = GasParams(eps=0.01)
