@@ -68,8 +68,6 @@ class ScenarioConfig:
     cfl_factor: float = 0.9
     dt_max: float | None = None
     record_dt: float | None = None    # None: t_final / 50
-    source_treatment: str = "exact"
-    far_field: str = "dirichlet"
     # perturbation
     amplitude: float = 1e-2
     center: float = 5.0
@@ -138,10 +136,6 @@ class ScenarioConfig:
             errs.append("dt_max must be positive (or auto)")
         if self.record_dt is not None and self.record_dt <= 0:
             errs.append("record_dt must be positive (or auto)")
-        if self.source_treatment not in ("exact", "explicit"):
-            errs.append("source_treatment must be exact or explicit")
-        if self.far_field not in ("dirichlet", "sponge"):
-            errs.append("far_field must be dirichlet or sponge")
         if self.amplitude < 0:
             errs.append("amplitude must be nonnegative")
         if self.width <= 0:

@@ -66,9 +66,8 @@ class EndStates:
     """Boundary data at x=0 and far-field state at x=+inf.
 
     The outflow condition requires u_minus < 0.  rho at the boundary is not
-    free data (the u<0 characteristic leaves the domain); it is pinned by the
-    stationary mass flux: rho_minus = rho_star*u_star/u_minus, falling back
-    to the far state when no intermediate (star) state is set.
+    free data (the u<0 characteristic leaves the domain): the solver evolves
+    rho(0) with the boundary flux rho(0)*u_minus.
     """
 
     u_minus: float
@@ -76,10 +75,6 @@ class EndStates:
     rho_plus: float
     u_plus: float
     theta_plus: float
-    # optional intermediate state shared by a layer+fan superposition
-    rho_star: float | None = None
-    u_star: float | None = None
-    theta_star: float | None = None
 
     def __post_init__(self) -> None:
         if self.u_minus >= 0:
@@ -88,19 +83,6 @@ class EndStates:
             raise ValueError("temperatures must be positive")
         if self.rho_plus <= 0:
             raise ValueError("rho_plus must be positive")
-        star = (self.rho_star, self.u_star, self.theta_star)
-        if any(v is not None for v in star) and any(v is None for v in star):
-            raise ValueError("star state must be given completely or not at all")
-
-    @property
-    def has_star(self) -> bool:
-        return self.rho_star is not None
-
-    @property
-    def rho_minus(self) -> float:
-        if self.has_star:
-            return self.rho_star * self.u_star / self.u_minus
-        return self.rho_plus * self.u_plus / self.u_minus
 
 
 @dataclass(frozen=True)

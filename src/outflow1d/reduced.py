@@ -31,7 +31,7 @@ from .gas import EndStates, GasParams
 from .solver import FieldState, Grid1D, SolverConfig, run
 
 __all__ = [
-    "ReducedModelCase", "CASE_TABLE", "SYSTEM_OF_CASE",
+    "ReducedModelCase", "SYSTEM_OF_CASE",
     "reduce_case", "closed_form_E", "closed_form_b",
     "verify_reduction", "format_case_table",
 ]
@@ -143,26 +143,21 @@ def closed_form_b(x, b_at_0: float, u0=None, system: int = 2,
 
 def verify_reduction(params: GasParams, end: EndStates, grid: Grid1D,
                      state0: FieldState, case: int, branch: str = "decay",
-                     source_treatment: str = "exact", n_relax: float = 5.0,
-                     dt_factor: float = 5e-3) -> dict:
+                     n_relax: float = 5.0) -> dict:
     """March a reduced case with the decoupled field mode and compare with
     the closed forms.
 
-    The fluid is frozen (the reductions constrain only the fields), the run
-    covers n_relax relaxation times, and the E tolerance is 1e-6 for the
-    exact relaxation factor and 1e-4 for the explicit treatment with
-    dt = dt_factor * eps.  b must stay constant in time to 1e-12.
+    The fluid is frozen (the reductions constrain only the fields) and the
+    run covers n_relax relaxation times.  The solver applies the relaxation
+    as exact decay factors, so E must match exp(-t/eps) to 1e-6; b must
+    stay constant in time to 1e-12.
     """
     model = reduce_case(case)
     if model.system == 1:
         raise ValueError("case %d keeps the full coupling; nothing to verify"
                          % case)
     t_final = n_relax * params.eps
-    config = SolverConfig(
-        maxwell_mode="decoupled", freeze_fluid=True,
-        source_treatment=source_treatment,
-        dt_max=dt_factor * params.eps if source_treatment == "explicit"
-        else None)
+    config = SolverConfig(maxwell_mode="decoupled", freeze_fluid=True)
 
     state = state0.copy()
     if model.eb_constrained:
@@ -178,11 +173,11 @@ def verify_reduction(params: GasParams, end: EndStates, grid: Grid1D,
     scale = max(1.0, float(np.max(np.abs(state.E))))
     err_E = float(np.max(np.abs(result.state.E - E_exact))) / scale
     err_b = float(np.max(np.abs(result.state.b - b_exact)))
-    tol_E = 1e-6 if source_treatment == "exact" else 1e-4
+    tol_E = 1e-6
     tol_b = 1e-12
     return {
         "case": case, "system": model.system, "branch": branch,
-        "source_treatment": source_treatment, "t_final": t_final,
+        "t_final": t_final,
         "err_E": err_E, "tol_E": tol_E,
         "err_b": err_b, "tol_b": tol_b,
         "passed": err_E <= tol_E and err_b <= tol_b,

@@ -135,9 +135,7 @@ def _finish_prepared(cfg, params, end, background, meta) -> PreparedRun:
     return PreparedRun(params=params, end=end, grid=grid,
                        background=background, state0=state0,
                        solver_config=SolverConfig(
-                           cfl_factor=cfg.cfl_factor, dt_max=cfg.dt_max,
-                           far_field=cfg.far_field,
-                           source_treatment=cfg.source_treatment),
+                           cfl_factor=cfg.cfl_factor, dt_max=cfg.dt_max),
                        record_dt=record_dt, meta=meta)
 
 
@@ -197,8 +195,7 @@ def _build_superposition(cfg: ScenarioConfig) -> PreparedRun:
     data, layer = _layer_toward(cfg, params0, star)
     end = EndStates(u_minus=data[0], theta_minus=data[1],
                     rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
-                    theta_plus=cfg.theta_plus,
-                    rho_star=star[0], u_star=star[1], theta_star=star[2])
+                    theta_plus=cfg.theta_plus)
     params = replace(params0, eps=_resolve_eps(cfg, params0, end))
     curve = R3Curve(params, *plus)
     wave = BurgersWave(w_star, curve.w_plus - w_star, cfg.alpha, cfg.q)
@@ -468,9 +465,7 @@ def _drive_reduced_check(cfg: ScenarioConfig) -> tuple:
         state0.b[:] = amp
 
     report = verify_reduction(params, end, grid, state0, cfg.case,
-                              branch=cfg.branch,
-                              source_treatment=cfg.source_treatment,
-                              n_relax=cfg.n_relax)
+                              branch=cfg.branch, n_relax=cfg.n_relax)
     summary = {"verdict": "PASS" if report["passed"] else "FAIL",
                "report": report}
     files = {"case_table.txt": lambda path: _write_text(

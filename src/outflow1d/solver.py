@@ -20,9 +20,10 @@ The field block
 is advanced in Riemann coordinates W1 = (sqrt(eps)/2)(sqrt(eps) E - b)
 (speed +1/sqrt(eps), prescribed zero at x = 0) and W2 = (sqrt(eps)/2)
 (sqrt(eps) E + b) (speed -1/sqrt(eps), absorbed at x = L) with upwind
-differences.  The stiff relaxation eps E_t = -E is either kept explicit
-(with dt <= eps enforced) or removed from the stage operator and applied
-exactly as a Strang pair of half-interval decay factors exp(-dt/(2 eps)).
+differences.  The stiff relaxation eps E_t = -E is kept out of the stage
+operator and applied exactly as a Strang pair of half-interval decay
+factors exp(-dt/(2 eps)).  The far field at x = L is Dirichlet: L is sized
+beyond the fastest fluid signal (default_domain_length).
 
 Boundary conditions are re-applied after every sub-operation.  At x = 0 the
 magnetic field is assigned literally as b(0) := sqrt(eps) * E(0), so the
@@ -48,8 +49,6 @@ __all__ = [
 ]
 
 DT_FLOOR = 1e-14          # below this the march has stagnated
-FAR_FIELDS = ("dirichlet", "sponge")
-SOURCE_TREATMENTS = ("exact", "explicit")
 MAXWELL_MODES = ("full", "decoupled")
 
 
@@ -143,9 +142,8 @@ class FieldState:
 class SolverConfig:
     """Time-march controls.
 
-    source_treatment "exact" removes the stiff eps E_t = -E relaxation from
-    the stage operator and applies it as exact half-interval decay factors;
-    "explicit" keeps it in the right-hand side and caps dt at eps.
+    The stiff eps E_t = -E relaxation is always applied exactly, as
+    half-interval decay factors around each step; it never limits dt.
     maxwell_mode "decoupled" drops transport and coupling from the field
     block (pointwise E-relaxation, frozen b, no characteristic boundary
     work) and removes the field speed from the CFL bound.
@@ -153,39 +151,25 @@ class SolverConfig:
 
     cfl_factor: float = 0.9
     dt_max: float | None = None
-    far_field: str = "dirichlet"
-    sponge_width: float = 0.1
-    sponge_strength: float = 1.0
-    source_treatment: str = "exact"
     maxwell_mode: str = "full"
     freeze_fluid: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.cfl_factor <= 0.9:
             raise ValueError("cfl_factor must lie in (0, 0.9]")
-        if self.dt_max is not None and self.dt_max <= 0:
+        if self.dt_max is not None and not self.dt_max > 0:
             raise ValueError("dt_max must be positive")
-        if self.far_field not in FAR_FIELDS:
-            raise ValueError(f"far_field must be one of {FAR_FIELDS}")
-        if not 0.0 < self.sponge_width < 0.5:
-            raise ValueError("sponge_width is a fraction of L in (0, 0.5)")
-        if self.sponge_strength <= 0:
-            raise ValueError("sponge_strength must be positive")
-        if self.source_treatment not in SOURCE_TREATMENTS:
-            raise ValueError(
-                f"source_treatment must be one of {SOURCE_TREATMENTS}")
         if self.maxwell_mode not in MAXWELL_MODES:
             raise ValueError(f"maxwell_mode must be one of {MAXWELL_MODES}")
 
 
 def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
                 state: FieldState, config: SolverConfig):
-    """Tendencies at every node plus the mass budget terms: the boundary
-    fluxes and the sponge's mass source (trapezoid integral of its rho
-    tendency, 0.0 without a sponge).
+    """Tendencies at every node plus the boundary mass fluxes.
 
     Boundary-node tendencies are zero for Dirichlet / characteristic
-    controlled fields; apply_boundary owns those values.
+    controlled fields; apply_boundary owns those values.  The relaxation
+    -E/eps is left to step's exact factors.
     """
     p = params
     dx = grid.dx
@@ -232,33 +216,12 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
         # first/last interior node consume the boundary-set w1[0] and w2[-1]
         t1 = -(w1[1:-1] - w1[:-2]) / (se * dx)
         t2 = (w2[2:] - w2[1:-1]) / (se * dx)
-        ub = u[1:-1] * b[1:-1]
-        if config.source_treatment == "explicit":
-            dE[1:-1] = (t1 + t2) / p.eps - (E[1:-1] + ub) / p.eps
-        else:
-            dE[1:-1] = (t1 + t2) / p.eps - ub / p.eps
+        dE[1:-1] = (t1 + t2) / p.eps - u[1:-1] * b[1:-1] / p.eps
         db[1:-1] = (t2 - t1) / se
-    else:  # decoupled: pointwise relaxation everywhere, b frozen
-        if config.source_treatment == "explicit":
-            dE[:] = -E / p.eps
-
-    # --- optional absorbing fringe -------------------------------------------
-    mass_source = 0.0
-    if config.far_field == "sponge":
-        x = grid.x
-        x_start = grid.length * (1.0 - config.sponge_width)
-        mask = x > x_start
-        ramp = np.zeros(n)
-        ramp[mask] = config.sponge_strength * (
-            (x[mask] - x_start) / (grid.length - x_start)) ** 2
-        far = np.array([end.rho_plus, end.u_plus, end.theta_plus, 0.0, 0.0])
-        relax = ramp * (state.data - far[:, None])
-        tend -= relax
-        mass_source = -float(np.trapezoid(relax[0], dx=dx))
+    # decoupled: b frozen, and the exact factors in step are E's whole update
 
     return FieldState.of(tend), {"flux_left": flux_left,
-                                 "flux_right": flux_right,
-                                 "mass_source": mass_source}
+                                 "flux_right": flux_right}
 
 
 def apply_boundary(params: GasParams, end: EndStates, state: FieldState,
@@ -295,8 +258,7 @@ def apply_boundary(params: GasParams, end: EndStates, state: FieldState,
 
 def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
            state: FieldState, config: SolverConfig) -> float:
-    """Stable step: cfl * min(advective, diffusive), capped at eps when the
-    relaxation is explicit."""
+    """Stable step: cfl * min(advective, diffusive), capped at dt_max."""
     p = params
     c = np.sqrt(p.R * p.gamma * state.theta)
     s_max = float(np.max(np.abs(state.u) + c))
@@ -307,8 +269,6 @@ def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
                                    / (p.R * state.rho))))
     dt = config.cfl_factor * min(grid.dx / s_max,
                                  grid.dx * grid.dx / (2.0 * diffusivity))
-    if config.source_treatment == "explicit":
-        dt = min(dt, p.eps)
     if config.dt_max is not None:
         dt = min(dt, config.dt_max)
     return dt
@@ -316,15 +276,13 @@ def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
 
 def step(params: GasParams, end: EndStates, grid: Grid1D, state: FieldState,
          dt: float, config: SolverConfig):
-    """One Heun step, Strang-wrapped in exact relaxation halves when the
-    source treatment is "exact".  Returns (new_state, info) where info
-    carries the stage-averaged mass budget terms of spatial_rhs for the
-    mass audit."""
+    """One Heun step, Strang-wrapped in exact relaxation halves.  Returns
+    (new_state, info) where info carries the stage-averaged boundary fluxes
+    of spatial_rhs for the mass audit."""
+    decay = math.exp(-dt / (2.0 * params.eps))
     work = state.copy()
-    exact_source = (config.source_treatment == "exact")
-    if exact_source:
-        work.E *= math.exp(-dt / (2.0 * params.eps))
-        apply_boundary(params, end, work, config)
+    work.E *= decay
+    apply_boundary(params, end, work, config)
 
     k1, f1 = spatial_rhs(params, end, grid, work, config)
     stage = FieldState.of(work.data + dt * k1.data)
@@ -333,9 +291,8 @@ def step(params: GasParams, end: EndStates, grid: Grid1D, state: FieldState,
     new = FieldState.of(work.data + 0.5 * dt * (k1.data + k2.data))
     apply_boundary(params, end, new, config)
 
-    if exact_source:
-        new.E *= math.exp(-dt / (2.0 * params.eps))
-        apply_boundary(params, end, new, config)
+    new.E *= decay
+    apply_boundary(params, end, new, config)
 
     return new, {key: 0.5 * (f1[key] + f2[key]) for key in f1}
 
@@ -451,8 +408,7 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
             _check_state(state, t, result.steps)
 
             resid = abs((mass_after - mass) / dt
-                        - (info["flux_left"] - info["flux_right"]
-                           + info["mass_source"]))
+                        - (info["flux_left"] - info["flux_right"]))
             mass = mass_after
             if not config.freeze_fluid:
                 result.mass_residual_max = max(result.mass_residual_max, resid)

@@ -1,15 +1,28 @@
-"""Flat key=value configs and the command-line front end."""
+"""Flat key=value configs, the command-line front end and the package's
+public names."""
 
+import importlib
 import math
+import pkgutil
 from dataclasses import replace
 
 import pytest
 
+import outflow1d
 from outflow1d.cli import main
 from outflow1d.config import (ConfigError, ScenarioConfig, echo_config,
                               load_config, parse_config_text)
 
 MINIMAL = "scenario = layer_stability\n"
+
+
+@pytest.mark.parametrize("name", ["outflow1d"] + [
+    "outflow1d." + m.name for m in pkgutil.iter_modules(outflow1d.__path__)])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ())
+               if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ lists undefined names {missing}"
 
 
 class TestParsing:
@@ -60,6 +73,9 @@ class TestParsing:
          "seed must be an integer or none"),
         ("scenario = layer_stability\neps = soft\n",
          "eps must be a number or auto"),
+        ("scenario = layer_stability\nfar_field = sponge\n", "unknown key"),
+        ("scenario = layer_stability\nsource_treatment = exact\n",
+         "unknown key"),
     ])
     def test_parse_errors_carry_context(self, text, needle):
         with pytest.raises(ConfigError) as exc:

@@ -53,16 +53,6 @@ class TestEndStates:
         with pytest.raises(ValueError):
             make_end(u_minus=0.1)
 
-    def test_partial_star_state_rejected(self):
-        with pytest.raises(ValueError):
-            make_end(rho_star=1.0)
-
-    def test_boundary_density_from_mass_flux(self):
-        end = make_end(u_minus=-0.5, u_plus=-0.15, rho_plus=1.0)
-        assert end.rho_minus == pytest.approx(0.3)
-        starred = make_end(rho_star=0.9, u_star=-0.25, theta_star=0.95)
-        assert starred.rho_minus == pytest.approx(0.9 * 0.25 / 0.5)
-
 
 class TestRegime:
     @pytest.mark.parametrize("u,theta,tag", [

@@ -142,12 +142,3 @@ class TestVerifyReduction:
         report = verify_reduction(PARAMS, END, GRID, state, case=3)
         assert report["passed"] and report["system"] == 2
         assert report["err_b"] == 0.0
-
-    def test_explicit_relaxation_converges_at_small_dt(self):
-        state = base_state()
-        state.E[:] = 0.5
-        report = verify_reduction(PARAMS, END, GRID, state, case=5,
-                                  source_treatment="explicit")
-        assert report["passed"]
-        assert report["tol_E"] == 1e-4
-        assert 0.0 < report["err_E"] <= 1e-4   # O(dt) splitting error, not 0

@@ -164,7 +164,6 @@ class TestPrepareFanScenarios:
         assert star[0] == pytest.approx(0.9113638131942698, rel=1e-12)
         assert star[1] == pytest.approx(-0.2679866751036993, rel=1e-12)
         assert star[2] == 0.94
-        assert prep.end.rho_star == star[0]
         assert prep.meta["layer"].exists
         assert prep.meta["layer_strength"] == pytest.approx(0.05, rel=1e-12)
         expected_fan = abs(-0.15 - star[1]) + abs(1.0 - star[2])
