@@ -30,7 +30,6 @@ always real: no spiraling orbits in any regime.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -209,17 +208,22 @@ def _event(fn, terminal=True, direction=0):
 
 def _walk(params, far, y0, span, cfg: LayerConfig, events=(), t_eval=None,
           backward=False):
-    """RK45 orbit of the profile ODE from y0 over [0, span] (in s = -x when
-    backward).  A terminal u = 0 event is appended after `events`, so their
-    t_events indices keep their meaning."""
+    """LSODA orbit of the profile ODE from y0 over [0, span] (in s = -x when
+    backward).  LSODA switches to BDF where the orbit turns stiff, as the
+    transonic tail does (eigenvalues 0 and -1.9).  A terminal u = 0 event is
+    appended after `events`, so their t_events indices keep their meaning.
+    Raises LayerError when the integration fails."""
 
     def rhs(x, y):
         dy = np.concatenate(layer_ode_rhs(params, far, y[:1], y[1:]))
         return -dy if backward else dy
 
-    return solve_ivp(rhs, (0.0, span), y0, method="RK45", rtol=cfg.rtol,
-                     atol=cfg.abstol, t_eval=t_eval,
-                     events=(*events, _event(lambda x, y: y[0])))
+    sol = solve_ivp(rhs, (0.0, span), y0, method="LSODA", rtol=cfg.rtol,
+                    atol=cfg.abstol, t_eval=t_eval,
+                    events=(*events, _event(lambda x, y: y[0])))
+    if not sol.success:
+        raise LayerError(sol.message)
+    return sol
 
 
 def _stable_start(params, far, cfg: LayerConfig):
@@ -301,27 +305,26 @@ def _manifold_layer(params, far, data, cfg: LayerConfig, tag: str) -> LayerProfi
     ev_cross = _event(lambda s, y: y[0] - u_m)
     ev_run = _event(lambda s, y: _deficit(y, far) - runaway)
 
-    best = None
+    # sampled on the probe walk: the accepted side is never walked again
+    ss = np.arange(0.0, span, cfg.sample_h)
     sides = [math.copysign(1.0, (u_m - u_f) * v_s[0])] if v_s[0] != 0.0 else [1.0, -1.0]
     for sgn in sides:
         y0 = np.array([u_f, th_f]) + sgn * eps_mfd * v_s
         sol = _walk(params, far, y0, span, cfg, (ev_cross, ev_run),
-                    backward=True)
+                    t_eval=ss, backward=True)
         if sol.t_events[0].size:
             s_ev = sol.t_events[0][0]
             y_ev = sol.y_events[0][0]
             if abs(y_ev[1] - th_m) <= tol:
-                best = (y0, s_ev, y_ev)
                 break
-    if best is None:
+    else:
         return None
 
-    y0, s_ev, y_ev = best
-    ss = np.arange(0.0, s_ev, cfg.sample_h)
-    sol = _walk(params, far, y0, s_ev, cfg, t_eval=ss, backward=True)
-    s = np.append(sol.t, s_ev)
-    u = np.append(sol.y[0], y_ev[0])
-    th = np.append(sol.y[1], y_ev[1])
+    # samples at or past the crossing are dropped: x must strictly increase
+    keep = sol.t < s_ev
+    s = np.append(sol.t[keep], s_ev)
+    u = np.append(sol.y[0, keep], y_ev[0])
+    th = np.append(sol.y[1, keep], y_ev[1])
     x = s_ev - s[::-1]                    # flip: boundary point lands at x = 0
     u = u[::-1]
     th = th[::-1]
@@ -490,10 +493,6 @@ def export_csv(profile: LayerProfile, path) -> None:
     """Write the samples: columns x, u_tilde, theta_tilde, rho_tilde."""
     if not profile.exists:
         raise LayerError("nonexistent profile")
-    rho = profile.rho
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x", "u_tilde", "theta_tilde", "rho_tilde"])
-        for i in range(profile.x.size):
-            w.writerow([f"{profile.x[i]:.17g}", f"{profile.u[i]:.17g}",
-                        f"{profile.theta[i]:.17g}", f"{rho[i]:.17g}"])
+    table = np.column_stack((profile.x, profile.u, profile.theta, profile.rho))
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", newline="\r\n",
+               header="x,u_tilde,theta_tilde,rho_tilde", comments="")

@@ -434,11 +434,11 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
 
 def _check_state(state: FieldState, t: float, n_step: int) -> None:
     """Refuse a non-finite field (SolverError) or a non-positive rho/theta
-    (PositivityError).  The fast path folds the finiteness tests into one
-    dot product of the block with itself, non-finite whenever an entry is
-    NaN or inf, and the positivity tests into minima, which propagate NaN."""
-    flat = state.data.ravel()
-    if (math.isfinite(flat @ flat)
+    (PositivityError).  The fast path tests the whole block for finiteness
+    at once, without BLAS (a dot product would run on BLAS threads that spin
+    between steps) and without a sum (which overflows on a large finite
+    state), and folds the positivity tests into minima, which propagate NaN."""
+    if (np.isfinite(state.data).all()
             and state.rho.min() > 0.0 and state.theta.min() > 0.0):
         return
     for name, values in zip(FIELDS, state.data):

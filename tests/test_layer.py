@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,11 +85,27 @@ def sub_profile():
     return construct_layer(PARAMS, FAR_SUB, data)
 
 
+def degenerate_data():
+    """Strength-0.05 data on the attracting side of the center direction."""
+    v_c = center_direction(PARAMS, FAR_TRANS)
+    return FAR_TRANS[1] - 0.05 * v_c[0], FAR_TRANS[2] - 0.05 * v_c[1]
+
+
 @pytest.fixture(scope="module")
 def degenerate_profile():
-    v_c = center_direction(PARAMS, FAR_TRANS)
-    data = (FAR_TRANS[1] - 0.05 * v_c[0], FAR_TRANS[2] - 0.05 * v_c[1])
-    return construct_layer(PARAMS, FAR_TRANS, data)
+    return construct_layer(PARAMS, FAR_TRANS, degenerate_data())
+
+
+def counting(monkeypatch, name):
+    """Route layer.<name> through a wrapper; returns its list of calls."""
+    calls, fn = [], getattr(layer_mod, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(layer_mod, name, wrapper)
+    return calls
 
 
 def center_manifold_coefficient(params, far, h=1e-4):
@@ -169,6 +186,16 @@ class TestSubsonicLayer:
         with pytest.raises(LayerError):
             off.eval(1.0)
 
+    def test_manifold_orbit_is_walked_once(self, monkeypatch):
+        # the probe walk samples the orbit; the accepted side is not re-walked
+        data = boundary_data_for_strength(PARAMS, FAR_SUB, 0.05)
+        walks = counting(monkeypatch, "solve_ivp")
+        prof = construct_layer(PARAMS, FAR_SUB, data)
+        assert len(walks) == 1
+        assert prof.x[0] == 0.0 and prof.x[-1] == prof.x_max
+        assert np.all(np.diff(prof.x) > 0.0)
+        assert (prof.u[0], prof.theta[0]) == pytest.approx(data, abs=1e-8)
+
     def test_upper_branch_sits_on_the_other_side(self):
         u_lo, _ = boundary_data_for_strength(PARAMS, FAR_SUB, 0.05)
         u_hi, _ = boundary_data_for_strength(PARAMS, FAR_SUB, 0.05,
@@ -214,18 +241,19 @@ class TestTransonicLayers:
             assert center_manifold_coefficient(params, far) > 0.0, far
 
     def test_degenerate_data_integrates_nothing(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return layer_ode_rhs(*args)
-
-        monkeypatch.setattr(layer_mod, "layer_ode_rhs", counting)
-        u_m, th_m = boundary_data_for_strength(PARAMS, FAR_TRANS, 0.05,
-                                               branch="degenerate")
-        v_c = center_direction(PARAMS, FAR_TRANS)
-        assert (u_m, th_m) == (-1.0 - 0.05 * v_c[0], 0.6 - 0.05 * v_c[1])
+        calls = counting(monkeypatch, "layer_ode_rhs")
+        data = boundary_data_for_strength(PARAMS, FAR_TRANS, 0.05,
+                                          branch="degenerate")
+        assert data == degenerate_data()
         assert calls == []
+
+    def test_degenerate_orbit_is_integrated_stiffly(self, monkeypatch):
+        # the tail has eigenvalues 0 and -1.9 out to x = 2e4: an explicit
+        # integrator needs ~80k right-hand sides there, a stiff one < 1k
+        calls = counting(monkeypatch, "layer_ode_rhs")
+        prof = construct_layer(PARAMS, FAR_TRANS, degenerate_data())
+        assert prof.case_tag == "transonic_degenerate"
+        assert len(calls) <= 2000
 
     def test_find_m0_accepts_a_tail_falling_to_the_far_state(self):
         # a manifold layer approaches the far state with u rising and theta
@@ -252,6 +280,34 @@ class TestEdgesAndSerialization:
 
     def test_zero_strength_data_helper(self):
         assert boundary_data_for_strength(PARAMS, FAR_SUPER, 0.0) == (-2.0, 1.0)
+
+    @pytest.mark.parametrize("regime", ["supersonic", "subsonic",
+                                        "transonic_degenerate"])
+    def test_failed_integration_is_an_error(self, monkeypatch, regime):
+        # a failed walk must not read as a missing layer ('nonexistent')
+        far, data = {
+            "supersonic": (FAR_SUPER, (-2.1, 0.95)),
+            "subsonic": (FAR_SUB,
+                         boundary_data_for_strength(PARAMS, FAR_SUB, 0.05)),
+            "transonic_degenerate": (FAR_TRANS, degenerate_data()),
+        }[regime]
+
+        def failing(fun, t_span, y0, events=(), **kwargs):
+            return SimpleNamespace(
+                success=False, status=-1, message="Required step size is "
+                "less than spacing between numbers.", t=np.zeros(1),
+                y=np.array(y0)[:, None], t_events=[np.empty(0)] * len(events),
+                y_events=[np.empty((0, 2))] * len(events))
+
+        monkeypatch.setattr(layer_mod, "solve_ivp", failing)
+        with pytest.raises(LayerError, match="Required step size"):
+            construct_layer(PARAMS, far, data)
+
+    def test_csv_is_crlf_text_with_a_header(self, tmp_path):
+        path = tmp_path / "layer.csv"
+        export_csv(construct_layer(PARAMS, FAR_SUPER, (-2.0, 1.0)), path)
+        assert path.read_bytes() == (b"x,u_tilde,theta_tilde,rho_tilde\r\n"
+                                     b"0,-2,1,1\r\n")
 
     def test_far_state_validation(self):
         with pytest.raises(ValueError):

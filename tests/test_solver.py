@@ -8,7 +8,7 @@ import pytest
 from outflow1d.gas import EndStates, GasParams
 from outflow1d.layer import boundary_data_for_strength, construct_layer
 from outflow1d.solver import (FieldState, Grid1D, PositivityError,
-                              SolverConfig, SolverError, cfl_dt,
+                              SolverConfig, SolverError, _check_state, cfl_dt,
                               default_domain_length, read_snapshot_csv, run,
                               spatial_rhs, step, write_snapshot_csv)
 
@@ -243,6 +243,13 @@ class TestFailureModes:
         with pytest.raises(SolverError, match=r"^E became non-finite at "
                                               r"t = 0 \(step 0\)"):
             run(params, end, grid, state0, 1.0)
+
+    def test_large_finite_state_passes_the_check(self):
+        # the finiteness test must not sum the block: this one overflows
+        state = FieldState.of(np.full((5, 64), 1e307))
+        with np.errstate(over="ignore"):
+            assert math.isinf(state.data.sum())
+        _check_state(state, 0.0, 0)
 
     def test_state_grid_mismatch(self):
         params = GasParams()
