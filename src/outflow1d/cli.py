@@ -2,7 +2,7 @@
 
     outflow1d check   --config FILE            validate + echo a config
     outflow1d profile --config FILE [--out D]  build analytic profiles only
-    outflow1d run     --config FILE [--out D] [--seed N] [--progress]
+    outflow1d run     --config FILE [--out D] [--seed N]
     outflow1d batch   --config F1 F2 ... [--out D] [--workers N] [--seed N]
     outflow1d reduce  [--case N]               reduction table / one case
 
@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_run.add_argument("--progress", action="store_true")
 
     p_batch = sub.add_parser("batch", help="run several configs in worker "
                                            "processes")
@@ -82,6 +81,9 @@ def _load_or_fail(args):
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
+        problems = cfg.validate()
+        if problems:
+            raise ConfigError(problems)
     return cfg
 
 
@@ -101,7 +103,7 @@ def _cmd_profile(args) -> int:
             prep = prepare_scenario(cfg)
             write_snapshot_csv(os.path.join(out, "initial.csv"), prep.grid,
                                0.0, prep.state0)
-            layer = prep.meta.get("layer")
+            layer = prep.meta["layer"]
             if layer is not None:
                 export_layer_csv(layer, os.path.join(out, "layer_profile.csv"))
             print(f"wrote analytic profiles to {out}")
@@ -137,7 +139,7 @@ def _cmd_run(args) -> int:
         return 2
     out = args.out or f"{cfg.scenario}_out"
     try:
-        summary = run_scenario(cfg, out, progress=args.progress)
+        summary = run_scenario(cfg, out)
     except _RUN_ERRORS as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

@@ -142,6 +142,8 @@ class ScenarioConfig:
             errs.append("width must be positive")
         if self.center <= 0:
             errs.append("center must be positive")
+        if self.seed is not None and self.seed < 0:
+            errs.append("seed must be nonnegative (or none)")
         if self.shape not in SHAPES:
             errs.append(f"shape must be one of {', '.join(SHAPES)}")
         toks = self.target_list()
@@ -169,40 +171,34 @@ SCENARIO_DEFAULTS = {
 }
 
 _FIELDS = {f.name: f for f in fields(ScenarioConfig)}
-_OPTIONAL_FLOATS = ("eps", "length", "dt_max", "record_dt")
-_INT_FIELDS = ("n_cells", "case")
+# optional keys and the literal that leaves them unset
+_SENTINELS = {"eps": "auto", "length": "auto", "dt_max": "auto",
+              "record_dt": "auto", "seed": "none"}
+_INT_FIELDS = ("n_cells", "case", "seed")
 
 
 def _parse_value(key: str, raw: str, line_no: int, errs: list):
-    if key == "seed":
-        if raw.lower() == "none":
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            errs.append(f"line {line_no}: seed must be an integer or none")
-            return None
-    if key in _OPTIONAL_FLOATS:
-        if raw.lower() == "auto":
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            errs.append(f"line {line_no}: {key} must be a number or auto")
-            return None
+    sentinel = _SENTINELS.get(key)
+    if sentinel is not None and raw.lower() == sentinel:
+        return None
+    alt = f" or {sentinel}" if sentinel else ""
     if key in _INT_FIELDS:
         try:
             return int(raw)
         except ValueError:
-            errs.append(f"line {line_no}: {key} must be an integer")
+            errs.append(f"line {line_no}: {key} must be an integer{alt}")
             return None
     if _FIELDS[key].type == "str" or isinstance(_FIELDS[key].default, str):
         return raw
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        errs.append(f"line {line_no}: {key} must be a number")
+        errs.append(f"line {line_no}: {key} must be a number{alt}")
         return None
+    if not math.isfinite(value):      # inf would never end a march
+        errs.append(f"line {line_no}: {key} must be a finite number")
+        return None
+    return value
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -244,24 +240,13 @@ def load_config(path) -> ScenarioConfig:
         return parse_config_text(fh.read())
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return "auto"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def echo_config(cfg: ScenarioConfig) -> str:
     """Sorted key=value text with all defaults materialized; parsing the
-    echo reproduces cfg exactly."""
+    echo reproduces cfg exactly (a float prints as its shortest
+    round-tripping repr)."""
     lines = []
     for name in sorted(_FIELDS):
         value = getattr(cfg, name)
-        if name == "seed" and value is None:
-            lines.append("seed = none")
-        else:
-            lines.append(f"{name} = {_format_value(value)}")
+        text = _SENTINELS[name] if value is None else value
+        lines.append(f"{name} = {text}")
     return "\n".join(lines) + "\n"

@@ -21,17 +21,18 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .gas import GasParams
-from .solver import FIELDS, FieldState, Grid1D
+from .solver import FieldState, Grid1D
 
 __all__ = [
     "Perturbation", "DiagRecord",
-    "bump_profile", "perturb", "phi_gap", "energy_density", "perturbation_energy",
+    "bump_profile", "phi_gap", "energy_density", "perturbation_energy",
     "compound_dissipation", "l2_norm", "h1_norm", "sup_norm", "gradient",
     "sobolev_check", "poincare_check", "fit_convergence",
     "record_from_state", "write_diag_csv",
 ]
 
 PERTURBATION_SHAPES = ("cosine", "gaussian")
+DECAY_RATIO = 0.5        # fit_convergence: last/first quartile mean to PASS
 
 
 @dataclass(frozen=True)
@@ -65,18 +66,6 @@ def bump_profile(x, amplitude: float, center: float, width: float,
         return out
     sigma = width / 4.0
     return amplitude * np.exp(-0.5 * ((x - center) / sigma) ** 2)
-
-
-def perturb(grid: Grid1D, state: FieldState, pert: Perturbation,
-            targets=("u", "theta")) -> FieldState:
-    """Return a copy of state with the bump added to each target field."""
-    out = state.copy()
-    bump = pert.profile(grid.x)
-    for name in targets:
-        if name not in FIELDS:
-            raise ValueError(f"unknown field {name!r}")
-        getattr(out, name)[:] += bump
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -177,16 +166,14 @@ def poincare_check(x, z, zx=None, slack: float = 1e-10) -> dict:
     return {"max_violation": max(0.0, violation), "passed": violation <= slack}
 
 
-def fit_convergence(times, values, floor: float | None = None,
-                    ratio_threshold: float = 0.5) -> dict:
+def fit_convergence(times, values) -> dict:
     """Decide whether a sampled signal is decaying.
 
     Verdict PASS when the mean over the last quarter of the samples is at
-    most ratio_threshold times the mean over the first quarter, or lies at
-    or below the supplied floor.  Requires at least 10 samples whose
-    positive times span a decade; otherwise INCONCLUSIVE.  Also reports a
-    least-squares exponential rate (value ~ exp(-rate * t)) over the
-    positive samples.
+    most DECAY_RATIO times the mean over the first quarter.  Requires at
+    least 10 samples whose positive times span a decade; otherwise
+    INCONCLUSIVE.  Also reports a least-squares exponential rate
+    (value ~ exp(-rate * t)) over the positive samples.
     """
     times = np.asarray(times, float)
     values = np.asarray(values, float)
@@ -213,9 +200,8 @@ def fit_convergence(times, values, floor: float | None = None,
         slope = np.polyfit(times[ok], np.log(values[ok]), 1)[0]
         out["rate"] = float(-slope)
 
-    decayed = first > 0 and last <= ratio_threshold * first
-    floored = floor is not None and last <= floor
-    out["verdict"] = "PASS" if (decayed or floored) else "FAIL"
+    decayed = first > 0 and last <= DECAY_RATIO * first
+    out["verdict"] = "PASS" if decayed else "FAIL"
     return out
 
 
@@ -248,7 +234,7 @@ class DiagRecord:
     phi0: float
     E0: float
     b0: float
-    mass_residual: float
+    mass_residual: float = 0.0        # filled in from the solver's records
 
     @property
     def sup_fluid(self) -> float:
@@ -273,8 +259,7 @@ def _background_arrays(background, x, t):
 
 
 def record_from_state(params: GasParams, grid: Grid1D, state: FieldState,
-                      background, t: float,
-                      mass_residual: float = 0.0) -> DiagRecord:
+                      background, t: float) -> DiagRecord:
     """Measure the state against the background profile at time t.
 
     background may expose eval(x, t) -> (rho, u, theta), be a plain callable
@@ -293,7 +278,6 @@ def record_from_state(params: GasParams, grid: Grid1D, state: FieldState,
                                    rho_h, th_h, psi),
         dissipation=compound_dissipation(x, state.E, state.b, psi, u_h),
         phi0=float(pert[0, 0]), E0=float(state.E[0]), b0=float(state.b[0]),
-        mass_residual=mass_residual,
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 __all__ = [
     "GasParams", "EndStates", "SonicRegime", "RiemannPair", "DielectricBound",
     "pressure", "sound_speed", "classify_regime", "dielectric_bound",
-    "to_riemann", "from_riemann", "check_pointwise_bounds",
+    "to_riemann", "from_riemann",
 ]
 
 # relative tolerance for deciding |u|/c == 1 (transonic)
@@ -190,39 +190,3 @@ def from_riemann(params: GasParams, W1, W2):
     b = (W2 - W1) / params.sqrt_eps
     return E, b
 
-
-def check_pointwise_bounds(params: GasParams, state, end: EndStates) -> dict:
-    """A-priori solution corridor used as a runtime sanity monitor.
-
-    Bands (open intervals):
-        theta in (min(th-,th+)/4, 3*max(th-,th+)/2)
-        |u|   <  2*max(|u-|,|u+|)
-        rho   in (rho+/4*(3*th-/(4*th+))^(1/(gamma-1)), 7*rho+/4)
-
-    `state` is anything with rho/u/theta attributes (arrays or scalars).
-    Returns a report dict with per-field pass flags and worst offenders.
-    """
-    rho = np.asarray(state.rho, dtype=float)
-    u = np.asarray(state.u, dtype=float)
-    theta = np.asarray(state.theta, dtype=float)
-
-    th_lo = 0.25 * min(end.theta_minus, end.theta_plus)
-    th_hi = 1.5 * max(end.theta_minus, end.theta_plus)
-    u_hi = 2.0 * max(abs(end.u_minus), abs(end.u_plus))
-    rho_lo = 0.25 * end.rho_plus * (0.75 * end.theta_minus / end.theta_plus) ** (
-        1.0 / (params.gamma - 1.0))
-    rho_hi = 1.75 * end.rho_plus
-
-    report = {
-        "theta_ok": bool(np.all((theta > th_lo) & (theta < th_hi))),
-        "u_ok": bool(np.all(np.abs(u) < u_hi)),
-        "rho_ok": bool(np.all((rho > rho_lo) & (rho < rho_hi))),
-        "theta_band": (th_lo, th_hi),
-        "u_band": u_hi,
-        "rho_band": (rho_lo, rho_hi),
-        "theta_minmax": (float(theta.min()), float(theta.max())),
-        "u_maxabs": float(np.abs(u).max()),
-        "rho_minmax": (float(rho.min()), float(rho.max())),
-    }
-    report["all_ok"] = report["theta_ok"] and report["u_ok"] and report["rho_ok"]
-    return report

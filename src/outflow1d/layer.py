@@ -40,7 +40,7 @@ from scipy.interpolate import PchipInterpolator
 from .gas import GasParams, classify_regime
 
 __all__ = [
-    "LayerConfig", "LayerProfile", "LayerError",
+    "LayerProfile", "LayerError",
     "layer_ode_rhs", "layer_jacobian", "stable_direction", "center_direction",
     "construct_layer", "boundary_data_for_strength",
     "measure_decay", "find_M0", "export_csv",
@@ -54,27 +54,16 @@ class LayerError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class LayerConfig:
-    """Numerical knobs for the orbit construction."""
-
-    rtol: float = 1e-10
-    abstol: float = 1e-10            # solve_ivp atol
-    eps_mfd_factor: float = 1e-6     # manifold offset = factor*max(1,|u_+|)
-    fp_tol: float = 1e-9             # forward orbits stop this close to the fixed point
-    alg_span: float = 1e3            # degenerate orbits stop once delta*x >= alg_span
-    existence_tol: float | None = None  # boundary theta mismatch deciding nonexistence
-    sample_h: float = 1e-3           # uniform sample spacing (exponential cases)
-    alg_h_lin: float = 2e-3          # sample spacing of the degenerate transient
-    alg_x_lin: float = 10.0          # linear sampling up to here, geometric beyond
-    alg_n_geom: int = 4000
-
-
-def _exist_tol(cfg: LayerConfig, far) -> float:
-    if cfg.existence_tol is not None:
-        return cfg.existence_tol
-    _, u_f, th_f = far
-    return 1e-6 * max(1.0, abs(u_f), th_f)
+# Orbit construction; scale = max(1, |u_+|, theta_+).
+RTOL = ATOL = 1e-10      # solve_ivp tolerances
+EPS_MFD_FACTOR = 1e-6    # manifold offset = factor*max(1,|u_+|)
+FP_TOL = 1e-9            # forward orbits stop FP_TOL*scale from the far point
+EXIST_TOL = 1e-6         # theta miss (x scale) at u = u_- meaning no layer
+ALG_SPAN = 1e3           # degenerate orbits stop once delta*x >= ALG_SPAN
+SAMPLE_H = 1e-3          # uniform sample spacing (exponential cases)
+ALG_H_LIN = 2e-3         # sample spacing of the degenerate transient
+ALG_X_LIN = 10.0         # linear sampling up to here, geometric beyond
+ALG_N_GEOM = 4000
 
 
 @dataclass
@@ -206,8 +195,7 @@ def _event(fn, terminal=True, direction=0):
     return fn
 
 
-def _walk(params, far, y0, span, cfg: LayerConfig, events=(), t_eval=None,
-          backward=False):
+def _walk(params, far, y0, span, events=(), t_eval=None, backward=False):
     """LSODA orbit of the profile ODE from y0 over [0, span] (in s = -x when
     backward).  LSODA switches to BDF where the orbit turns stiff, as the
     transonic tail does (eigenvalues 0 and -1.9).  A terminal u = 0 event is
@@ -218,25 +206,25 @@ def _walk(params, far, y0, span, cfg: LayerConfig, events=(), t_eval=None,
         dy = np.concatenate(layer_ode_rhs(params, far, y[:1], y[1:]))
         return -dy if backward else dy
 
-    sol = solve_ivp(rhs, (0.0, span), y0, method="LSODA", rtol=cfg.rtol,
-                    atol=cfg.abstol, t_eval=t_eval,
+    sol = solve_ivp(rhs, (0.0, span), y0, method="LSODA", rtol=RTOL,
+                    atol=ATOL, t_eval=t_eval,
                     events=(*events, _event(lambda x, y: y[0])))
     if not sol.success:
         raise LayerError(sol.message)
     return sol
 
 
-def _stable_start(params, far, cfg: LayerConfig):
+def _stable_start(params, far):
     """(lambda_s, v_s, eps_mfd, span) of a backward walk that leaves the far
     point at far + sgn*eps_mfd*v_s; None without a stable eigendirection."""
     lam_s, v_s = stable_direction(params, far)
     if lam_s >= -1e-12:
         return None
-    eps_mfd = cfg.eps_mfd_factor * max(1.0, abs(far[1]))
+    eps_mfd = EPS_MFD_FACTOR * max(1.0, abs(far[1]))
     return lam_s, v_s, eps_mfd, 30.0 / abs(lam_s) + 50.0
 
 
-def _forward_layer(params, far, data, cfg: LayerConfig, tag: str,
+def _forward_layer(params, far, data, tag: str,
                    alg: bool) -> LayerProfile | None:
     """Forward orbit from the boundary data; converges for the node and the
     degenerate-transonic attracting side, returns None if it runs away."""
@@ -249,21 +237,21 @@ def _forward_layer(params, far, data, cfg: LayerConfig, tag: str,
     rate_min = min(abs(e) for e in ev if abs(e) > 1e-12)
 
     if alg:
-        x_end = cfg.alg_span / max(delta, 1e-12)
+        x_end = ALG_SPAN / max(delta, 1e-12)
         xs = np.concatenate([
-            np.arange(0.0, cfg.alg_x_lin, cfg.alg_h_lin),
-            np.geomspace(cfg.alg_x_lin, x_end, cfg.alg_n_geom),
+            np.arange(0.0, ALG_X_LIN, ALG_H_LIN),
+            np.geomspace(ALG_X_LIN, x_end, ALG_N_GEOM),
         ])
     else:
-        # enough room for the slow mode to reach the fp_tol ball
-        x_end = 2.0 * (math.log(max(delta, 1e-12) / (cfg.fp_tol * scale))
-                       / rate_min if delta > cfg.fp_tol * scale else 1.0) + 10.0
-        xs = np.arange(0.0, x_end, cfg.sample_h)
+        # enough room for the slow mode to reach the FP_TOL ball
+        x_end = 2.0 * (math.log(max(delta, 1e-12) / (FP_TOL * scale))
+                       / rate_min if delta > FP_TOL * scale else 1.0) + 10.0
+        xs = np.arange(0.0, x_end, SAMPLE_H)
 
-    ev_conv = _event(lambda x, y: _deficit(y, far) - cfg.fp_tol * scale,
+    ev_conv = _event(lambda x, y: _deficit(y, far) - FP_TOL * scale,
                      terminal=not alg, direction=-1)
     ev_run = _event(lambda x, y: _deficit(y, far) - runaway)
-    sol = _walk(params, far, np.array(data, dtype=float), x_end, cfg,
+    sol = _walk(params, far, np.array(data, dtype=float), x_end,
                 (ev_conv, ev_run), t_eval=xs)
     if sol.t_events[1].size or sol.t_events[2].size:
         return None                       # ran away or hit the u=0 singularity
@@ -276,7 +264,7 @@ def _forward_layer(params, far, data, cfg: LayerConfig, tag: str,
                 x = np.append(x, xe)
                 u = np.append(u, ye[0])
                 th = np.append(th, ye[1])
-        elif _deficit((u[-1], th[-1]), far) > 10.0 * cfg.fp_tol * scale:
+        elif _deficit((u[-1], th[-1]), far) > 10.0 * FP_TOL * scale:
             return None                   # never entered the fixed-point ball
     else:
         if _deficit((u[-1], th[-1]), far) > 0.5 * delta:
@@ -289,33 +277,32 @@ def _forward_layer(params, far, data, cfg: LayerConfig, tag: str,
         boundary_gap=0.0, decay_rate_oracle=-rate_min if not alg else None)
 
 
-def _manifold_layer(params, far, data, cfg: LayerConfig, tag: str) -> LayerProfile | None:
+def _manifold_layer(params, far, data, tag: str) -> LayerProfile | None:
     """Backward walk along the stable eigendirection; None when the u = u_-
     crossing is missing or the temperature misses the data there."""
     rho_f, u_f, th_f = far
     u_m, th_m = data
-    start = _stable_start(params, far, cfg)
+    start = _stable_start(params, far)
     if start is None:
         return None
     lam_s, v_s, eps_mfd, span = start
     delta = _deficit(data, far)
     scale = max(1.0, abs(u_f), th_f)
-    tol = _exist_tol(cfg, far)
     runaway = 4.0 * delta + 10.0 * eps_mfd + 0.1 * scale
     ev_cross = _event(lambda s, y: y[0] - u_m)
     ev_run = _event(lambda s, y: _deficit(y, far) - runaway)
 
     # sampled on the probe walk: the accepted side is never walked again
-    ss = np.arange(0.0, span, cfg.sample_h)
+    ss = np.arange(0.0, span, SAMPLE_H)
     sides = [math.copysign(1.0, (u_m - u_f) * v_s[0])] if v_s[0] != 0.0 else [1.0, -1.0]
     for sgn in sides:
         y0 = np.array([u_f, th_f]) + sgn * eps_mfd * v_s
-        sol = _walk(params, far, y0, span, cfg, (ev_cross, ev_run),
+        sol = _walk(params, far, y0, span, (ev_cross, ev_run),
                     t_eval=ss, backward=True)
         if sol.t_events[0].size:
             s_ev = sol.t_events[0][0]
             y_ev = sol.y_events[0][0]
-            if abs(y_ev[1] - th_m) <= tol:
+            if abs(y_ev[1] - th_m) <= EXIST_TOL * scale:
                 break
     else:
         return None
@@ -335,12 +322,10 @@ def _manifold_layer(params, far, data, cfg: LayerConfig, tag: str) -> LayerProfi
         boundary_gap=float(abs(y_ev[1] - th_m)), decay_rate_oracle=lam_s)
 
 
-def construct_layer(params: GasParams, far, data,
-                    cfg: LayerConfig | None = None) -> LayerProfile:
+def construct_layer(params: GasParams, far, data) -> LayerProfile:
     """Build the stationary profile joining boundary data (u_-, theta_-) to
     the far state far = (rho_+, u_+, theta_+); tag 'nonexistent' on failure.
     """
-    cfg = cfg or LayerConfig()
     rho_f, u_f, th_f = far
     if rho_f <= 0 or th_f <= 0:
         raise ValueError("far state needs positive density and temperature")
@@ -348,9 +333,9 @@ def construct_layer(params: GasParams, far, data,
     delta = _deficit((u_m, th_m), far)
     regime = classify_regime(params, u_f, th_f).regime
 
-    def _none(tag="nonexistent"):
+    def _none():
         return LayerProfile(x=np.empty(0), u=np.empty(0), theta=np.empty(0),
-                            delta=delta, case_tag=tag, rho_far=rho_f,
+                            delta=delta, case_tag="nonexistent", rho_far=rho_f,
                             u_far=u_f, theta_far=th_f, x_max=0.0,
                             far_field_gap=0.0)
 
@@ -363,19 +348,19 @@ def construct_layer(params: GasParams, far, data,
                             x_max=0.0, far_field_gap=0.0)
 
     if regime == "supersonic":
-        prof = _forward_layer(params, far, (u_m, th_m), cfg, "supersonic", alg=False)
+        prof = _forward_layer(params, far, (u_m, th_m), "supersonic",
+                              alg=False)
     elif regime == "subsonic":
-        prof = _manifold_layer(params, far, (u_m, th_m), cfg, "subsonic")
+        prof = _manifold_layer(params, far, (u_m, th_m), "subsonic")
     else:
-        prof = _manifold_layer(params, far, (u_m, th_m), cfg, "transonic_manifold")
+        prof = _manifold_layer(params, far, (u_m, th_m), "transonic_manifold")
         if prof is None:
-            prof = _forward_layer(params, far, (u_m, th_m), cfg,
+            prof = _forward_layer(params, far, (u_m, th_m),
                                   "transonic_degenerate", alg=True)
     return prof if prof is not None else _none()
 
 
 def boundary_data_for_strength(params: GasParams, far, delta: float,
-                               cfg: LayerConfig | None = None,
                                branch: str | None = None):
     """Boundary data (u_-, theta_-) of strength |du|+|dtheta| = delta that
     admits a layer toward `far`.
@@ -386,7 +371,6 @@ def boundary_data_for_strength(params: GasParams, far, delta: float,
     strength.  branch='degenerate': offset along the center direction on
     the attracting (minus) side; integrates nothing.
     """
-    cfg = cfg or LayerConfig()
     rho_f, u_f, th_f = far
     if delta == 0.0:
         return u_f, th_f
@@ -407,7 +391,7 @@ def boundary_data_for_strength(params: GasParams, far, delta: float,
         return u_f - delta * v_c[0], th_f - delta * v_c[1]
 
     # saddle / transonic manifold branch: walk backward to the target strength
-    start = _stable_start(params, far, cfg)
+    start = _stable_start(params, far)
     if start is None:
         raise LayerError("far state has no stable eigendirection")
     _, v_s, eps_mfd, span = start
@@ -416,7 +400,7 @@ def boundary_data_for_strength(params: GasParams, far, delta: float,
         sgn = -sgn
     y0 = np.array([u_f, th_f]) + sgn * eps_mfd * v_s
     ev_strength = _event(lambda s, y: _deficit(y, far) - delta)
-    sol = _walk(params, far, y0, span, cfg, (ev_strength,), backward=True)
+    sol = _walk(params, far, y0, span, (ev_strength,), backward=True)
     if not sol.t_events[0].size:
         raise LayerError("manifold walk never reached the requested strength")
     y_ev = sol.y_events[0][0]

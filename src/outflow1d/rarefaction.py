@@ -37,11 +37,14 @@ __all__ = [
     "R3Curve", "BurgersWave", "CompositeProfile",
     "r3_connect", "cq_constant", "burgers_eval",
     "rarefaction_profile", "exact_fan_profile", "rarefaction_decay_check",
-    "superpose",
 ]
 
 # module-level tolerance on fitted decay exponents (fraction of expected)
 DECAY_FIT_TOL = 0.15
+# decay fit: sample times, grid spacing, and room beyond the fan's right edge
+DECAY_TIMES = np.geomspace(1.0, 100.0, 24)
+DECAY_DX = 0.02
+DECAY_PAD = 40.0
 
 
 @dataclass(frozen=True)
@@ -225,20 +228,18 @@ def exact_fan_profile(params: GasParams, curve: R3Curve, wave: BurgersWave,
 
 
 def rarefaction_decay_check(params: GasParams, wave: BurgersWave,
-                            p: float, times=None, dx: float = 0.02,
-                            pad: float = 40.0) -> dict:
-    """Fit the decay exponent of ||u_bar_x||_{L^p} against (1+t).
+                            p: float) -> dict:
+    """Fit the decay exponent of ||u_bar_x||_{L^p} against (1+t) at
+    DECAY_TIMES.
 
     Expected slope is -1 + 1/p (p = inf gives -1); module tolerance is
     DECAY_FIT_TOL relative.
     """
-    if times is None:
-        times = np.geomspace(1.0, 100.0, 24)
-    times = np.asarray(times, dtype=float)
+    times = DECAY_TIMES.copy()
     vals = []
     for t in times:
         tau = 1.0 + t
-        x = np.arange(0.0, wave.w_plus * tau + pad, dx)
+        x = np.arange(0.0, wave.w_plus * tau + DECAY_PAD, DECAY_DX)
         ux = rarefaction_slope(params, wave, x, t)
         if np.isinf(p):
             vals.append(np.abs(ux).max())
@@ -274,6 +275,7 @@ class CompositeProfile:
     wave: BurgersWave | None = None
 
     def __post_init__(self) -> None:
+        self.star = tuple(map(float, self.star))
         if self.layer is None and self.wave is None:
             raise ValueError("composite needs at least one wave component")
         if (self.curve is None) != (self.wave is None):
@@ -297,14 +299,3 @@ class CompositeProfile:
             th_b = np.full(x.shape, th_s)
         return r_t + r_b - r_s, u_t + u_b - u_s, th_t + th_b - th_s
 
-    def eval_em(self, x, t: float):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape), np.zeros(x.shape)
-
-
-def superpose(params: GasParams, layer: LayerProfile | None,
-              curve: R3Curve | None, wave: BurgersWave | None,
-              star) -> CompositeProfile:
-    """Assemble the composite profile; star = (rho, u, theta)_*."""
-    return CompositeProfile(params=params, star=tuple(map(float, star)),
-                            layer=layer, curve=curve, wave=wave)

@@ -61,7 +61,6 @@ class ReducedModelCase:
     b_axis: tuple
     system: int
     b_sign: int = 1          # scalar unknown b is b_sign * (B component)
-    u_axis: tuple = (1, 0, 0)
 
     @property
     def has_transport(self) -> bool:
@@ -157,7 +156,7 @@ def verify_reduction(params: GasParams, end: EndStates, grid: Grid1D,
         raise ValueError("case %d keeps the full coupling; nothing to verify"
                          % case)
     t_final = n_relax * params.eps
-    config = SolverConfig(maxwell_mode="decoupled", freeze_fluid=True)
+    config = SolverConfig(maxwell_mode="decoupled")
 
     state = state0.copy()
     if model.eb_constrained:

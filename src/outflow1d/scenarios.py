@@ -13,6 +13,7 @@ emits a fixed set of artifacts into the output directory:
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import time
@@ -28,8 +29,8 @@ from .gas import EndStates, GasParams, classify_regime, dielectric_bound, \
     sound_speed
 from .layer import boundary_data_for_strength, construct_layer, \
     export_csv, find_M0, measure_decay
-from .rarefaction import BurgersWave, R3Curve, r3_connect, \
-    rarefaction_decay_check, superpose
+from .rarefaction import BurgersWave, CompositeProfile, R3Curve, \
+    rarefaction_decay_check
 from .reduced import format_case_table, reduce_case, closed_form_b, \
     verify_reduction
 from .solver import FieldState, Grid1D, SolverConfig, default_domain_length, \
@@ -123,7 +124,50 @@ def _state_from_background(grid: Grid1D, background) -> FieldState:
                       np.zeros(grid.n_nodes))
 
 
-def _finish_prepared(cfg, params, end, background, meta) -> PreparedRun:
+def _layer_toward(cfg: ScenarioConfig, params: GasParams, far) -> tuple:
+    """Boundary data and stationary layer of strength cfg.delta on
+    cfg.layer_branch toward the state far = (rho, u, theta)."""
+    branch = None if cfg.layer_branch == "lower" else cfg.layer_branch
+    data = boundary_data_for_strength(params, far, cfg.delta, branch=branch)
+    layer = construct_layer(params, far, data)
+    if not layer.exists:
+        raise ScenarioError("no boundary layer exists for this data "
+                            f"(strength {cfg.delta:g}, far state {far})")
+    return data, layer
+
+
+def _build(cfg: ScenarioConfig, with_layer: bool,
+           theta_fan: float | None) -> PreparedRun:
+    """The composite wave: a boundary layer (if with_layer) from the boundary
+    to the star state, then a 3-rarefaction fan (if theta_fan is given) from
+    the star state at temperature theta_fan to the far state.  Without a fan
+    the star state is the far state; without a layer it is the boundary
+    data.  The fan depends on R and gamma only, so it is built before eps."""
+    params0 = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
+    plus = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
+    star, curve, wave = plus, None, None
+    if theta_fan is not None:
+        curve = R3Curve(params0, *plus)
+        star = curve.state_at_theta(theta_fan)
+        w_star = star[1] + float(sound_speed(params0, star[2]))
+        if w_star < 0:
+            raise ScenarioError(
+                f"fan edge speed is negative at theta = {theta_fan:g}; the "
+                "expansion would leave through the boundary")
+        wave = BurgersWave(w_star, curve.w_plus - w_star, cfg.alpha, cfg.q)
+    data, layer = (_layer_toward(cfg, params0, star) if with_layer
+                   else (star[1:], None))
+    end = EndStates(u_minus=data[0], theta_minus=data[1],
+                    rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
+                    theta_plus=cfg.theta_plus)
+    params = replace(params0, eps=_resolve_eps(cfg, params0, end))
+    background = CompositeProfile(params, star, layer, curve, wave)
+    meta = {"layer": layer, "star": star, "wave": wave,
+            "regime": classify_regime(params, star[1], star[2]).tag,
+            "layer_strength": layer.delta if with_layer else 0.0,
+            "fan_strength": abs(cfg.u_plus - star[1])
+            + abs(cfg.theta_plus - star[2])}
+
     length = cfg.length
     if length is None:
         length = default_domain_length(params, end, cfg.t_final)
@@ -139,78 +183,11 @@ def _finish_prepared(cfg, params, end, background, meta) -> PreparedRun:
                        record_dt=record_dt, meta=meta)
 
 
-def _layer_toward(cfg: ScenarioConfig, params: GasParams, far) -> tuple:
-    """Boundary data and stationary layer of strength cfg.delta on
-    cfg.layer_branch toward the state far = (rho, u, theta)."""
-    branch = None if cfg.layer_branch == "lower" else cfg.layer_branch
-    data = boundary_data_for_strength(params, far, cfg.delta, branch=branch)
-    layer = construct_layer(params, far, data)
-    if not layer.exists:
-        raise ScenarioError("no boundary layer exists for this data "
-                            f"(strength {cfg.delta:g}, far state {far})")
-    return data, layer
-
-
-def _build_layer_stability(cfg: ScenarioConfig) -> PreparedRun:
-    params0 = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
-    far = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
-    data, layer = _layer_toward(cfg, params0, far)
-    end = EndStates(u_minus=data[0], theta_minus=data[1],
-                    rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
-                    theta_plus=cfg.theta_plus)
-    params = replace(params0, eps=_resolve_eps(cfg, params0, end))
-    background = superpose(params, layer, None, None, star=far)
-    meta = {"layer": layer, "regime": classify_regime(
-        params, cfg.u_plus, cfg.theta_plus).tag}
-    return _finish_prepared(cfg, params, end, background, meta)
-
-
-def _build_rarefaction_stability(cfg: ScenarioConfig) -> PreparedRun:
-    params0 = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
-    plus = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
-    left = r3_connect(params0, plus, cfg.theta_minus)
-    w_minus = left[1] + float(sound_speed(params0, left[2]))
-    if w_minus < 0:
-        raise ScenarioError("fan edge speed is negative; the expansion "
-                            "would leave through the boundary")
-    end = EndStates(u_minus=left[1], theta_minus=left[2],
-                    rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
-                    theta_plus=cfg.theta_plus)
-    params = replace(params0, eps=_resolve_eps(cfg, params0, end))
-    curve = R3Curve(params, *plus)
-    wave = BurgersWave(w_minus, curve.w_plus - w_minus, cfg.alpha, cfg.q)
-    background = superpose(params, None, curve, wave, star=left)
-    meta = {"left": left, "wave": wave}
-    return _finish_prepared(cfg, params, end, background, meta)
-
-
-def _build_superposition(cfg: ScenarioConfig) -> PreparedRun:
-    params0 = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
-    plus = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
-    star = r3_connect(params0, plus, cfg.theta_star)
-    w_star = star[1] + float(sound_speed(params0, star[2]))
-    if w_star < 0:
-        raise ScenarioError("fan edge speed is negative; lower theta_star "
-                            "until the expansion moves into the domain")
-    data, layer = _layer_toward(cfg, params0, star)
-    end = EndStates(u_minus=data[0], theta_minus=data[1],
-                    rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
-                    theta_plus=cfg.theta_plus)
-    params = replace(params0, eps=_resolve_eps(cfg, params0, end))
-    curve = R3Curve(params, *plus)
-    wave = BurgersWave(w_star, curve.w_plus - w_star, cfg.alpha, cfg.q)
-    background = superpose(params, layer, curve, wave, star=star)
-    meta = {"layer": layer, "star": star, "wave": wave,
-            "layer_strength": layer.delta,
-            "fan_strength": abs(cfg.u_plus - star[1])
-            + abs(cfg.theta_plus - star[2])}
-    return _finish_prepared(cfg, params, end, background, meta)
-
-
+# solver scenario -> (has a boundary layer, config key of the fan's star theta)
 _BUILDERS = {
-    "layer_stability": _build_layer_stability,
-    "rarefaction_stability": _build_rarefaction_stability,
-    "superposition_stability": _build_superposition,
+    "layer_stability": (True, None),
+    "rarefaction_stability": (False, "theta_minus"),
+    "superposition_stability": (True, "theta_star"),
 }
 
 
@@ -218,7 +195,9 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedRun:
     """Build the marching problem for a solver-backed scenario."""
     if cfg.scenario not in _BUILDERS:
         raise ScenarioError(f"scenario {cfg.scenario!r} is not solver-backed")
-    return _BUILDERS[cfg.scenario](cfg)
+    with_layer, fan_key = _BUILDERS[cfg.scenario]
+    return _build(cfg, with_layer,
+                  None if fan_key is None else getattr(cfg, fan_key))
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +259,7 @@ def _sup_diff(sa, sb) -> tuple:
     return float(diff[:3].max()), float(diff[3:].max())
 
 
-def _drive_solver_scenario(cfg: ScenarioConfig, progress: bool) -> tuple:
+def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
     """March the perturbed data and, alongside it, a zero-amplitude
     reference with the same background.
 
@@ -311,11 +290,10 @@ def _drive_solver_scenario(cfg: ScenarioConfig, progress: bool) -> tuple:
         _pin_boundary(prep.params, prep.end, ref0)
         run(prep.params, prep.end, prep.grid, ref0, cfg.t_final,
             prep.solver_config, record_dt=prep.record_dt,
-            recorder=lambda t, state: reference.append(state.copy()),
-            progress=progress)
+            recorder=lambda t, state: reference.append(state.copy()))
     result = run(prep.params, prep.end, prep.grid, prep.state0, cfg.t_final,
                  prep.solver_config, record_dt=prep.record_dt,
-                 recorder=recorder, progress=progress)
+                 recorder=recorder)
     for srec, drec in zip(result.records, diag_records):
         drec.mass_residual = srec["mass_residual"]
 
@@ -480,10 +458,10 @@ _DRIVERS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir, progress: bool = False) -> dict:
+def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     """Execute one configured scenario, emitting artifacts into out_dir."""
     if cfg.scenario in _BUILDERS:
-        summary, files, plots = _drive_solver_scenario(cfg, progress)
+        summary, files, plots = _drive_solver_scenario(cfg)
     elif cfg.scenario in _DRIVERS:
         summary, files, plots = _DRIVERS[cfg.scenario](cfg)
     else:
@@ -532,12 +510,11 @@ def run_batch(config_paths, out_root, workers: int = 2,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_batch_worker, jobs))
 
-    with open(os.path.join(out_root, "batch_summary.csv"), "w") as fh:
-        fh.write("config,scenario,verdict,out_dir,error\n")
-        for row in rows:
-            cells = []
-            for key in ("config", "scenario", "verdict", "out_dir", "error"):
-                val = str(row[key]).replace("\n", " ")
-                cells.append('"%s"' % val if "," in val else val)
-            fh.write(",".join(cells) + "\n")
+    columns = ("config", "scenario", "verdict", "out_dir", "error")
+    with open(os.path.join(out_root, "batch_summary.csv"), "w",
+              newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([str(row[key]).replace("\n", " ") for key in columns]
+                         for row in rows)
     return rows

@@ -144,15 +144,15 @@ class SolverConfig:
 
     The stiff eps E_t = -E relaxation is always applied exactly, as
     half-interval decay factors around each step; it never limits dt.
-    maxwell_mode "decoupled" drops transport and coupling from the field
-    block (pointwise E-relaxation, frozen b, no characteristic boundary
-    work) and removes the field speed from the CFL bound.
+    maxwell_mode "decoupled" freezes the fluid block and drops transport and
+    coupling from the field block (pointwise E-relaxation, frozen b, no
+    boundary work), so E's exact decay is the whole update, and removes the
+    field speed from the CFL bound.
     """
 
     cfl_factor: float = 0.9
     dt_max: float | None = None
     maxwell_mode: str = "full"
-    freeze_fluid: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.cfl_factor <= 0.9:
@@ -169,7 +169,8 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
 
     Boundary-node tendencies are zero for Dirichlet / characteristic
     controlled fields; apply_boundary owns those values.  The relaxation
-    -E/eps is left to step's exact factors.
+    -E/eps is left to step's exact factors, which are the whole update in
+    the decoupled mode: every tendency is zero there.
     """
     p = params
     dx = grid.dx
@@ -184,44 +185,43 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
     flux = u_half * rho_up                       # flux[i] sits at face i+1/2
     flux_left = rho[0] * end.u_minus             # boundary flux rho(0) u_-
     flux_right = flux[-1]                        # last interior face
-    if not config.freeze_fluid:
-        drho[1:-1] = -(flux[1:] - flux[:-1]) / dx
-        drho[0] = -(flux[0] - flux_left) / (0.5 * dx)
+    fluxes = {"flux_left": flux_left, "flux_right": flux_right}
+    if config.maxwell_mode == "decoupled":
+        return FieldState.of(tend), fluxes
+    drho[1:-1] = -(flux[1:] - flux[:-1]) / dx
+    drho[0] = -(flux[0] - flux_left) / (0.5 * dx)
 
-        # --- momentum and temperature ---------------------------------------
-        u_pos = np.maximum(u[1:-1], 0.0)
-        u_neg = np.minimum(u[1:-1], 0.0)
-        conv_u = (u_pos * (u[1:-1] - u[:-2]) +
-                  u_neg * (u[2:] - u[1:-1])) / dx
-        pres = p.R * rho * th
-        px = (pres[2:] - pres[:-2]) / (2.0 * dx)
-        uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-        drive = E + u * b                        # E + u b, the compound field
-        du[1:-1] = -conv_u + (-px + p.mu * uxx - drive[1:-1] * b[1:-1]) / rho[1:-1]
+    # --- momentum and temperature -------------------------------------------
+    u_pos = np.maximum(u[1:-1], 0.0)
+    u_neg = np.minimum(u[1:-1], 0.0)
+    conv_u = (u_pos * (u[1:-1] - u[:-2]) +
+              u_neg * (u[2:] - u[1:-1])) / dx
+    pres = p.R * rho * th
+    px = (pres[2:] - pres[:-2]) / (2.0 * dx)
+    uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+    drive = E + u * b                            # E + u b, the compound field
+    du[1:-1] = -conv_u + (-px + p.mu * uxx - drive[1:-1] * b[1:-1]) / rho[1:-1]
 
-        conv_th = (u_pos * (th[1:-1] - th[:-2]) +
-                   u_neg * (th[2:] - th[1:-1])) / dx
-        ux_c = (u[2:] - u[:-2]) / (2.0 * dx)
-        thxx = (th[2:] - 2.0 * th[1:-1] + th[:-2]) / (dx * dx)
-        heat = (-pres[1:-1] * ux_c + p.mu * ux_c * ux_c + p.kappa * thxx
-                + drive[1:-1] * drive[1:-1])
-        dth[1:-1] = -conv_th + (p.gamma - 1.0) / (p.R * rho[1:-1]) * heat
+    conv_th = (u_pos * (th[1:-1] - th[:-2]) +
+               u_neg * (th[2:] - th[1:-1])) / dx
+    ux_c = (u[2:] - u[:-2]) / (2.0 * dx)
+    thxx = (th[2:] - 2.0 * th[1:-1] + th[:-2]) / (dx * dx)
+    heat = (-pres[1:-1] * ux_c + p.mu * ux_c * ux_c + p.kappa * thxx
+            + drive[1:-1] * drive[1:-1])
+    dth[1:-1] = -conv_th + (p.gamma - 1.0) / (p.R * rho[1:-1]) * heat
 
     # --- field block ---------------------------------------------------------
-    if config.maxwell_mode == "full":
-        se = p.sqrt_eps
-        w1 = 0.5 * se * (se * E - b)
-        w2 = 0.5 * se * (se * E + b)
-        # upwind transport along the two characteristics; the stencils at the
-        # first/last interior node consume the boundary-set w1[0] and w2[-1]
-        t1 = -(w1[1:-1] - w1[:-2]) / (se * dx)
-        t2 = (w2[2:] - w2[1:-1]) / (se * dx)
-        dE[1:-1] = (t1 + t2) / p.eps - u[1:-1] * b[1:-1] / p.eps
-        db[1:-1] = (t2 - t1) / se
-    # decoupled: b frozen, and the exact factors in step are E's whole update
+    se = p.sqrt_eps
+    w1 = 0.5 * se * (se * E - b)
+    w2 = 0.5 * se * (se * E + b)
+    # upwind transport along the two characteristics; the stencils at the
+    # first/last interior node consume the boundary-set w1[0] and w2[-1]
+    t1 = -(w1[1:-1] - w1[:-2]) / (se * dx)
+    t2 = (w2[2:] - w2[1:-1]) / (se * dx)
+    dE[1:-1] = (t1 + t2) / p.eps - u[1:-1] * b[1:-1] / p.eps
+    db[1:-1] = (t2 - t1) / se
 
-    return FieldState.of(tend), {"flux_left": flux_left,
-                                 "flux_right": flux_right}
+    return FieldState.of(tend), fluxes
 
 
 def apply_boundary(params: GasParams, end: EndStates, state: FieldState,
@@ -233,27 +233,28 @@ def apply_boundary(params: GasParams, end: EndStates, state: FieldState,
     zero, and b(0) is assigned literally as sqrt(eps) * E(0).
     x = L: fluid Dirichlet to the far state; the outgoing W1 is extrapolated
     and the incoming W2 absorbed (zero), i.e. b(L) = -sqrt(eps) * E(L).
+    The decoupled mode has no boundary work: the fluid is frozen.
     """
-    if not config.freeze_fluid:
-        state.u[0] = end.u_minus
-        state.theta[0] = end.theta_minus
-        state.rho[-1] = end.rho_plus
-        state.u[-1] = end.u_plus
-        state.theta[-1] = end.theta_plus
+    if config.maxwell_mode == "decoupled":
+        return
+    state.u[0] = end.u_minus
+    state.theta[0] = end.theta_minus
+    state.rho[-1] = end.rho_plus
+    state.u[-1] = end.u_plus
+    state.theta[-1] = end.theta_plus
 
-    if config.maxwell_mode == "full":
-        se = params.sqrt_eps
-        E, b = state.E, state.b
-        w2_1 = 0.5 * se * (se * E[1] + b[1])
-        w2_2 = 0.5 * se * (se * E[2] + b[2])
-        w2_ext = 2.0 * w2_1 - w2_2
-        E[0] = w2_ext / params.eps            # eps E = W1 + W2 with W1 = 0
-        b[0] = se * E[0]                      # literal: identity is bitwise
-        w1_1 = 0.5 * se * (se * E[-2] - b[-2])
-        w1_2 = 0.5 * se * (se * E[-3] - b[-3])
-        w1_ext = 2.0 * w1_1 - w1_2
-        E[-1] = w1_ext / params.eps           # incoming W2 absorbed to zero
-        b[-1] = -se * E[-1]
+    se = params.sqrt_eps
+    E, b = state.E, state.b
+    w2_1 = 0.5 * se * (se * E[1] + b[1])
+    w2_2 = 0.5 * se * (se * E[2] + b[2])
+    w2_ext = 2.0 * w2_1 - w2_2
+    E[0] = w2_ext / params.eps                # eps E = W1 + W2 with W1 = 0
+    b[0] = se * E[0]                          # literal: identity is bitwise
+    w1_1 = 0.5 * se * (se * E[-2] - b[-2])
+    w1_2 = 0.5 * se * (se * E[-3] - b[-3])
+    w1_ext = 2.0 * w1_1 - w1_2
+    E[-1] = w1_ext / params.eps               # incoming W2 absorbed to zero
+    b[-1] = -se * E[-1]
 
 
 def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
@@ -334,7 +335,7 @@ class RunResult:
 def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
         t_final: float, config: SolverConfig | None = None,
         record_dt: float | None = None, snapshot_times=(),
-        recorder=None, progress: bool = False) -> RunResult:
+        recorder=None) -> RunResult:
     """March state0 to t_final.
 
     record_dt samples scalar records (plus t = 0 and t_final); recorder, if
@@ -391,7 +392,6 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     result.records.append(make_record(0.0, state, mass, 0.0))
 
     t = 0.0
-    next_report = 0.1
     for t_event in sorted(record_times | snapshot_set):
         while t < t_event:
             dt_stab = cfl_dt(params, end, grid, state, config)
@@ -410,16 +410,11 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
             resid = abs((mass_after - mass) / dt
                         - (info["flux_left"] - info["flux_right"]))
             mass = mass_after
-            if not config.freeze_fluid:
+            if config.maxwell_mode == "full":   # decoupled: fluid frozen
                 result.mass_residual_max = max(result.mass_residual_max, resid)
             result.cfl_margin_max = max(result.cfl_margin_max, dt / dt_stab)
             result.dt_min = min(result.dt_min, dt)
             result.dt_max_used = max(result.dt_max_used, dt)
-
-            if progress and t / t_final >= next_report:
-                print(f"  t = {t:10.4f} / {t_final:g}  "
-                      f"(step {result.steps}, dt = {dt:.3e})")
-                next_report += 0.1
 
         if t_event in record_times:
             result.records.append(make_record(t_event, state, mass,

@@ -254,7 +254,7 @@ def test_09_decoupled_field_relaxation():
     E0 = 0.5 * np.exp(-((grid.x - 15.0) / 3.0) ** 2)
     state0 = FieldState(np.ones(n), np.full(n, -0.5), np.ones(n),
                         E0.copy(), np.zeros(n))
-    config = SolverConfig(maxwell_mode="decoupled", freeze_fluid=True)
+    config = SolverConfig(maxwell_mode="decoupled")
     result = run(params, end, grid, state0, 0.05, config)
     expected = E0 * math.exp(-0.05 / 0.01)
     rel = float(np.max(np.abs(result.state.E - expected))

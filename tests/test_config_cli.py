@@ -76,6 +76,18 @@ class TestParsing:
         ("scenario = layer_stability\nfar_field = sponge\n", "unknown key"),
         ("scenario = layer_stability\nsource_treatment = exact\n",
          "unknown key"),
+        ("scenario = layer_stability\nt_final = inf\n",
+         "line 2: t_final must be a finite number"),
+        ("scenario = layer_stability\neps = nan\n",
+         "line 2: eps must be a finite number"),
+        ("scenario = layer_stability\nlength = nan\n",
+         "line 2: length must be a finite number"),
+        ("scenario = layer_stability\nmu = nan\n",
+         "line 2: mu must be a finite number"),
+        ("scenario = layer_stability\ndt_max = nan\n",
+         "line 2: dt_max must be a finite number"),
+        ("scenario = layer_stability\ndelta = -inf\n",
+         "line 2: delta must be a finite number"),
     ])
     def test_parse_errors_carry_context(self, text, needle):
         with pytest.raises(ConfigError) as exc:
@@ -104,6 +116,7 @@ class TestValidation:
         ("shape = square", "shape"),
         ("n_cells = 8", "n_cells"),
         ("q = 0.5", "q must be at least 1"),
+        ("seed = -1", "seed must be nonnegative"),
     ])
     def test_single_violations(self, line, needle):
         with pytest.raises(ConfigError) as exc:
@@ -224,6 +237,29 @@ class TestCli:
     def test_run_invalid_config_returns_two(self, write_cfg, capsys):
         path = write_cfg(MINIMAL + "gamma = 0.5\n")
         assert main(["run", "--config", path]) == 2
+
+    def test_run_negative_seed_override_returns_two(self, write_cfg,
+                                                     tmp_path, capsys):
+        path = write_cfg(MINIMAL + "n_cells = 16\n")
+        out = tmp_path / "neg"
+        assert main(["run", "--config", path, "--out", str(out),
+                     "--seed", "-1"]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario,has_layer", [
+        ("layer_stability", True),
+        ("rarefaction_stability", False),
+        ("superposition_stability", True),
+    ])
+    def test_profile_solver_scenarios(self, write_cfg, tmp_path, capsys,
+                                      scenario, has_layer):
+        path = write_cfg(f"scenario = {scenario}\nn_cells = 64\n"
+                         "length = 60\n")
+        out = tmp_path / "prof"
+        assert main(["profile", "--config", path, "--out", str(out)]) == 0
+        assert (out / "initial.csv").is_file()
+        assert (out / "layer_profile.csv").is_file() == has_layer
 
     def test_batch_mixed_verdicts(self, write_cfg, tmp_path, capsys):
         good = write_cfg("scenario = reduced_model_check\ncase = 5\n"

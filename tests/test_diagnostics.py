@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from outflow1d.diagnostics import (DIAG_COLUMNS, DiagRecord, Perturbation,
                                    bump_profile, compound_dissipation,
                                    energy_density, fit_convergence, gradient,
-                                   h1_norm, l2_norm, perturb,
-                                   perturbation_energy, phi_gap,
+                                   h1_norm, l2_norm, perturbation_energy,
+                                   phi_gap,
                                    poincare_check, record_from_state,
                                    sobolev_check, sup_norm, write_diag_csv)
 from outflow1d.gas import GasParams
@@ -135,26 +135,6 @@ class TestBumps:
         with pytest.raises(ValueError):
             Perturbation(shape="square")
 
-    def test_perturb_copies_and_targets(self):
-        grid = Grid1D(40.0, 64)
-        n = grid.n_nodes
-        base = FieldState(np.ones(n), np.zeros(n), np.ones(n), np.zeros(n),
-                          np.zeros(n))
-        pert = Perturbation(amplitude=0.1, center=20.0, width=4.0)
-        out = perturb(grid, base, pert, targets=("u", "E"))
-        assert np.all(base.u == 0.0)            # original untouched
-        assert out.u.max() == pytest.approx(0.1, abs=1e-12)
-        assert out.E.max() == pytest.approx(0.1, abs=1e-12)
-        np.testing.assert_array_equal(out.theta, base.theta)
-
-    def test_perturb_rejects_unknown_field(self):
-        grid = Grid1D(40.0, 64)
-        n = grid.n_nodes
-        base = FieldState(np.ones(n), np.zeros(n), np.ones(n), np.zeros(n),
-                          np.zeros(n))
-        with pytest.raises(ValueError):
-            perturb(grid, base, Perturbation(), targets=("vorticity",))
-
 
 class TestInequalities:
     @staticmethod
@@ -212,12 +192,6 @@ class TestConvergenceFit:
         out = fit_convergence(t, np.full(20, 3.0))
         assert out["verdict"] == "FAIL"
         assert out["ratio"] == pytest.approx(1.0)
-
-    def test_floor_rescues_saturated_series(self):
-        t = np.linspace(1.0, 100.0, 20)
-        vals = np.full(20, 1e-6)
-        assert fit_convergence(t, vals)["verdict"] == "FAIL"
-        assert fit_convergence(t, vals, floor=2e-6)["verdict"] == "PASS"
 
     def test_too_few_samples_is_inconclusive(self):
         out = fit_convergence([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outflow1d.gas import (EndStates, GasParams, check_pointwise_bounds,
-                           classify_regime, dielectric_bound, from_riemann,
-                           pressure, sound_speed, to_riemann)
+from outflow1d.gas import (EndStates, GasParams, classify_regime,
+                           dielectric_bound, from_riemann, pressure,
+                           sound_speed, to_riemann)
 
 # frozen by hand: 1/(64*(1+sqrt(2))) for beta1=1, R=1, gamma=2, beta2=1
 CBAR_UNIT = 6.47208691207961e-3
@@ -139,22 +139,3 @@ class TestRiemannMaps:
         E2, b2 = from_riemann(params, pair.W1, pair.W2)
         np.testing.assert_allclose(E2, E, atol=1e-14)
         np.testing.assert_allclose(b2, b, atol=1e-14)
-
-
-class TestPointwiseBounds:
-    class S:
-        def __init__(self, rho, u, theta):
-            self.rho, self.u, self.theta = rho, u, theta
-
-    def test_background_state_sits_inside_corridor(self):
-        end = make_end()
-        report = check_pointwise_bounds(GasParams(), self.S(1.0, -0.15, 1.0),
-                                        end)
-        assert report["all_ok"]
-
-    def test_flags_runaway_velocity(self):
-        end = make_end()
-        report = check_pointwise_bounds(GasParams(),
-                                        self.S(1.0, -5.0, 1.0), end)
-        assert not report["u_ok"] and not report["all_ok"]
-        assert report["u_maxabs"] == pytest.approx(5.0)

@@ -9,7 +9,7 @@ import pytest
 
 from outflow1d import layer as layer_mod
 from outflow1d.gas import GasParams
-from outflow1d.layer import (LayerConfig, LayerError, boundary_data_for_strength,
+from outflow1d.layer import (LayerError, boundary_data_for_strength,
                              center_direction, construct_layer, export_csv,
                              find_M0, layer_jacobian, layer_ode_rhs,
                              measure_decay, stable_direction)

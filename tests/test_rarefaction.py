@@ -13,8 +13,7 @@ from outflow1d.rarefaction import (BurgersWave, CompositeProfile, R3Curve,
                                    burgers_eval, cq_constant,
                                    exact_fan_profile, r3_connect,
                                    rarefaction_decay_check,
-                                   rarefaction_profile, rarefaction_slope,
-                                   superpose)
+                                   rarefaction_profile, rarefaction_slope)
 
 PARAMS = GasParams(R=1.0, gamma=5.0 / 3.0, mu=1.0, kappa=1.0)
 PLUS = (1.0, -0.15, 1.0)
@@ -239,14 +238,14 @@ class TestComposite:
 
     def test_pure_layer_reduces_to_layer(self):
         star, layer, _ = self.build_parts()
-        comp = superpose(PARAMS, layer, None, None, star)
+        comp = CompositeProfile(PARAMS, star, layer)
         x = np.linspace(0.0, 30.0, 301)
         np.testing.assert_allclose(comp.eval(x, 5.0), layer.eval(x),
                                    rtol=1e-14)
 
     def test_pure_fan_reduces_to_fan(self):
         star, _, wave = self.build_parts()
-        comp = superpose(PARAMS, None, self.CURVE, wave, star)
+        comp = CompositeProfile(PARAMS, star, None, self.CURVE, wave)
         x = np.linspace(0.0, 80.0, 400)
         np.testing.assert_allclose(
             comp.eval(x, 5.0),
@@ -254,7 +253,7 @@ class TestComposite:
 
     def test_composite_interpolates_layer_and_fan(self):
         star, layer, wave = self.build_parts()
-        comp = superpose(PARAMS, layer, self.CURVE, wave, star)
+        comp = CompositeProfile(PARAMS, star, layer, self.CURVE, wave)
         # near the boundary the fan still sits at star: composite == layer
         x_near = np.array([0.0])
         np.testing.assert_allclose(comp.eval(x_near, 0.0),
@@ -265,9 +264,3 @@ class TestComposite:
         assert rho[0] == pytest.approx(1.0, abs=1e-5)
         assert u[0] == pytest.approx(-0.15, abs=1e-5)
         assert th[0] == pytest.approx(1.0, abs=1e-5)
-
-    def test_electromagnetic_part_is_zero(self):
-        star, layer, wave = self.build_parts()
-        comp = superpose(PARAMS, layer, self.CURVE, wave, star)
-        E, b = comp.eval_em(np.linspace(0, 10, 11), 3.0)
-        assert not E.any() and not b.any()

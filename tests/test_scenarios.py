@@ -5,6 +5,7 @@ whole module stays fast; the physics-quality runs live in the acceptance
 suite.
 """
 
+import csv
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -172,6 +173,22 @@ class TestPrepareFanScenarios:
     def test_superposition_rejects_too_cold_intermediate(self):
         with pytest.raises(ScenarioError, match="fan edge speed"):
             prepare_scenario(superposition_cfg(theta_star=0.5))
+
+    @pytest.mark.parametrize("make,has_layer,has_fan", [
+        (layer_cfg, True, False),
+        (rarefaction_cfg, False, True),
+        (superposition_cfg, True, True),
+    ])
+    def test_every_solver_scenario_describes_both_parts(self, make,
+                                                        has_layer, has_fan):
+        meta = prepare_scenario(make()).meta
+        assert set(meta) == {"layer", "star", "wave", "regime",
+                             "layer_strength", "fan_strength",
+                             "perturbation"}
+        assert (meta["layer"] is not None) == has_layer
+        assert (meta["wave"] is not None) == has_fan
+        assert (meta["layer_strength"] > 0.0) == has_layer
+        assert (meta["fan_strength"] > 0.0) == has_fan
 
     def test_non_solver_scenarios_cannot_be_prepared(self):
         for name in ("burgers_decay", "layer_decay", "reduced_model_check"):
@@ -376,3 +393,16 @@ class TestBatch:
         assert len(lines) == 3
         assert "PASS" in lines[1]
         assert "ERROR" in lines[2]
+
+    def test_summary_cells_round_trip_through_csv_reader(self, tmp_path):
+        path = tmp_path / 'a,"q".cfg'
+        path.write_text(GOOD_BATCH)
+        out_root = tmp_path / "batch"
+        rows = run_batch([path], out_root, workers=1)
+        assert rows[0]["verdict"] == "PASS"
+        with open(out_root / "batch_summary.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == ["config", "scenario", "verdict", "out_dir",
+                            "error"]
+        assert table[1] == [str(path), "reduced_model_check", "PASS",
+                            str(out_root / 'a,"q"'), ""]

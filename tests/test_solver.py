@@ -124,17 +124,18 @@ class TestExactInvariants:
         np.testing.assert_array_equal(res.state.E, 0.0)
         np.testing.assert_array_equal(res.state.b, 0.0)
 
-    def test_freeze_fluid_pins_the_fluid_block(self):
+    def test_decoupled_mode_pins_the_fluid_block(self):
         params = GasParams(eps=0.01)
         end = uniform_end()
         grid = Grid1D(40.0, 100)
         state0 = constant_state(grid, end)
         state0.E += bump(grid.x, 20.0, 8.0)
-        cfg = SolverConfig(freeze_fluid=True)
+        cfg = SolverConfig(maxwell_mode="decoupled")
         res = run(params, end, grid, state0, 1.0, cfg)
         np.testing.assert_array_equal(res.state.rho, state0.rho)
         np.testing.assert_array_equal(res.state.u, state0.u)
         np.testing.assert_array_equal(res.state.theta, state0.theta)
+        assert res.mass_residual_max == 0.0
 
     def test_exact_relaxation_of_uniform_field(self):
         # decoupled + exact: E(t) = E(0) e^(-t/eps) to rounding, b frozen
@@ -144,7 +145,7 @@ class TestExactInvariants:
         state0 = constant_state(grid, end)
         E0 = 0.3 * bump(grid.x, 20.0, 10.0)
         state0.E += E0
-        cfg = SolverConfig(maxwell_mode="decoupled", freeze_fluid=True)
+        cfg = SolverConfig(maxwell_mode="decoupled")
         res = run(params, end, grid, state0, 0.05, cfg)
         expected = E0 * math.exp(-0.05 / 0.01)
         np.testing.assert_allclose(res.state.E, expected, atol=1e-15)
