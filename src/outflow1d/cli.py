@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .config import ConfigError, echo_config, load_config
 from .gas import GasParams
@@ -77,21 +76,11 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _load_or_fail(args):
-    cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-        problems = cfg.validate()
-        if problems:
-            raise ConfigError(problems)
-    return cfg
-
-
 def _cmd_profile(args) -> int:
     import os
 
     try:
-        cfg = _load_or_fail(args)
+        cfg = load_config(args.config)
     except (ConfigError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -133,7 +122,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        cfg = _load_or_fail(args)
+        cfg = load_config(args.config, args.seed)
     except (ConfigError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2

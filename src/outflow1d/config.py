@@ -10,7 +10,7 @@ just the first one.  Optional quantities accept the literal `auto`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 __all__ = ["ScenarioConfig", "ConfigError", "SCENARIOS",
            "load_config", "parse_config_text", "echo_config"]
@@ -85,7 +85,9 @@ class ScenarioConfig:
 
     def validate(self) -> list:
         """Return every violated constraint as a message (empty if valid)."""
-        errs = []
+        errs = [f"{key} must be a finite number"    # inf never ends a march
+                for key, value in vars(self).items()
+                if isinstance(value, float) and not math.isfinite(value)]
         if self.scenario not in SCENARIOS:
             errs.append(f"scenario must be one of {', '.join(SCENARIOS)}")
         if self.R <= 0:
@@ -235,9 +237,18 @@ def parse_config_text(text: str) -> ScenarioConfig:
     return cfg
 
 
-def load_config(path) -> ScenarioConfig:
+def load_config(path, seed: int | None = None) -> ScenarioConfig:
+    """Parse a config file; a seed, if given, replaces the file's seed and
+    the result is validated again."""
     with open(path) as fh:
-        return parse_config_text(fh.read())
+        cfg = parse_config_text(fh.read())
+    if seed is None:
+        return cfg
+    cfg = replace(cfg, seed=seed)
+    problems = cfg.validate()
+    if problems:
+        raise ConfigError(problems)
+    return cfg
 
 
 def echo_config(cfg: ScenarioConfig) -> str:

@@ -482,9 +482,7 @@ def _batch_worker(job):
     row = {"config": str(path), "scenario": "", "verdict": "ERROR",
            "out_dir": str(out_dir), "error": ""}
     try:
-        cfg = load_config(path)
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
+        cfg = load_config(path, seed)
         row["scenario"] = cfg.scenario
         summary = run_scenario(cfg, out_dir)
         row["verdict"] = summary["verdict"]

@@ -123,6 +123,16 @@ class TestValidation:
             parse_config_text(MINIMAL + line + "\n")
         assert any(needle in e for e in exc.value.errors)
 
+    def test_non_finite_floats_are_listed(self):
+        # a config built in code never meets the parser's finiteness check
+        cfg = ScenarioConfig(scenario="layer_stability", t_final=math.inf,
+                             eps=math.nan, amplitude=-math.inf)
+        errors = cfg.validate()
+        for key in ("t_final", "eps", "amplitude"):
+            assert f"{key} must be a finite number" in errors
+        assert not any("finite" in e for e in replace(
+            cfg, t_final=1.0, eps=None, amplitude=0.0).validate())
+
     def test_violations_accumulate(self):
         with pytest.raises(ConfigError) as exc:
             parse_config_text(MINIMAL + "u_plus = 0.3\ngamma = 0.9\n"
@@ -260,6 +270,17 @@ class TestCli:
         assert main(["profile", "--config", path, "--out", str(out)]) == 0
         assert (out / "initial.csv").is_file()
         assert (out / "layer_profile.csv").is_file() == has_layer
+
+    def test_batch_negative_seed_is_a_config_error(self, write_cfg,
+                                                   tmp_path, capsys):
+        path = write_cfg(MINIMAL + "n_cells = 16\n")
+        out = tmp_path / "batch"
+        assert main(["batch", "--config", path, "--out", str(out),
+                     "--workers", "1", "--seed", "-1"]) == 1
+        row = (out / "batch_summary.csv").read_text().splitlines()[1]
+        assert "ERROR" in row and "ConfigError" in row
+        assert "seed must be nonnegative" in row
+        assert not (out / "case").exists()     # no scenario started
 
     def test_batch_mixed_verdicts(self, write_cfg, tmp_path, capsys):
         good = write_cfg("scenario = reduced_model_check\ncase = 5\n"

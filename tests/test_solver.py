@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import outflow1d.solver as solver
+from outflow1d.config import ScenarioConfig
 from outflow1d.gas import EndStates, GasParams
 from outflow1d.layer import boundary_data_for_strength, construct_layer
+from outflow1d.scenarios import prepare_scenario
 from outflow1d.solver import (FieldState, Grid1D, PositivityError,
-                              SolverConfig, SolverError, _check_state, cfl_dt,
-                              default_domain_length, read_snapshot_csv, run,
-                              spatial_rhs, step, write_snapshot_csv)
+                              SolverConfig, SolverError, _check_state,
+                              apply_boundary, cfl_dt, default_domain_length,
+                              read_snapshot_csv, run, spatial_rhs, step,
+                              write_snapshot_csv)
 
 
 def uniform_end(u=-0.5, theta=1.0, rho=1.0):
@@ -266,6 +270,22 @@ class TestFailureModes:
         with pytest.raises(SolverError):
             run(params, end, grid, constant_state(grid, end), -1.0)
 
+    def test_non_finite_final_time_raises(self):
+        # an infinite t_final would march forever, so only nan is run here
+        params = GasParams(eps=0.01)
+        end = uniform_end()
+        grid = Grid1D(40.0, 64)
+        with pytest.raises(SolverError, match="finite"):
+            run(params, end, grid, constant_state(grid, end), math.nan)
+
+    def test_non_finite_snapshot_time_rejected(self):
+        params = GasParams(eps=0.01)
+        end = uniform_end()
+        grid = Grid1D(40.0, 64)
+        with pytest.raises(SolverError):
+            run(params, end, grid, constant_state(grid, end), 1.0,
+                snapshot_times=(math.nan,))
+
     def test_snapshot_time_outside_run_rejected(self):
         params = GasParams(eps=0.01)
         end = uniform_end()
@@ -345,3 +365,182 @@ class TestSerialization:
             write_snapshot_csv(path, grid, res.t_final, res.state)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# --------------------------------------------------------------------------
+# the explicit stencil as first written: one temporary per term, boundary
+# values enforced after every sub-operation of a step.  The solver's leaner
+# arithmetic must reproduce it to rounding.
+# --------------------------------------------------------------------------
+
+def reference_rhs(params, end, grid, state):
+    p, dx = params, grid.dx
+    rho, u, th, E, b = state.data
+    tend = np.zeros((5, state.n_nodes))
+    drho, du, dth, dE, db = tend
+
+    u_half = 0.5 * (u[:-1] + u[1:])
+    flux = u_half * np.where(u_half >= 0.0, rho[:-1], rho[1:])
+    flux_left = rho[0] * end.u_minus
+    drho[1:-1] = -(flux[1:] - flux[:-1]) / dx
+    drho[0] = -(flux[0] - flux_left) / (0.5 * dx)
+
+    u_pos = np.maximum(u[1:-1], 0.0)
+    u_neg = np.minimum(u[1:-1], 0.0)
+    conv_u = (u_pos * (u[1:-1] - u[:-2]) + u_neg * (u[2:] - u[1:-1])) / dx
+    pres = p.R * rho * th
+    px = (pres[2:] - pres[:-2]) / (2.0 * dx)
+    uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+    drive = E + u * b
+    du[1:-1] = -conv_u + (-px + p.mu * uxx - drive[1:-1] * b[1:-1]) / rho[1:-1]
+
+    conv_th = (u_pos * (th[1:-1] - th[:-2]) + u_neg * (th[2:] - th[1:-1])) / dx
+    ux_c = (u[2:] - u[:-2]) / (2.0 * dx)
+    thxx = (th[2:] - 2.0 * th[1:-1] + th[:-2]) / (dx * dx)
+    heat = (-pres[1:-1] * ux_c + p.mu * ux_c * ux_c + p.kappa * thxx
+            + drive[1:-1] * drive[1:-1])
+    dth[1:-1] = -conv_th + (p.gamma - 1.0) / (p.R * rho[1:-1]) * heat
+
+    se = p.sqrt_eps
+    w1 = 0.5 * se * (se * E - b)
+    w2 = 0.5 * se * (se * E + b)
+    t1 = -(w1[1:-1] - w1[:-2]) / (se * dx)
+    t2 = (w2[2:] - w2[1:-1]) / (se * dx)
+    dE[1:-1] = (t1 + t2) / p.eps - u[1:-1] * b[1:-1] / p.eps
+    db[1:-1] = (t2 - t1) / se
+    return tend, {"flux_left": flux_left, "flux_right": flux[-1]}
+
+
+def reference_boundary(params, end, data):
+    rho, u, th, E, b = data
+    u[0], th[0] = end.u_minus, end.theta_minus
+    rho[-1], u[-1], th[-1] = end.rho_plus, end.u_plus, end.theta_plus
+    se = params.sqrt_eps
+    w2_ext = (2.0 * (0.5 * se * (se * E[1] + b[1]))
+              - 0.5 * se * (se * E[2] + b[2]))
+    E[0] = w2_ext / params.eps
+    b[0] = se * E[0]
+    w1_ext = (2.0 * (0.5 * se * (se * E[-2] - b[-2]))
+              - 0.5 * se * (se * E[-3] - b[-3]))
+    E[-1] = w1_ext / params.eps
+    b[-1] = -se * E[-1]
+
+
+def reference_step(params, end, grid, state, dt):
+    decay = math.exp(-dt / (2.0 * params.eps))
+    work = state.data.copy()
+    work[3] *= decay
+    reference_boundary(params, end, work)
+    k1, f1 = reference_rhs(params, end, grid, FieldState.of(work))
+    stage = work + dt * k1
+    reference_boundary(params, end, stage)
+    k2, f2 = reference_rhs(params, end, grid, FieldState.of(stage))
+    new = work + 0.5 * dt * (k1 + k2)
+    reference_boundary(params, end, new)
+    new[3] *= decay
+    reference_boundary(params, end, new)
+    return new, {key: 0.5 * (f1[key] + f2[key]) for key in f1}
+
+
+def reference_cfl_dt(params, grid, state, config):
+    p = params
+    c = np.sqrt(p.R * p.gamma * state.theta)
+    s_max = float(np.max(np.abs(state.u) + c))
+    if config.maxwell_mode == "full":
+        s_max = max(s_max, 1.0 / p.sqrt_eps)
+    diffusivity = max(float(np.max(p.mu / state.rho)),
+                      float(np.max(p.kappa * (p.gamma - 1.0)
+                                   / (p.R * state.rho))))
+    dt = config.cfl_factor * min(grid.dx / s_max,
+                                 grid.dx * grid.dx / (2.0 * diffusivity))
+    if config.dt_max is not None:
+        dt = min(dt, config.dt_max)
+    return dt
+
+
+@pytest.fixture(scope="module", params=[401, 2001])
+def composite(request):
+    """The default composite problem at n nodes."""
+    return prepare_scenario(ScenarioConfig(
+        scenario="superposition_stability", n_cells=request.param - 1,
+        seed=11))
+
+
+def march_states(prep):
+    """The composite initial state, and a perturbed one whose u takes both
+    signs, exact zeros at nodes and at faces, and a rough field pair."""
+    state = prep.state0.copy()
+    n = state.n_nodes
+    rng = np.random.default_rng(5)
+    state.u += 0.3 * np.sin(np.linspace(0.0, 40.0, n))
+    state.u[3::11] = 0.0
+    state.u[n // 2], state.u[n // 2 + 1] = 0.2, -0.2     # zero face velocity
+    state.E += 0.02 * rng.standard_normal(n)
+    state.b += 0.02 * rng.standard_normal(n)
+    return {"initial": prep.state0, "perturbed": state}
+
+
+class TestReferenceStencil:
+    @pytest.mark.parametrize("which", ["initial", "perturbed"])
+    def test_tendencies_match_row_by_row(self, composite, which):
+        prep = composite
+        state = march_states(prep)[which]
+        got, fluxes = spatial_rhs(prep.params, prep.end, prep.grid, state,
+                                  prep.solver_config)
+        want, want_fluxes = reference_rhs(prep.params, prep.end, prep.grid,
+                                          state)
+        assert fluxes == want_fluxes
+        for name, g, w in zip(solver.FIELDS, got.data, want):
+            scale = np.max(np.abs(w))
+            assert np.max(np.abs(g - w)) <= 1e-13 * scale, name
+        # boundary nodes carry no tendency, except the evolved rho(0)
+        assert np.all(got.data[:, -1] == 0.0)
+        assert np.all(got.data[1:, 0] == 0.0)
+
+    @pytest.mark.parametrize("which", ["initial", "perturbed"])
+    def test_step_matches(self, composite, which):
+        prep = composite
+        state = march_states(prep)[which]
+        dt = cfl_dt(prep.params, prep.end, prep.grid, state,
+                    prep.solver_config)
+        new, info = step(prep.params, prep.end, prep.grid, state, dt,
+                         prep.solver_config)
+        want, want_info = reference_step(prep.params, prep.end, prep.grid,
+                                         state, dt)
+        assert np.max(np.abs(new.data - want)) <= 1e-13
+        for key, value in want_info.items():
+            assert abs(info[key] - value) <= 1e-13
+
+    @pytest.mark.parametrize("which", ["initial", "perturbed"])
+    @pytest.mark.parametrize("mode", ["full", "decoupled"])
+    def test_cfl_dt_is_bitwise(self, composite, which, mode):
+        prep = composite
+        state = march_states(prep)[which]
+        config = SolverConfig(maxwell_mode=mode)
+        assert (cfl_dt(prep.params, prep.end, prep.grid, state, config)
+                == reference_cfl_dt(prep.params, prep.grid, state, config))
+
+    @pytest.mark.parametrize("which", ["initial", "perturbed"])
+    def test_boundary_values_are_bitwise(self, composite, which):
+        prep = composite
+        state = march_states(prep)[which].copy()
+        want = state.data.copy()
+        apply_boundary(prep.params, prep.end, state, prep.solver_config)
+        reference_boundary(prep.params, prep.end, want)
+        np.testing.assert_array_equal(state.data, want)
+
+    def test_step_enforces_boundaries_three_times(self, composite,
+                                                  monkeypatch):
+        prep = composite
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            apply_boundary(*args)
+
+        monkeypatch.setattr(solver, "apply_boundary", counted)
+        state = prep.state0
+        for _ in range(2):
+            state, _ = step(prep.params, prep.end, prep.grid, state, 1e-3,
+                            prep.solver_config)
+        assert len(calls) == 6
