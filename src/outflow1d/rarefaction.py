@@ -177,19 +177,36 @@ class BurgersWave:
     def _feet(self, xa, tau):
         """Feet of the characteristics through xa > w_minus * tau.
 
-        The foot x0 solves x0 + w0(x0)*tau = xa, bracketed by
-        [xa - w_plus*tau, xa - w_minus*tau]; bisection to width ~1e-16*span
-        and two Newton polish steps leave |x0 + w0(x0)tau - xa| below 1e-10.
+        The foot x0 solves g(x0) = x0 + w0(x0)*tau - xa = 0, bracketed by
+        [xa - w_plus*tau, xa - w_minus*tau], where g rises with slope >= 1.
+        Anderson-Bjorck regula falsi (BIT 13, 1973) keeps the bracket and
+        converges superlinearly.  A point stops once |g| <= 1e-12 (1 + |xa|),
+        which puts it at most that far from its root, and two Newton polish
+        steps leave |x0 + w0(x0)tau - xa| below 1e-10.  The 64-step cap only
+        ends a point whose rounding in g exceeds that tolerance.
         """
-        lo = xa - self.w_plus * tau
-        hi = xa - self.w_minus * tau
-        for _ in range(56):
-            mid = 0.5 * (lo + hi)
-            g = mid + self.w0(mid) * tau - xa
-            neg = g < 0.0
-            lo = np.where(neg, mid, lo)
-            hi = np.where(neg, hi, mid)
-        x0 = 0.5 * (lo + hi)
+        a = xa - self.w_plus * tau
+        b = xa - self.w_minus * tau
+        ga = a + self.w0(a) * tau - xa
+        gb = b + self.w0(b) * tau - xa
+        tol = 1e-12 * (1.0 + np.abs(xa))
+        x0 = b.copy()
+        idx, xt = np.arange(xa.size), xa    # the points still iterating
+        for _ in range(64):
+            live = np.abs(gb) > tol
+            if not live.any():
+                break
+            idx, xt, tol, a, b, ga, gb = (
+                v[live] for v in (idx, xt, tol, a, b, ga, gb))
+            c = b - gb * (b - a) / (gb - ga)
+            gc = c + self.w0(c) * tau - xt
+            # c on b's side keeps the end a once more: scale its g down
+            kept = gc * gb > 0.0
+            m = 1.0 - gc / gb
+            ga = np.where(kept, ga * np.where(m > 0.0, m, 0.5), gb)
+            a = np.where(kept, a, b)
+            b, gb = c, gc
+            x0[idx] = b
         for _ in range(2):
             g = x0 + self.w0(x0) * tau - xa
             x0 = x0 - g / (1.0 + self.w0_prime(x0) * tau)

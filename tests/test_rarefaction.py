@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outflow1d.config import ScenarioConfig
 from outflow1d.gas import GasParams
 from outflow1d.layer import boundary_data_for_strength, construct_layer
-from outflow1d.rarefaction import (BurgersWave, CompositeProfile, R3Curve,
+from outflow1d.rarefaction import (DECAY_DX, DECAY_PAD, DECAY_TIMES,
+                                   BurgersWave, CompositeProfile, R3Curve,
                                    burgers_eval, cq_constant,
                                    exact_fan_profile, r3_connect,
                                    rarefaction_decay_check,
                                    rarefaction_profile, rarefaction_slope)
+from outflow1d.scenarios import prepare_scenario
 
 PARAMS = GasParams(R=1.0, gamma=5.0 / 3.0, mu=1.0, kappa=1.0)
 PLUS = (1.0, -0.15, 1.0)
@@ -154,6 +157,87 @@ class TestBurgersWave:
         np.testing.assert_array_equal(w_direct, w_shift)
 
 
+# tuned data reaching the asymptotic regime inside t in [1, 100]: the
+# steepest fan the suite evaluates
+STEEP_WAVE = BurgersWave(w_minus=0.5, delta_r=3.0, alpha=math.e, q=1.0)
+
+
+def bisection_eval(wave, x, tau):
+    """eval with the feet found by 56 fixed bisection steps and two Newton
+    polish steps, the solve the bracketed regula falsi replaced."""
+    w = np.full(x.shape, wave.w_minus)
+    wx = np.zeros(x.shape)
+    act = x > wave.w_minus * tau
+    xa = x[act]
+    lo = xa - wave.w_plus * tau
+    hi = xa - wave.w_minus * tau
+    for _ in range(56):
+        mid = 0.5 * (lo + hi)
+        neg = mid + wave.w0(mid) * tau - xa < 0.0
+        lo = np.where(neg, mid, lo)
+        hi = np.where(neg, hi, mid)
+    x0 = 0.5 * (lo + hi)
+    for _ in range(2):
+        g = x0 + wave.w0(x0) * tau - xa
+        x0 = x0 - g / (1.0 + wave.w0_prime(x0) * tau)
+    wp = wave.w0_prime(x0)
+    w[act] = wave.w0(x0)
+    wx[act] = wp / (1.0 + wp * tau)
+    return w, wx
+
+
+def steep_cases():
+    """(wave, x, tau) on the grids rarefaction_decay_check samples."""
+    for t in DECAY_TIMES:
+        tau = 1.0 + t
+        yield STEEP_WAVE, np.arange(0.0, STEEP_WAVE.w_plus * tau + DECAY_PAD,
+                                    DECAY_DX), tau
+
+
+@pytest.fixture(scope="module")
+def composite_cases():
+    """The default composite fan on its 2001-node grid at the 51 record
+    times of the default superposition run."""
+    prep = prepare_scenario(ScenarioConfig(scenario="superposition_stability"))
+    wave = prep.background.wave
+    return [(wave, prep.grid.x, 1.0 + k * prep.record_dt) for k in range(51)]
+
+
+class TestFootSolve:
+    def test_residual_on_the_steep_wave(self):
+        for wave, x, tau in steep_cases():
+            assert wave.residual(x, tau).max() <= 1e-10, tau
+
+    def test_matches_the_bisection_solve(self, composite_cases):
+        for wave, x, tau in list(steep_cases()) + composite_cases:
+            w, wx = wave.eval(x, tau)
+            w_ref, wx_ref = bisection_eval(wave, x, tau)
+            assert np.max(np.abs(w - w_ref)) <= 1e-13, tau
+            assert np.max(np.abs(wx - wx_ref)) <= 1e-13, tau
+
+    def test_few_data_evaluations_per_solve(self, composite_cases,
+                                            monkeypatch):
+        count, per_solve = [0], []
+        w0, feet = BurgersWave.w0, BurgersWave._feet
+
+        def counted_w0(self, x0):
+            count[0] += 1
+            return w0(self, x0)
+
+        def counted_feet(self, xa, tau):
+            count[0] = 0
+            x0 = feet(self, xa, tau)
+            per_solve.append(count[0])
+            return x0
+
+        monkeypatch.setattr(BurgersWave, "w0", counted_w0)
+        monkeypatch.setattr(BurgersWave, "_feet", counted_feet)
+        for wave, x, tau in composite_cases:
+            wave.eval(x, tau)
+        assert len(per_solve) == len(composite_cases)
+        assert max(per_solve) <= 16
+
+
 class TestFanProfiles:
     CURVE = R3Curve(PARAMS, *PLUS)
 
@@ -198,8 +282,7 @@ class TestFanProfiles:
 
 
 class TestDecayRates:
-    # tuned data reaching the asymptotic regime inside t in [1, 100]
-    WAVE = BurgersWave(w_minus=0.5, delta_r=3.0, alpha=math.e, q=1.0)
+    WAVE = STEEP_WAVE
 
     def test_sup_norm_rate(self):
         report = rarefaction_decay_check(PARAMS, self.WAVE, math.inf)
