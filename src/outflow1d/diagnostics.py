@@ -234,7 +234,7 @@ class DiagRecord:
     phi0: float
     E0: float
     b0: float
-    mass_residual: float = 0.0        # filled in from the solver's records
+    mass_residual: float = 0.0        # the march's running audit maximum
 
     @property
     def sup_fluid(self) -> float:
@@ -245,29 +245,15 @@ class DiagRecord:
         return max(self.sup_E, self.sup_b)
 
 
-def _background_arrays(background, x, t):
-    if hasattr(background, "eval"):
-        rho_h, u_h, th_h = background.eval(x, t)
-    elif callable(background):
-        rho_h, u_h, th_h = background(x, t)
-    else:
-        r, u, th = background
-        rho_h = np.full(x.shape, float(r))
-        u_h = np.full(x.shape, float(u))
-        th_h = np.full(x.shape, float(th))
-    return np.asarray(rho_h, float), np.asarray(u_h, float), np.asarray(th_h, float)
-
-
 def record_from_state(params: GasParams, grid: Grid1D, state: FieldState,
                       background, t: float) -> DiagRecord:
     """Measure the state against the background profile at time t.
 
-    background may expose eval(x, t) -> (rho, u, theta), be a plain callable
-    with that signature, or be a constant (rho, u, theta) triple; its field
-    part is identically zero.
+    background exposes eval(x, t) -> (rho, u, theta) as float arrays on x;
+    its field part is identically zero.
     """
     x = grid.x
-    rho_h, u_h, th_h = _background_arrays(background, x, t)
+    rho_h, u_h, th_h = background.eval(x, t)
     pert = state.data.copy()                 # (phi, psi, zeta, E, b)
     pert[:3] -= (rho_h, u_h, th_h)
     psi = pert[1]

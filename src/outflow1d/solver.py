@@ -361,29 +361,13 @@ def _mass(grid: Grid1D, state: FieldState) -> float:
     return grid.dx * (float(rho.sum()) - 0.5 * (rho.item(0) + rho.item(-1)))
 
 
-def _base_record(params: GasParams, state: FieldState, t: float,
-                 mass: float, mass_residual: float) -> dict:
-    se = params.sqrt_eps
-    return {
-        "t": t,
-        "mass": mass,
-        "E0": float(state.E[0]),
-        "b0": float(state.b[0]),
-        "boundary_identity": float(se * state.E[0] - state.b[0]),
-        "mass_residual": mass_residual,
-    }
-
-
 @dataclass
 class RunResult:
-    """March outcome: final state, sampled records, stored snapshots and the
-    audit extrema."""
+    """March outcome: final state and the audit extrema."""
 
     state: FieldState
     t_final: float
     steps: int
-    records: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)   # (t, FieldState) pairs
     mass_residual_max: float = 0.0
     cfl_margin_max: float = 0.0
     dt_min: float = math.inf
@@ -393,16 +377,16 @@ class RunResult:
 
 def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
         t_final: float, config: SolverConfig | None = None,
-        record_dt: float | None = None, snapshot_times=(),
-        recorder=None) -> RunResult:
+        record_dt: float | None = None, recorder=None) -> RunResult:
     """March state0 to t_final.
 
-    record_dt samples scalar records (plus t = 0 and t_final); recorder, if
-    given, is called as recorder(t, state) and may return a dict merged into
-    each record.  snapshot_times are landed on exactly and stored as deep
-    copies.  Raises SolverError if a field turns non-finite or the step
-    size collapses, and PositivityError if rho or theta leaves the positive
-    cone.
+    The march lands exactly on every multiple of record_dt below t_final and
+    on t_final.  recorder, if given, is called as recorder(t, state,
+    mass_residual_max) at t = 0 and at each of those times, with the running
+    maximum of the mass audit (0.0 at t = 0); state is the march's own
+    array, so a recorder that keeps it must copy it.  Raises SolverError if
+    a field turns non-finite or the step size collapses, and PositivityError
+    if rho or theta leaves the positive cone.
     """
     if config is None:
         config = SolverConfig()
@@ -410,9 +394,8 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
         raise SolverError("state and grid sizes disagree")
     if not 0.0 < t_final < math.inf:      # nan fails too; inf never ends
         raise SolverError("t_final must be finite and positive")
-    snapshot_times = tuple(float(t) for t in snapshot_times)
-    if any(not 0.0 < t <= t_final for t in snapshot_times):
-        raise SolverError("snapshot times must lie in (0, t_final]")
+    if record_dt is not None and not 0.0 < record_dt < math.inf:
+        raise SolverError("record_dt must be finite and positive")
 
     result = RunResult(state=state0.copy(), t_final=0.0, steps=0)
 
@@ -427,31 +410,21 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     apply_boundary(params, end, state, config)
     _check_state(state, 0.0, 0)
 
-    # event times: the record grid plus t_final, and the snapshots; a record
-    # time within rounding of a snapshot lands on the snapshot instead
-    snapshot_set = set(snapshot_times)
-    record_times = {float(t_final)}
+    # event times: the record grid, short of t_final by more than rounding,
+    # then t_final
+    event_times = []
     if record_dt is not None:
         k = 1
         while k * record_dt < t_final * (1.0 - 1e-12):
-            t_rec = k * record_dt
-            record_times.add(next((ts for ts in snapshot_set if abs(
-                ts - t_rec) <= 1e-12 * t_final), t_rec))
+            event_times.append(k * record_dt)
             k += 1
-
-    def make_record(t_now, state_now, mass_now, mres):
-        rec = _base_record(params, state_now, t_now, mass_now, mres)
-        if recorder is not None:
-            extra = recorder(t_now, state_now)
-            if extra:
-                rec.update(extra)
-        return rec
+    event_times.append(float(t_final))
 
     mass = _mass(grid, state)
-    result.records.append(make_record(0.0, state, mass, 0.0))
-
+    if recorder is not None:
+        recorder(0.0, state, 0.0)
     t = 0.0
-    for t_event in sorted(record_times | snapshot_set):
+    for t_event in event_times:
         while t < t_event:
             dt_stab = cfl_dt(params, end, grid, state, config)
             if dt_stab < DT_FLOOR:
@@ -475,11 +448,8 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
             result.dt_min = min(result.dt_min, dt)
             result.dt_max_used = max(result.dt_max_used, dt)
 
-        if t_event in record_times:
-            result.records.append(make_record(t_event, state, mass,
-                                              result.mass_residual_max))
-        if t_event in snapshot_set:
-            result.snapshots.append((t_event, state.copy()))
+        if recorder is not None:
+            recorder(t_event, state, result.mass_residual_max)
 
     result.state = state
     result.t_final = t

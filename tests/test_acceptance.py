@@ -195,43 +195,45 @@ def composite_runs():
 
     def march(config):
         prep = prepare_scenario(config)
+        records = []
 
-        def recorder(t, state):
+        def recorder(t, state, _):
             rho, u, theta = prep.background.eval(prep.grid.x, t)
             sup_fluid = max(float(np.max(np.abs(state.rho - rho))),
                             float(np.max(np.abs(state.u - u))),
                             float(np.max(np.abs(state.theta - theta))))
             sup_field = max(float(np.max(np.abs(state.E))),
                             float(np.max(np.abs(state.b))))
-            return {"sup_fluid": sup_fluid, "sup_field": sup_field}
+            identity = float(prep.params.sqrt_eps * state.E[0] - state.b[0])
+            records.append({"t": t, "state": state.copy(),
+                            "sup_fluid": sup_fluid, "sup_field": sup_field,
+                            "boundary_identity": identity})
 
         result = run(prep.params, prep.end, prep.grid, prep.state0,
                      cfg.t_final, prep.solver_config,
-                     record_dt=prep.record_dt,
-                     snapshot_times=(50.0, 120.0, cfg.t_final),
-                     recorder=recorder)
-        return prep, result
+                     record_dt=prep.record_dt, recorder=recorder)
+        return result, records
 
-    prep, result = march(cfg)
-    _, ref_result = march(replace(cfg, amplitude=0.0))
-    _, dup_result = march(cfg)
+    result, records = march(cfg)
+    _, ref_records = march(replace(cfg, amplitude=0.0))
+    dup_result, dup_records = march(cfg)
     runtime = time.perf_counter() - t0
-    return {"cfg": cfg, "prep": prep, "result": result,
-            "ref_result": ref_result, "dup_result": dup_result,
-            "runtime": runtime}
+    return {"result": result, "records": records,
+            "ref_records": ref_records, "dup_result": dup_result,
+            "dup_records": dup_records, "runtime": runtime}
 
 
 def test_08_composite_perturbation_decay(composite_runs):
-    result = composite_runs["result"]
-    ref = composite_runs["ref_result"]
+    records = composite_runs["records"]
+    ref = composite_runs["ref_records"]
     runtime = composite_runs["runtime"]
 
-    fluid0 = result.records[0]["sup_fluid"]
-    fluidT = result.records[-1]["sup_fluid"]
-    floor = ref.records[-1]["sup_fluid"]
-    field0 = result.records[0]["sup_field"]
-    fieldT = result.records[-1]["sup_field"]
-    boundary_worst = max(abs(r["boundary_identity"]) for r in result.records)
+    fluid0 = records[0]["sup_fluid"]
+    fluidT = records[-1]["sup_fluid"]
+    floor = ref[-1]["sup_fluid"]
+    field0 = records[0]["sup_field"]
+    fieldT = records[-1]["sup_field"]
+    boundary_worst = max(abs(r["boundary_identity"]) for r in records)
 
     ok = (fluidT <= max(0.2 * fluid0, 1.5 * floor)
           and fieldT <= 0.1 * field0
@@ -267,21 +269,22 @@ def test_09_decoupled_field_relaxation():
 
 def test_10_mass_audit_and_determinism(composite_runs):
     result = composite_runs["result"]
+    records = composite_runs["records"]
     dup = composite_runs["dup_result"]
+    dup_records = composite_runs["dup_records"]
 
     budget = 1e-6 * abs(1.0 * -0.15)     # 1e-6 |rho_+ u_+|
     mass_ok = result.mass_residual_max <= budget
 
-    identical = result.steps == dup.steps
-    for (ta, sa), (tb, sb) in zip(result.snapshots, dup.snapshots):
-        identical &= ta == tb
-        for name in ("rho", "u", "theta", "E", "b"):
-            identical &= bool(np.array_equal(getattr(sa, name),
-                                             getattr(sb, name)))
+    identical = (result.steps == dup.steps
+                 and len(records) == len(dup_records))
+    for ra, rb in zip(records, dup_records):
+        identical &= ra["t"] == rb["t"]
+        identical &= bool(np.array_equal(ra["state"].data, rb["state"].data))
     check("mass audit and determinism", mass_ok and identical,
           f"mass residual max {result.mass_residual_max:.3e} "
-          f"(tol {budget:.1e}), duplicate run snapshots bit-identical "
-          f"at t = 50, 120, 200: {identical}")
+          f"(tol {budget:.1e}), duplicate run states bit-identical "
+          f"at all {len(records)} record times: {identical}")
 
 
 def test_11_interpolation_inequalities():

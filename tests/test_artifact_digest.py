@@ -1,0 +1,33 @@
+"""tools/artifact_digest.py: only the wall-clock line escapes the digest."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "artifact_digest.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("artifact_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_runtime_is_masked_and_nothing_else(tmp_path):
+    digest = load_tool().digest
+    texts = {
+        "a": "verdict = PASS\nsteps = 10\nruntime_s = 1.25\n",
+        "b": "verdict = PASS\nsteps = 10\nruntime_s = 7.5\n",
+        "c": "verdict = PASS\nsteps = 11\nruntime_s = 1.25\n",
+    }
+    sums = {}
+    for name, text in texts.items():
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "verdict.txt"
+        path.write_text(text)
+        sums[name] = digest(path)
+    assert sums["a"] == sums["b"] != sums["c"]
+
+    other = tmp_path / "a" / "diagnostics.csv"
+    other.write_text(texts["a"])
+    assert digest(other) != sums["a"]

@@ -207,6 +207,13 @@ class TestConvergenceFit:
             fit_convergence([1.0, 2.0], [1.0])
 
 
+class Uniform:
+    """Constant background (rho, u, theta) = (1, -0.5, 1)."""
+
+    def eval(self, x, t):
+        return np.full(x.shape, 1.0), np.full(x.shape, -0.5), np.ones(x.shape)
+
+
 class TestRecords:
     GRID = Grid1D(40.0, 128)
 
@@ -221,45 +228,25 @@ class TestRecords:
         b = np.zeros(n)
         return FieldState(rho, u, theta, E, b)
 
-    def test_background_forms_agree(self):
-        state = self.make_state()
-        const = (1.0, -0.5, 1.0)
-
-        def fn(x, t):
-            return (np.full(x.shape, 1.0), np.full(x.shape, -0.5),
-                    np.full(x.shape, 1.0))
-
-        class Obj:
-            def eval(self, x, t):
-                return fn(x, t)
-
-        recs = [record_from_state(PARAMS, self.GRID, state, bg, 3.0)
-                for bg in (const, fn, Obj())]
-        for name in DIAG_COLUMNS:
-            vals = [getattr(r, name) for r in recs]
-            assert vals[0] == vals[1] == vals[2]
-
     def test_zero_perturbation_record_is_zero(self):
         n = self.GRID.n_nodes
         state = FieldState(np.ones(n), np.full(n, -0.5), np.ones(n),
                            np.zeros(n), np.zeros(n))
-        rec = record_from_state(PARAMS, self.GRID, state, (1.0, -0.5, 1.0),
-                                0.0)
+        rec = record_from_state(PARAMS, self.GRID, state, Uniform(), 0.0)
         assert rec.sup_fluid == 0.0 and rec.sup_field == 0.0
         assert rec.energy == 0.0 and rec.dissipation == 0.0
         assert rec.l2_phi == 0.0 and rec.h1_psi == 0.0
 
     def test_sup_aggregates(self):
         state = self.make_state()
-        rec = record_from_state(PARAMS, self.GRID, state, (1.0, -0.5, 1.0),
-                                1.0)
+        rec = record_from_state(PARAMS, self.GRID, state, Uniform(), 1.0)
         assert rec.sup_fluid == pytest.approx(0.02, abs=1e-12)
         assert rec.sup_field == pytest.approx(0.05, abs=1e-12)
         assert rec.mass_residual == 0.0
 
     def test_csv_round_trip(self, tmp_path):
         state = self.make_state()
-        recs = [record_from_state(PARAMS, self.GRID, state, (1.0, -0.5, 1.0),
+        recs = [record_from_state(PARAMS, self.GRID, state, Uniform(),
                                   float(t)) for t in range(3)]
         path = tmp_path / "diag.csv"
         write_diag_csv(path, recs)

@@ -337,14 +337,18 @@ class TestReferencePairing:
 
         rel_fluid = np.loadtxt(tmp_path / "plots" / "rel_fluid.dat")
         rel_field = np.loadtxt(tmp_path / "plots" / "rel_field.dat")
-        times = rel_fluid[1:, 0]
         preps = [prepare_scenario(cfg),
                  prepare_scenario(replace(cfg, amplitude=0.0))]
-        runs = [run(p.params, p.end, p.grid, p.state0, cfg.t_final,
-                    p.solver_config, snapshot_times=times) for p in preps]
-        expected = [self.sup_diffs(preps[0].state0, preps[1].state0)]
-        expected += [self.sup_diffs(sa, sb) for (_, sa), (_, sb)
-                     in zip(runs[0].snapshots, runs[1].snapshots)]
+        states = []
+        for p in preps:
+            kept = []
+            run(p.params, p.end, p.grid, p.state0, cfg.t_final,
+                p.solver_config, record_dt=p.record_dt,
+                recorder=lambda t, s, _: kept.append((t, s.copy())))
+            states.append(kept)
+        assert [t for t, _ in states[0]] == rel_fluid[:, 0].tolist()
+        expected = [self.sup_diffs(sa, sb) for (_, sa), (_, sb)
+                    in zip(*states)]
         assert len(expected) == len(rel_fluid) == 51
         assert rel_fluid[:, 1].tolist() == [f for f, _ in expected]
         assert rel_field[:, 1].tolist() == [g for _, g in expected]

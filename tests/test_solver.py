@@ -175,10 +175,11 @@ def layer_setup():
 class TestFullRuns:
     def test_boundary_identity_is_bitwise_zero(self, layer_setup):
         params, end, grid, _, state0 = layer_setup
-        res = run(params, end, grid, state0.copy(), 2.0, record_dt=0.25)
-        assert len(res.records) == 9
-        for rec in res.records:
-            assert rec["boundary_identity"] == 0.0
+        identity = []
+        run(params, end, grid, state0.copy(), 2.0, record_dt=0.25,
+            recorder=lambda t, s, _: identity.append(
+                params.sqrt_eps * s.E[0] - s.b[0]))
+        assert identity == [0.0] * 9
 
     def test_mass_audit_is_at_rounding_level(self, layer_setup):
         params, end, grid, _, state0 = layer_setup
@@ -193,16 +194,27 @@ class TestFullRuns:
 
     def test_records_land_on_the_requested_grid(self, layer_setup):
         params, end, grid, _, state0 = layer_setup
-        res = run(params, end, grid, state0.copy(), 2.0, record_dt=0.5)
-        assert [r["t"] for r in res.records] == [0.0, 0.5, 1.0, 1.5, 2.0]
+        times = []
+        run(params, end, grid, state0.copy(), 2.0, record_dt=0.5,
+            recorder=lambda t, s, _: times.append(t))
+        assert times == [0.0, 0.5, 1.0, 1.5, 2.0]
 
-    def test_snapshots_land_exactly(self, layer_setup):
+    def test_recorder_sees_each_event_and_the_running_audit(self,
+                                                            layer_setup):
+        # events are k * record_dt as computed (3 * 0.3 = 0.8999999999999999);
+        # 6 * 0.3 = 1.7999999999999998 is t_final = 1.8 within rounding, so
+        # it is no event of its own and costs no 2.2e-16 step
         params, end, grid, _, state0 = layer_setup
-        res = run(params, end, grid, state0.copy(), 2.0,
-                  snapshot_times=(0.7, 1.4))
-        assert [t for t, _ in res.snapshots] == [0.7, 1.4]
-        for _, snap in res.snapshots:
-            assert np.all(np.isfinite(snap.rho))
+        calls = []
+        res = run(params, end, grid, state0.copy(), 1.8, record_dt=0.3,
+                  recorder=lambda t, s, m: calls.append((t, s.copy(), m)))
+        assert [t for t, _, _ in calls] == [k * 0.3 for k in range(6)] + [1.8]
+        audit = [m for _, _, m in calls]
+        assert audit[0] == 0.0
+        assert all(a <= b for a, b in zip(audit, audit[1:]))
+        assert audit[-1] == res.mass_residual_max > 0.0
+        assert res.dt_min > 1e-6
+        np.testing.assert_array_equal(calls[-1][1].data, res.state.data)
 
     def test_march_is_deterministic(self, layer_setup):
         params, end, grid, _, state0 = layer_setup
@@ -309,41 +321,15 @@ class TestFailureModes:
         with pytest.raises(SolverError, match="finite"):
             run(params, end, grid, constant_state(grid, end), math.nan)
 
-    def test_non_finite_snapshot_time_rejected(self):
+    @pytest.mark.parametrize("record_dt", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_record_interval_raises(self, record_dt):
+        # 0 and a negative interval would grow the event list forever
         params = GasParams(eps=0.01)
         end = uniform_end()
         grid = Grid1D(40.0, 64)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="record_dt"):
             run(params, end, grid, constant_state(grid, end), 1.0,
-                snapshot_times=(math.nan,))
-
-    def test_snapshot_time_outside_run_rejected(self):
-        params = GasParams(eps=0.01)
-        end = uniform_end()
-        grid = Grid1D(40.0, 64)
-        with pytest.raises(SolverError):
-            run(params, end, grid, constant_state(grid, end), 1.0,
-                snapshot_times=(2.0,))
-
-    def test_records_follow_record_dt_not_snapshot_times(self):
-        params = GasParams(eps=0.01)
-        end = uniform_end()
-        grid = Grid1D(40.0, 64)
-        res = run(params, end, grid, constant_state(grid, end), 2.0,
-                  record_dt=0.5, snapshot_times=(0.7,))
-        assert [r["t"] for r in res.records] == [0.0, 0.5, 1.0, 1.5, 2.0]
-        assert [t for t, _ in res.snapshots] == [0.7]
-
-    def test_record_next_to_a_snapshot_lands_on_it(self):
-        # 3 * 0.1 = 0.30000000000000004 must not cost a 5.6e-17 step
-        params = GasParams(eps=0.01)
-        end = uniform_end()
-        grid = Grid1D(40.0, 64)
-        res = run(params, end, grid, constant_state(grid, end), 1.0,
-                  record_dt=0.1, snapshot_times=(0.3,))
-        assert res.dt_min > 1e-6
-        assert len(res.records) == 11
-        assert [t for t, _ in res.snapshots] == [0.3]
+                record_dt=record_dt)
 
     def test_dielectric_warning_above_bound(self):
         params = GasParams(eps=1.0)       # far above the threshold
