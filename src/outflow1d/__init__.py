@@ -2,26 +2,23 @@
 smoothed expansion fans, their superposition, and an initial-boundary-value
 solver for the coupled fluid--field system."""
 
-from .gas import (DielectricBound, EndStates, GasParams, RiemannPair,
-                  SonicRegime, classify_regime, dielectric_bound,
-                  from_riemann, pressure, sound_speed, to_riemann)
+from .gas import (DielectricBound, EndStates, GasParams, SonicRegime,
+                  classify_regime, dielectric_bound, pressure, sound_speed)
 from .layer import (LayerError, LayerProfile, boundary_data_for_strength,
                     construct_layer, find_M0, layer_jacobian, layer_ode_rhs,
                     measure_decay)
 from .rarefaction import (BurgersWave, CompositeProfile, R3Curve, burgers_eval,
-                          cq_constant, exact_fan_profile, r3_connect,
-                          rarefaction_decay_check, rarefaction_profile)
+                          r3_connect, rarefaction_decay_check,
+                          rarefaction_profile)
 from .solver import (FieldState, Grid1D, PositivityError, RunResult,
                      SolverConfig, SolverError, apply_boundary, cfl_dt,
-                     default_domain_length, read_snapshot_csv, run,
-                     spatial_rhs, step, write_snapshot_csv)
+                     default_domain_length, run, spatial_rhs, step,
+                     write_snapshot_csv)
 from .diagnostics import (DiagRecord, Perturbation, compound_dissipation,
                           energy_density, fit_convergence, h1_norm, l2_norm,
-                          perturbation_energy, phi_gap, poincare_check,
-                          record_from_state, sobolev_check, sup_norm,
-                          write_diag_csv)
-from .reduced import (ReducedModelCase, closed_form_E, closed_form_b,
-                      format_case_table, reduce_case, verify_reduction)
+                          perturbation_energy, phi_gap, record_from_state,
+                          sup_norm, write_diag_csv)
+from .reduced import ReducedModelCase, format_case_table, reduce_case
 from .config import (ConfigError, SCENARIOS, ScenarioConfig, echo_config,
                      load_config, parse_config_text)
 from .scenarios import (PreparedRun, ScenarioError, prepare_scenario,

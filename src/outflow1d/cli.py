@@ -19,7 +19,7 @@ from .config import ConfigError, echo_config, load_config
 from .gas import GasParams
 from .layer import LayerError
 from .rarefaction import BurgersWave, burgers_eval
-from .reduced import format_case_table, reduce_case
+from .reduced import CASE_NOTES, format_case_table, reduce_case
 from .scenarios import ScenarioError, _layer_toward, prepare_scenario, \
     run_batch, run_scenario
 from .solver import SolverError, write_snapshot_csv
@@ -106,14 +106,12 @@ def _cmd_profile(args) -> int:
                 for xi, wi, wxi in zip(x, w, wx):
                     fh.write("%.17g,%.17g,%.17g\n" % (xi, wi, wxi))
             print(f"wrote fan speed profile to {out}")
-        elif cfg.scenario == "layer_decay":
+        else:                                   # layer_decay
             params = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
             far = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
             _, layer = _layer_toward(cfg, params, far)
             export_layer_csv(layer, os.path.join(out, "layer_profile.csv"))
             print(f"wrote layer profile to {out}")
-        else:
-            print(format_case_table())
     except _RUN_ERRORS as exc:
         print(f"profile construction failed: {exc}", file=sys.stderr)
         return 1
@@ -161,12 +159,11 @@ def _cmd_reduce(args) -> int:
         return 2
     print(f"case {model.case}: E along {model.e_axis}, B along "
           f"{model.b_axis} -> system {model.system}")
-    print(f"  transported fields : {'yes' if model.has_transport else 'no'}")
     print(f"  Lorentz force      : {'yes' if model.has_lorentz else 'no'}")
     print(f"  heating            : {model.heating}")
+    print(f"  closed form        : {CASE_NOTES[model.case][1]}")
     if model.eb_constrained:
-        print("  constraint E b = 0 : branches 'decay' (b = 0) and "
-              "'frozen' (E = 0)")
+        print("  constraint         : E b = 0")
     if model.b_sign < 0:
         print("  stored b is minus the aligned B component")
     return 0

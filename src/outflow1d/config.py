@@ -21,7 +21,6 @@ SCENARIOS = (
     "superposition_stability",
     "burgers_decay",
     "layer_decay",
-    "reduced_model_check",
 )
 
 LAYER_BRANCHES = ("lower", "upper", "degenerate")
@@ -75,10 +74,6 @@ class ScenarioConfig:
     shape: str = "cosine"
     targets: str = "u,theta,em"
     seed: int | None = None
-    # reduced-model check
-    case: int = 3
-    branch: str = "decay"
-    n_relax: float = 5.0
 
     def target_list(self) -> tuple:
         return tuple(t.strip() for t in self.targets.split(",") if t.strip())
@@ -152,15 +147,6 @@ class ScenarioConfig:
         if not toks or any(t not in TARGET_TOKENS for t in toks):
             errs.append("targets must be a comma list drawn from "
                         + ", ".join(TARGET_TOKENS))
-        if not 1 <= self.case <= 9:
-            errs.append("case must be an integer in 1..9")
-        elif self.scenario == "reduced_model_check" and self.case in (1, 2):
-            errs.append("case must be 3..9 (cases 1 and 2 keep the full "
-                        "coupling)")
-        if self.branch not in ("decay", "frozen"):
-            errs.append("branch must be decay or frozen")
-        if self.n_relax <= 0:
-            errs.append("n_relax must be positive")
         return errs
 
 
@@ -176,7 +162,7 @@ _FIELDS = {f.name: f for f in fields(ScenarioConfig)}
 # optional keys and the literal that leaves them unset
 _SENTINELS = {"eps": "auto", "length": "auto", "dt_max": "auto",
               "record_dt": "auto", "seed": "none"}
-_INT_FIELDS = ("n_cells", "case", "seed")
+_INT_FIELDS = ("n_cells", "seed")
 
 
 def _parse_value(key: str, raw: str, line_no: int, errs: list):

@@ -27,7 +27,7 @@ __all__ = [
     "Perturbation", "DiagRecord",
     "bump_profile", "phi_gap", "energy_density", "perturbation_energy",
     "compound_dissipation", "l2_norm", "h1_norm", "sup_norm", "gradient",
-    "sobolev_check", "poincare_check", "fit_convergence",
+    "fit_convergence",
     "record_from_state", "write_diag_csv",
 ]
 
@@ -135,35 +135,6 @@ def h1_norm(x, f):
 
 def sup_norm(f):
     return _per_field(np.max(np.abs(f), axis=-1))
-
-
-# --------------------------------------------------------------------------
-# functional inequalities used as run-time sanity checks
-# --------------------------------------------------------------------------
-
-def sobolev_check(x, f, fx=None, slack: float = 1e-10) -> dict:
-    """sup f^2 <= 2 ||f|| ||f_x|| for fields that die out by the right end."""
-    f = np.asarray(f, float)
-    fx = gradient(x, f) if fx is None else np.asarray(fx, float)
-    lhs = float(np.max(f * f))
-    rhs = 2.0 * l2_norm(x, f) * l2_norm(x, fx)
-    violation = max(0.0, lhs - rhs)
-    return {"lhs": lhs, "rhs": rhs, "violation": violation,
-            "passed": violation <= slack}
-
-
-def poincare_check(x, z, zx=None, slack: float = 1e-10) -> dict:
-    """|z(x)| <= |z(0)| + sqrt(x) ||z_x||_{L^2(0,x)} at every node."""
-    x = np.asarray(x, float)
-    z = np.asarray(z, float)
-    zx = gradient(x, z) if zx is None else np.asarray(zx, float)
-    # cumulative trapezoid of zx^2
-    g = zx * zx
-    cum = np.concatenate(([0.0],
-                          np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(x))))
-    rhs = abs(z[0]) + np.sqrt(np.maximum(x - x[0], 0.0)) * np.sqrt(cum)
-    violation = float(np.max(np.abs(z) - rhs))
-    return {"max_violation": max(0.0, violation), "passed": violation <= slack}
 
 
 def fit_convergence(times, values) -> dict:

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GasParams", "EndStates", "SonicRegime", "RiemannPair", "DielectricBound",
+    "GasParams", "EndStates", "SonicRegime", "DielectricBound",
     "pressure", "sound_speed", "classify_regime", "dielectric_bound",
-    "to_riemann", "from_riemann",
 ]
 
 # relative tolerance for deciding |u|/c == 1 (transonic)
@@ -102,18 +101,6 @@ class SonicRegime:
 
 
 @dataclass(frozen=True)
-class RiemannPair:
-    """Transport invariants of the field subsystem.
-
-    W1 rides the +1/sqrt(eps) characteristic (incoming at x=0),
-    W2 rides the -1/sqrt(eps) characteristic (outgoing at x=0).
-    """
-
-    W1: np.ndarray | float
-    W2: np.ndarray | float
-
-
-@dataclass(frozen=True)
 class DielectricBound:
     """Stability threshold for the dielectric constant.
 
@@ -172,21 +159,3 @@ def dielectric_bound(params: GasParams, end: EndStates) -> DielectricBound:
     if beta1 == 0.0:
         return DielectricBound(math.inf, beta1, beta2, beta3)
     return DielectricBound(1.0 / (64.0 * beta1 * beta3), beta1, beta2, beta3)
-
-
-def to_riemann(params: GasParams, E, b) -> RiemannPair:
-    """(E, b) -> (W1, W2) = (sqrt(eps)/2)*(sqrt(eps)E -+ b)."""
-    s = params.sqrt_eps
-    E = np.asarray(E, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return RiemannPair(W1=0.5 * s * (s * E - b), W2=0.5 * s * (s * E + b))
-
-
-def from_riemann(params: GasParams, W1, W2):
-    """Inverse map: E = (W1+W2)/eps, b = (W2-W1)/sqrt(eps)."""
-    W1 = np.asarray(W1, dtype=float)
-    W2 = np.asarray(W2, dtype=float)
-    E = (W1 + W2) / params.eps
-    b = (W2 - W1) / params.sqrt_eps
-    return E, b
-

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
@@ -35,8 +34,8 @@ from .layer import LayerProfile
 
 __all__ = [
     "R3Curve", "BurgersWave", "CompositeProfile",
-    "r3_connect", "cq_constant", "burgers_eval",
-    "rarefaction_profile", "exact_fan_profile", "rarefaction_decay_check",
+    "r3_connect", "burgers_eval",
+    "rarefaction_profile", "rarefaction_decay_check",
 ]
 
 # module-level tolerance on fitted decay exponents (fraction of expected)
@@ -100,15 +99,6 @@ def r3_connect(params: GasParams, plus, theta_minus: float):
     """Left end state on the expansion curve through plus = (rho,u,theta)_+."""
     curve = R3Curve(params, *plus)
     return curve.state_at_theta(theta_minus)
-
-
-def cq_constant(q: float) -> float:
-    """Normalization with int_0^inf C_q y^q e^-y dy = 1, by adaptive
-    quadrature (the closed form 1/Gamma(q+1) is kept as a test oracle)."""
-    if q < 1:
-        raise ValueError("smoothing exponent q must be >= 1")
-    val, err = quad(lambda y: y ** q * math.exp(-y), 0.0, np.inf)
-    return 1.0 / val
 
 
 @dataclass(frozen=True)
@@ -234,14 +224,6 @@ def rarefaction_slope(params: GasParams, wave: BurgersWave, x, t: float):
     """u_bar_x = 2/(gamma+1) * w_x (all state slopes inherit from w)."""
     _, wx = burgers_eval(wave, x, t)
     return 2.0 / (params.gamma + 1.0) * wx
-
-
-def exact_fan_profile(params: GasParams, curve: R3Curve, wave: BurgersWave,
-                      x, t: float):
-    """The sharp self-similar fan: w = clip(x/(1+t), w_-, w_+)."""
-    x = np.asarray(x, dtype=float)
-    w = np.clip(x / (1.0 + t), wave.w_minus, wave.w_plus)
-    return curve.state_from_w(w)
 
 
 def rarefaction_decay_check(params: GasParams, wave: BurgersWave,

@@ -31,8 +31,6 @@ from .layer import boundary_data_for_strength, construct_layer, \
     export_csv, find_M0, measure_decay
 from .rarefaction import BurgersWave, CompositeProfile, R3Curve, \
     rarefaction_decay_check
-from .reduced import format_case_table, reduce_case, closed_form_b, \
-    verify_reduction
 from .solver import FieldState, Grid1D, SolverConfig, default_domain_length, \
     run, write_snapshot_csv
 
@@ -407,46 +405,9 @@ def _drive_layer_decay(cfg: ScenarioConfig) -> tuple:
     return summary, files, plots
 
 
-def _drive_reduced_check(cfg: ScenarioConfig) -> tuple:
-    params0 = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
-    end = EndStates(u_minus=cfg.u_plus, theta_minus=cfg.theta_plus,
-                    rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
-                    theta_plus=cfg.theta_plus)
-    params = replace(params0, eps=_resolve_eps(cfg, params0, end))
-    model = reduce_case(cfg.case)
-
-    length = cfg.length if cfg.length is not None else 40.0
-    grid = Grid1D(length, cfg.n_cells)
-    x = grid.x
-    n = grid.n_nodes
-    amp = cfg.amplitude if cfg.amplitude > 0 else 1e-2
-    bump = Perturbation(amp, cfg.center, cfg.width, cfg.shape).profile(x)
-
-    state0 = FieldState(np.full(n, cfg.rho_plus), np.full(n, cfg.u_plus),
-                        np.full(n, cfg.theta_plus), np.zeros(n), np.zeros(n))
-    if model.system in (2, 3):
-        state0.E[:] = amp                    # these systems keep E uniform
-    else:
-        state0.E[:] = bump
-    if model.system in (2, 4):
-        state0.b[:] = closed_form_b(x, amp, u0=state0.u, system=model.system,
-                                    branch="frozen")
-    else:
-        state0.b[:] = amp
-
-    report = verify_reduction(params, end, grid, state0, cfg.case,
-                              branch=cfg.branch, n_relax=cfg.n_relax)
-    summary = {"verdict": "PASS" if report["passed"] else "FAIL",
-               "report": report}
-    files = {"case_table.txt": lambda path: _write_text(
-        path, format_case_table() + "\n")}
-    return summary, files, {}
-
-
 _DRIVERS = {
     "burgers_decay": _drive_burgers_decay,
     "layer_decay": _drive_layer_decay,
-    "reduced_model_check": _drive_reduced_check,
 }
 
 

@@ -46,11 +46,10 @@ __all__ = [
     "Grid1D", "FieldState", "SolverConfig", "RunResult",
     "SolverError", "PositivityError",
     "default_domain_length", "spatial_rhs", "apply_boundary", "cfl_dt",
-    "step", "run", "write_snapshot_csv", "read_snapshot_csv",
+    "step", "run", "write_snapshot_csv",
 ]
 
 DT_FLOOR = 1e-14          # below this the march has stagnated
-MAXWELL_MODES = ("full", "decoupled")
 
 
 class SolverError(RuntimeError):
@@ -145,23 +144,16 @@ class SolverConfig:
 
     The stiff eps E_t = -E relaxation is always applied exactly, as
     half-interval decay factors around each step; it never limits dt.
-    maxwell_mode "decoupled" freezes the fluid block and drops transport and
-    coupling from the field block (pointwise E-relaxation, frozen b, no
-    boundary work), so E's exact decay is the whole update, and removes the
-    field speed from the CFL bound.
     """
 
     cfl_factor: float = 0.9
     dt_max: float | None = None
-    maxwell_mode: str = "full"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.cfl_factor <= 0.9:
             raise ValueError("cfl_factor must lie in (0, 0.9]")
         if self.dt_max is not None and not self.dt_max > 0:
             raise ValueError("dt_max must be positive")
-        if self.maxwell_mode not in MAXWELL_MODES:
-            raise ValueError(f"maxwell_mode must be one of {MAXWELL_MODES}")
 
 
 def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
@@ -170,8 +162,7 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
 
     Boundary-node tendencies are zero for Dirichlet / characteristic
     controlled fields; apply_boundary owns those values.  The relaxation
-    -E/eps is left to step's exact factors, which are the whole update in
-    the decoupled mode: every tendency is zero there.
+    -E/eps is left to step's exact factors.  config is unread.
 
     Convection and diffusion come from one first-difference array per
     field, whose slices [:-1] and [1:] are the backward and forward
@@ -193,8 +184,6 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
     flux *= u_half                               # flux[i] sits at face i+1/2
     flux_left = rho[0] * end.u_minus             # boundary flux rho(0) u_-
     fluxes = {"flux_left": flux_left, "flux_right": flux[-1]}
-    if config.maxwell_mode == "decoupled":
-        return FieldState.of(tend), fluxes
     np.subtract(flux[:-1], flux[1:], out=drho)
     drho *= inv_dx
     tend[0, 0] = (flux_left - flux[0]) / (0.5 * dx)
@@ -259,8 +248,8 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
     return FieldState.of(tend), fluxes
 
 
-def apply_boundary(params: GasParams, end: EndStates, state: FieldState,
-                   config: SolverConfig) -> None:
+def apply_boundary(params: GasParams, end: EndStates,
+                   state: FieldState) -> None:
     """Enforce boundary values in place.
 
     x = 0: u and theta Dirichlet (rho(0) is evolved); the outgoing field
@@ -268,10 +257,7 @@ def apply_boundary(params: GasParams, end: EndStates, state: FieldState,
     zero, and b(0) is assigned literally as sqrt(eps) * E(0).
     x = L: fluid Dirichlet to the far state; the outgoing W1 is extrapolated
     and the incoming W2 absorbed (zero), i.e. b(L) = -sqrt(eps) * E(L).
-    The decoupled mode has no boundary work: the fluid is frozen.
     """
-    if config.maxwell_mode == "decoupled":
-        return
     rho, u, th, E, b = state.data
     u[0] = end.u_minus
     th[0] = end.theta_minus
@@ -307,9 +293,7 @@ def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
     c = state.theta * (p.R * p.gamma)
     np.sqrt(c, out=c)
     c += np.abs(state.u)
-    s_max = float(c.max())
-    if config.maxwell_mode == "full":
-        s_max = max(s_max, 1.0 / p.sqrt_eps)
+    s_max = max(float(c.max()), 1.0 / p.sqrt_eps)
     rho_min = float(state.rho.min())
     diffusivity = max(p.mu / rho_min,
                       p.kappa * (p.gamma - 1.0) / (p.R * rho_min))
@@ -336,7 +320,7 @@ def step(params: GasParams, end: EndStates, grid: Grid1D, state: FieldState,
     decay = math.exp(-dt / (2.0 * params.eps))
     work = state.copy()
     np.multiply(work.E, decay, out=work.E)
-    apply_boundary(params, end, work, config)
+    apply_boundary(params, end, work)
 
     k1, f1 = spatial_rhs(params, end, grid, work, config)
     stage = k1.data * dt
@@ -350,7 +334,7 @@ def step(params: GasParams, end: EndStates, grid: Grid1D, state: FieldState,
     # fault the pages in again (over twice the page faults at 32k nodes)
     new = FieldState.of(work.data + k1.data)
     np.multiply(new.E, decay, out=new.E)
-    apply_boundary(params, end, new, config)
+    apply_boundary(params, end, new)
 
     return new, {key: 0.5 * (f1[key] + f2[key]) for key in f1}
 
@@ -407,7 +391,7 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
         result.warnings.append(msg)
 
     state = result.state
-    apply_boundary(params, end, state, config)
+    apply_boundary(params, end, state)
     _check_state(state, 0.0, 0)
 
     # event times: the record grid, short of t_final by more than rounding,
@@ -442,8 +426,7 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
             resid = abs((mass_after - mass) / dt
                         - (info["flux_left"] - info["flux_right"]))
             mass = mass_after
-            if config.maxwell_mode == "full":   # decoupled: fluid frozen
-                result.mass_residual_max = max(result.mass_residual_max, resid)
+            result.mass_residual_max = max(result.mass_residual_max, resid)
             result.cfl_margin_max = max(result.cfl_margin_max, dt / dt_stab)
             result.dt_min = min(result.dt_min, dt)
             result.dt_max_used = max(result.dt_max_used, dt)
@@ -491,9 +474,3 @@ def write_snapshot_csv(path, grid: Grid1D, t: float,
     table = np.column_stack((np.full(grid.n_nodes, t), grid.x, state.data.T))
     np.savetxt(path, table, fmt="%.17g", delimiter=",",
                header=SNAPSHOT_HEADER, comments="")
-
-
-def read_snapshot_csv(path):
-    """Inverse of write_snapshot_csv: returns (t, x, FieldState)."""
-    table = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
-    return float(table[0, 0]), table[:, 1], FieldState.of(table[:, 2:].T.copy())

@@ -1,0 +1,111 @@
+"""Independent oracles the tests check the package against.
+
+Nothing in the package calls these: each restates a piece of the theory
+(the field characteristics, a normalization constant, the sharp fan, two
+functional inequalities) or inverts an artifact writer, so a test can
+compare the package's numbers with a second route to the same quantity.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.integrate import quad
+
+from outflow1d.diagnostics import gradient, l2_norm
+from outflow1d.gas import GasParams
+from outflow1d.rarefaction import BurgersWave, R3Curve
+from outflow1d.solver import FieldState
+
+
+# --------------------------------------------------------------------------
+# field characteristics
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RiemannPair:
+    """Transport invariants of the field subsystem.
+
+    W1 rides the +1/sqrt(eps) characteristic (incoming at x=0),
+    W2 rides the -1/sqrt(eps) characteristic (outgoing at x=0).
+    """
+
+    W1: np.ndarray | float
+    W2: np.ndarray | float
+
+
+def to_riemann(params: GasParams, E, b) -> RiemannPair:
+    """(E, b) -> (W1, W2) = (sqrt(eps)/2)*(sqrt(eps)E -+ b)."""
+    s = params.sqrt_eps
+    E = np.asarray(E, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return RiemannPair(W1=0.5 * s * (s * E - b), W2=0.5 * s * (s * E + b))
+
+
+def from_riemann(params: GasParams, W1, W2):
+    """Inverse map: E = (W1+W2)/eps, b = (W2-W1)/sqrt(eps)."""
+    W1 = np.asarray(W1, dtype=float)
+    W2 = np.asarray(W2, dtype=float)
+    E = (W1 + W2) / params.eps
+    b = (W2 - W1) / params.sqrt_eps
+    return E, b
+
+
+# --------------------------------------------------------------------------
+# expansion fan
+# --------------------------------------------------------------------------
+
+def cq_constant(q: float) -> float:
+    """Normalization with int_0^inf C_q y^q e^-y dy = 1, by adaptive
+    quadrature (the closed form 1/Gamma(q+1) is kept as a test oracle)."""
+    if q < 1:
+        raise ValueError("smoothing exponent q must be >= 1")
+    val, err = quad(lambda y: y ** q * math.exp(-y), 0.0, np.inf)
+    return 1.0 / val
+
+
+def exact_fan_profile(params: GasParams, curve: R3Curve, wave: BurgersWave,
+                      x, t: float):
+    """The sharp self-similar fan: w = clip(x/(1+t), w_-, w_+)."""
+    x = np.asarray(x, dtype=float)
+    w = np.clip(x / (1.0 + t), wave.w_minus, wave.w_plus)
+    return curve.state_from_w(w)
+
+
+# --------------------------------------------------------------------------
+# functional inequalities
+# --------------------------------------------------------------------------
+
+def sobolev_check(x, f, fx=None, slack: float = 1e-10) -> dict:
+    """sup f^2 <= 2 ||f|| ||f_x|| for fields that die out by the right end."""
+    f = np.asarray(f, float)
+    fx = gradient(x, f) if fx is None else np.asarray(fx, float)
+    lhs = float(np.max(f * f))
+    rhs = 2.0 * l2_norm(x, f) * l2_norm(x, fx)
+    violation = max(0.0, lhs - rhs)
+    return {"lhs": lhs, "rhs": rhs, "violation": violation,
+            "passed": violation <= slack}
+
+
+def poincare_check(x, z, zx=None, slack: float = 1e-10) -> dict:
+    """|z(x)| <= |z(0)| + sqrt(x) ||z_x||_{L^2(0,x)} at every node."""
+    x = np.asarray(x, float)
+    z = np.asarray(z, float)
+    zx = gradient(x, z) if zx is None else np.asarray(zx, float)
+    # cumulative trapezoid of zx^2
+    g = zx * zx
+    cum = np.concatenate(([0.0],
+                          np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(x))))
+    rhs = abs(z[0]) + np.sqrt(np.maximum(x - x[0], 0.0)) * np.sqrt(cum)
+    violation = float(np.max(np.abs(z) - rhs))
+    return {"max_violation": max(0.0, violation), "passed": violation <= slack}
+
+
+# --------------------------------------------------------------------------
+# snapshot files
+# --------------------------------------------------------------------------
+
+def read_snapshot_csv(path):
+    """Inverse of solver.write_snapshot_csv: returns (t, x, FieldState)."""
+    table = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
+    return float(table[0, 0]), table[:, 1], FieldState.of(table[:, 2:].T.copy())

@@ -147,10 +147,15 @@ class TestValidation:
                               "theta_star = 2.0\n")
 
     def test_fully_coupled_cases_rejected_for_reduced_check(self):
-        parse_config_text(MINIMAL + "case = 1\n")   # unused -> fine
+        # the reduced-model scenario and its keys are gone: `outflow1d
+        # reduce` prints each case's closed form instead
         with pytest.raises(ConfigError) as exc:
-            parse_config_text("scenario = reduced_model_check\ncase = 1\n")
-        assert any("cases 1 and 2" in e for e in exc.value.errors)
+            parse_config_text("scenario = reduced_model_check\n")
+        assert any("scenario must be one of" in e for e in exc.value.errors)
+        for key in ("case = 1", "branch = decay", "n_relax = 5.0"):
+            with pytest.raises(ConfigError) as exc:
+                parse_config_text(MINIMAL + key + "\n")
+            assert any("unknown key" in e for e in exc.value.errors)
 
 
 class TestEcho:
@@ -176,7 +181,7 @@ class TestEcho:
         from pathlib import Path
         cfg_dir = Path(__file__).resolve().parents[1] / "configs"
         paths = sorted(cfg_dir.glob("*.cfg"))
-        assert len(paths) == 6
+        assert len(paths) == 5
         for path in paths:
             cfg = load_config(path)
             assert parse_config_text(echo_config(cfg)) == cfg
@@ -213,6 +218,11 @@ class TestCli:
         assert main(["reduce", "--case", "5"]) == 0
         detail = capsys.readouterr().out
         assert "system 3" in detail and "E b = 0" in detail
+        assert ("closed form        : E(t) = E(0) exp(-t/eps), b = 0; "
+                "or E = 0, b = b(0)\n") in detail
+        assert main(["reduce", "--case", "1"]) == 0
+        assert "closed form        : none: E, b transported" in (
+            capsys.readouterr().out)
 
     def test_reduce_bad_case(self, capsys):
         assert main(["reduce", "--case", "12"]) == 2
@@ -224,16 +234,6 @@ class TestCli:
         assert main(["profile", "--config", path, "--out", str(out)]) == 0
         header = (out / "layer_profile.csv").read_text().splitlines()[0]
         assert header == "x,u_tilde,theta_tilde,rho_tilde"
-
-    def test_run_reduced_check_passes(self, write_cfg, tmp_path, capsys):
-        path = write_cfg("scenario = reduced_model_check\ncase = 5\n"
-                         "eps = 0.01\nn_cells = 64\nlength = 40\n")
-        out = tmp_path / "red"
-        assert main(["run", "--config", path, "--out", str(out)]) == 0
-        assert "PASS" in capsys.readouterr().out
-        assert (out / "verdict.txt").exists()
-        assert (out / "config.echo").exists()
-        assert (out / "case_table.txt").exists()
 
     def test_run_failing_fit_returns_one(self, write_cfg, tmp_path, capsys):
         # the untuned smoothing never reaches the asymptotic decay window
@@ -283,9 +283,8 @@ class TestCli:
         assert not (out / "case").exists()     # no scenario started
 
     def test_batch_mixed_verdicts(self, write_cfg, tmp_path, capsys):
-        good = write_cfg("scenario = reduced_model_check\ncase = 5\n"
-                         "eps = 0.01\nn_cells = 64\nlength = 40\n",
-                         "good.cfg")
+        good = write_cfg("scenario = layer_decay\nu_plus = -2.0\n"
+                         "delta = 0.1\n", "good.cfg")
         bad = write_cfg("scenario = burgers_decay\nalpha = 0.1\n", "bad.cfg")
         out = tmp_path / "batch"
         code = main(["batch", "--config", good, bad, "--out", str(out),

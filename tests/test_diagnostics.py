@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import poincare_check, sobolev_check
 from outflow1d.diagnostics import (DIAG_COLUMNS, DiagRecord, Perturbation,
                                    bump_profile, compound_dissipation,
                                    energy_density, fit_convergence, gradient,
                                    h1_norm, l2_norm, perturbation_energy,
-                                   phi_gap,
-                                   poincare_check, record_from_state,
-                                   sobolev_check, sup_norm, write_diag_csv)
+                                   phi_gap, record_from_state, sup_norm,
+                                   write_diag_csv)
 from outflow1d.gas import GasParams
 from outflow1d.solver import FieldState, Grid1D
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cq_constant, exact_fan_profile
 from outflow1d.config import ScenarioConfig
 from outflow1d.gas import GasParams
 from outflow1d.layer import boundary_data_for_strength, construct_layer
 from outflow1d.rarefaction import (DECAY_DX, DECAY_PAD, DECAY_TIMES,
                                    BurgersWave, CompositeProfile, R3Curve,
-                                   burgers_eval, cq_constant,
-                                   exact_fan_profile, r3_connect,
+                                   burgers_eval, r3_connect,
                                    rarefaction_decay_check,
                                    rarefaction_profile, rarefaction_slope)
 from outflow1d.scenarios import prepare_scenario

@@ -191,7 +191,7 @@ class TestPrepareFanScenarios:
         assert (meta["fan_strength"] > 0.0) == has_fan
 
     def test_non_solver_scenarios_cannot_be_prepared(self):
-        for name in ("burgers_decay", "layer_decay", "reduced_model_check"):
+        for name in ("burgers_decay", "layer_decay"):
             with pytest.raises(ScenarioError, match="not solver-backed"):
                 prepare_scenario(ScenarioConfig(scenario=name))
 
@@ -355,12 +355,9 @@ class TestReferencePairing:
 
 
 GOOD_BATCH = """\
-scenario = reduced_model_check
-case = 5
-branch = decay
-eps = 0.01
-n_cells = 64
-length = 40
+scenario = layer_decay
+u_plus = -2.0
+delta = 0.1
 """
 
 BAD_BATCH = """\
@@ -383,7 +380,7 @@ class TestBatch:
         rows = run_batch([good, bad], out_root, workers=1)
 
         assert [r["config"] for r in rows] == [str(good), str(bad)]
-        assert rows[0]["scenario"] == "reduced_model_check"
+        assert rows[0]["scenario"] == "layer_decay"
         assert rows[0]["verdict"] == "PASS"
         assert rows[0]["error"] == ""
         assert (out_root / "good" / "verdict.txt").is_file()
@@ -408,5 +405,5 @@ class TestBatch:
             table = list(csv.reader(fh))
         assert table[0] == ["config", "scenario", "verdict", "out_dir",
                             "error"]
-        assert table[1] == [str(path), "reduced_model_check", "PASS",
+        assert table[1] == [str(path), "layer_decay", "PASS",
                             str(out_root / 'a,"q"'), ""]

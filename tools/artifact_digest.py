@@ -2,7 +2,7 @@
 
     python3 tools/artifact_digest.py OUT_DIR
 
-Runs the six configs/*.cfg and bench/degenerate_layer.cfg with the package
+Runs the five configs/*.cfg and bench/degenerate_layer.cfg with the package
 in this checkout's src/, each into OUT_DIR/<config stem>, and prints one
 `sha256  relative/path` line per artifact, sorted by path.  The wall-clock
 `runtime_s` line of verdict.txt is masked before hashing, so two checkouts
