@@ -246,11 +246,12 @@ def test_08_composite_perturbation_decay(composite_runs):
           f"all three marches {runtime:.1f}s (< 300s)")
 
 
-def test_09_field_relaxation_in_the_full_scheme():
-    # a uniform E with b = 0 feels no transport and no Lorentz force, so in
-    # the interior the coupled march must reduce to the exact relaxation
-    # factors; boundary values travel at most two nodes per step (one per
-    # Heun stage) plus the extrapolation stencil
+def test_09_decoupled_field_relaxation():
+    # the full scheme on data that decouple the field: a uniform E with
+    # b = 0 feels no transport and no Lorentz force, so in the interior the
+    # coupled march must reduce to the exact relaxation factors; boundary
+    # values travel at most two nodes per step (one per Heun stage) plus the
+    # extrapolation stencil
     params = GasParams(**STD, eps=0.01)
     end = EndStates(u_minus=-0.5, theta_minus=1.0,
                     rho_plus=1.0, u_plus=-0.5, theta_plus=1.0)

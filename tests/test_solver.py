@@ -128,6 +128,25 @@ class TestExactInvariants:
         np.testing.assert_array_equal(res.state.E, 0.0)
         np.testing.assert_array_equal(res.state.b, 0.0)
 
+    def test_exact_relaxation_of_uniform_field(self):
+        # full scheme: a uniform E with b = 0 has no transport and no Lorentz
+        # force, so away from the boundaries E(t) = E(0) e^(-t/eps) to
+        # rounding and b stays 0, while the Joule heating E^2 warms the fluid
+        params = GasParams(eps=0.01)
+        end = uniform_end()
+        grid = Grid1D(40.0, 64)
+        state0 = constant_state(grid, end)
+        state0.E += 0.3
+        res = run(params, end, grid, state0, 0.05)
+        reach = 2 * res.steps + 2
+        inner = slice(reach + 1, grid.n_nodes - reach - 1)
+        assert inner.stop - inner.start >= 40
+        expected = 0.3 * math.exp(-0.05 / 0.01)
+        np.testing.assert_allclose(res.state.E[inner], expected,
+                                   rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(res.state.b[inner], 0.0)
+        assert (res.state.theta[inner] > end.theta_plus).all()
+
 
 @pytest.fixture(scope="module")
 def layer_setup():
