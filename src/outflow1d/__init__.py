@@ -14,7 +14,7 @@ from .solver import (FieldState, Grid1D, PositivityError, RunResult,
                      SolverConfig, SolverError, apply_boundary, cfl_dt,
                      default_domain_length, run, spatial_rhs, step,
                      write_snapshot_csv)
-from .diagnostics import (DiagRecord, Perturbation, compound_dissipation,
+from .diagnostics import (DiagRecord, bump_profile, compound_dissipation,
                           energy_density, fit_convergence, h1_norm, l2_norm,
                           perturbation_energy, phi_gap, record_from_state,
                           sup_norm, write_diag_csv)

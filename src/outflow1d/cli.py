@@ -92,7 +92,7 @@ def _cmd_profile(args) -> int:
             prep = prepare_scenario(cfg)
             write_snapshot_csv(os.path.join(out, "initial.csv"), prep.grid,
                                0.0, prep.state0)
-            layer = prep.meta["layer"]
+            layer = prep.background.layer
             if layer is not None:
                 export_layer_csv(layer, os.path.join(out, "layer_profile.csv"))
             print(f"wrote analytic profiles to {out}")

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from .diagnostics import PERTURBATION_SHAPES
+
 __all__ = ["ScenarioConfig", "ConfigError", "SCENARIOS",
            "load_config", "parse_config_text", "echo_config"]
 
@@ -24,7 +26,6 @@ SCENARIOS = (
 )
 
 LAYER_BRANCHES = ("lower", "upper", "degenerate")
-SHAPES = ("cosine", "gaussian")
 TARGET_TOKENS = ("rho", "u", "theta", "em")
 
 
@@ -141,8 +142,8 @@ class ScenarioConfig:
             errs.append("center must be positive")
         if self.seed is not None and self.seed < 0:
             errs.append("seed must be nonnegative (or none)")
-        if self.shape not in SHAPES:
-            errs.append(f"shape must be one of {', '.join(SHAPES)}")
+        if self.shape not in PERTURBATION_SHAPES:
+            errs.append("shape must be one of " + ", ".join(PERTURBATION_SHAPES))
         toks = self.target_list()
         if not toks or any(t not in TARGET_TOKENS for t in toks):
             errs.append("targets must be a comma list drawn from "
@@ -151,11 +152,10 @@ class ScenarioConfig:
 
 
 # per-scenario default overrides applied between the dataclass defaults and
-# the file contents (the analytic decay study needs a stronger, steeper fan
-# than the stability runs to push the data-dominated transient out of the
-# fit window)
+# the file contents (the analytic decay study needs a steeper fan than the
+# stability runs to push the data-dominated transient out of the fit window)
 SCENARIO_DEFAULTS = {
-    "burgers_decay": {"alpha": math.e, "fan_delta": 3.0, "q": 1.0},
+    "burgers_decay": {"alpha": math.e},
 }
 
 _FIELDS = {f.name: f for f in fields(ScenarioConfig)}

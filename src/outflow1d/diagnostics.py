@@ -24,7 +24,7 @@ from .gas import GasParams
 from .solver import FieldState, Grid1D
 
 __all__ = [
-    "Perturbation", "DiagRecord",
+    "DiagRecord",
     "bump_profile", "phi_gap", "energy_density", "perturbation_energy",
     "compound_dissipation", "l2_norm", "h1_norm", "sup_norm", "gradient",
     "fit_convergence",
@@ -35,29 +35,14 @@ PERTURBATION_SHAPES = ("cosine", "gaussian")
 DECAY_RATIO = 0.5        # fit_convergence: last/first quartile mean to PASS
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    """Localized bump: amplitude * cos^2(pi (x-c)/w) on |x - c| <= w/2, or a
-    Gaussian of deviation w/4 when shape = "gaussian"."""
-
-    amplitude: float = 1e-2
-    center: float = 5.0
-    width: float = 2.0
-    shape: str = "cosine"
-
-    def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError("width must be positive")
-        if self.shape not in PERTURBATION_SHAPES:
-            raise ValueError(f"shape must be one of {PERTURBATION_SHAPES}")
-
-    def profile(self, x) -> np.ndarray:
-        return bump_profile(x, self.amplitude, self.center, self.width,
-                            self.shape)
-
-
 def bump_profile(x, amplitude: float, center: float, width: float,
                  shape: str = "cosine") -> np.ndarray:
+    """Localized bump: amplitude * cos^2(pi (x-c)/w) on |x - c| <= w/2, or a
+    Gaussian of deviation w/4 when shape = "gaussian"."""
+    if width <= 0:
+        raise ValueError("width must be positive")
+    if shape not in PERTURBATION_SHAPES:
+        raise ValueError(f"shape must be one of {PERTURBATION_SHAPES}")
     x = np.asarray(x, dtype=float)
     if shape == "cosine":
         arg = np.pi * (x - center) / width

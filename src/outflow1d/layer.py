@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 CASE_TAGS = ("supersonic", "transonic_manifold", "transonic_degenerate",
-             "subsonic", "nonexistent")
+             "subsonic")
 
 
 class LayerError(RuntimeError):
@@ -70,10 +70,8 @@ ALG_N_GEOM = 4000
 class LayerProfile:
     """Sampled stationary profile plus a monotone-cubic evaluator.
 
-    Beyond x_max the evaluator returns the far-field constants; the recorded
-    far_field_gap is the actual deficit of the last sample (for exponential
-    layers it is at most the manifold offset / stop tolerance, for the
-    degenerate layer it is the algebraic remainder ~ delta/alg_span).
+    Beyond x_max, the last sample, the evaluator returns the far-field
+    constants.
     """
 
     x: np.ndarray
@@ -84,8 +82,6 @@ class LayerProfile:
     rho_far: float
     u_far: float
     theta_far: float
-    x_max: float
-    far_field_gap: float
     boundary_gap: float = 0.0
     decay_rate_oracle: float | None = None   # nonzero eigenvalue(s) at the far point
     _u_i: PchipInterpolator | None = field(default=None, repr=False)
@@ -94,13 +90,13 @@ class LayerProfile:
     def __post_init__(self) -> None:
         if self.case_tag not in CASE_TAGS:
             raise ValueError(f"unknown case tag {self.case_tag!r}")
-        if self.exists and self.x.size >= 2:
+        if self.x.size >= 2:
             self._u_i = PchipInterpolator(self.x, self.u, extrapolate=False)
             self._th_i = PchipInterpolator(self.x, self.theta, extrapolate=False)
 
     @property
-    def exists(self) -> bool:
-        return self.case_tag != "nonexistent"
+    def x_max(self) -> float:
+        return float(self.x[-1])
 
     @property
     def mass_flux(self) -> float:
@@ -112,8 +108,6 @@ class LayerProfile:
 
     def eval(self, x):
         """(rho, u, theta) at arbitrary x >= 0; constants beyond x_max."""
-        if not self.exists:
-            raise LayerError("profile does not exist (nonexistent case)")
         x = np.asarray(x, dtype=float)
         if self.x.size < 2:      # zero-strength layer
             u = np.full(x.shape, self.u_far)
@@ -273,8 +267,7 @@ def _forward_layer(params, far, data, tag: str,
     return LayerProfile(
         x=x, u=u, theta=th, delta=delta, case_tag=tag,
         rho_far=rho_f, u_far=u_f, theta_far=th_f,
-        x_max=float(x[-1]), far_field_gap=_deficit((u[-1], th[-1]), far),
-        boundary_gap=0.0, decay_rate_oracle=-rate_min if not alg else None)
+        decay_rate_oracle=-rate_min if not alg else None)
 
 
 def _manifold_layer(params, far, data, tag: str) -> LayerProfile | None:
@@ -318,13 +311,13 @@ def _manifold_layer(params, far, data, tag: str) -> LayerProfile | None:
     return LayerProfile(
         x=x, u=u, theta=th, delta=delta, case_tag=tag,
         rho_far=rho_f, u_far=u_f, theta_far=th_f,
-        x_max=float(s_ev), far_field_gap=eps_mfd,
         boundary_gap=float(abs(y_ev[1] - th_m)), decay_rate_oracle=lam_s)
 
 
 def construct_layer(params: GasParams, far, data) -> LayerProfile:
     """Build the stationary profile joining boundary data (u_-, theta_-) to
-    the far state far = (rho_+, u_+, theta_+); tag 'nonexistent' on failure.
+    the far state far = (rho_+, u_+, theta_+).  Raises LayerError when
+    no layer exists, as for subsonic data off the stable manifold.
     """
     rho_f, u_f, th_f = far
     if rho_f <= 0 or th_f <= 0:
@@ -333,19 +326,12 @@ def construct_layer(params: GasParams, far, data) -> LayerProfile:
     delta = _deficit((u_m, th_m), far)
     regime = classify_regime(params, u_f, th_f).regime
 
-    def _none():
-        return LayerProfile(x=np.empty(0), u=np.empty(0), theta=np.empty(0),
-                            delta=delta, case_tag="nonexistent", rho_far=rho_f,
-                            u_far=u_f, theta_far=th_f, x_max=0.0,
-                            far_field_gap=0.0)
-
     if delta == 0.0:                      # zero-strength layer is exact
         tag = {"supersonic": "supersonic", "subsonic": "subsonic",
                "transonic": "transonic_manifold"}[regime]
         return LayerProfile(x=np.array([0.0]), u=np.array([u_f]),
                             theta=np.array([th_f]), delta=0.0, case_tag=tag,
-                            rho_far=rho_f, u_far=u_f, theta_far=th_f,
-                            x_max=0.0, far_field_gap=0.0)
+                            rho_far=rho_f, u_far=u_f, theta_far=th_f)
 
     if regime == "supersonic":
         prof = _forward_layer(params, far, (u_m, th_m), "supersonic",
@@ -357,7 +343,11 @@ def construct_layer(params: GasParams, far, data) -> LayerProfile:
         if prof is None:
             prof = _forward_layer(params, far, (u_m, th_m),
                                   "transonic_degenerate", alg=True)
-    return prof if prof is not None else _none()
+    if prof is None:
+        raise LayerError(f"no {regime} layer joins the data (u_-, theta_-) = "
+                         f"({u_m:g}, {th_m:g}) to the far state (rho_+, u_+, "
+                         f"theta_+) = ({rho_f:g}, {u_f:g}, {th_f:g})")
+    return prof
 
 
 def boundary_data_for_strength(params: GasParams, far, delta: float,
@@ -414,8 +404,6 @@ def measure_decay(profile: LayerProfile, component: str = "u") -> dict:
     Algebraic model:    ln dev = a + exponent * ln(1 + delta*x)
     The better least-squares residual decides `kind`.
     """
-    if not profile.exists:
-        raise LayerError("cannot measure decay of a nonexistent profile")
     far = {"u": profile.u_far, "theta": profile.theta_far}[component]
     vals = {"u": profile.u, "theta": profile.theta}[component]
     dev = np.abs(vals - far)
@@ -457,8 +445,6 @@ def find_M0(profile: LayerProfile, params: GasParams) -> float:
 
     Clamped below at 1; raises if the tail never turns monotone.
     """
-    if not profile.exists:
-        raise LayerError("nonexistent profile")
     if profile.x.size < 2:
         return 1.0
     du, dth = profile.slopes(params)
@@ -475,8 +461,6 @@ def find_M0(profile: LayerProfile, params: GasParams) -> float:
 
 def export_csv(profile: LayerProfile, path) -> None:
     """Write the samples: columns x, u_tilde, theta_tilde, rho_tilde."""
-    if not profile.exists:
-        raise LayerError("nonexistent profile")
     table = np.column_stack((profile.x, profile.u, profile.theta, profile.rho))
     np.savetxt(path, table, fmt="%.17g", delimiter=",", newline="\r\n",
                header="x,u_tilde,theta_tilde,rho_tilde", comments="")

@@ -208,8 +208,7 @@ def burgers_eval(wave: BurgersWave, x, t):
     return wave.eval(x, 1.0 + t)
 
 
-def rarefaction_profile(params: GasParams, curve: R3Curve, wave: BurgersWave,
-                        x, t: float):
+def rarefaction_profile(curve: R3Curve, wave: BurgersWave, x, t: float):
     """(rho_bar, u_bar, theta_bar) of the smoothed fan at time t.
 
     Requires w_- >= 0 so the fan moves away from the boundary.
@@ -267,7 +266,6 @@ class CompositeProfile:
     tilde == star (= the fan's left state).
     """
 
-    params: GasParams
     star: tuple          # (rho, u, theta) shared state
     layer: LayerProfile | None = None
     curve: R3Curve | None = None
@@ -290,8 +288,7 @@ class CompositeProfile:
             u_t = np.full(x.shape, u_s)
             th_t = np.full(x.shape, th_s)
         if self.wave is not None:
-            r_b, u_b, th_b = rarefaction_profile(self.params, self.curve,
-                                                 self.wave, x, t)
+            r_b, u_b, th_b = rarefaction_profile(self.curve, self.wave, x, t)
         else:
             r_b = np.full(x.shape, r_s)
             u_b = np.full(x.shape, u_s)

@@ -23,16 +23,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ScenarioConfig, echo_config, load_config
-from .diagnostics import (Perturbation, fit_convergence, record_from_state,
+from .diagnostics import (bump_profile, fit_convergence, record_from_state,
                           write_diag_csv)
-from .gas import EndStates, GasParams, classify_regime, dielectric_bound, \
-    sound_speed
+from .gas import EndStates, GasParams, dielectric_bound, sound_speed
 from .layer import boundary_data_for_strength, construct_layer, \
     export_csv, find_M0, measure_decay
 from .rarefaction import BurgersWave, CompositeProfile, R3Curve, \
     rarefaction_decay_check
-from .solver import FieldState, Grid1D, SolverConfig, default_domain_length, \
-    run, write_snapshot_csv
+from .solver import FieldState, Grid1D, SolverConfig, apply_boundary, \
+    default_domain_length, run, write_snapshot_csv
 
 __all__ = ["ScenarioError", "PreparedRun", "prepare_scenario",
            "run_scenario", "run_batch"]
@@ -44,16 +43,17 @@ class ScenarioError(RuntimeError):
 
 @dataclass
 class PreparedRun:
-    """Everything a solver scenario needs to march."""
+    """Everything a solver scenario needs to march.  state0 is the state
+    the march starts from: its boundary values are already enforced."""
 
     params: GasParams
     end: EndStates
     grid: Grid1D
-    background: object                # eval(x, t) -> (rho, u, theta)
+    background: CompositeProfile
     state0: FieldState
     solver_config: SolverConfig
     record_dt: float
-    meta: dict
+    perturbation: dict                # bump centre and signs per target
 
 
 def _resolve_eps(cfg: ScenarioConfig, params0: GasParams,
@@ -67,8 +67,8 @@ def _resolve_eps(cfg: ScenarioConfig, params0: GasParams,
 
 
 def _apply_perturbation(cfg: ScenarioConfig, grid: Grid1D, state: FieldState,
-                        params: GasParams, end: EndStates) -> dict:
-    """Add the configured bumps, then pin the boundary node."""
+                        params: GasParams) -> dict:
+    """Add the configured bumps; return their centre and signs."""
     targets = cfg.target_list()
     center = cfg.center
     signs = {name: 1.0 for name in ("rho", "u", "theta", "em")}
@@ -78,8 +78,7 @@ def _apply_perturbation(cfg: ScenarioConfig, grid: Grid1D, state: FieldState,
         for name in ("rho", "u", "theta", "em"):   # fixed draw order
             signs[name] = float(rng.choice((-1.0, 1.0)))
 
-    bump = Perturbation(cfg.amplitude, center, cfg.width, cfg.shape)
-    profile = bump.profile(grid.x)
+    profile = bump_profile(grid.x, cfg.amplitude, center, cfg.width, cfg.shape)
     for name in targets:
         if name == "em":
             # equal-speed pair: a packet on the outgoing characteristic only
@@ -87,26 +86,7 @@ def _apply_perturbation(cfg: ScenarioConfig, grid: Grid1D, state: FieldState,
             state.b += signs["em"] * profile
         else:
             getattr(state, name)[:] += signs[name] * profile
-
-    state.u[0] = end.u_minus
-    state.theta[0] = end.theta_minus
-    state.b[0] = params.sqrt_eps * state.E[0]
     return {"center": center, "signs": {k: signs[k] for k in targets}}
-
-
-def _check_compatibility(params: GasParams, end: EndStates,
-                         state: FieldState) -> None:
-    tol = 1e-14
-    errs = []
-    if abs(state.u[0] - end.u_minus) > tol * max(1.0, abs(end.u_minus)):
-        errs.append("u(0) does not match the boundary value")
-    if abs(state.theta[0] - end.theta_minus) > tol * max(1.0, end.theta_minus):
-        errs.append("theta(0) does not match the boundary value")
-    if abs(params.sqrt_eps * state.E[0] - state.b[0]) > tol * max(
-            1.0, abs(state.b[0])):
-        errs.append("sqrt(eps) E(0) and b(0) disagree")
-    if errs:
-        raise ScenarioError("incompatible initial data: " + "; ".join(errs))
 
 
 def _state_from_background(grid: Grid1D, background) -> FieldState:
@@ -121,11 +101,7 @@ def _layer_toward(cfg: ScenarioConfig, params: GasParams, far) -> tuple:
     cfg.layer_branch toward the state far = (rho, u, theta)."""
     branch = None if cfg.layer_branch == "lower" else cfg.layer_branch
     data = boundary_data_for_strength(params, far, cfg.delta, branch=branch)
-    layer = construct_layer(params, far, data)
-    if not layer.exists:
-        raise ScenarioError("no boundary layer exists for this data "
-                            f"(strength {cfg.delta:g}, far state {far})")
-    return data, layer
+    return data, construct_layer(params, far, data)
 
 
 def _build(cfg: ScenarioConfig, with_layer: bool,
@@ -153,26 +129,21 @@ def _build(cfg: ScenarioConfig, with_layer: bool,
                     rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
                     theta_plus=cfg.theta_plus)
     params = replace(params0, eps=_resolve_eps(cfg, params0, end))
-    background = CompositeProfile(params, star, layer, curve, wave)
-    meta = {"layer": layer, "star": star, "wave": wave,
-            "regime": classify_regime(params, star[1], star[2]).tag,
-            "layer_strength": layer.delta if with_layer else 0.0,
-            "fan_strength": abs(cfg.u_plus - star[1])
-            + abs(cfg.theta_plus - star[2])}
+    background = CompositeProfile(star, layer, curve, wave)
 
     length = cfg.length
     if length is None:
         length = default_domain_length(params, end, cfg.t_final)
     grid = Grid1D(length, cfg.n_cells)
     state0 = _state_from_background(grid, background)
-    meta["perturbation"] = _apply_perturbation(cfg, grid, state0, params, end)
-    _check_compatibility(params, end, state0)
+    perturbation = _apply_perturbation(cfg, grid, state0, params)
+    apply_boundary(params, end, state0)     # the values run enforces first
     record_dt = cfg.record_dt if cfg.record_dt is not None else cfg.t_final / 50.0
     return PreparedRun(params=params, end=end, grid=grid,
                        background=background, state0=state0,
                        solver_config=SolverConfig(
                            cfl_factor=cfg.cfl_factor, dt_max=cfg.dt_max),
-                       record_dt=record_dt, meta=meta)
+                       record_dt=record_dt, perturbation=perturbation)
 
 
 # solver scenario -> (has a boundary layer, config key of the fan's star theta)

@@ -34,7 +34,6 @@ boundary identity sqrt(eps) E(0,t) - b(0,t) evaluates to exactly 0.0.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -387,7 +386,6 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     if not bound.unbounded and params.eps >= bound.c_bar:
         msg = (f"eps = {params.eps:g} is not below the dielectric bound "
                f"{bound.c_bar:g}; the stability theory does not cover this run")
-        warnings.warn(msg)
         result.warnings.append(msg)
 
     state = result.state

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import poincare_check, sobolev_check
-from outflow1d.diagnostics import (DIAG_COLUMNS, DiagRecord, Perturbation,
+from outflow1d.diagnostics import (DIAG_COLUMNS, DiagRecord,
                                    bump_profile, compound_dissipation,
                                    energy_density, fit_convergence, gradient,
                                    h1_norm, l2_norm, perturbation_energy,
@@ -130,10 +130,11 @@ class TestBumps:
         assert np.all(f > 0.0)
 
     def test_perturbation_validation(self):
-        with pytest.raises(ValueError):
-            Perturbation(width=0.0)
-        with pytest.raises(ValueError):
-            Perturbation(shape="square")
+        x = np.linspace(0.0, 10.0, 11)
+        with pytest.raises(ValueError, match="width"):
+            bump_profile(x, 0.5, 5.0, 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            bump_profile(x, 0.5, 5.0, 2.0, "square")
 
 
 class TestInequalities:

@@ -128,7 +128,7 @@ class TestSupersonicLayer:
         return super_profile
 
     def test_strength_and_tag(self, profile):
-        assert profile.exists and profile.case_tag == "supersonic"
+        assert profile.case_tag == "supersonic"
         assert profile.delta == pytest.approx(0.1, rel=1e-12)
 
     def test_boundary_data_on_slow_direction(self):
@@ -168,7 +168,7 @@ class TestSubsonicLayer:
         return sub_profile
 
     def test_manifold_datum_admits_a_layer(self, profile):
-        assert profile.exists and profile.case_tag == "subsonic"
+        assert profile.case_tag == "subsonic"
         assert profile.delta == pytest.approx(0.05, rel=1e-6)
         assert profile.boundary_gap < 1e-8
 
@@ -181,10 +181,8 @@ class TestSubsonicLayer:
     def test_off_manifold_datum_is_rejected(self, profile):
         u_m = profile.u[0]
         th_m = profile.theta[0] + 0.02      # leave the 1-D stable manifold
-        off = construct_layer(PARAMS, FAR_SUB, (u_m, th_m))
-        assert not off.exists and off.case_tag == "nonexistent"
-        with pytest.raises(LayerError):
-            off.eval(1.0)
+        with pytest.raises(LayerError, match="no subsonic layer joins"):
+            construct_layer(PARAMS, FAR_SUB, (u_m, th_m))
 
     def test_manifold_orbit_is_walked_once(self, monkeypatch):
         # the probe walk samples the orbit; the accepted side is not re-walked
@@ -207,13 +205,13 @@ class TestTransonicLayers:
     def test_manifold_branch_decays_exponentially(self):
         data = boundary_data_for_strength(PARAMS, FAR_TRANS, 0.05)
         prof = construct_layer(PARAMS, FAR_TRANS, data)
-        assert prof.exists and prof.case_tag == "transonic_manifold"
+        assert prof.case_tag == "transonic_manifold"
         fit = measure_decay(prof, "u")
         assert fit["kind"] == "exponential"
 
     def test_degenerate_branch_has_algebraic_tail(self, degenerate_profile):
         prof = degenerate_profile
-        assert prof.exists and prof.case_tag == "transonic_degenerate"
+        assert prof.case_tag == "transonic_degenerate"
         fit = measure_decay(prof, "u")
         assert fit["kind"] == "algebraic"
         assert -1.2 < fit["exponent"] < -0.8
@@ -272,7 +270,7 @@ class TestTransonicLayers:
 class TestEdgesAndSerialization:
     def test_zero_strength_layer_is_exact(self):
         prof = construct_layer(PARAMS, FAR_SUPER, (-2.0, 1.0))
-        assert prof.exists and prof.delta == 0.0 and prof.x_max == 0.0
+        assert prof.delta == 0.0 and prof.x_max == 0.0
         rho, u, th = prof.eval(np.linspace(0, 5, 11))
         np.testing.assert_allclose(u, -2.0)
         np.testing.assert_allclose(th, 1.0)

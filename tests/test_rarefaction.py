@@ -253,7 +253,7 @@ class TestFanProfiles:
         for t in (0.0, 1.0, 10.0, 100.0):
             edge = wave.w_minus * (1.0 + t)
             x = np.linspace(0.0, edge, 64)
-            rho, u, th = rarefaction_profile(PARAMS, self.CURVE, wave, x, t)
+            rho, u, th = rarefaction_profile(self.CURVE, wave, x, t)
             assert np.max(np.abs(rho - rho_m)) < 1e-12
             assert np.max(np.abs(u - u_m)) < 1e-12
             assert np.max(np.abs(th - th_m)) < 1e-12
@@ -261,7 +261,7 @@ class TestFanProfiles:
     def test_negative_edge_speed_rejected(self):
         bad = BurgersWave(w_minus=-0.2, delta_r=0.5)
         with pytest.raises(ValueError):
-            rarefaction_profile(PARAMS, self.CURVE, bad, np.array([1.0]), 0.0)
+            rarefaction_profile(self.CURVE, bad, np.array([1.0]), 0.0)
 
     def test_exact_fan_is_self_similar(self):
         wave = self.make_wave()
@@ -311,32 +311,31 @@ class TestComposite:
 
     def test_needs_at_least_one_component(self):
         with pytest.raises(ValueError):
-            CompositeProfile(params=PARAMS, star=(1.0, -0.15, 1.0))
+            CompositeProfile(star=(1.0, -0.15, 1.0))
 
     def test_fan_needs_curve_and_wave_together(self):
         _, layer, wave = self.build_parts()
         with pytest.raises(ValueError):
-            CompositeProfile(params=PARAMS, star=(1.0, -0.15, 1.0),
-                             layer=layer, wave=wave)
+            CompositeProfile(star=(1.0, -0.15, 1.0), layer=layer, wave=wave)
 
     def test_pure_layer_reduces_to_layer(self):
         star, layer, _ = self.build_parts()
-        comp = CompositeProfile(PARAMS, star, layer)
+        comp = CompositeProfile(star, layer)
         x = np.linspace(0.0, 30.0, 301)
         np.testing.assert_allclose(comp.eval(x, 5.0), layer.eval(x),
                                    rtol=1e-14)
 
     def test_pure_fan_reduces_to_fan(self):
         star, _, wave = self.build_parts()
-        comp = CompositeProfile(PARAMS, star, None, self.CURVE, wave)
+        comp = CompositeProfile(star, None, self.CURVE, wave)
         x = np.linspace(0.0, 80.0, 400)
         np.testing.assert_allclose(
             comp.eval(x, 5.0),
-            rarefaction_profile(PARAMS, self.CURVE, wave, x, 5.0), rtol=1e-14)
+            rarefaction_profile(self.CURVE, wave, x, 5.0), rtol=1e-14)
 
     def test_composite_interpolates_layer_and_fan(self):
         star, layer, wave = self.build_parts()
-        comp = CompositeProfile(PARAMS, star, layer, self.CURVE, wave)
+        comp = CompositeProfile(star, layer, self.CURVE, wave)
         # near the boundary the fan still sits at star: composite == layer
         x_near = np.array([0.0])
         np.testing.assert_allclose(comp.eval(x_near, 0.0),

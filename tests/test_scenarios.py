@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from outflow1d import scenarios
-from outflow1d.config import ScenarioConfig, parse_config_text
-from outflow1d.diagnostics import DIAG_COLUMNS, Perturbation
-from outflow1d.gas import GasParams, dielectric_bound, sound_speed
+from outflow1d.config import ScenarioConfig, load_config, parse_config_text
+from outflow1d.diagnostics import DIAG_COLUMNS, bump_profile
+from outflow1d.gas import (GasParams, classify_regime, dielectric_bound,
+                           sound_speed)
 from outflow1d.rarefaction import r3_connect
-from outflow1d.scenarios import (PreparedRun, ScenarioError,
-                                 _check_compatibility, prepare_scenario,
+from outflow1d.scenarios import (PreparedRun, ScenarioError, prepare_scenario,
                                  run_batch, run_scenario)
-from outflow1d.solver import FieldState, default_domain_length, run
+from outflow1d.solver import apply_boundary, default_domain_length, run
 
 
 def layer_cfg(**over) -> ScenarioConfig:
@@ -53,9 +53,11 @@ class TestPrepareLayer:
     def test_returns_prepared_run_with_meta(self):
         prep = prepare_scenario(layer_cfg())
         assert isinstance(prep, PreparedRun)
-        assert prep.meta["regime"] == "supersonic-negative"
-        assert prep.meta["layer"].exists
-        assert prep.meta["layer"].delta == pytest.approx(0.1, rel=1e-12)
+        _, u_star, theta_star = prep.background.star
+        assert classify_regime(prep.params, u_star, theta_star).tag \
+            == "supersonic-negative"
+        assert prep.background.layer.case_tag == "supersonic"
+        assert prep.background.layer.delta == pytest.approx(0.1, rel=1e-12)
 
     def test_auto_eps_is_fraction_of_dielectric_bound(self):
         prep = prepare_scenario(layer_cfg())
@@ -99,8 +101,8 @@ class TestPrepareLayer:
         cfg = layer_cfg(targets="u", seed=None)
         prep = prepare_scenario(cfg)
         bg_rho, bg_u, bg_theta = prep.background.eval(prep.grid.x, 0.0)
-        prof = Perturbation(cfg.amplitude, cfg.center, cfg.width,
-                            cfg.shape).profile(prep.grid.x)
+        prof = bump_profile(prep.grid.x, cfg.amplitude, cfg.center, cfg.width,
+                            cfg.shape)
         assert np.array_equal(prep.state0.u[1:], (bg_u + prof)[1:])
         assert np.array_equal(prep.state0.rho, bg_rho)
         assert np.array_equal(prep.state0.theta[1:], bg_theta[1:])
@@ -111,8 +113,8 @@ class TestPrepareLayer:
     def test_field_bump_is_an_equal_speed_pair(self):
         cfg = layer_cfg(targets="em", seed=None, center=10.0, width=4.0)
         prep = prepare_scenario(cfg)
-        prof = Perturbation(cfg.amplitude, cfg.center, cfg.width,
-                            cfg.shape).profile(prep.grid.x)
+        prof = bump_profile(prep.grid.x, cfg.amplitude, cfg.center, cfg.width,
+                            cfg.shape)
         assert np.array_equal(prep.state0.E, prof / prep.params.sqrt_eps)
         assert np.array_equal(prep.state0.b, prof)
         # the pair cancels on the incoming characteristic
@@ -120,7 +122,7 @@ class TestPrepareLayer:
         assert np.max(np.abs(incoming)) < 1e-15
 
     def test_unseeded_perturbation_is_nominal(self):
-        info = prepare_scenario(layer_cfg(seed=None)).meta["perturbation"]
+        info = prepare_scenario(layer_cfg(seed=None)).perturbation
         assert info["center"] == 5.0
         assert all(s == 1.0 for s in info["signs"].values())
         assert set(info["signs"]) == {"u", "theta", "em"}
@@ -131,12 +133,12 @@ class TestPrepareLayer:
         for name in ("rho", "u", "theta", "E", "b"):
             assert np.array_equal(getattr(a.state0, name),
                                   getattr(b.state0, name))
-        assert a.meta["perturbation"] == b.meta["perturbation"]
+        assert a.perturbation == b.perturbation
 
     def test_seed_jitters_center_within_quarter_width(self):
         centers = set()
         for seed in (1, 2, 3):
-            info = prepare_scenario(layer_cfg(seed=seed)).meta["perturbation"]
+            info = prepare_scenario(layer_cfg(seed=seed)).perturbation
             assert abs(info["center"] - 5.0) <= 0.5  # width / 4
             assert set(info["signs"].values()) <= {-1.0, 1.0}
             centers.add(info["center"])
@@ -152,7 +154,8 @@ class TestPrepareFanScenarios:
         assert prep.end.theta_minus == pytest.approx(left[2], rel=1e-15)
         assert prep.end.u_minus == pytest.approx(left[1], rel=1e-14)
         w_minus = left[1] + float(sound_speed(params0, left[2]))
-        assert prep.meta["wave"].w_minus == pytest.approx(w_minus, rel=1e-14)
+        assert prep.background.wave.w_minus == pytest.approx(w_minus,
+                                                             rel=1e-14)
         assert prep.state0.b[0] == prep.params.sqrt_eps * prep.state0.E[0]
 
     def test_rarefaction_rejects_fan_leaving_the_boundary(self):
@@ -161,14 +164,18 @@ class TestPrepareFanScenarios:
 
     def test_superposition_intermediate_state(self):
         prep = prepare_scenario(superposition_cfg())
-        star = prep.meta["star"]
+        star = prep.background.star
         assert star[0] == pytest.approx(0.9113638131942698, rel=1e-12)
         assert star[1] == pytest.approx(-0.2679866751036993, rel=1e-12)
         assert star[2] == 0.94
-        assert prep.meta["layer"].exists
-        assert prep.meta["layer_strength"] == pytest.approx(0.05, rel=1e-12)
-        expected_fan = abs(-0.15 - star[1]) + abs(1.0 - star[2])
-        assert prep.meta["fan_strength"] == pytest.approx(expected_fan)
+        assert prep.background.layer.delta == pytest.approx(0.05, rel=1e-12)
+        # the fan runs from the star state to the far state
+        params0 = GasParams(1.0, 5.0 / 3.0, 1.0, 1.0, eps=1.0)
+        wave = prep.background.wave
+        assert wave.w_minus == pytest.approx(
+            star[1] + float(sound_speed(params0, star[2])), rel=1e-14)
+        assert wave.w_plus == pytest.approx(
+            -0.15 + float(sound_speed(params0, 1.0)), rel=1e-14)
 
     def test_superposition_rejects_too_cold_intermediate(self):
         with pytest.raises(ScenarioError, match="fan edge speed"):
@@ -181,28 +188,50 @@ class TestPrepareFanScenarios:
     ])
     def test_every_solver_scenario_describes_both_parts(self, make,
                                                         has_layer, has_fan):
-        meta = prepare_scenario(make()).meta
-        assert set(meta) == {"layer", "star", "wave", "regime",
-                             "layer_strength", "fan_strength",
-                             "perturbation"}
-        assert (meta["layer"] is not None) == has_layer
-        assert (meta["wave"] is not None) == has_fan
-        assert (meta["layer_strength"] > 0.0) == has_layer
-        assert (meta["fan_strength"] > 0.0) == has_fan
+        cfg = make()
+        prep = prepare_scenario(cfg)
+        bg = prep.background
+        assert set(prep.perturbation) == {"center", "signs"}
+        assert (bg.layer is not None) == has_layer
+        assert (bg.wave is not None) == has_fan
+        assert bg.layer is None or bg.layer.delta > 0.0
+        assert bg.wave is None or bg.wave.delta_r > 0.0
+        plus = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
+        assert (bg.star != plus) == has_fan
 
     def test_non_solver_scenarios_cannot_be_prepared(self):
         for name in ("burgers_decay", "layer_decay"):
             with pytest.raises(ScenarioError, match="not solver-backed"):
                 prepare_scenario(ScenarioConfig(scenario=name))
 
-    def test_incompatible_data_is_refused(self):
-        prep = prepare_scenario(layer_cfg())
-        bad = FieldState(prep.state0.rho.copy(), prep.state0.u.copy(),
-                         prep.state0.theta.copy(), prep.state0.E.copy(),
-                         prep.state0.b.copy())
-        bad.u[0] += 1e-3
-        with pytest.raises(ScenarioError, match="incompatible initial data"):
-            _check_compatibility(prep.params, prep.end, bad)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def bits(state) -> np.ndarray:
+    """The state's doubles as integers: equal means bitwise equal, down to
+    the sign of a zero."""
+    return state.data.view(np.uint64)
+
+
+class TestPreparedState:
+    @pytest.mark.parametrize("name", ["layer_stability",
+                                      "rarefaction_stability",
+                                      "superposition_stability"])
+    def test_prepared_state_is_the_marched_start(self, name):
+        prep = prepare_scenario(load_config(CONFIGS / f"{name}.cfg"))
+        pinned = prep.state0.copy()
+        apply_boundary(prep.params, prep.end, pinned)
+        np.testing.assert_array_equal(bits(pinned), bits(prep.state0))
+
+        records = []                    # (t, state) at t = 0 and t_final
+        run(prep.params, prep.end, prep.grid, prep.state0, 1e-3,
+            prep.solver_config,
+            recorder=lambda t, state, _: records.append((t, state.copy())))
+        t0, start = records[0]
+        assert t0 == 0.0
+        np.testing.assert_array_equal(bits(start), bits(prep.state0))
 
 
 class TestLayerDecay:

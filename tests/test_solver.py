@@ -327,9 +327,9 @@ class TestFailureModes:
         params = GasParams(eps=1.0)       # far above the threshold
         end = uniform_end()
         grid = Grid1D(40.0, 64)
-        with pytest.warns(UserWarning, match="dielectric"):
-            res = run(params, end, grid, constant_state(grid, end), 0.5)
-        assert res.warnings and "dielectric" in res.warnings[0]
+        # one channel: this suite turns a warnings.warn into an error
+        res = run(params, end, grid, constant_state(grid, end), 0.5)
+        assert len(res.warnings) == 1 and "dielectric" in res.warnings[0]
 
 
 class TestStepControls:
