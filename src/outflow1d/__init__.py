@@ -4,9 +4,8 @@ solver for the coupled fluid--field system."""
 
 from .gas import (DielectricBound, EndStates, GasParams, SonicRegime,
                   classify_regime, dielectric_bound, pressure, sound_speed)
-from .layer import (LayerError, LayerProfile, boundary_data_for_strength,
-                    construct_layer, find_M0, layer_jacobian, layer_ode_rhs,
-                    measure_decay)
+from .layer import (LayerError, LayerProfile, construct_layer, find_M0,
+                    layer_jacobian, layer_ode_rhs, measure_decay)
 from .rarefaction import (BurgersWave, CompositeProfile, R3Curve, burgers_eval,
                           r3_connect, rarefaction_decay_check,
                           rarefaction_profile)

@@ -17,11 +17,11 @@ import sys
 
 from .config import ConfigError, echo_config, load_config
 from .gas import GasParams
-from .layer import LayerError
+from .layer import LayerError, construct_layer
 from .rarefaction import BurgersWave, burgers_eval
 from .reduced import CASE_NOTES, format_case_table, reduce_case
-from .scenarios import ScenarioError, _layer_toward, prepare_scenario, \
-    run_batch, run_scenario
+from .scenarios import ScenarioError, prepare_scenario, run_batch, \
+    run_scenario
 from .solver import SolverError, write_snapshot_csv
 from .layer import export_csv as export_layer_csv
 
@@ -109,7 +109,7 @@ def _cmd_profile(args) -> int:
         else:                                   # layer_decay
             params = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
             far = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
-            _, layer = _layer_toward(cfg, params, far)
+            layer = construct_layer(params, far, cfg.delta, cfg.layer_branch)
             export_layer_csv(layer, os.path.join(out, "layer_profile.csv"))
             print(f"wrote layer profile to {out}")
     except _RUN_ERRORS as exc:
@@ -138,8 +138,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    rows = run_batch(args.config, args.out, workers=args.workers,
-                     seed=args.seed)
+    try:
+        rows = run_batch(args.config, args.out, workers=args.workers,
+                         seed=args.seed)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     width = max(len(r["config"]) for r in rows)
     for row in rows:
         note = f"  ({row['error']})" if row["error"] else ""

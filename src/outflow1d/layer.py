@@ -16,13 +16,14 @@ The far state is a fixed point whose linearization decides everything:
     forward from (u_-, theta_-) and the orbit falls into the node.
   * subsonic    -> saddle: a layer exists only for data on the 1-D stable
     manifold.  Walk that manifold backwards from a small offset along the
-    stable eigendirection (backward flow contracts the transverse error),
-    and root-find the crossing u = u_-.
-  * transonic   -> one zero eigenvalue.  Data on the non-degenerate branch
-    (stable eigendirection) decays exponentially and is found by the same
-    backward walk; data on the attracting side of the center direction
-    gives the degenerate layer with algebraic tail
-    |u - u_+| ~ delta/(1 + delta*x), found by forward integration.
+    stable eigendirection (backward flow contracts the transverse error)
+    until the strength |u - u_+| + |theta - theta_+| reaches delta: that
+    point is the boundary data.
+  * transonic   -> one zero eigenvalue.  The non-degenerate branch (stable
+    eigendirection) decays exponentially and is found by the same backward
+    walk; data on the attracting side of the center direction gives the
+    degenerate layer with algebraic tail |u - u_+| ~ delta/(1 + delta*x),
+    found by forward integration.
 
 Both off-diagonal Jacobian entries are positive, so the eigenvalues are
 always real: no spiraling orbits in any regime.
@@ -42,7 +43,7 @@ from .gas import GasParams, classify_regime
 __all__ = [
     "LayerProfile", "LayerError",
     "layer_ode_rhs", "layer_jacobian", "stable_direction", "center_direction",
-    "construct_layer", "boundary_data_for_strength",
+    "construct_layer",
     "measure_decay", "find_M0", "export_csv",
 ]
 
@@ -58,7 +59,6 @@ class LayerError(RuntimeError):
 RTOL = ATOL = 1e-10      # solve_ivp tolerances
 EPS_MFD_FACTOR = 1e-6    # manifold offset = factor*max(1,|u_+|)
 FP_TOL = 1e-9            # forward orbits stop FP_TOL*scale from the far point
-EXIST_TOL = 1e-6         # theta miss (x scale) at u = u_- meaning no layer
 ALG_SPAN = 1e3           # degenerate orbits stop once delta*x >= ALG_SPAN
 SAMPLE_H = 1e-3          # uniform sample spacing (exponential cases)
 ALG_H_LIN = 2e-3         # sample spacing of the degenerate transient
@@ -82,7 +82,6 @@ class LayerProfile:
     rho_far: float
     u_far: float
     theta_far: float
-    boundary_gap: float = 0.0
     decay_rate_oracle: float | None = None   # nonzero eigenvalue(s) at the far point
     _u_i: PchipInterpolator | None = field(default=None, repr=False)
     _th_i: PchipInterpolator | None = field(default=None, repr=False)
@@ -208,20 +207,10 @@ def _walk(params, far, y0, span, events=(), t_eval=None, backward=False):
     return sol
 
 
-def _stable_start(params, far):
-    """(lambda_s, v_s, eps_mfd, span) of a backward walk that leaves the far
-    point at far + sgn*eps_mfd*v_s; None without a stable eigendirection."""
-    lam_s, v_s = stable_direction(params, far)
-    if lam_s >= -1e-12:
-        return None
-    eps_mfd = EPS_MFD_FACTOR * max(1.0, abs(far[1]))
-    return lam_s, v_s, eps_mfd, 30.0 / abs(lam_s) + 50.0
-
-
-def _forward_layer(params, far, data, tag: str,
-                   alg: bool) -> LayerProfile | None:
+def _forward_layer(params, far, data, tag: str, alg: bool) -> LayerProfile:
     """Forward orbit from the boundary data; converges for the node and the
-    degenerate-transonic attracting side, returns None if it runs away."""
+    degenerate-transonic attracting side.  Raises LayerError if it misses
+    the far state."""
     rho_f, u_f, th_f = far
     delta = _deficit(data, far)
     scale = max(1.0, abs(u_f), th_f)
@@ -247,84 +236,83 @@ def _forward_layer(params, far, data, tag: str,
     ev_run = _event(lambda x, y: _deficit(y, far) - runaway)
     sol = _walk(params, far, np.array(data, dtype=float), x_end,
                 (ev_conv, ev_run), t_eval=xs)
-    if sol.t_events[1].size or sol.t_events[2].size:
-        return None                       # ran away or hit the u=0 singularity
     x, u, th = sol.t, sol.y[0], sol.y[1]
-    if not alg:
-        if sol.t_events[0].size:          # append the stopping point
-            xe = sol.t_events[0][0]
-            ye = sol.y_events[0][0]
-            if xe > x[-1] + 1e-12:
-                x = np.append(x, xe)
-                u = np.append(u, ye[0])
-                th = np.append(th, ye[1])
-        elif _deficit((u[-1], th[-1]), far) > 10.0 * FP_TOL * scale:
-            return None                   # never entered the fixed-point ball
-    else:
-        if _deficit((u[-1], th[-1]), far) > 0.5 * delta:
-            return None                   # algebraic orbit failed to contract
-
+    converged = sol.t_events[0].size > 0
+    miss = _deficit((u[-1], th[-1]), far)
+    # runaway, u = 0, an algebraic orbit that fails to contract, or an
+    # exponential one that never enters the fixed-point ball
+    if (sol.t_events[1].size or sol.t_events[2].size
+            or (miss > 0.5 * delta if alg
+                else not converged and miss > 10.0 * FP_TOL * scale)):
+        raise LayerError(
+            f"the {tag} orbit from (u_-, theta_-) = ({data[0]:g}, "
+            f"{data[1]:g}) misses the far state (rho_+, u_+, theta_+) = "
+            f"({rho_f:g}, {u_f:g}, {th_f:g})")
+    if not alg and converged:             # append the stopping point
+        xe = sol.t_events[0][0]
+        ye = sol.y_events[0][0]
+        if xe > x[-1] + 1e-12:
+            x = np.append(x, xe)
+            u = np.append(u, ye[0])
+            th = np.append(th, ye[1])
     return LayerProfile(
         x=x, u=u, theta=th, delta=delta, case_tag=tag,
         rho_far=rho_f, u_far=u_f, theta_far=th_f,
         decay_rate_oracle=-rate_min if not alg else None)
 
 
-def _manifold_layer(params, far, data, tag: str) -> LayerProfile | None:
-    """Backward walk along the stable eigendirection; None when the u = u_-
-    crossing is missing or the temperature misses the data there."""
+def _manifold_layer(params, far, delta: float, upper: bool,
+                    tag: str) -> LayerProfile:
+    """Backward walk along the stable eigendirection, stopped where the
+    strength reaches delta: that point is the boundary data, at x = 0."""
     rho_f, u_f, th_f = far
-    u_m, th_m = data
-    start = _stable_start(params, far)
-    if start is None:
-        return None
-    lam_s, v_s, eps_mfd, span = start
-    delta = _deficit(data, far)
-    scale = max(1.0, abs(u_f), th_f)
-    runaway = 4.0 * delta + 10.0 * eps_mfd + 0.1 * scale
-    ev_cross = _event(lambda s, y: y[0] - u_m)
-    ev_run = _event(lambda s, y: _deficit(y, far) - runaway)
-
-    # sampled on the probe walk: the accepted side is never walked again
-    ss = np.arange(0.0, span, SAMPLE_H)
-    sides = [math.copysign(1.0, (u_m - u_f) * v_s[0])] if v_s[0] != 0.0 else [1.0, -1.0]
-    for sgn in sides:
-        y0 = np.array([u_f, th_f]) + sgn * eps_mfd * v_s
-        sol = _walk(params, far, y0, span, (ev_cross, ev_run),
-                    t_eval=ss, backward=True)
-        if sol.t_events[0].size:
-            s_ev = sol.t_events[0][0]
-            y_ev = sol.y_events[0][0]
-            if abs(y_ev[1] - th_m) <= EXIST_TOL * scale:
-                break
-    else:
-        return None
-
-    # samples at or past the crossing are dropped: x must strictly increase
+    lam_s, v_s = stable_direction(params, far)
+    span = 30.0 / abs(lam_s) + 50.0
+    sgn = -math.copysign(1.0, v_s[0])     # lower branch: u_- < u_+ side
+    if upper:
+        sgn = -sgn
+    eps_mfd = EPS_MFD_FACTOR * max(1.0, abs(u_f))
+    y0 = np.array([u_f, th_f]) + sgn * eps_mfd * v_s
+    ev_strength = _event(lambda s, y: _deficit(y, far) - delta)
+    sol = _walk(params, far, y0, span, (ev_strength,),
+                t_eval=np.arange(0.0, span, SAMPLE_H), backward=True)
+    if not sol.t_events[0].size:
+        raise LayerError(f"the {tag} manifold walk never reached strength "
+                         f"{delta:g}")
+    s_ev = sol.t_events[0][0]
+    y_ev = sol.y_events[0][0]
+    # samples at or past the event are dropped: x must strictly increase
     keep = sol.t < s_ev
-    s = np.append(sol.t[keep], s_ev)
-    u = np.append(sol.y[0, keep], y_ev[0])
-    th = np.append(sol.y[1, keep], y_ev[1])
-    x = s_ev - s[::-1]                    # flip: boundary point lands at x = 0
-    u = u[::-1]
-    th = th[::-1]
+    x = s_ev - np.append(sol.t[keep], s_ev)[::-1]   # event lands at x = 0
+    u = np.append(sol.y[0, keep], y_ev[0])[::-1]
+    th = np.append(sol.y[1, keep], y_ev[1])[::-1]
     return LayerProfile(
-        x=x, u=u, theta=th, delta=delta, case_tag=tag,
-        rho_far=rho_f, u_far=u_f, theta_far=th_f,
-        boundary_gap=float(abs(y_ev[1] - th_m)), decay_rate_oracle=lam_s)
+        x=x, u=u, theta=th, delta=_deficit(y_ev, far), case_tag=tag,
+        rho_far=rho_f, u_far=u_f, theta_far=th_f, decay_rate_oracle=lam_s)
 
 
-def construct_layer(params: GasParams, far, data) -> LayerProfile:
-    """Build the stationary profile joining boundary data (u_-, theta_-) to
-    the far state far = (rho_+, u_+, theta_+).  Raises LayerError when
-    no layer exists, as for subsonic data off the stable manifold.
+def construct_layer(params: GasParams, far, delta: float,
+                    branch: str = "lower") -> LayerProfile:
+    """Build the stationary profile of strength delta = |u_- - u_+| +
+    |theta_- - theta_+| on `branch` toward the far state far = (rho_+, u_+,
+    theta_+).  The boundary data (u_-, theta_-) is its x = 0 sample.
+
+    supersonic: the data sits on the slow eigendirection below u_+ (any
+    datum connects; the slow direction keeps the tail rate equal to the
+    slow eigenvalue); the branch must be 'lower'.  subsonic and transonic
+    'lower'/'upper': the stable manifold on the side of u_- below/above
+    u_+.  transonic 'degenerate': the attracting (minus) side of the center
+    direction.  Raises LayerError when the branch does not fit the regime
+    or the orbit fails.
     """
     rho_f, u_f, th_f = far
     if rho_f <= 0 or th_f <= 0:
         raise ValueError("far state needs positive density and temperature")
-    u_m, th_m = float(data[0]), float(data[1])
-    delta = _deficit((u_m, th_m), far)
     regime = classify_regime(params, u_f, th_f).regime
+    if ((branch == "degenerate" and regime != "transonic")
+            or (branch == "upper" and regime == "supersonic")):
+        raise LayerError(f"a {regime} far state has no {branch!r} layer "
+                         "branch")
 
     if delta == 0.0:                      # zero-strength layer is exact
         tag = {"supersonic": "supersonic", "subsonic": "subsonic",
@@ -334,67 +322,21 @@ def construct_layer(params: GasParams, far, data) -> LayerProfile:
                             rho_far=rho_f, u_far=u_f, theta_far=th_f)
 
     if regime == "supersonic":
-        prof = _forward_layer(params, far, (u_m, th_m), "supersonic",
-                              alg=False)
-    elif regime == "subsonic":
-        prof = _manifold_layer(params, far, (u_m, th_m), "subsonic")
-    else:
-        prof = _manifold_layer(params, far, (u_m, th_m), "transonic_manifold")
-        if prof is None:
-            prof = _forward_layer(params, far, (u_m, th_m),
-                                  "transonic_degenerate", alg=True)
-    if prof is None:
-        raise LayerError(f"no {regime} layer joins the data (u_-, theta_-) = "
-                         f"({u_m:g}, {th_m:g}) to the far state (rho_+, u_+, "
-                         f"theta_+) = ({rho_f:g}, {u_f:g}, {th_f:g})")
-    return prof
-
-
-def boundary_data_for_strength(params: GasParams, far, delta: float,
-                               branch: str | None = None):
-    """Boundary data (u_-, theta_-) of strength |du|+|dtheta| = delta that
-    admits a layer toward `far`.
-
-    supersonic: offset along the slow eigendirection (any datum works; the
-    slow direction keeps the tail rate equal to the slow eigenvalue).
-    subsonic / branch='manifold': walk the stable manifold to the requested
-    strength.  branch='degenerate': offset along the center direction on
-    the attracting (minus) side; integrates nothing.
-    """
-    rho_f, u_f, th_f = far
-    if delta == 0.0:
-        return u_f, th_f
-    regime = classify_regime(params, u_f, th_f).regime
-    if regime == "transonic" and branch is None:
-        branch = "manifold"
-
-    if regime == "supersonic":
-        ev, V = _eigen(layer_jacobian(params, far))
+        _, V = _eigen(layer_jacobian(params, far))
         v = V[:, 1]                       # slow (least negative) direction
         v = v / np.abs(v).sum()
         sgn = -math.copysign(1.0, v[0])   # push u below u_+ (stronger outflow)
-        return u_f + sgn * delta * v[0], th_f + sgn * delta * v[1]
-
-    if regime == "transonic" and branch == "degenerate":
+        return _forward_layer(params, far, (u_f + sgn * delta * v[0],
+                                            th_f + sgn * delta * v[1]),
+                              "supersonic", alg=False)
+    if branch == "degenerate":
         # l.D2F[v_c,v_c] / (l.v_c) > 0 at transonic points: minus side attracts
         v_c = center_direction(params, far)
-        return u_f - delta * v_c[0], th_f - delta * v_c[1]
-
-    # saddle / transonic manifold branch: walk backward to the target strength
-    start = _stable_start(params, far)
-    if start is None:
-        raise LayerError("far state has no stable eigendirection")
-    _, v_s, eps_mfd, span = start
-    sgn = -math.copysign(1.0, v_s[0])     # default branch: u_- < u_+ side
-    if branch == "upper":
-        sgn = -sgn
-    y0 = np.array([u_f, th_f]) + sgn * eps_mfd * v_s
-    ev_strength = _event(lambda s, y: _deficit(y, far) - delta)
-    sol = _walk(params, far, y0, span, (ev_strength,), backward=True)
-    if not sol.t_events[0].size:
-        raise LayerError("manifold walk never reached the requested strength")
-    y_ev = sol.y_events[0][0]
-    return float(y_ev[0]), float(y_ev[1])
+        return _forward_layer(params, far, (u_f - delta * v_c[0],
+                                            th_f - delta * v_c[1]),
+                              "transonic_degenerate", alg=True)
+    tag = "subsonic" if regime == "subsonic" else "transonic_manifold"
+    return _manifold_layer(params, far, delta, branch == "upper", tag)
 
 
 def measure_decay(profile: LayerProfile, component: str = "u") -> dict:

@@ -26,8 +26,7 @@ from .config import ScenarioConfig, echo_config, load_config
 from .diagnostics import (bump_profile, fit_convergence, record_from_state,
                           write_diag_csv)
 from .gas import EndStates, GasParams, dielectric_bound, sound_speed
-from .layer import boundary_data_for_strength, construct_layer, \
-    export_csv, find_M0, measure_decay
+from .layer import construct_layer, export_csv, find_M0, measure_decay
 from .rarefaction import BurgersWave, CompositeProfile, R3Curve, \
     rarefaction_decay_check
 from .solver import FieldState, Grid1D, SolverConfig, apply_boundary, \
@@ -96,14 +95,6 @@ def _state_from_background(grid: Grid1D, background) -> FieldState:
                       np.zeros(grid.n_nodes))
 
 
-def _layer_toward(cfg: ScenarioConfig, params: GasParams, far) -> tuple:
-    """Boundary data and stationary layer of strength cfg.delta on
-    cfg.layer_branch toward the state far = (rho, u, theta)."""
-    branch = None if cfg.layer_branch == "lower" else cfg.layer_branch
-    data = boundary_data_for_strength(params, far, cfg.delta, branch=branch)
-    return data, construct_layer(params, far, data)
-
-
 def _build(cfg: ScenarioConfig, with_layer: bool,
            theta_fan: float | None) -> PreparedRun:
     """The composite wave: a boundary layer (if with_layer) from the boundary
@@ -123,9 +114,10 @@ def _build(cfg: ScenarioConfig, with_layer: bool,
                 f"fan edge speed is negative at theta = {theta_fan:g}; the "
                 "expansion would leave through the boundary")
         wave = BurgersWave(w_star, curve.w_plus - w_star, cfg.alpha, cfg.q)
-    data, layer = (_layer_toward(cfg, params0, star) if with_layer
-                   else (star[1:], None))
-    end = EndStates(u_minus=data[0], theta_minus=data[1],
+    layer = (construct_layer(params0, star, cfg.delta, cfg.layer_branch)
+             if with_layer else None)
+    data = (layer.u[0], layer.theta[0]) if with_layer else star[1:]
+    end = EndStates(u_minus=float(data[0]), theta_minus=float(data[1]),
                     rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
                     theta_plus=cfg.theta_plus)
     params = replace(params0, eps=_resolve_eps(cfg, params0, end))
@@ -344,7 +336,7 @@ def _drive_burgers_decay(cfg: ScenarioConfig) -> tuple:
 def _drive_layer_decay(cfg: ScenarioConfig) -> tuple:
     params = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
     far = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
-    _, layer = _layer_toward(cfg, params, far)
+    layer = construct_layer(params, far, cfg.delta, cfg.layer_branch)
 
     fit_u = measure_decay(layer, "u")
     fit_th = measure_decay(layer, "theta")
@@ -418,13 +410,19 @@ def _batch_worker(job):
 def run_batch(config_paths, out_root, workers: int = 2,
               seed: int | None = None) -> list:
     """Run several configs in worker processes; one failure never takes the
-    batch down.  Writes out_root/batch_summary.csv and returns the rows."""
+    batch down.  Writes out_root/batch_summary.csv and returns the rows.
+    Each config writes into out_root/<file stem>: raises ValueError before
+    any run when two configs share a stem."""
     config_paths = [str(p) for p in config_paths]
+    stems = [os.path.splitext(os.path.basename(p))[0] for p in config_paths]
+    clashes = [p for p, stem in zip(config_paths, stems)
+               if stems.count(stem) > 1]
+    if clashes:
+        raise ValueError("configs with the same file name would share an "
+                         f"output directory: {', '.join(clashes)}")
     os.makedirs(out_root, exist_ok=True)
-    jobs = []
-    for path in config_paths:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        jobs.append((path, os.path.join(out_root, stem), seed))
+    jobs = [(path, os.path.join(out_root, stem), seed)
+            for path, stem in zip(config_paths, stems)]
 
     if workers <= 1:
         rows = [_batch_worker(job) for job in jobs]

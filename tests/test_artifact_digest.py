@@ -1,4 +1,5 @@
-"""tools/artifact_digest.py: only the wall-clock line escapes the digest."""
+"""tools/artifact_digest.py: only the wall-clock line escapes the digest,
+and only fresh artifacts are hashed."""
 
 import importlib.util
 from pathlib import Path
@@ -31,3 +32,14 @@ def test_runtime_is_masked_and_nothing_else(tmp_path):
     other = tmp_path / "a" / "diagnostics.csv"
     other.write_text(texts["a"])
     assert digest(other) != sums["a"]
+
+
+def test_a_non_empty_out_dir_is_refused(tmp_path, capsys):
+    # a stale artifact there would be hashed as if the run had written it
+    tool = load_tool()
+    runs = []
+    tool.run_scenario = lambda cfg, out: runs.append(out)
+    (tmp_path / "stale").mkdir()
+    (tmp_path / "stale" / "layer_profile.csv").write_text("x\n")
+    assert tool.main([str(tmp_path)]) == 2
+    assert runs == [] and "usage" in capsys.readouterr().err

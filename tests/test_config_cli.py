@@ -282,6 +282,30 @@ class TestCli:
         assert "seed must be nonnegative" in row
         assert not (out / "case").exists()     # no scenario started
 
+    def test_batch_refuses_configs_sharing_a_file_name(self, tmp_path,
+                                                       capsys):
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(str(tmp_path / sub / "x.cfg"))
+            with open(paths[-1], "w") as fh:
+                fh.write("scenario = layer_decay\nu_plus = -2.0\n")
+        out = tmp_path / "batch"
+        assert main(["batch", "--config", *paths, "--out", str(out),
+                     "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert paths[0] in err and paths[1] in err
+        assert not out.exists()
+
+    def test_run_with_a_misfit_layer_branch_returns_one(self, write_cfg,
+                                                         tmp_path, capsys):
+        path = write_cfg("scenario = layer_decay\nu_plus = -0.15\n"
+                         "layer_branch = degenerate\n")
+        assert main(["run", "--config", path, "--out",
+                     str(tmp_path / "run")]) == 1
+        assert "subsonic far state has no 'degenerate'" in (
+            capsys.readouterr().err)
+
     def test_batch_mixed_verdicts(self, write_cfg, tmp_path, capsys):
         good = write_cfg("scenario = layer_decay\nu_plus = -2.0\n"
                          "delta = 0.1\n", "good.cfg")

@@ -9,10 +9,9 @@ import pytest
 
 from outflow1d import layer as layer_mod
 from outflow1d.gas import GasParams
-from outflow1d.layer import (LayerError, boundary_data_for_strength,
-                             center_direction, construct_layer, export_csv,
-                             find_M0, layer_jacobian, layer_ode_rhs,
-                             measure_decay, stable_direction)
+from outflow1d.layer import (LayerError, center_direction, construct_layer,
+                             export_csv, find_M0, layer_jacobian,
+                             layer_ode_rhs, measure_decay, stable_direction)
 
 PARAMS = GasParams(R=1.0, gamma=5.0 / 3.0, mu=1.0, kappa=1.0)
 
@@ -75,14 +74,12 @@ class TestLinearization:
 
 @pytest.fixture(scope="module")
 def super_profile():
-    data = boundary_data_for_strength(PARAMS, FAR_SUPER, 0.1)
-    return construct_layer(PARAMS, FAR_SUPER, data)
+    return construct_layer(PARAMS, FAR_SUPER, 0.1)
 
 
 @pytest.fixture(scope="module")
 def sub_profile():
-    data = boundary_data_for_strength(PARAMS, FAR_SUB, 0.05)
-    return construct_layer(PARAMS, FAR_SUB, data)
+    return construct_layer(PARAMS, FAR_SUB, 0.05)
 
 
 def degenerate_data():
@@ -93,7 +90,7 @@ def degenerate_data():
 
 @pytest.fixture(scope="module")
 def degenerate_profile():
-    return construct_layer(PARAMS, FAR_TRANS, degenerate_data())
+    return construct_layer(PARAMS, FAR_TRANS, 0.05, "degenerate")
 
 
 def counting(monkeypatch, name):
@@ -131,9 +128,9 @@ class TestSupersonicLayer:
         assert profile.case_tag == "supersonic"
         assert profile.delta == pytest.approx(0.1, rel=1e-12)
 
-    def test_boundary_data_on_slow_direction(self):
+    def test_boundary_data_on_slow_direction(self, profile):
         # slow eigenvector of [[-1.5,1],[1,-3]] for -1 is (2,1)/3 in 1-norm
-        u_m, th_m = boundary_data_for_strength(PARAMS, FAR_SUPER, 0.1)
+        u_m, th_m = profile.u[0], profile.theta[0]
         assert u_m == pytest.approx(-2.0 - 0.1 * 2.0 / 3.0, rel=1e-9)
         assert th_m == pytest.approx(1.0 - 0.1 / 3.0, rel=1e-9)
 
@@ -170,7 +167,11 @@ class TestSubsonicLayer:
     def test_manifold_datum_admits_a_layer(self, profile):
         assert profile.case_tag == "subsonic"
         assert profile.delta == pytest.approx(0.05, rel=1e-6)
-        assert profile.boundary_gap < 1e-8
+        # the walk stops at the requested strength: that sample is x = 0
+        assert profile.x[0] == 0.0
+        strength = (abs(profile.u[0] - FAR_SUB[1])
+                    + abs(profile.theta[0] - FAR_SUB[2]))
+        assert strength == pytest.approx(0.05, rel=1e-9)
 
     def test_tail_rate_is_the_stable_eigenvalue(self, profile):
         lam_s, _ = stable_direction(PARAMS, FAR_SUB)
@@ -178,33 +179,15 @@ class TestSubsonicLayer:
         assert fit["kind"] == "exponential"
         assert fit["rate"] == pytest.approx(lam_s, rel=0.05)
 
-    def test_off_manifold_datum_is_rejected(self, profile):
-        u_m = profile.u[0]
-        th_m = profile.theta[0] + 0.02      # leave the 1-D stable manifold
-        with pytest.raises(LayerError, match="no subsonic layer joins"):
-            construct_layer(PARAMS, FAR_SUB, (u_m, th_m))
-
-    def test_manifold_orbit_is_walked_once(self, monkeypatch):
-        # the probe walk samples the orbit; the accepted side is not re-walked
-        data = boundary_data_for_strength(PARAMS, FAR_SUB, 0.05)
-        walks = counting(monkeypatch, "solve_ivp")
-        prof = construct_layer(PARAMS, FAR_SUB, data)
-        assert len(walks) == 1
-        assert prof.x[0] == 0.0 and prof.x[-1] == prof.x_max
-        assert np.all(np.diff(prof.x) > 0.0)
-        assert (prof.u[0], prof.theta[0]) == pytest.approx(data, abs=1e-8)
-
-    def test_upper_branch_sits_on_the_other_side(self):
-        u_lo, _ = boundary_data_for_strength(PARAMS, FAR_SUB, 0.05)
-        u_hi, _ = boundary_data_for_strength(PARAMS, FAR_SUB, 0.05,
-                                             branch="upper")
-        assert (u_lo - FAR_SUB[1]) * (u_hi - FAR_SUB[1]) < 0
+    def test_upper_branch_sits_on_the_other_side(self, profile):
+        upper = construct_layer(PARAMS, FAR_SUB, 0.05, "upper")
+        assert upper.case_tag == "subsonic"
+        assert (profile.u[0] - FAR_SUB[1]) * (upper.u[0] - FAR_SUB[1]) < 0
 
 
 class TestTransonicLayers:
     def test_manifold_branch_decays_exponentially(self):
-        data = boundary_data_for_strength(PARAMS, FAR_TRANS, 0.05)
-        prof = construct_layer(PARAMS, FAR_TRANS, data)
+        prof = construct_layer(PARAMS, FAR_TRANS, 0.05)
         assert prof.case_tag == "transonic_manifold"
         fit = measure_decay(prof, "u")
         assert fit["kind"] == "exponential"
@@ -238,26 +221,18 @@ class TestTransonicLayers:
                                        0.0, atol=1e-12)
             assert center_manifold_coefficient(params, far) > 0.0, far
 
-    def test_degenerate_data_integrates_nothing(self, monkeypatch):
-        calls = counting(monkeypatch, "layer_ode_rhs")
-        data = boundary_data_for_strength(PARAMS, FAR_TRANS, 0.05,
-                                          branch="degenerate")
-        assert data == degenerate_data()
-        assert calls == []
-
     def test_degenerate_orbit_is_integrated_stiffly(self, monkeypatch):
         # the tail has eigenvalues 0 and -1.9 out to x = 2e4: an explicit
         # integrator needs ~80k right-hand sides there, a stiff one < 1k
         calls = counting(monkeypatch, "layer_ode_rhs")
-        prof = construct_layer(PARAMS, FAR_TRANS, degenerate_data())
+        prof = construct_layer(PARAMS, FAR_TRANS, 0.05, "degenerate")
         assert prof.case_tag == "transonic_degenerate"
         assert len(calls) <= 2000
 
     def test_find_m0_accepts_a_tail_falling_to_the_far_state(self):
         # a manifold layer approaches the far state with u rising and theta
         # falling; both deficits still shrink monotonically
-        data = boundary_data_for_strength(PARAMS, FAR_TRANS, 0.05)
-        prof = construct_layer(PARAMS, FAR_TRANS, data)
+        prof = construct_layer(PARAMS, FAR_TRANS, 0.05)
         du, dth = prof.slopes(PARAMS)
         assert (dth < -1e-12).any()
         x0 = find_M0(prof, PARAMS)
@@ -267,27 +242,52 @@ class TestTransonicLayers:
                       >= -1e-12)
 
 
+class TestOneWalkPerLayer:
+    CASES = {"supersonic": (FAR_SUPER, "lower"),
+             "subsonic": (FAR_SUB, "lower"),
+             "transonic_manifold": (FAR_TRANS, "lower"),
+             "transonic_degenerate": (FAR_TRANS, "degenerate")}
+
+    @pytest.mark.parametrize("tag", list(CASES))
+    def test_one_solve_ivp_call_per_layer(self, monkeypatch, tag):
+        # the walk that builds the layer also finds its boundary data
+        far, branch = self.CASES[tag]
+        walks = counting(monkeypatch, "solve_ivp")
+        prof = construct_layer(PARAMS, far, 0.05, branch)
+        assert len(walks) == 1 and prof.case_tag == tag
+        assert prof.x[0] == 0.0 and prof.x[-1] == prof.x_max
+        assert np.all(np.diff(prof.x) > 0.0)
+
+    def test_degenerate_data_sits_on_the_center_direction(
+            self, degenerate_profile):
+        prof = degenerate_profile
+        assert (prof.u[0], prof.theta[0]) == degenerate_data()
+
+
 class TestEdgesAndSerialization:
     def test_zero_strength_layer_is_exact(self):
-        prof = construct_layer(PARAMS, FAR_SUPER, (-2.0, 1.0))
+        prof = construct_layer(PARAMS, FAR_SUPER, 0.0)
         assert prof.delta == 0.0 and prof.x_max == 0.0
         rho, u, th = prof.eval(np.linspace(0, 5, 11))
         np.testing.assert_allclose(u, -2.0)
         np.testing.assert_allclose(th, 1.0)
         np.testing.assert_allclose(rho, 1.0)
 
-    def test_zero_strength_data_helper(self):
-        assert boundary_data_for_strength(PARAMS, FAR_SUPER, 0.0) == (-2.0, 1.0)
+    @pytest.mark.parametrize("far", [FAR_SUPER, FAR_SUB, FAR_TRANS],
+                             ids=["supersonic", "subsonic", "transonic"])
+    def test_zero_strength_walks_nothing(self, monkeypatch, far):
+        walks = counting(monkeypatch, "solve_ivp")
+        prof = construct_layer(PARAMS, far, 0.0)
+        assert (prof.u[0], prof.theta[0]) == far[1:] and walks == []
 
     @pytest.mark.parametrize("regime", ["supersonic", "subsonic",
                                         "transonic_degenerate"])
     def test_failed_integration_is_an_error(self, monkeypatch, regime):
         # a failed walk must not read as a missing layer ('nonexistent')
-        far, data = {
-            "supersonic": (FAR_SUPER, (-2.1, 0.95)),
-            "subsonic": (FAR_SUB,
-                         boundary_data_for_strength(PARAMS, FAR_SUB, 0.05)),
-            "transonic_degenerate": (FAR_TRANS, degenerate_data()),
+        far, branch = {
+            "supersonic": (FAR_SUPER, "lower"),
+            "subsonic": (FAR_SUB, "lower"),
+            "transonic_degenerate": (FAR_TRANS, "degenerate"),
         }[regime]
 
         def failing(fun, t_span, y0, events=(), **kwargs):
@@ -299,21 +299,20 @@ class TestEdgesAndSerialization:
 
         monkeypatch.setattr(layer_mod, "solve_ivp", failing)
         with pytest.raises(LayerError, match="Required step size"):
-            construct_layer(PARAMS, far, data)
+            construct_layer(PARAMS, far, 0.05, branch)
 
     def test_csv_is_crlf_text_with_a_header(self, tmp_path):
         path = tmp_path / "layer.csv"
-        export_csv(construct_layer(PARAMS, FAR_SUPER, (-2.0, 1.0)), path)
+        export_csv(construct_layer(PARAMS, FAR_SUPER, 0.0), path)
         assert path.read_bytes() == (b"x,u_tilde,theta_tilde,rho_tilde\r\n"
                                      b"0,-2,1,1\r\n")
 
     def test_far_state_validation(self):
         with pytest.raises(ValueError):
-            construct_layer(PARAMS, (0.0, -2.0, 1.0), (-2.1, 0.95))
+            construct_layer(PARAMS, (0.0, -2.0, 1.0), 0.1)
 
     def test_csv_round_trip(self, tmp_path):
-        data = boundary_data_for_strength(PARAMS, FAR_SUPER, 0.1)
-        prof = construct_layer(PARAMS, FAR_SUPER, data)
+        prof = construct_layer(PARAMS, FAR_SUPER, 0.1)
         path = tmp_path / "layer.csv"
         export_csv(prof, path)
         raw = np.genfromtxt(path, delimiter=",", names=True)

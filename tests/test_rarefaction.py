@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import cq_constant, exact_fan_profile
 from outflow1d.config import ScenarioConfig
 from outflow1d.gas import GasParams
-from outflow1d.layer import boundary_data_for_strength, construct_layer
+from outflow1d.layer import construct_layer
 from outflow1d.rarefaction import (DECAY_DX, DECAY_PAD, DECAY_TIMES,
                                    BurgersWave, CompositeProfile, R3Curve,
                                    burgers_eval, r3_connect,
@@ -303,8 +303,7 @@ class TestComposite:
 
     def build_parts(self):
         star = r3_connect(PARAMS, PLUS, 0.94)
-        data = boundary_data_for_strength(PARAMS, star, 0.05)
-        layer = construct_layer(PARAMS, star, data)
+        layer = construct_layer(PARAMS, star, 0.05)
         w_star = float(self.CURVE.w_of(star[1], star[2]))
         wave = BurgersWave(w_minus=w_star, delta_r=self.CURVE.w_plus - w_star)
         return star, layer, wave

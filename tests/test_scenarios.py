@@ -13,11 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from outflow1d import layer as layer_mod
 from outflow1d import scenarios
 from outflow1d.config import ScenarioConfig, load_config, parse_config_text
 from outflow1d.diagnostics import DIAG_COLUMNS, bump_profile
 from outflow1d.gas import (GasParams, classify_regime, dielectric_bound,
                            sound_speed)
+from outflow1d.layer import LayerError
 from outflow1d.rarefaction import r3_connect
 from outflow1d.scenarios import (PreparedRun, ScenarioError, prepare_scenario,
                                  run_batch, run_scenario)
@@ -206,7 +208,8 @@ class TestPrepareFanScenarios:
 
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def bits(state) -> np.ndarray:
@@ -246,6 +249,59 @@ class TestLayerDecay:
         assert summary["case_tag"] == tag
         assert summary["decay_u"]["rate_oracle"] < 0.0
         assert summary["verdict"] == "PASS"
+
+
+class TestOneWalkPerLayer:
+    """A layer is named by its strength and branch; the one orbit walk that
+    builds it also yields its boundary data, the x = 0 sample."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls, solve_ivp = [], layer_mod.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(layer_mod, "solve_ivp", counting)
+        return calls
+
+    def test_composite_layer_is_walked_once(self, walks):
+        prep = prepare_scenario(
+            load_config(CONFIGS / "superposition_stability.cfg"))
+        assert prep.background.layer.case_tag == "subsonic"
+        assert len(walks) == 1
+
+    def test_degenerate_layer_is_walked_once(self, walks, tmp_path):
+        cfg = load_config(ROOT / "bench" / "degenerate_layer.cfg")
+        summary = run_scenario(cfg, tmp_path)
+        assert summary["case_tag"] == "transonic_degenerate"
+        assert len(walks) == 1
+
+    def test_boundary_data_is_the_x0_sample_bitwise(self):
+        prep = prepare_scenario(
+            load_config(CONFIGS / "superposition_stability.cfg"))
+        layer = prep.background.layer
+        assert float(layer.u[0]).hex() == prep.end.u_minus.hex()
+        assert float(layer.theta[0]).hex() == prep.end.theta_minus.hex()
+
+
+class TestLayerBranch:
+    @pytest.mark.parametrize("scenario, u_plus, branch, regime", [
+        ("layer_decay", -0.15, "degenerate", "subsonic"),
+        ("layer_decay", -2.0, "upper", "supersonic"),
+        ("layer_decay", -2.0, "degenerate", "supersonic"),
+        ("superposition_stability", -0.15, "degenerate", "subsonic"),
+    ])
+    def test_branch_that_misfits_the_far_state_is_refused(
+            self, tmp_path, scenario, u_plus, branch, regime):
+        cfg = ScenarioConfig(scenario=scenario, u_plus=u_plus,
+                             layer_branch=branch, n_cells=64, length=60.0,
+                             t_final=1.0)
+        with pytest.raises(LayerError,
+                           match=f"a {regime} far state has no '{branch}'"):
+            run_scenario(cfg, tmp_path)
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")
@@ -423,6 +479,19 @@ class TestBatch:
         assert len(lines) == 3
         assert "PASS" in lines[1]
         assert "ERROR" in lines[2]
+
+    def test_configs_sharing_a_stem_are_refused_before_any_run(self,
+                                                                tmp_path):
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "x.cfg")
+            paths[-1].write_text(GOOD_BATCH)
+        out_root = tmp_path / "batch"
+        with pytest.raises(ValueError, match="same file name") as err:
+            run_batch(paths, out_root, workers=1)
+        assert all(str(p) in str(err.value) for p in paths)
+        assert not out_root.exists()
 
     def test_summary_cells_round_trip_through_csv_reader(self, tmp_path):
         path = tmp_path / 'a,"q".cfg'

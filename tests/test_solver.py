@@ -10,7 +10,7 @@ import outflow1d.solver as solver
 from oracles import read_snapshot_csv
 from outflow1d.config import ScenarioConfig
 from outflow1d.gas import EndStates, GasParams
-from outflow1d.layer import boundary_data_for_strength, construct_layer
+from outflow1d.layer import construct_layer
 from outflow1d.scenarios import prepare_scenario
 from outflow1d.solver import (FieldState, Grid1D, PositivityError,
                               SolverConfig, SolverError, _check_state,
@@ -153,10 +153,9 @@ def layer_setup():
     """Supersonic layer background with a field bump, eps below the bound."""
     params = GasParams(eps=0.002)
     far = (1.0, -2.0, 1.0)
-    data = boundary_data_for_strength(params, far, 0.1)
-    layer = construct_layer(params, far, data)
-    end = EndStates(u_minus=data[0], theta_minus=data[1], rho_plus=1.0,
-                    u_plus=-2.0, theta_plus=1.0)
+    layer = construct_layer(params, far, 0.1)
+    end = EndStates(u_minus=layer.u[0], theta_minus=layer.theta[0],
+                    rho_plus=1.0, u_plus=-2.0, theta_plus=1.0)
     grid = Grid1D(40.0, 200)
     rho, u, th = layer.eval(grid.x)
     state0 = FieldState(np.asarray(rho), np.asarray(u), np.asarray(th),

@@ -7,7 +7,8 @@ in this checkout's src/, each into OUT_DIR/<config stem>, and prints one
 `sha256  relative/path` line per artifact, sorted by path.  The wall-clock
 `runtime_s` line of verdict.txt is masked before hashing, so two checkouts
 that compute the same science print the same lines: diff the outputs of a
-parent and a change to see which artifacts moved.
+parent and a change to see which artifacts moved.  OUT_DIR must be new or
+empty, so that no artifact of an earlier run is hashed.
 """
 
 import hashlib
@@ -34,10 +35,11 @@ def digest(path: Path) -> str:
 
 
 def main(argv) -> int:
-    if len(argv) != 1:
-        print("usage: artifact_digest.py OUT_DIR", file=sys.stderr)
+    out = Path(argv[0]) if len(argv) == 1 else None
+    if out is None or out.is_file() or out.is_dir() and any(out.iterdir()):
+        print("usage: artifact_digest.py OUT_DIR  (a new or empty directory)",
+              file=sys.stderr)
         return 2
-    out = Path(argv[0])
     for config in CONFIGS:
         run_scenario(load_config(config), out / config.stem)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
