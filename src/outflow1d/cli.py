@@ -17,13 +17,13 @@ import sys
 
 from .config import ConfigError, echo_config, load_config
 from .gas import GasParams
-from .layer import LayerError, construct_layer
+from .layer import LayerError, construct_layer, export_csv as export_layer_csv
 from .rarefaction import BurgersWave, burgers_eval
 from .reduced import CASE_NOTES, format_case_table, reduce_case
 from .scenarios import ScenarioError, prepare_scenario, run_batch, \
     run_scenario
 from .solver import SolverError, write_snapshot_csv
-from .layer import export_csv as export_layer_csv
+from .table import write_table
 
 _RUN_ERRORS = (ScenarioError, SolverError, LayerError, ValueError)
 
@@ -101,10 +101,8 @@ def _cmd_profile(args) -> int:
             wave = BurgersWave(cfg.w_minus, cfg.fan_delta, cfg.alpha, cfg.q)
             x = np.arange(0.0, wave.w_plus * 1.0 + 40.0, 0.02)
             w, wx = burgers_eval(wave, x, 0.0)
-            with open(os.path.join(out, "speed_profile.csv"), "w") as fh:
-                fh.write("x,w,w_x\n")
-                for xi, wi, wxi in zip(x, w, wx):
-                    fh.write("%.17g,%.17g,%.17g\n" % (xi, wi, wxi))
+            write_table(os.path.join(out, "speed_profile.csv"), "x,w,w_x",
+                        (x, w, wx))
             print(f"wrote fan speed profile to {out}")
         else:                                   # layer_decay
             params = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)

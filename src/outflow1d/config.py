@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .diagnostics import PERTURBATION_SHAPES
+from .layer import LAYER_BRANCHES
 
 __all__ = ["ScenarioConfig", "ConfigError", "SCENARIOS",
            "load_config", "parse_config_text", "echo_config"]
@@ -25,8 +26,9 @@ SCENARIOS = (
     "layer_decay",
 )
 
-LAYER_BRANCHES = ("lower", "upper", "degenerate")
 TARGET_TOKENS = ("rho", "u", "theta", "em")
+POSITIVE = ("R", "mu", "kappa", "eps_fraction", "rho_plus", "theta_plus",
+            "fan_delta", "alpha", "t_final", "width", "center")
 
 
 class ConfigError(ValueError):
@@ -86,24 +88,15 @@ class ScenarioConfig:
                 if isinstance(value, float) and not math.isfinite(value)]
         if self.scenario not in SCENARIOS:
             errs.append(f"scenario must be one of {', '.join(SCENARIOS)}")
-        if self.R <= 0:
-            errs.append("R must be positive")
+        errs += [f"{key} must be positive" for key in POSITIVE
+                 if getattr(self, key) <= 0]
+        errs += [f"{key} must be positive (or auto)"
+                 for key, literal in _SENTINELS.items() if literal == "auto"
+                 and getattr(self, key) is not None and getattr(self, key) <= 0]
         if self.gamma <= 1:
             errs.append("gamma must exceed 1")
-        if self.mu <= 0:
-            errs.append("mu must be positive")
-        if self.kappa <= 0:
-            errs.append("kappa must be positive")
-        if self.eps is not None and self.eps <= 0:
-            errs.append("eps must be positive (or auto)")
-        if self.eps_fraction <= 0:
-            errs.append("eps_fraction must be positive")
-        if self.rho_plus <= 0:
-            errs.append("rho_plus must be positive")
         if self.u_plus >= 0:
             errs.append("u_plus must be negative (outflow problem)")
-        if self.theta_plus <= 0:
-            errs.append("theta_plus must be positive")
         if self.delta < 0:
             errs.append("delta must be nonnegative")
         if self.layer_branch not in LAYER_BRANCHES:
@@ -116,30 +109,14 @@ class ScenarioConfig:
             errs.append("theta_minus must lie in (0, theta_plus)")
         if self.w_minus < 0:
             errs.append("w_minus must be nonnegative (fan enters the domain)")
-        if self.fan_delta <= 0:
-            errs.append("fan_delta must be positive")
-        if self.alpha <= 0:
-            errs.append("alpha must be positive")
         if self.q < 1:
             errs.append("q must be at least 1")
         if self.n_cells < 16:
             errs.append("n_cells must be at least 16")
-        if self.length is not None and self.length <= 0:
-            errs.append("length must be positive (or auto)")
-        if self.t_final <= 0:
-            errs.append("t_final must be positive")
         if not 0 < self.cfl_factor <= 0.9:
             errs.append("cfl_factor must lie in (0, 0.9]")
-        if self.dt_max is not None and self.dt_max <= 0:
-            errs.append("dt_max must be positive (or auto)")
-        if self.record_dt is not None and self.record_dt <= 0:
-            errs.append("record_dt must be positive (or auto)")
         if self.amplitude < 0:
             errs.append("amplitude must be nonnegative")
-        if self.width <= 0:
-            errs.append("width must be positive")
-        if self.center <= 0:
-            errs.append("center must be positive")
         if self.seed is not None and self.seed < 0:
             errs.append("seed must be nonnegative (or none)")
         if self.shape not in PERTURBATION_SHAPES:

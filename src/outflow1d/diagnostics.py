@@ -22,6 +22,7 @@ import numpy as np
 
 from .gas import GasParams
 from .solver import FieldState, Grid1D
+from .table import write_table
 
 __all__ = [
     "DiagRecord",
@@ -228,8 +229,5 @@ DIAG_COLUMNS = tuple(f.name for f in fields(DiagRecord))
 
 def write_diag_csv(path, records) -> None:
     """CSV with one row per record; columns in DiagRecord field order."""
-    with open(path, "w") as fh:
-        fh.write(",".join(DIAG_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(",".join("%.17g" % getattr(rec, c)
-                              for c in DIAG_COLUMNS) + "\n")
+    write_table(path, ",".join(DIAG_COLUMNS),
+                [[getattr(rec, c) for rec in records] for c in DIAG_COLUMNS])

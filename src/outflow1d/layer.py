@@ -39,6 +39,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from .gas import GasParams, classify_regime
+from .table import write_table
 
 __all__ = [
     "LayerProfile", "LayerError",
@@ -49,6 +50,7 @@ __all__ = [
 
 CASE_TAGS = ("supersonic", "transonic_manifold", "transonic_degenerate",
              "subsonic")
+LAYER_BRANCHES = ("lower", "upper", "degenerate")
 
 
 class LayerError(RuntimeError):
@@ -127,19 +129,20 @@ class LayerProfile:
 def layer_ode_rhs(params: GasParams, far, u, theta):
     """Right side of the stationary profile ODE; far = (rho, u, theta)_+.
 
-    Singular on u = 0 (the equations divide by the velocity).
+    Floats (the orbit walk) and arrays give bitwise equal results: the
+    square is a product, as a float's ** 2 goes through libm pow.  Singular
+    on u = 0 (the equations divide by the velocity).
     """
     rho_f, u_f, th_f = far
-    u = np.asarray(u, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(np.abs(u) < 1e-12 * max(1.0, abs(u_f))):
+    if np.any(abs(u) < 1e-12 * max(1.0, abs(u_f))):
         raise LayerError("layer ODE is singular at u = 0")
     m = rho_f * u_f
     R, g = params.R, params.gamma
-    du = (m / params.mu) * ((u - u_f) + R * (theta / u - th_f / u_f))
-    dth = (m / params.kappa) * ((R * th_f / u_f) * (u - u_f)
+    d = u - u_f
+    du = (m / params.mu) * (d + R * (theta / u - th_f / u_f))
+    dth = (m / params.kappa) * ((R * th_f / u_f) * d
                                 + (R / (g - 1.0)) * (theta - th_f)
-                                - 0.5 * (u - u_f) ** 2)
+                                - 0.5 * (d * d))
     return du, dth
 
 
@@ -196,8 +199,8 @@ def _walk(params, far, y0, span, events=(), t_eval=None, backward=False):
     Raises LayerError when the integration fails."""
 
     def rhs(x, y):
-        dy = np.concatenate(layer_ode_rhs(params, far, y[:1], y[1:]))
-        return -dy if backward else dy
+        du, dth = layer_ode_rhs(params, far, *y.tolist())
+        return np.array((-du, -dth) if backward else (du, dth))
 
     sol = solve_ivp(rhs, (0.0, span), y0, method="LSODA", rtol=RTOL,
                     atol=ATOL, t_eval=t_eval,
@@ -302,12 +305,14 @@ def construct_layer(params: GasParams, far, delta: float,
     slow eigenvalue); the branch must be 'lower'.  subsonic and transonic
     'lower'/'upper': the stable manifold on the side of u_- below/above
     u_+.  transonic 'degenerate': the attracting (minus) side of the center
-    direction.  Raises LayerError when the branch does not fit the regime
-    or the orbit fails.
+    direction.  Raises ValueError for a branch outside LAYER_BRANCHES and
+    LayerError when the branch does not fit the regime or the orbit fails.
     """
     rho_f, u_f, th_f = far
     if rho_f <= 0 or th_f <= 0:
         raise ValueError("far state needs positive density and temperature")
+    if branch not in LAYER_BRANCHES:
+        raise ValueError(f"branch must be one of {', '.join(LAYER_BRANCHES)}")
     regime = classify_regime(params, u_f, th_f).regime
     if ((branch == "degenerate" and regime != "transonic")
             or (branch == "upper" and regime == "supersonic")):
@@ -402,7 +407,7 @@ def find_M0(profile: LayerProfile, params: GasParams) -> float:
 
 
 def export_csv(profile: LayerProfile, path) -> None:
-    """Write the samples: columns x, u_tilde, theta_tilde, rho_tilde."""
-    table = np.column_stack((profile.x, profile.u, profile.theta, profile.rho))
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", newline="\r\n",
-               header="x,u_tilde,theta_tilde,rho_tilde", comments="")
+    """Write the samples, CRLF-ended: x, u_tilde, theta_tilde, rho_tilde."""
+    write_table(path, "x,u_tilde,theta_tilde,rho_tilde",
+                (profile.x, profile.u, profile.theta, profile.rho),
+                newline="\r\n")

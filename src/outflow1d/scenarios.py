@@ -31,6 +31,7 @@ from .rarefaction import BurgersWave, CompositeProfile, R3Curve, \
     rarefaction_decay_check
 from .solver import FieldState, Grid1D, SolverConfig, apply_boundary, \
     default_domain_length, run, write_snapshot_csv
+from .table import write_table
 
 __all__ = ["ScenarioError", "PreparedRun", "prepare_scenario",
            "run_scenario", "run_batch"]
@@ -182,11 +183,25 @@ def _verdict_text(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# every path, relative to out_dir, that some scenario emits
+ARTIFACTS = ("config.echo", "verdict.txt", "diagnostics.csv",
+             "snapshot_initial.csv", "snapshot_final.csv", "decay_norms.csv",
+             "layer_profile.csv", "plots/MANIFEST.txt",
+             *(f"plots/{name}.dat" for name in (
+                 "sup_fluid", "sup_field", "rel_fluid", "rel_field", "energy",
+                 "profile_u_final", "slope_sup", "slope_l2", "layer_u",
+                 "layer_theta")))
+
+
 def _emit(cfg: ScenarioConfig, out_dir, summary: dict, files: dict,
           plots: dict) -> None:
     """Write config.echo, files (name -> writer(path)), verdict.txt and any
-    plots (name -> (description, xs, ys)) with their MANIFEST.txt."""
+    plots (name -> (description, xs, ys)) with their MANIFEST.txt, after
+    removing what an earlier run left of ARTIFACTS (and nothing else)."""
     os.makedirs(out_dir, exist_ok=True)
+    for name in ARTIFACTS:
+        if os.path.isfile(path := os.path.join(out_dir, name)):
+            os.remove(path)
     _write_text(os.path.join(out_dir, "config.echo"), echo_config(cfg))
     for name, write in files.items():
         write(os.path.join(out_dir, name))
@@ -197,8 +212,8 @@ def _emit(cfg: ScenarioConfig, out_dir, summary: dict, files: dict,
     os.makedirs(plot_dir, exist_ok=True)
     manifest = []
     for name, (description, xs, ys) in plots.items():
-        with open(os.path.join(plot_dir, name + ".dat"), "w") as fh:
-            fh.writelines("%.17g %.17g\n" % xy for xy in zip(xs, ys))
+        write_table(os.path.join(plot_dir, name + ".dat"), "", (xs, ys),
+                    sep=" ")
         manifest.append(f"{name}.dat: {description}")
     _write_text(os.path.join(plot_dir, "MANIFEST.txt"),
                 "\n".join(manifest) + "\n")
@@ -317,20 +332,16 @@ def _drive_burgers_decay(cfg: ScenarioConfig) -> tuple:
         "slope_l2": check_l2["fitted"], "expected_l2": check_l2["expected"],
     }
 
-    def write_norms(path):
-        with open(path, "w") as fh:
-            fh.write("t,sup_slope_norm,l2_slope_norm\n")
-            for t, vs, v2 in zip(check_sup["times"], check_sup["norms"],
-                                 check_l2["norms"]):
-                fh.write("%.17g,%.17g,%.17g\n" % (t, vs, v2))
-
     plots = {
         "slope_sup": ("t  sup norm of the fan velocity slope",
                       check_sup["times"], check_sup["norms"]),
         "slope_l2": ("t  L2 norm of the fan velocity slope",
                      check_l2["times"], check_l2["norms"]),
     }
-    return summary, {"decay_norms.csv": write_norms}, plots
+    files = {"decay_norms.csv": lambda path: write_table(
+        path, "t,sup_slope_norm,l2_slope_norm",
+        (check_sup["times"], check_sup["norms"], check_l2["norms"]))}
+    return summary, files, plots
 
 
 def _drive_layer_decay(cfg: ScenarioConfig) -> tuple:

@@ -40,6 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .gas import EndStates, GasParams, dielectric_bound
+from .table import write_table
 
 __all__ = [
     "Grid1D", "FieldState", "SolverConfig", "RunResult",
@@ -469,6 +470,5 @@ SNAPSHOT_HEADER = "t,x,rho,u,theta,E,b"
 
 def write_snapshot_csv(path, grid: Grid1D, t: float,
                        state: FieldState) -> None:
-    table = np.column_stack((np.full(grid.n_nodes, t), grid.x, state.data.T))
-    np.savetxt(path, table, fmt="%.17g", delimiter=",",
-               header=SNAPSHOT_HEADER, comments="")
+    write_table(path, SNAPSHOT_HEADER,
+                (np.full(grid.n_nodes, t), grid.x, *state.data))

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from outflow1d import config as config_mod
 from outflow1d import layer as layer_mod
 from outflow1d.gas import GasParams
 from outflow1d.layer import (LayerError, center_direction, construct_layer,
@@ -70,6 +71,47 @@ class TestLinearization:
     def test_rhs_vanishes_at_far_state(self):
         du, dth = layer_ode_rhs(PARAMS, FAR_SUPER, -2.0, 1.0)
         assert du == 0.0 and dth == 0.0
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestRhsOnFloats:
+    """The orbit walk calls layer_ode_rhs on floats; find_M0's slopes and
+    the tests call it on arrays.  Both must give the same bits."""
+
+    def test_square_is_a_product_at_the_pow_point(self):
+        # here a float's (u - u_+) ** 2, libm pow, is 1 ulp off numpy's
+        # square: 3.7659629068011817e-06 against 3.765962906801182e-06.  On
+        # the center direction the linear part of theta' cancels, so that
+        # ulp reaches theta' itself.
+        u = -1.0019406089010414
+        th = FAR_TRANS[2] + 0.4 * (u - FAR_TRANS[1])
+        floats = layer_ode_rhs(PARAMS, FAR_TRANS, u, th)
+        arrays = layer_ode_rhs(PARAMS, FAR_TRANS, np.array([u]),
+                               np.array([th]))
+        assert all(type(v) is float for v in floats)
+        np.testing.assert_array_equal(bits(floats), bits(np.ravel(arrays)))
+
+    @pytest.mark.parametrize("far", [FAR_SUPER, FAR_SUB, FAR_TRANS],
+                             ids=["supersonic", "subsonic", "transonic"])
+    def test_floats_match_arrays_bitwise(self, far):
+        rng = np.random.default_rng(14)
+        _, u_f, th_f = far
+        u = u_f * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, 10_000))
+        th = th_f * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, 10_000))
+        arrays = layer_ode_rhs(PARAMS, far, u, th)
+        floats = [layer_ode_rhs(PARAMS, far, a, b)
+                  for a, b in zip(u.tolist(), th.tolist())]
+        np.testing.assert_array_equal(bits(floats), bits(arrays).T)
+
+    def test_nan_passes_through_without_an_error(self):
+        du, dth = layer_ode_rhs(PARAMS, FAR_SUPER, math.nan, 1.0)
+        assert math.isnan(du) and math.isnan(dth)
+        with pytest.raises(LayerError):
+            layer_ode_rhs(PARAMS, FAR_SUPER, np.array([math.nan, 0.0]),
+                          np.ones(2))
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +352,15 @@ class TestEdgesAndSerialization:
     def test_far_state_validation(self):
         with pytest.raises(ValueError):
             construct_layer(PARAMS, (0.0, -2.0, 1.0), 0.1)
+
+    def test_unknown_branch_is_refused(self, monkeypatch):
+        # a typo must not silently build the lower layer
+        walks = counting(monkeypatch, "solve_ivp")
+        with pytest.raises(ValueError, match="branch must be one of lower, "
+                           "upper, degenerate"):
+            construct_layer(PARAMS, FAR_SUB, 0.05, "manifold")
+        assert walks == []
+        assert config_mod.LAYER_BRANCHES is layer_mod.LAYER_BRANCHES
 
     def test_csv_round_trip(self, tmp_path):
         prof = construct_layer(PARAMS, FAR_SUPER, 0.1)

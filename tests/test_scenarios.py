@@ -304,6 +304,31 @@ class TestLayerBranch:
         assert not any(tmp_path.iterdir())
 
 
+def files_in(out: Path) -> set:
+    return {p.relative_to(out).as_posix() for p in out.rglob("*")
+            if p.is_file()}
+
+
+class TestReusedOutputDirectory:
+    def test_an_earlier_runs_artifacts_are_removed(self, tmp_path):
+        # the layer run's profile and plots must not outlive it, while a
+        # file no scenario emits (the user's own) is left alone
+        (tmp_path / "plots").mkdir()
+        for name in ("notes.txt", "plots/mine.dat"):
+            (tmp_path / name).write_text("keep\n")
+        run_scenario(ScenarioConfig(scenario="layer_decay"), tmp_path)
+        layer_files = files_in(tmp_path) - {"notes.txt", "plots/mine.dat"}
+        assert "layer_profile.csv" in layer_files
+        run_scenario(load_config(CONFIGS / "burgers_decay.cfg"), tmp_path)
+        burgers_files = files_in(tmp_path) - {"notes.txt", "plots/mine.dat"}
+        assert burgers_files == {
+            "config.echo", "verdict.txt", "decay_norms.csv",
+            "plots/MANIFEST.txt", "plots/slope_sup.dat", "plots/slope_l2.dat"}
+        assert layer_files | burgers_files <= set(scenarios.ARTIFACTS)
+        for name in ("notes.txt", "plots/mine.dat"):
+            assert (tmp_path / name).read_text() == "keep\n"
+
+
 @pytest.fixture(scope="module")
 def layer_run(tmp_path_factory):
     cfg = layer_cfg()
@@ -345,6 +370,7 @@ class TestSolverScenarioRun:
             assert (plots / f"{name}.dat").is_file(), name
         manifest = (plots / "MANIFEST.txt").read_text()
         assert manifest.count(".dat:") == 6
+        assert files_in(out) <= set(scenarios.ARTIFACTS)
 
     def test_config_echo_reparses_to_same_config(self, layer_run):
         cfg, out, _ = layer_run
