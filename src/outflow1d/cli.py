@@ -98,7 +98,7 @@ def _cmd_profile(args) -> int:
             print(f"wrote analytic profiles to {out}")
         elif cfg.scenario == "burgers_decay":
             import numpy as np
-            wave = BurgersWave(cfg.w_minus, cfg.fan_delta, cfg.alpha, cfg.q)
+            wave = BurgersWave(cfg.w_minus, cfg.fan_delta, cfg.alpha)
             x = np.arange(0.0, wave.w_plus * 1.0 + 40.0, 0.02)
             w, wx = burgers_eval(wave, x, 0.0)
             write_table(os.path.join(out, "speed_profile.csv"), "x,w,w_x",

@@ -3,8 +3,9 @@
 A config file is plain text: one `key = value` per line, `#` starts a
 comment, keys are known in advance, and every violated constraint is
 reported (with the offending line number for parse problems) rather than
-just the first one.  Optional quantities accept the literal `auto`
-(step/record sizes, domain length, dielectric constant) or `none` (seed).
+just the first one.  Two optional quantities take a literal that leaves
+them unset: `length = auto` (sized from the fastest signal) and
+`seed = none`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .diagnostics import PERTURBATION_SHAPES
 from .layer import LAYER_BRANCHES
 
 __all__ = ["ScenarioConfig", "ConfigError", "SCENARIOS",
@@ -49,32 +49,25 @@ class ScenarioConfig:
     gamma: float = 5.0 / 3.0
     mu: float = 1.0
     kappa: float = 1.0
-    eps: float | None = None          # None: eps_fraction * dielectric bound
-    eps_fraction: float = 0.5
+    eps_fraction: float = 0.5         # eps as a fraction of the bound c_bar
     # far state and wave strengths
     rho_plus: float = 1.0
     u_plus: float = -0.15
     theta_plus: float = 1.0
     delta: float = 0.05               # layer strength |du| + |dtheta|
     layer_branch: str = "lower"
-    theta_star: float = 0.94          # intermediate temperature (composite)
-    theta_minus: float = 0.9          # fan left temperature (pure fan)
+    theta_star: float = 0.94          # the fan's left (star) temperature
     w_minus: float = 0.5              # analytic fan-speed study only
     fan_delta: float = 3.0            # speed jump of the analytic study
     alpha: float = 0.1                # fan smoothing scale
-    q: float = 1.0                    # fan smoothing exponent
     # grid and march
     n_cells: int = 2000
     length: float | None = None       # None: sized from the fastest signal
     t_final: float = 200.0
-    cfl_factor: float = 0.9
-    dt_max: float | None = None
-    record_dt: float | None = None    # None: t_final / 50
     # perturbation
     amplitude: float = 1e-2
     center: float = 5.0
     width: float = 2.0
-    shape: str = "cosine"
     targets: str = "u,theta,em"
     seed: int | None = None
 
@@ -90,9 +83,8 @@ class ScenarioConfig:
             errs.append(f"scenario must be one of {', '.join(SCENARIOS)}")
         errs += [f"{key} must be positive" for key in POSITIVE
                  if getattr(self, key) <= 0]
-        errs += [f"{key} must be positive (or auto)"
-                 for key, literal in _SENTINELS.items() if literal == "auto"
-                 and getattr(self, key) is not None and getattr(self, key) <= 0]
+        if self.length is not None and self.length <= 0:
+            errs.append("length must be positive (or auto)")
         if self.gamma <= 1:
             errs.append("gamma must exceed 1")
         if self.u_plus >= 0:
@@ -101,26 +93,18 @@ class ScenarioConfig:
             errs.append("delta must be nonnegative")
         if self.layer_branch not in LAYER_BRANCHES:
             errs.append(f"layer_branch must be one of {', '.join(LAYER_BRANCHES)}")
-        if self.scenario == "superposition_stability" and not (
+        if self.scenario in ("rarefaction_stability",
+                             "superposition_stability") and not (
                 0 < self.theta_star < self.theta_plus):
             errs.append("theta_star must lie in (0, theta_plus)")
-        if self.scenario == "rarefaction_stability" and not (
-                0 < self.theta_minus < self.theta_plus):
-            errs.append("theta_minus must lie in (0, theta_plus)")
         if self.w_minus < 0:
             errs.append("w_minus must be nonnegative (fan enters the domain)")
-        if self.q < 1:
-            errs.append("q must be at least 1")
         if self.n_cells < 16:
             errs.append("n_cells must be at least 16")
-        if not 0 < self.cfl_factor <= 0.9:
-            errs.append("cfl_factor must lie in (0, 0.9]")
         if self.amplitude < 0:
             errs.append("amplitude must be nonnegative")
         if self.seed is not None and self.seed < 0:
             errs.append("seed must be nonnegative (or none)")
-        if self.shape not in PERTURBATION_SHAPES:
-            errs.append("shape must be one of " + ", ".join(PERTURBATION_SHAPES))
         toks = self.target_list()
         if not toks or any(t not in TARGET_TOKENS for t in toks):
             errs.append("targets must be a comma list drawn from "
@@ -137,8 +121,7 @@ SCENARIO_DEFAULTS = {
 
 _FIELDS = {f.name: f for f in fields(ScenarioConfig)}
 # optional keys and the literal that leaves them unset
-_SENTINELS = {"eps": "auto", "length": "auto", "dt_max": "auto",
-              "record_dt": "auto", "seed": "none"}
+_SENTINELS = {"length": "auto", "seed": "none"}
 _INT_FIELDS = ("n_cells", "seed")
 
 

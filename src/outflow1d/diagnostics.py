@@ -32,26 +32,19 @@ __all__ = [
     "record_from_state", "write_diag_csv",
 ]
 
-PERTURBATION_SHAPES = ("cosine", "gaussian")
 DECAY_RATIO = 0.5        # fit_convergence: last/first quartile mean to PASS
 
 
-def bump_profile(x, amplitude: float, center: float, width: float,
-                 shape: str = "cosine") -> np.ndarray:
-    """Localized bump: amplitude * cos^2(pi (x-c)/w) on |x - c| <= w/2, or a
-    Gaussian of deviation w/4 when shape = "gaussian"."""
+def bump_profile(x, amplitude: float, center: float,
+                 width: float) -> np.ndarray:
+    """Localized bump: amplitude * cos^2(pi (x-c)/w) on |x - c| <= w/2."""
     if width <= 0:
         raise ValueError("width must be positive")
-    if shape not in PERTURBATION_SHAPES:
-        raise ValueError(f"shape must be one of {PERTURBATION_SHAPES}")
     x = np.asarray(x, dtype=float)
-    if shape == "cosine":
-        arg = np.pi * (x - center) / width
-        out = amplitude * np.cos(arg) ** 2
-        out[np.abs(x - center) > width / 2.0] = 0.0
-        return out
-    sigma = width / 4.0
-    return amplitude * np.exp(-0.5 * ((x - center) / sigma) ** 2)
+    arg = np.pi * (x - center) / width
+    out = amplitude * np.cos(arg) ** 2
+    out[np.abs(x - center) > width / 2.0] = 0.0
+    return out
 
 
 # --------------------------------------------------------------------------

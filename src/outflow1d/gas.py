@@ -106,18 +106,13 @@ class DielectricBound:
 
     c_bar = 1/(64*beta1*beta3) with beta1 = max(|u-|,|u+|),
     beta2 = max(theta-, theta+), beta3 = beta1 + sqrt(R*gamma*beta2).
-    Static boundary data (beta1 = 0) puts no constraint on eps: the bound
-    is reported as unbounded (c_bar = inf).
+    EndStates requires u- < 0, so beta1 > 0 and c_bar is finite.
     """
 
     c_bar: float
     beta1: float
     beta2: float
     beta3: float
-
-    @property
-    def unbounded(self) -> bool:
-        return math.isinf(self.c_bar)
 
 
 def pressure(params: GasParams, rho, theta):
@@ -156,6 +151,4 @@ def dielectric_bound(params: GasParams, end: EndStates) -> DielectricBound:
     beta1 = max(abs(end.u_minus), abs(end.u_plus))
     beta2 = max(end.theta_minus, end.theta_plus)
     beta3 = beta1 + math.sqrt(params.R * params.gamma * beta2)
-    if beta1 == 0.0:
-        return DielectricBound(math.inf, beta1, beta2, beta3)
     return DielectricBound(1.0 / (64.0 * beta1 * beta3), beta1, beta2, beta3)

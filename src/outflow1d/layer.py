@@ -185,9 +185,9 @@ def _deficit(y, far):
     return abs(y[0] - far[1]) + abs(y[1] - far[2])
 
 
-def _event(fn, terminal=True, direction=0):
-    """Tag fn as a solve_ivp event."""
-    fn.terminal, fn.direction = terminal, direction
+def _event(fn, direction=0):
+    """Tag fn as a terminal solve_ivp event."""
+    fn.terminal, fn.direction = True, direction
     return fn
 
 
@@ -234,26 +234,29 @@ def _forward_layer(params, far, data, tag: str, alg: bool) -> LayerProfile:
                        / rate_min if delta > FP_TOL * scale else 1.0) + 10.0
         xs = np.arange(0.0, x_end, SAMPLE_H)
 
-    ev_conv = _event(lambda x, y: _deficit(y, far) - FP_TOL * scale,
-                     terminal=not alg, direction=-1)
-    ev_run = _event(lambda x, y: _deficit(y, far) - runaway)
-    sol = _walk(params, far, np.array(data, dtype=float), x_end,
-                (ev_conv, ev_run), t_eval=xs)
+    # runaway ends every walk; entering the fixed-point ball ends an
+    # exponential one only (an algebraic tail is sampled to x_end)
+    events = (_event(lambda x, y: _deficit(y, far) - runaway),)
+    if not alg:
+        events += (_event(lambda x, y: _deficit(y, far) - FP_TOL * scale,
+                          direction=-1),)
+    sol = _walk(params, far, np.array(data, dtype=float), x_end, events,
+                t_eval=xs)
     x, u, th = sol.t, sol.y[0], sol.y[1]
-    converged = sol.t_events[0].size > 0
+    converged = not alg and sol.t_events[1].size > 0
     miss = _deficit((u[-1], th[-1]), far)
-    # runaway, u = 0, an algebraic orbit that fails to contract, or an
-    # exponential one that never enters the fixed-point ball
-    if (sol.t_events[1].size or sol.t_events[2].size
+    # runaway, u = 0 (the last event), an algebraic orbit that fails to
+    # contract, or an exponential one that never enters the fixed-point ball
+    if (sol.t_events[0].size or sol.t_events[-1].size
             or (miss > 0.5 * delta if alg
                 else not converged and miss > 10.0 * FP_TOL * scale)):
         raise LayerError(
             f"the {tag} orbit from (u_-, theta_-) = ({data[0]:g}, "
             f"{data[1]:g}) misses the far state (rho_+, u_+, theta_+) = "
             f"({rho_f:g}, {u_f:g}, {th_f:g})")
-    if not alg and converged:             # append the stopping point
-        xe = sol.t_events[0][0]
-        ye = sol.y_events[0][0]
+    if converged:                         # append the stopping point
+        xe = sol.t_events[1][0]
+        ye = sol.y_events[1][0]
         if xe > x[-1] + 1e-12:
             x = np.append(x, xe)
             u = np.append(u, ye[0])
@@ -379,10 +382,7 @@ def measure_decay(profile: LayerProfile, component: str = "u") -> dict:
         "rate": float(ce[0]),
         "exponent": float(ca[0]),
         "residual": rms_e if kind == "exponential" else rms_a,
-        "residual_exponential": rms_e,
-        "residual_algebraic": rms_a,
         "decades": float((reg.max() - reg.min()) / math.log(10.0)),
-        "window": (float(x.min()), float(x.max())),
     }
 
 

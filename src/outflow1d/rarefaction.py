@@ -12,9 +12,9 @@ and w itself solves the inviscid Burgers equation.  The smooth profile uses
 the regularized data
 
     w0(x0) = w_-                               for x0 <= 0
-           = w_- + delta_r * P(q+1, alpha*x0)  for x0 > 0
+           = w_- + delta_r * P(2, alpha*x0)    for x0 > 0
 
-(P = regularized lower incomplete gamma, i.e. C_q * int_0^{alpha x} y^q e^-y)
+(P = regularized lower incomplete gamma: P(2, z) = int_0^z y e^-y dy)
 solved along characteristics at time tau = 1 + t, so the t=0 profile is
 already one time unit into the expansion and the left edge of the fan sits
 at x = w_-(1+t) exactly.
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
 from .gas import GasParams, sound_speed
@@ -108,15 +107,12 @@ class BurgersWave:
     w_minus: float
     delta_r: float
     alpha: float = 0.1
-    q: float = 1.0
 
     def __post_init__(self) -> None:
         if self.delta_r < 0:
             raise ValueError("delta_r must be nonnegative")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.q < 1:
-            raise ValueError("smoothing exponent q must be >= 1")
 
     @property
     def w_plus(self) -> float:
@@ -125,12 +121,12 @@ class BurgersWave:
     def w0(self, x0):
         x0 = np.asarray(x0, dtype=float)
         z = self.alpha * np.maximum(x0, 0.0)
-        return self.w_minus + self.delta_r * gammainc(self.q + 1.0, z)
+        return self.w_minus + self.delta_r * gammainc(2.0, z)
 
     def w0_prime(self, x0):
         x0 = np.asarray(x0, dtype=float)
         z = self.alpha * np.maximum(x0, 0.0)
-        out = self.delta_r * self.alpha * z ** self.q * np.exp(-z) / gamma_fn(self.q + 1.0)
+        out = self.delta_r * self.alpha * z * np.exp(-z)
         return np.where(x0 > 0.0, out, 0.0)
 
     def eval(self, x, tau):

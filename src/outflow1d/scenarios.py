@@ -56,16 +56,6 @@ class PreparedRun:
     perturbation: dict                # bump centre and signs per target
 
 
-def _resolve_eps(cfg: ScenarioConfig, params0: GasParams,
-                 end: EndStates) -> float:
-    if cfg.eps is not None:
-        return cfg.eps
-    bound = dielectric_bound(params0, end)
-    if bound.unbounded:
-        raise ScenarioError("dielectric bound is unbounded; set eps explicitly")
-    return cfg.eps_fraction * bound.c_bar
-
-
 def _apply_perturbation(cfg: ScenarioConfig, grid: Grid1D, state: FieldState,
                         params: GasParams) -> dict:
     """Add the configured bumps; return their centre and signs."""
@@ -78,7 +68,7 @@ def _apply_perturbation(cfg: ScenarioConfig, grid: Grid1D, state: FieldState,
         for name in ("rho", "u", "theta", "em"):   # fixed draw order
             signs[name] = float(rng.choice((-1.0, 1.0)))
 
-    profile = bump_profile(grid.x, cfg.amplitude, center, cfg.width, cfg.shape)
+    profile = bump_profile(grid.x, cfg.amplitude, center, cfg.width)
     for name in targets:
         if name == "em":
             # equal-speed pair: a packet on the outgoing characteristic only
@@ -97,31 +87,32 @@ def _state_from_background(grid: Grid1D, background) -> FieldState:
 
 
 def _build(cfg: ScenarioConfig, with_layer: bool,
-           theta_fan: float | None) -> PreparedRun:
+           with_fan: bool) -> PreparedRun:
     """The composite wave: a boundary layer (if with_layer) from the boundary
-    to the star state, then a 3-rarefaction fan (if theta_fan is given) from
-    the star state at temperature theta_fan to the far state.  Without a fan
-    the star state is the far state; without a layer it is the boundary
-    data.  The fan depends on R and gamma only, so it is built before eps."""
+    to the star state, then a 3-rarefaction fan (if with_fan) from the star
+    state at temperature theta_star to the far state.  Without a fan the
+    star state is the far state; without a layer it is the boundary data.
+    The fan depends on R and gamma only, so it is built before eps."""
     params0 = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
     plus = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
     star, curve, wave = plus, None, None
-    if theta_fan is not None:
+    if with_fan:
         curve = R3Curve(params0, *plus)
-        star = curve.state_at_theta(theta_fan)
+        star = curve.state_at_theta(cfg.theta_star)
         w_star = star[1] + float(sound_speed(params0, star[2]))
         if w_star < 0:
             raise ScenarioError(
-                f"fan edge speed is negative at theta = {theta_fan:g}; the "
-                "expansion would leave through the boundary")
-        wave = BurgersWave(w_star, curve.w_plus - w_star, cfg.alpha, cfg.q)
+                f"fan edge speed is negative at theta = {cfg.theta_star:g}; "
+                "the expansion would leave through the boundary")
+        wave = BurgersWave(w_star, curve.w_plus - w_star, cfg.alpha)
     layer = (construct_layer(params0, star, cfg.delta, cfg.layer_branch)
              if with_layer else None)
     data = (layer.u[0], layer.theta[0]) if with_layer else star[1:]
     end = EndStates(u_minus=float(data[0]), theta_minus=float(data[1]),
                     rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
                     theta_plus=cfg.theta_plus)
-    params = replace(params0, eps=_resolve_eps(cfg, params0, end))
+    params = replace(params0, eps=cfg.eps_fraction
+                     * dielectric_bound(params0, end).c_bar)
     background = CompositeProfile(star, layer, curve, wave)
 
     length = cfg.length
@@ -131,19 +122,17 @@ def _build(cfg: ScenarioConfig, with_layer: bool,
     state0 = _state_from_background(grid, background)
     perturbation = _apply_perturbation(cfg, grid, state0, params)
     apply_boundary(params, end, state0)     # the values run enforces first
-    record_dt = cfg.record_dt if cfg.record_dt is not None else cfg.t_final / 50.0
     return PreparedRun(params=params, end=end, grid=grid,
                        background=background, state0=state0,
-                       solver_config=SolverConfig(
-                           cfl_factor=cfg.cfl_factor, dt_max=cfg.dt_max),
-                       record_dt=record_dt, perturbation=perturbation)
+                       solver_config=SolverConfig(),
+                       record_dt=cfg.t_final / 50.0, perturbation=perturbation)
 
 
-# solver scenario -> (has a boundary layer, config key of the fan's star theta)
+# solver scenario -> (has a boundary layer, has a fan)
 _BUILDERS = {
-    "layer_stability": (True, None),
-    "rarefaction_stability": (False, "theta_minus"),
-    "superposition_stability": (True, "theta_star"),
+    "layer_stability": (True, False),
+    "rarefaction_stability": (False, True),
+    "superposition_stability": (True, True),
 }
 
 
@@ -151,9 +140,7 @@ def prepare_scenario(cfg: ScenarioConfig) -> PreparedRun:
     """Build the marching problem for a solver-backed scenario."""
     if cfg.scenario not in _BUILDERS:
         raise ScenarioError(f"scenario {cfg.scenario!r} is not solver-backed")
-    with_layer, fan_key = _BUILDERS[cfg.scenario]
-    return _build(cfg, with_layer,
-                  None if fan_key is None else getattr(cfg, fan_key))
+    return _build(cfg, *_BUILDERS[cfg.scenario])
 
 
 # --------------------------------------------------------------------------
@@ -322,7 +309,7 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
 
 def _drive_burgers_decay(cfg: ScenarioConfig) -> tuple:
     params = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
-    wave = BurgersWave(cfg.w_minus, cfg.fan_delta, cfg.alpha, cfg.q)
+    wave = BurgersWave(cfg.w_minus, cfg.fan_delta, cfg.alpha)
     check_sup = rarefaction_decay_check(params, wave, math.inf)
     check_l2 = rarefaction_decay_check(params, wave, 2.0)
     verdict = "PASS" if (check_sup["passed"] and check_l2["passed"]) else "FAIL"
@@ -435,6 +422,7 @@ def run_batch(config_paths, out_root, workers: int = 2,
     jobs = [(path, os.path.join(out_root, stem), seed)
             for path, stem in zip(config_paths, stems)]
 
+    workers = min(workers, len(jobs))     # the pool forks them all at once
     if workers <= 1:
         rows = [_batch_worker(job) for job in jobs]
     else:

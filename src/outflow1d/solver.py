@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 DT_FLOOR = 1e-14          # below this the march has stagnated
+CFL = 0.9                 # safety factor on the stable step
 
 
 class SolverError(RuntimeError):
@@ -144,14 +145,12 @@ class SolverConfig:
 
     The stiff eps E_t = -E relaxation is always applied exactly, as
     half-interval decay factors around each step; it never limits dt.
+    dt_max, if given, caps every step.
     """
 
-    cfl_factor: float = 0.9
     dt_max: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.cfl_factor <= 0.9:
-            raise ValueError("cfl_factor must lie in (0, 0.9]")
         if self.dt_max is not None and not self.dt_max > 0:
             raise ValueError("dt_max must be positive")
 
@@ -284,7 +283,7 @@ def apply_boundary(params: GasParams, end: EndStates,
 
 def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
            state: FieldState, config: SolverConfig) -> float:
-    """Stable step: cfl * min(advective, diffusive), capped at dt_max.
+    """Stable step: CFL * min(advective, diffusive), capped at dt_max.
 
     The diffusivities mu/rho and kappa (gamma-1)/(R rho) peak where rho is
     least; rounded division is monotone, so taking them at min(rho) gives
@@ -297,8 +296,7 @@ def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
     rho_min = float(state.rho.min())
     diffusivity = max(p.mu / rho_min,
                       p.kappa * (p.gamma - 1.0) / (p.R * rho_min))
-    dt = config.cfl_factor * min(grid.dx / s_max,
-                                 grid.dx * grid.dx / (2.0 * diffusivity))
+    dt = CFL * min(grid.dx / s_max, grid.dx * grid.dx / (2.0 * diffusivity))
     if config.dt_max is not None:
         dt = min(dt, config.dt_max)
     return dt
@@ -384,7 +382,7 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     result = RunResult(state=state0.copy(), t_final=0.0, steps=0)
 
     bound = dielectric_bound(params, end)
-    if not bound.unbounded and params.eps >= bound.c_bar:
+    if params.eps >= bound.c_bar:
         msg = (f"eps = {params.eps:g} is not below the dielectric bound "
                f"{bound.c_bar:g}; the stability theory does not cover this run")
         result.warnings.append(msg)

@@ -123,18 +123,10 @@ class TestBumps:
         assert np.all(f[np.abs(x - 5.0) > 1.0] == 0.0)
         assert np.all(f >= 0.0)
 
-    def test_gaussian_bump(self):
-        x = np.linspace(0.0, 10.0, 1001)
-        f = bump_profile(x, 0.5, 5.0, 2.0, "gaussian")
-        assert f.max() == pytest.approx(0.5, abs=1e-12)
-        assert np.all(f > 0.0)
-
     def test_perturbation_validation(self):
         x = np.linspace(0.0, 10.0, 11)
         with pytest.raises(ValueError, match="width"):
             bump_profile(x, 0.5, 5.0, 0.0)
-        with pytest.raises(ValueError, match="shape"):
-            bump_profile(x, 0.5, 5.0, 2.0, "square")
 
 
 class TestInequalities:

@@ -94,13 +94,13 @@ class TestNormalization:
 
 
 class TestBurgersWave:
-    WAVE = BurgersWave(w_minus=0.5, delta_r=3.0, alpha=0.1, q=1.0)
+    WAVE = BurgersWave(w_minus=0.5, delta_r=3.0, alpha=0.1)
 
     @pytest.mark.parametrize("kw", [
-        {"delta_r": -0.1}, {"alpha": 0.0}, {"q": 0.5},
+        {"delta_r": -0.1}, {"alpha": 0.0},
     ])
     def test_validation(self, kw):
-        base = dict(w_minus=0.5, delta_r=3.0, alpha=0.1, q=1.0)
+        base = dict(w_minus=0.5, delta_r=3.0, alpha=0.1)
         base.update(kw)
         with pytest.raises(ValueError):
             BurgersWave(**base)
@@ -159,7 +159,7 @@ class TestBurgersWave:
 
 # tuned data reaching the asymptotic regime inside t in [1, 100]: the
 # steepest fan the suite evaluates
-STEEP_WAVE = BurgersWave(w_minus=0.5, delta_r=3.0, alpha=math.e, q=1.0)
+STEEP_WAVE = BurgersWave(w_minus=0.5, delta_r=3.0, alpha=math.e)
 
 
 def bisection_eval(wave, x, tau):

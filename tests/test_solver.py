@@ -88,9 +88,7 @@ class TestConstruction:
             FieldState.of(np.ones((4, 17)))
 
     @pytest.mark.parametrize("kw", [
-        {"cfl_factor": 0.0}, {"cfl_factor": 0.95}, {"dt_max": -1.0},
-        {"cfl_factor": float("nan")}, {"dt_max": 0.0},
-        {"dt_max": float("nan")},
+        {"dt_max": -1.0}, {"dt_max": 0.0}, {"dt_max": float("nan")},
     ])
     def test_config_validation(self, kw):
         with pytest.raises(ValueError):
@@ -346,10 +344,10 @@ class TestStepControls:
         params = GasParams(eps=1e-4)
         end = uniform_end()
         grid = Grid1D(40.0, 64)
-        config = SolverConfig()
-        dt = cfl_dt(params, end, grid, constant_state(grid, end), config)
-        assert dt == pytest.approx(
-            config.cfl_factor * grid.dx * params.sqrt_eps, rel=1e-15)
+        dt = cfl_dt(params, end, grid, constant_state(grid, end),
+                    SolverConfig())
+        assert dt == pytest.approx(0.9 * grid.dx * params.sqrt_eps,
+                                   rel=1e-15)
 
 
 def interior_fluid_sups(cfg, sizes):
@@ -493,8 +491,7 @@ def reference_cfl_dt(params, grid, state, config):
     diffusivity = max(float(np.max(p.mu / state.rho)),
                       float(np.max(p.kappa * (p.gamma - 1.0)
                                    / (p.R * state.rho))))
-    dt = config.cfl_factor * min(grid.dx / s_max,
-                                 grid.dx * grid.dx / (2.0 * diffusivity))
+    dt = 0.9 * min(grid.dx / s_max, grid.dx * grid.dx / (2.0 * diffusivity))
     if config.dt_max is not None:
         dt = min(dt, config.dt_max)
     return dt
