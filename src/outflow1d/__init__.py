@@ -7,8 +7,7 @@ from .gas import (DielectricBound, EndStates, GasParams, SonicRegime,
 from .layer import (LayerError, LayerProfile, construct_layer, find_M0,
                     layer_jacobian, layer_ode_rhs, measure_decay)
 from .rarefaction import (BurgersWave, CompositeProfile, R3Curve, burgers_eval,
-                          r3_connect, rarefaction_decay_check,
-                          rarefaction_profile)
+                          rarefaction_decay_check, rarefaction_profile)
 from .solver import (FieldState, Grid1D, PositivityError, RunResult,
                      SolverConfig, SolverError, apply_boundary, cfl_dt,
                      default_domain_length, run, spatial_rhs, step,
@@ -17,11 +16,10 @@ from .diagnostics import (DiagRecord, bump_profile, compound_dissipation,
                           energy_density, fit_convergence, h1_norm, l2_norm,
                           perturbation_energy, phi_gap, record_from_state,
                           sup_norm, write_diag_csv)
-from .reduced import ReducedModelCase, format_case_table, reduce_case
 from .config import (ConfigError, SCENARIOS, ScenarioConfig, echo_config,
                      load_config, parse_config_text)
 from .scenarios import (PreparedRun, ScenarioError, prepare_scenario,
-                        run_batch, run_scenario)
+                        profile_scenario, run_batch, run_scenario)
 
 __version__ = "0.1.0"
 

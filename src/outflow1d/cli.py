@@ -4,7 +4,6 @@
     outflow1d profile --config FILE [--out D]  build analytic profiles only
     outflow1d run     --config FILE [--out D] [--seed N]
     outflow1d batch   --config F1 F2 ... [--out D] [--workers N] [--seed N]
-    outflow1d reduce  [--case N]               reduction table / one case
 
 Exit codes: 0 success (verdict PASS), 1 failed run or FAIL/INCONCLUSIVE
 verdict, 2 configuration or usage errors.
@@ -16,14 +15,10 @@ import argparse
 import sys
 
 from .config import ConfigError, echo_config, load_config
-from .gas import GasParams
-from .layer import LayerError, construct_layer, export_csv as export_layer_csv
-from .rarefaction import BurgersWave, burgers_eval
-from .reduced import CASE_NOTES, format_case_table, reduce_case
-from .scenarios import ScenarioError, prepare_scenario, run_batch, \
+from .layer import LayerError
+from .scenarios import ScenarioError, profile_scenario, run_batch, \
     run_scenario
-from .solver import SolverError, write_snapshot_csv
-from .table import write_table
+from .solver import SolverError
 
 _RUN_ERRORS = (ScenarioError, SolverError, LayerError, ValueError)
 
@@ -56,10 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--out", default="batch_out")
     p_batch.add_argument("--workers", type=int, default=2)
     p_batch.add_argument("--seed", type=int, default=None)
-
-    p_reduce = sub.add_parser("reduce", help="show the transverse-alignment "
-                                             "reduction table")
-    p_reduce.add_argument("--case", type=int, default=None)
     return parser
 
 
@@ -77,42 +68,18 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    import os
-
     try:
         cfg = load_config(args.config)
     except (ConfigError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
     out = args.out or f"{cfg.scenario}_profile"
-    os.makedirs(out, exist_ok=True)
     try:
-        if cfg.scenario in ("layer_stability", "rarefaction_stability",
-                            "superposition_stability"):
-            prep = prepare_scenario(cfg)
-            write_snapshot_csv(os.path.join(out, "initial.csv"), prep.grid,
-                               0.0, prep.state0)
-            layer = prep.background.layer
-            if layer is not None:
-                export_layer_csv(layer, os.path.join(out, "layer_profile.csv"))
-            print(f"wrote analytic profiles to {out}")
-        elif cfg.scenario == "burgers_decay":
-            import numpy as np
-            wave = BurgersWave(cfg.w_minus, cfg.fan_delta, cfg.alpha)
-            x = np.arange(0.0, wave.w_plus * 1.0 + 40.0, 0.02)
-            w, wx = burgers_eval(wave, x, 0.0)
-            write_table(os.path.join(out, "speed_profile.csv"), "x,w,w_x",
-                        (x, w, wx))
-            print(f"wrote fan speed profile to {out}")
-        else:                                   # layer_decay
-            params = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
-            far = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
-            layer = construct_layer(params, far, cfg.delta, cfg.layer_branch)
-            export_layer_csv(layer, os.path.join(out, "layer_profile.csv"))
-            print(f"wrote layer profile to {out}")
+        profile_scenario(cfg, out)
     except _RUN_ERRORS as exc:
         print(f"profile construction failed: {exc}", file=sys.stderr)
         return 1
+    print(f"wrote analytic profiles to {out}")
     return 0
 
 
@@ -150,32 +117,10 @@ def _cmd_batch(args) -> int:
     return 0 if all(r["verdict"] == "PASS" for r in rows) else 1
 
 
-def _cmd_reduce(args) -> int:
-    if args.case is None:
-        print(format_case_table())
-        return 0
-    try:
-        model = reduce_case(args.case)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    print(f"case {model.case}: E along {model.e_axis}, B along "
-          f"{model.b_axis} -> system {model.system}")
-    print(f"  Lorentz force      : {'yes' if model.has_lorentz else 'no'}")
-    print(f"  heating            : {model.heating}")
-    print(f"  closed form        : {CASE_NOTES[model.case][1]}")
-    if model.eb_constrained:
-        print("  constraint         : E b = 0")
-    if model.b_sign < 0:
-        print("  stored b is minus the aligned B component")
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {"check": _cmd_check, "profile": _cmd_profile,
-               "run": _cmd_run, "batch": _cmd_batch,
-               "reduce": _cmd_reduce}[args.command]
+               "run": _cmd_run, "batch": _cmd_batch}[args.command]
     return handler(args)
 
 

@@ -32,8 +32,7 @@ from .gas import GasParams, sound_speed
 from .layer import LayerProfile
 
 __all__ = [
-    "R3Curve", "BurgersWave", "CompositeProfile",
-    "r3_connect", "burgers_eval",
+    "R3Curve", "BurgersWave", "CompositeProfile", "burgers_eval",
     "rarefaction_profile", "rarefaction_decay_check",
 ]
 
@@ -92,12 +91,6 @@ class R3Curve:
 
     def w_of(self, u, theta):
         return np.asarray(u, float) + sound_speed(self.params, theta)
-
-
-def r3_connect(params: GasParams, plus, theta_minus: float):
-    """Left end state on the expansion curve through plus = (rho,u,theta)_+."""
-    curve = R3Curve(params, *plus)
-    return curve.state_at_theta(theta_minus)
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,14 @@ from .diagnostics import (bump_profile, fit_convergence, record_from_state,
                           write_diag_csv)
 from .gas import EndStates, GasParams, dielectric_bound, sound_speed
 from .layer import construct_layer, export_csv, find_M0, measure_decay
-from .rarefaction import BurgersWave, CompositeProfile, R3Curve, \
-    rarefaction_decay_check
+from .rarefaction import DECAY_DX, DECAY_PAD, BurgersWave, \
+    CompositeProfile, R3Curve, burgers_eval, rarefaction_decay_check
 from .solver import FieldState, Grid1D, SolverConfig, apply_boundary, \
     default_domain_length, run, write_snapshot_csv
 from .table import write_table
 
 __all__ = ["ScenarioError", "PreparedRun", "prepare_scenario",
-           "run_scenario", "run_batch"]
+           "profile_scenario", "run_scenario", "run_batch"]
 
 
 class ScenarioError(RuntimeError):
@@ -86,6 +86,11 @@ def _state_from_background(grid: Grid1D, background) -> FieldState:
                       np.zeros(grid.n_nodes))
 
 
+def _gas(cfg: ScenarioConfig) -> GasParams:
+    """The configured gas at eps = 1: no layer or fan depends on eps."""
+    return GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
+
+
 def _build(cfg: ScenarioConfig, with_layer: bool,
            with_fan: bool) -> PreparedRun:
     """The composite wave: a boundary layer (if with_layer) from the boundary
@@ -93,7 +98,7 @@ def _build(cfg: ScenarioConfig, with_layer: bool,
     state at temperature theta_star to the far state.  Without a fan the
     star state is the far state; without a layer it is the boundary data.
     The fan depends on R and gamma only, so it is built before eps."""
-    params0 = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
+    params0 = _gas(cfg)
     plus = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
     star, curve, wave = plus, None, None
     if with_fan:
@@ -307,9 +312,19 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
     return summary, files, plots
 
 
+def _burgers_wave(cfg: ScenarioConfig) -> BurgersWave:
+    """burgers_decay's fan: speed w_minus rising by fan_delta."""
+    return BurgersWave(cfg.w_minus, cfg.fan_delta, cfg.alpha)
+
+
+def _far_layer(cfg: ScenarioConfig):
+    """layer_decay's layer: strength delta toward the far state."""
+    far = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
+    return construct_layer(_gas(cfg), far, cfg.delta, cfg.layer_branch)
+
+
 def _drive_burgers_decay(cfg: ScenarioConfig) -> tuple:
-    params = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
-    wave = BurgersWave(cfg.w_minus, cfg.fan_delta, cfg.alpha)
+    params, wave = _gas(cfg), _burgers_wave(cfg)
     check_sup = rarefaction_decay_check(params, wave, math.inf)
     check_l2 = rarefaction_decay_check(params, wave, 2.0)
     verdict = "PASS" if (check_sup["passed"] and check_l2["passed"]) else "FAIL"
@@ -332,13 +347,10 @@ def _drive_burgers_decay(cfg: ScenarioConfig) -> tuple:
 
 
 def _drive_layer_decay(cfg: ScenarioConfig) -> tuple:
-    params = GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
-    far = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
-    layer = construct_layer(params, far, cfg.delta, cfg.layer_branch)
-
+    layer = _far_layer(cfg)
     fit_u = measure_decay(layer, "u")
     fit_th = measure_decay(layer, "theta")
-    m0 = find_M0(layer, params)
+    m0 = find_M0(layer, _gas(cfg))
 
     if layer.case_tag == "transonic_degenerate":
         ok = -1.2 <= fit_u["exponent"] <= -0.8
@@ -384,6 +396,30 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     summary.setdefault("warnings", [])
     _emit(cfg, out_dir, summary, files, plots)
     return summary
+
+
+def profile_scenario(cfg: ScenarioConfig, out_dir) -> None:
+    """Write the analytic objects of cfg's scenario into out_dir without
+    marching: a solver scenario's initial.csv (its prep.state0) and, with a
+    layer, layer_profile.csv; layer_decay's layer_profile.csv; and
+    burgers_decay's speed_profile.csv, the fan at t = 0 on the grid of its
+    decay check."""
+    os.makedirs(out_dir, exist_ok=True)
+    if cfg.scenario == "burgers_decay":
+        wave = _burgers_wave(cfg)
+        x = np.arange(0.0, wave.w_plus + DECAY_PAD, DECAY_DX)
+        write_table(os.path.join(out_dir, "speed_profile.csv"), "x,w,w_x",
+                    (x, *burgers_eval(wave, x, 0.0)))
+        return
+    if cfg.scenario == "layer_decay":
+        layer = _far_layer(cfg)
+    else:
+        prep = prepare_scenario(cfg)
+        write_snapshot_csv(os.path.join(out_dir, "initial.csv"), prep.grid,
+                           0.0, prep.state0)
+        layer = prep.background.layer
+    if layer is not None:
+        export_csv(layer, os.path.join(out_dir, "layer_profile.csv"))
 
 
 # --------------------------------------------------------------------------

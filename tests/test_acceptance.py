@@ -23,7 +23,7 @@ from outflow1d.config import ScenarioConfig
 from outflow1d.gas import EndStates, GasParams, dielectric_bound
 from outflow1d.layer import (construct_layer, find_M0, layer_ode_rhs,
                              measure_decay)
-from outflow1d.rarefaction import (BurgersWave, R3Curve, r3_connect,
+from outflow1d.rarefaction import (BurgersWave, R3Curve,
                                    rarefaction_decay_check,
                                    rarefaction_profile)
 from outflow1d.scenarios import prepare_scenario
@@ -167,7 +167,7 @@ def test_07_fan_left_edge_constancy():
     params = GasParams(**STD, eps=1.0)
     plus = (1.0, -0.15, 1.0)
     curve = R3Curve(params, *plus)
-    left = r3_connect(params, plus, 0.9)
+    left = curve.state_at_theta(0.9)
     w_minus = left[1] + math.sqrt(params.R * params.gamma * left[2])
     wave = BurgersWave(w_minus, curve.w_plus - w_minus, 0.1)
 

@@ -1,5 +1,5 @@
 """tools/artifact_digest.py: only the wall-clock line escapes the digest,
-and only fresh artifacts are hashed."""
+only fresh artifacts are hashed, and every config is run and profiled."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +43,24 @@ def test_a_non_empty_out_dir_is_refused(tmp_path, capsys):
     (tmp_path / "stale" / "layer_profile.csv").write_text("x\n")
     assert tool.main([str(tmp_path)]) == 2
     assert runs == [] and "usage" in capsys.readouterr().err
+
+
+def test_every_config_is_run_and_profiled_apart(tmp_path, capsys):
+    tool = load_tool()
+    runs, profiles = [], []
+    tool.run_scenario = lambda cfg, out: runs.append(out)
+
+    def profile(argv):
+        profiles.append(argv)
+        return 0
+
+    tool.cli_main = profile
+    assert tool.main([str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == ""        # nothing was written
+    assert len(runs) == len(profiles) == len(tool.CONFIGS)
+    for config, run_out, argv in zip(tool.CONFIGS, runs, profiles):
+        assert argv[:3] == ["profile", "--config", str(config)]
+        assert argv[3] == "--out" and len(argv) == 5
+        assert run_out == tmp_path / "out" / config.stem
+        assert argv[4] == str(run_out / "profile")
+    assert len(set(runs) | {argv[4] for argv in profiles}) == 2 * len(runs)

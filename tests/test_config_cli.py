@@ -1,6 +1,7 @@
 """Flat key=value configs, the command-line front end and the package's
 public names."""
 
+import argparse
 import importlib
 import math
 import pkgutil
@@ -11,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import outflow1d
-from outflow1d.cli import main
+from outflow1d.cli import _build_parser, main
 from outflow1d.config import (ConfigError, ScenarioConfig, echo_config,
                               load_config, parse_config_text)
+from outflow1d.scenarios import run_scenario
 
 MINIMAL = "scenario = layer_stability\n"
 ROOT = Path(__file__).resolve().parents[1]
@@ -153,8 +155,8 @@ class TestValidation:
                 "theta_star must lie in (0, theta_plus)"]
 
     def test_fully_coupled_cases_rejected_for_reduced_check(self):
-        # the reduced-model scenario and its keys are gone: `outflow1d
-        # reduce` prints each case's closed form instead
+        # the reduced-model scenario and its keys are gone: README's
+        # "Aligned-field special cases" states each case's closed form
         with pytest.raises(ConfigError) as exc:
             parse_config_text("scenario = reduced_model_check\n")
         assert any("scenario must be one of" in e for e in exc.value.errors)
@@ -202,6 +204,19 @@ def test_readme_key_knobs_name_every_config_key():
         f.name for f in fields(ScenarioConfig) if f.name != "scenario")
 
 
+def test_readme_command_block_names_every_subcommand():
+    # the `outflow1d ...` lines of README's "Command line" block name each
+    # subcommand of the parser once: one added or removed without it fails
+    text = (ROOT / "README.md").read_text()
+    start = text.index("```sh", text.index("## Command line"))
+    block = text[start:text.index("```", start + 3)]
+    named = [line.split()[1] for line in block.splitlines()
+             if line.startswith("outflow1d ")]
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(named) == sorted(sub.choices)
+
+
 @pytest.fixture
 def write_cfg(tmp_path):
     def _write(text, name="case.cfg"):
@@ -226,22 +241,6 @@ class TestCli:
     def test_check_missing_file(self, capsys):
         assert main(["check", "--config", "/nonexistent/x.cfg"]) == 2
 
-    def test_reduce_table_and_detail(self, capsys):
-        assert main(["reduce"]) == 0
-        table = capsys.readouterr().out
-        assert "system" in table and "fully coupled" in table
-        assert main(["reduce", "--case", "5"]) == 0
-        detail = capsys.readouterr().out
-        assert "system 3" in detail and "E b = 0" in detail
-        assert ("closed form        : E(t) = E(0) exp(-t/eps), b = 0; "
-                "or E = 0, b = b(0)\n") in detail
-        assert main(["reduce", "--case", "1"]) == 0
-        assert "closed form        : none: E, b transported" in (
-            capsys.readouterr().out)
-
-    def test_reduce_bad_case(self, capsys):
-        assert main(["reduce", "--case", "12"]) == 2
-
     def test_profile_writes_layer_csv(self, write_cfg, tmp_path, capsys):
         path = write_cfg("scenario = layer_decay\nu_plus = -2.0\n"
                          "delta = 0.1\n")
@@ -249,6 +248,16 @@ class TestCli:
         assert main(["profile", "--config", path, "--out", str(out)]) == 0
         header = (out / "layer_profile.csv").read_text().splitlines()[0]
         assert header == "x,u_tilde,theta_tilde,rho_tilde"
+        assert capsys.readouterr().out == f"wrote analytic profiles to {out}\n"
+
+    def test_profile_writes_the_fan_speed(self, write_cfg, tmp_path, capsys):
+        path = write_cfg("scenario = burgers_decay\n")
+        out = tmp_path / "prof"
+        assert main(["profile", "--config", path, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["speed_profile.csv"]
+        lines = (out / "speed_profile.csv").read_text().splitlines()
+        assert lines[0] == "x,w,w_x"
+        assert float(lines[1].split(",")[1]) == load_config(path).w_minus
 
     def test_run_failing_fit_returns_one(self, write_cfg, tmp_path, capsys):
         # the untuned smoothing never reaches the asymptotic decay window
@@ -285,6 +294,24 @@ class TestCli:
         assert main(["profile", "--config", path, "--out", str(out)]) == 0
         assert (out / "initial.csv").is_file()
         assert (out / "layer_profile.csv").is_file() == has_layer
+
+    def test_profile_writes_the_objects_a_run_uses(self, write_cfg, tmp_path,
+                                                   capsys):
+        # initial.csv is the state the run marches from; a pure layer's
+        # layer_profile.csv is the far-state layer that layer_decay judges
+        path = write_cfg("scenario = layer_stability\nu_plus = -2.0\n"
+                         "delta = 0.1\nn_cells = 64\nlength = 60\n"
+                         "t_final = 0.5\n")
+        prof, run_out, decay_out = (tmp_path / name for name in (
+            "prof", "run", "decay"))
+        assert main(["profile", "--config", path, "--out", str(prof)]) == 0
+        cfg = load_config(path)
+        run_scenario(cfg, run_out)
+        run_scenario(replace(cfg, scenario="layer_decay"), decay_out)
+        assert ((prof / "initial.csv").read_bytes()
+                == (run_out / "snapshot_initial.csv").read_bytes())
+        assert ((prof / "layer_profile.csv").read_bytes()
+                == (decay_out / "layer_profile.csv").read_bytes())
 
     def test_batch_negative_seed_is_a_config_error(self, write_cfg,
                                                    tmp_path, capsys):

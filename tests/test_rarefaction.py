@@ -13,8 +13,7 @@ from outflow1d.gas import GasParams
 from outflow1d.layer import construct_layer
 from outflow1d.rarefaction import (DECAY_DX, DECAY_PAD, DECAY_TIMES,
                                    BurgersWave, CompositeProfile, R3Curve,
-                                   burgers_eval, r3_connect,
-                                   rarefaction_decay_check,
+                                   burgers_eval, rarefaction_decay_check,
                                    rarefaction_profile, rarefaction_slope)
 from outflow1d.scenarios import prepare_scenario
 
@@ -37,7 +36,7 @@ class TestR3Curve:
         assert curve.w_plus == pytest.approx(-0.15 + c_plus, rel=1e-15)
 
     def test_star_state_matches_hand_derivation(self):
-        rho, u, th = r3_connect(PARAMS, PLUS, 0.94)
+        rho, u, th = R3Curve(PARAMS, *PLUS).state_at_theta(0.94)
         c_plus = math.sqrt(5.0 / 3.0)
         c_star = math.sqrt(5.0 / 3.0 * 0.94)
         assert rho == pytest.approx(0.94 ** 1.5, rel=1e-14)
@@ -302,7 +301,7 @@ class TestComposite:
     CURVE = R3Curve(PARAMS, *PLUS)
 
     def build_parts(self):
-        star = r3_connect(PARAMS, PLUS, 0.94)
+        star = R3Curve(PARAMS, *PLUS).state_at_theta(0.94)
         layer = construct_layer(PARAMS, star, 0.05)
         w_star = float(self.CURVE.w_of(star[1], star[2]))
         wave = BurgersWave(w_minus=w_star, delta_r=self.CURVE.w_plus - w_star)

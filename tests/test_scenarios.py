@@ -21,7 +21,7 @@ from outflow1d.diagnostics import DIAG_COLUMNS, bump_profile
 from outflow1d.gas import (GasParams, classify_regime, dielectric_bound,
                            sound_speed)
 from outflow1d.layer import LayerError
-from outflow1d.rarefaction import r3_connect
+from outflow1d.rarefaction import R3Curve
 from outflow1d.scenarios import (PreparedRun, ScenarioError, prepare_scenario,
                                  run_batch, run_scenario)
 from outflow1d.solver import apply_boundary, default_domain_length, run
@@ -146,7 +146,7 @@ class TestPrepareFanScenarios:
         cfg = rarefaction_cfg()
         prep = prepare_scenario(cfg)
         params0 = GasParams(1.0, 5.0 / 3.0, 1.0, 1.0, eps=1.0)
-        left = r3_connect(params0, (1.0, -0.15, 1.0), 0.9)
+        left = R3Curve(params0, 1.0, -0.15, 1.0).state_at_theta(0.9)
         assert prep.end.theta_minus == pytest.approx(left[2], rel=1e-15)
         assert prep.end.u_minus == pytest.approx(left[1], rel=1e-14)
         w_minus = left[1] + float(sound_speed(params0, left[2]))
