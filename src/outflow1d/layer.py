@@ -35,8 +35,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import LSODA
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from .gas import GasParams, classify_regime
 from .table import write_table
@@ -58,7 +59,8 @@ class LayerError(RuntimeError):
 
 
 # Orbit construction; scale = max(1, |u_+|, theta_+).
-RTOL = ATOL = 1e-10      # solve_ivp tolerances
+RTOL = ATOL = 1e-10      # LSODA tolerances
+STOP_XTOL = 4.0 * np.finfo(float).eps   # brentq xtol = rtol at a stop
 EPS_MFD_FACTOR = 1e-6    # manifold offset = factor*max(1,|u_+|)
 FP_TOL = 1e-9            # forward orbits stop FP_TOL*scale from the far point
 ALG_SPAN = 1e3           # degenerate orbits stop once delta*x >= ALG_SPAN
@@ -134,7 +136,7 @@ def layer_ode_rhs(params: GasParams, far, u, theta):
     on u = 0 (the equations divide by the velocity).
     """
     rho_f, u_f, th_f = far
-    if np.any(abs(u) < 1e-12 * max(1.0, abs(u_f))):
+    if np.less(abs(u), 1e-12 * max(1.0, abs(u_f))).any():
         raise LayerError("layer ODE is singular at u = 0")
     m = rho_f * u_f
     R, g = params.R, params.gamma
@@ -185,29 +187,61 @@ def _deficit(y, far):
     return abs(y[0] - far[1]) + abs(y[1] - far[2])
 
 
-def _event(fn, direction=0):
-    """Tag fn as a terminal solve_ivp event."""
-    fn.terminal, fn.direction = True, direction
-    return fn
-
-
-def _walk(params, far, y0, span, events=(), t_eval=None, backward=False):
+def _walk(params, far, y0, span, t_eval, stops=(), backward=False):
     """LSODA orbit of the profile ODE from y0 over [0, span] (in s = -x when
-    backward).  LSODA switches to BDF where the orbit turns stiff, as the
-    transonic tail does (eigenvalues 0 and -1.9).  A terminal u = 0 event is
-    appended after `events`, so their t_events indices keep their meaning.
-    Raises LayerError when the integration fails."""
+    backward), sampled at the increasing points t_eval.  LSODA switches to
+    BDF where the orbit turns stiff, as the transonic tail does (eigenvalues
+    0 and -1.9).
+
+    `stops` are (g, direction) pairs: g maps a state (u, theta) to a float
+    and direction is +1, -1 or 0 (either way).  A stop fires on a step whose
+    start and end values of g bracket 0 in its direction, ends included;
+    brentq finds the crossing on the step's dense output, the earliest of
+    several ends the walk, and the samples run up to it.  u = 0 is always
+    the last stop.  Every sample and crossing is what solve_ivp's t_eval
+    and terminal events give, bit for bit.
+
+    Returns (t, y, stop, t_stop, y_stop): the samples (y of shape (2, n)),
+    the index of the stop that ended the walk, its crossing and the state
+    there, or None for all three when the walk reached span.  Raises
+    LayerError when a step fails."""
 
     def rhs(x, y):
         du, dth = layer_ode_rhs(params, far, *y.tolist())
         return np.array((-du, -dth) if backward else (du, dth))
 
-    sol = solve_ivp(rhs, (0.0, span), y0, method="LSODA", rtol=RTOL,
-                    atol=ATOL, t_eval=t_eval,
-                    events=(*events, _event(lambda x, y: y[0])))
-    if not sol.success:
-        raise LayerError(sol.message)
-    return sol
+    stops = (*stops, (lambda y: y[0], 0))
+    solver = LSODA(rhs, 0.0, y0, float(span), rtol=RTOL, atol=ATOL)
+    state = y0.tolist()
+    g = [fn(state) for fn, _ in stops]
+    ts, ys, done = [], [], 0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise LayerError(message)
+        t, sol = solver.t, None
+        state = solver.y.tolist()
+        g_new = [fn(state) for fn, _ in stops]
+        fired = [k for k, ((_, d), a, b) in enumerate(zip(stops, g, g_new))
+                 if d >= 0 and a <= 0.0 <= b or d <= 0 and a >= 0.0 >= b]
+        g = g_new
+        if fired:
+            sol = solver.dense_output()
+            roots = [brentq(lambda s, fn=stops[k][0]: fn(sol(s)),
+                            solver.t_old, t, xtol=STOP_XTOL, rtol=STOP_XTOL)
+                     for k in fired]
+            t = min(roots)
+        end = np.searchsorted(t_eval, t, side="right")
+        if end > done:
+            if sol is None:
+                sol = solver.dense_output()
+            ts.append(t_eval[done:end])
+            ys.append(sol(t_eval[done:end]))
+            done = end
+        if fired:
+            return (np.hstack(ts), np.hstack(ys), fired[roots.index(t)], t,
+                    sol(t))
+    return np.hstack(ts), np.hstack(ys), None, None, None
 
 
 def _forward_layer(params, far, data, tag: str, alg: bool) -> LayerProfile:
@@ -236,31 +270,26 @@ def _forward_layer(params, far, data, tag: str, alg: bool) -> LayerProfile:
 
     # runaway ends every walk; entering the fixed-point ball ends an
     # exponential one only (an algebraic tail is sampled to x_end)
-    events = (_event(lambda x, y: _deficit(y, far) - runaway),)
+    stops = [(lambda y: _deficit(y, far) - runaway, 0)]
     if not alg:
-        events += (_event(lambda x, y: _deficit(y, far) - FP_TOL * scale,
-                          direction=-1),)
-    sol = _walk(params, far, np.array(data, dtype=float), x_end, events,
-                t_eval=xs)
-    x, u, th = sol.t, sol.y[0], sol.y[1]
-    converged = not alg and sol.t_events[1].size > 0
+        stops.append((lambda y: _deficit(y, far) - FP_TOL * scale, -1))
+    x, (u, th), stop, x_stop, y_stop = _walk(
+        params, far, np.array(data, dtype=float), x_end, xs, stops)
+    converged = not alg and stop == 1
     miss = _deficit((u[-1], th[-1]), far)
-    # runaway, u = 0 (the last event), an algebraic orbit that fails to
-    # contract, or an exponential one that never enters the fixed-point ball
-    if (sol.t_events[0].size or sol.t_events[-1].size
+    # runaway, u = 0, an algebraic orbit that fails to contract, or an
+    # exponential one that never enters the fixed-point ball
+    if ((stop is not None and not converged)
             or (miss > 0.5 * delta if alg
                 else not converged and miss > 10.0 * FP_TOL * scale)):
         raise LayerError(
             f"the {tag} orbit from (u_-, theta_-) = ({data[0]:g}, "
             f"{data[1]:g}) misses the far state (rho_+, u_+, theta_+) = "
             f"({rho_f:g}, {u_f:g}, {th_f:g})")
-    if converged:                         # append the stopping point
-        xe = sol.t_events[1][0]
-        ye = sol.y_events[1][0]
-        if xe > x[-1] + 1e-12:
-            x = np.append(x, xe)
-            u = np.append(u, ye[0])
-            th = np.append(th, ye[1])
+    if converged and x_stop > x[-1] + 1e-12:   # append the stopping point
+        x = np.append(x, x_stop)
+        u = np.append(u, y_stop[0])
+        th = np.append(th, y_stop[1])
     return LayerProfile(
         x=x, u=u, theta=th, delta=delta, case_tag=tag,
         rho_far=rho_f, u_far=u_f, theta_far=th_f,
@@ -279,19 +308,17 @@ def _manifold_layer(params, far, delta: float, upper: bool,
         sgn = -sgn
     eps_mfd = EPS_MFD_FACTOR * max(1.0, abs(u_f))
     y0 = np.array([u_f, th_f]) + sgn * eps_mfd * v_s
-    ev_strength = _event(lambda s, y: _deficit(y, far) - delta)
-    sol = _walk(params, far, y0, span, (ev_strength,),
-                t_eval=np.arange(0.0, span, SAMPLE_H), backward=True)
-    if not sol.t_events[0].size:
+    s, (u_s, th_s), stop, s_ev, y_ev = _walk(
+        params, far, y0, span, np.arange(0.0, span, SAMPLE_H),
+        [(lambda y: _deficit(y, far) - delta, 0)], backward=True)
+    if stop != 0:
         raise LayerError(f"the {tag} manifold walk never reached strength "
                          f"{delta:g}")
-    s_ev = sol.t_events[0][0]
-    y_ev = sol.y_events[0][0]
-    # samples at or past the event are dropped: x must strictly increase
-    keep = sol.t < s_ev
-    x = s_ev - np.append(sol.t[keep], s_ev)[::-1]   # event lands at x = 0
-    u = np.append(sol.y[0, keep], y_ev[0])[::-1]
-    th = np.append(sol.y[1, keep], y_ev[1])[::-1]
+    # samples at or past the stop are dropped: x must strictly increase
+    keep = s < s_ev
+    x = s_ev - np.append(s[keep], s_ev)[::-1]   # the stop lands at x = 0
+    u = np.append(u_s[keep], y_ev[0])[::-1]
+    th = np.append(th_s[keep], y_ev[1])[::-1]
     return LayerProfile(
         x=x, u=u, theta=th, delta=_deficit(y_ev, far), case_tag=tag,
         rho_far=rho_f, u_far=u_f, theta_far=th_f, decay_rate_oracle=lam_s)

@@ -41,6 +41,11 @@ class ScenarioError(RuntimeError):
     """A config is valid but the requested objects cannot be built."""
 
 
+# largest gap allowed between the background at x = L and the far state,
+# which the march enforces there
+FAR_FIELD_TOL = 1e-8
+
+
 @dataclass
 class PreparedRun:
     """Everything a solver scenario needs to march.  state0 is the state
@@ -54,6 +59,7 @@ class PreparedRun:
     solver_config: SolverConfig
     record_dt: float
     perturbation: dict                # bump centre and signs per target
+    warnings: list                    # e.g. an auto length short of the fan
 
 
 def _apply_perturbation(cfg: ScenarioConfig, grid: Grid1D, state: FieldState,
@@ -123,6 +129,18 @@ def _build(cfg: ScenarioConfig, with_layer: bool,
     length = cfg.length
     if length is None:
         length = default_domain_length(params, end, cfg.t_final)
+    record_dt = cfg.t_final / 50.0
+    gap, t_gap = _far_field_gap(
+        background, length, plus,
+        [k * record_dt for k in range(50)] + [cfg.t_final])
+    warnings = []
+    if gap > FAR_FIELD_TOL:
+        msg = (f"the background at x = L = {length:g} is {gap:.3g} off the "
+               f"far state at t = {t_gap:g}, above {FAR_FIELD_TOL:g}")
+        if cfg.length is not None:
+            raise ScenarioError(msg + "; lengthen the domain")
+        # default_domain_length does not count the fan's tail yet
+        warnings.append(msg + " (length = auto)")
     grid = Grid1D(length, cfg.n_cells)
     state0 = _state_from_background(grid, background)
     perturbation = _apply_perturbation(cfg, grid, state0, params)
@@ -130,7 +148,19 @@ def _build(cfg: ScenarioConfig, with_layer: bool,
     return PreparedRun(params=params, end=end, grid=grid,
                        background=background, state0=state0,
                        solver_config=SolverConfig(),
-                       record_dt=cfg.t_final / 50.0, perturbation=perturbation)
+                       record_dt=record_dt, perturbation=perturbation,
+                       warnings=warnings)
+
+
+def _far_field_gap(background, length: float, far, times) -> tuple:
+    """(gap, t): the largest distance max(|rho - rho_+|, |u - u_+|,
+    |theta - theta_+|) of the background at x = length from the far state
+    over `times`, and the first time it is reached."""
+    gaps = [max(abs(float(v[0]) - f)
+                for v, f in zip(background.eval([length], t), far))
+            for t in times]
+    k = int(np.argmax(gaps))
+    return gaps[k], times[k]
 
 
 # solver scenario -> (has a boundary layer, has a fan)
@@ -287,7 +317,7 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
         "mass_residual_max": result.mass_residual_max,
         "cfl_margin_max": result.cfl_margin_max,
         "steps": result.steps, "runtime_s": runtime,
-        "warnings": list(result.warnings),
+        "warnings": prep.warnings + result.warnings,
     }
     files = {
         "diagnostics.csv": lambda path: write_diag_csv(path, diag_records),

@@ -288,8 +288,9 @@ class TestCli:
     ])
     def test_profile_solver_scenarios(self, write_cfg, tmp_path, capsys,
                                       scenario, has_layer):
+        # long enough for the fan's tail at the default t_final = 200
         path = write_cfg(f"scenario = {scenario}\nn_cells = 64\n"
-                         "length = 60\n")
+                         "length = 500\n")
         out = tmp_path / "prof"
         assert main(["profile", "--config", path, "--out", str(out)]) == 0
         assert (out / "initial.csv").is_file()

@@ -2,10 +2,10 @@
 
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from outflow1d import config as config_mod
 from outflow1d import layer as layer_mod
@@ -294,7 +294,7 @@ class TestOneWalkPerLayer:
     def test_one_solve_ivp_call_per_layer(self, monkeypatch, tag):
         # the walk that builds the layer also finds its boundary data
         far, branch = self.CASES[tag]
-        walks = counting(monkeypatch, "solve_ivp")
+        walks = counting(monkeypatch, "LSODA")
         prof = construct_layer(PARAMS, far, 0.05, branch)
         assert len(walks) == 1 and prof.case_tag == tag
         assert prof.x[0] == 0.0 and prof.x[-1] == prof.x_max
@@ -304,6 +304,91 @@ class TestOneWalkPerLayer:
             self, degenerate_profile):
         prof = degenerate_profile
         assert (prof.u[0], prof.theta[0]) == degenerate_data()
+
+
+def solve_ivp_walk(params, far, y0, span, t_eval, stops=(), backward=False):
+    """The walk's oracle: solve_ivp's LSODA with the same t_eval, each stop
+    a terminal event and u = 0 the last one; returns what _walk returns."""
+
+    def rhs(x, y):
+        du, dth = layer_ode_rhs(params, far, *y.tolist())
+        return np.array((-du, -dth) if backward else (du, dth))
+
+    events = []
+    for g, direction in (*stops, (lambda y: y[0], 0)):
+        def event(x, y, g=g):
+            return g(y)
+        event.terminal, event.direction = True, direction
+        events.append(event)
+    sol = solve_ivp(rhs, (0.0, span), y0, method="LSODA",
+                    rtol=layer_mod.RTOL, atol=layer_mod.ATOL, t_eval=t_eval,
+                    events=events)
+    assert sol.success, sol.message
+    fired = [k for k, te in enumerate(sol.t_events) if te.size]
+    if not fired:
+        return sol.t, sol.y, None, None, None
+    (k,) = fired
+    return sol.t, sol.y, k, sol.t_events[k][0], sol.y_events[k][0]
+
+
+class TestWalkMatchesSolveIvp:
+    """_walk steps LSODA itself; solve_ivp with t_eval and terminal events
+    on the same orbit gives the same samples and stop, bit for bit."""
+
+    # branch -> (far, delta, branch, the stop that ends the walk)
+    BRANCHES = {
+        "supersonic": (FAR_SUPER, 0.1, "lower", 1),         # fixed-point ball
+        "subsonic_lower": (FAR_SUB, 0.05, "lower", 0),      # strength
+        "subsonic_upper": (FAR_SUB, 0.05, "upper", 0),
+        "transonic_lower": (FAR_TRANS, 0.05, "lower", 0),
+        "transonic_upper": (FAR_TRANS, 0.05, "upper", 0),
+        "degenerate_0.05": (FAR_TRANS, 0.05, "degenerate", None),   # span
+        "degenerate_0.2": (FAR_TRANS, 0.2, "degenerate", None),
+    }
+
+    @pytest.mark.parametrize("case", list(BRANCHES))
+    def test_samples_and_stop_are_bitwise_solve_ivps(self, monkeypatch,
+                                                     case):
+        far, delta, branch, stop = self.BRANCHES[case]
+        walks, walk = [], layer_mod._walk
+
+        def recording(*args, **kwargs):
+            walks.append((args, kwargs, walk(*args, **kwargs)))
+            return walks[-1][2]
+
+        monkeypatch.setattr(layer_mod, "_walk", recording)
+        construct_layer(PARAMS, far, delta, branch)
+        ((args, kwargs, (t, y, got_stop, t_stop, y_stop)),) = walks
+        t_ref, y_ref, ref_stop, t_ref_stop, y_ref_stop = solve_ivp_walk(
+            *args, **kwargs)
+        assert got_stop == ref_stop == stop
+        np.testing.assert_array_equal(bits(t), bits(t_ref))
+        np.testing.assert_array_equal(bits(y), bits(y_ref))
+        if stop is None:
+            assert t_stop is None and y_stop is None
+        else:
+            assert bits(t_stop) == bits(t_ref_stop)
+            np.testing.assert_array_equal(bits(y_stop), bits(y_ref_stop))
+
+
+    # on the supersonic orbit u rises from -2.0667 toward -2
+    @pytest.mark.parametrize("stops, stop", [
+        ([(lambda y: y[0] + 2.03, -1)], None),      # rises: wrong direction
+        ([(lambda y: y[0] + 2.03, 1)], 0),
+        ([(lambda y: y[0] + 2.03, 1),               # both in one step: the
+          (lambda y: y[0] + 2.03 + 1e-12, 0)], 1),  # earlier one ends it
+    ], ids=["wrong_direction", "rising", "earliest_of_two"])
+    def test_stop_directions_and_order_are_solve_ivps(self, stops, stop):
+        y0 = np.array([-2.0 - 0.2 / 3.0, 1.0 - 0.1 / 3.0])
+        t_eval = np.arange(0.0, 10.0, 1e-3)
+        got = layer_mod._walk(PARAMS, FAR_SUPER, y0, 10.0, t_eval, stops)
+        want = solve_ivp_walk(PARAMS, FAR_SUPER, y0, 10.0, t_eval, stops)
+        assert got[2] == want[2] == stop
+        for a, b in zip(got[:2], want[:2]):
+            np.testing.assert_array_equal(bits(a), bits(b))
+        if stop is not None:
+            assert bits(got[3]) == bits(want[3])
+            np.testing.assert_array_equal(bits(got[4]), bits(want[4]))
 
 
 class TestEdgesAndSerialization:
@@ -318,7 +403,7 @@ class TestEdgesAndSerialization:
     @pytest.mark.parametrize("far", [FAR_SUPER, FAR_SUB, FAR_TRANS],
                              ids=["supersonic", "subsonic", "transonic"])
     def test_zero_strength_walks_nothing(self, monkeypatch, far):
-        walks = counting(monkeypatch, "solve_ivp")
+        walks = counting(monkeypatch, "LSODA")
         prof = construct_layer(PARAMS, far, 0.0)
         assert (prof.u[0], prof.theta[0]) == far[1:] and walks == []
 
@@ -332,14 +417,12 @@ class TestEdgesAndSerialization:
             "transonic_degenerate": (FAR_TRANS, "degenerate"),
         }[regime]
 
-        def failing(fun, t_span, y0, events=(), **kwargs):
-            return SimpleNamespace(
-                success=False, status=-1, message="Required step size is "
-                "less than spacing between numbers.", t=np.zeros(1),
-                y=np.array(y0)[:, None], t_events=[np.empty(0)] * len(events),
-                y_events=[np.empty((0, 2))] * len(events))
+        class Failing(layer_mod.LSODA):
+            def _step_impl(self):
+                return False, ("Required step size is less than spacing "
+                               "between numbers.")
 
-        monkeypatch.setattr(layer_mod, "solve_ivp", failing)
+        monkeypatch.setattr(layer_mod, "LSODA", Failing)
         with pytest.raises(LayerError, match="Required step size"):
             construct_layer(PARAMS, far, 0.05, branch)
 
@@ -355,7 +438,7 @@ class TestEdgesAndSerialization:
 
     def test_unknown_branch_is_refused(self, monkeypatch):
         # a typo must not silently build the lower layer
-        walks = counting(monkeypatch, "solve_ivp")
+        walks = counting(monkeypatch, "LSODA")
         with pytest.raises(ValueError, match="branch must be one of lower, "
                            "upper, degenerate"):
             construct_layer(PARAMS, FAR_SUB, 0.05, "manifold")

@@ -39,6 +39,18 @@ def test_matches_savetxt_byte_for_byte(tmp_path, newline, header, n):
             == savetxt_bytes(tmp_path, cols, header, ",", newline))
 
 
+@pytest.mark.parametrize("n_columns", [1, 7])
+def test_one_and_seven_columns_match_savetxt(tmp_path, n_columns):
+    # a chunk is one format over its row-interleaved values; the last
+    # chunk here is partial
+    cols = (columns_of(2 * CHUNK_ROWS + 7, seed=1)
+            + columns_of(2 * CHUNK_ROWS + 7, seed=2)
+            + columns_of(2 * CHUNK_ROWS + 7, seed=3))[:n_columns]
+    header = ",".join("c%d" % k for k in range(n_columns))
+    assert (table_bytes(tmp_path, cols, header, ",", "\r\n")
+            == savetxt_bytes(tmp_path, cols, header, ",", "\r\n"))
+
+
 def test_list_input_and_space_separator(tmp_path):
     xs = [0.0, -0.0, 1e-300, 1e300, 1.0 / 3.0, 2]
     ys = [float(v) for v in np.geomspace(1e-5, 1e5, len(xs))]
