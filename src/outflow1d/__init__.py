@@ -2,8 +2,8 @@
 smoothed expansion fans, their superposition, and an initial-boundary-value
 solver for the coupled fluid--field system."""
 
-from .gas import (DielectricBound, EndStates, GasParams, SonicRegime,
-                  classify_regime, dielectric_bound, pressure, sound_speed)
+from .gas import (EndStates, GasParams, classify_regime, dielectric_bound,
+                  sound_speed)
 from .layer import (LayerError, LayerProfile, construct_layer, find_M0,
                     layer_jacobian, layer_ode_rhs, measure_decay)
 from .rarefaction import (BurgersWave, CompositeProfile, R3Curve, burgers_eval,

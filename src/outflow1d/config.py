@@ -4,7 +4,7 @@ A config file is plain text: one `key = value` per line, `#` starts a
 comment, keys are known in advance, and every violated constraint is
 reported (with the offending line number for parse problems) rather than
 just the first one.  Two optional quantities take a literal that leaves
-them unset: `length = auto` (sized from the fastest signal) and
+them unset: `length = auto` (sized from the far state's fastest signal) and
 `seed = none`.
 """
 
@@ -26,9 +26,8 @@ SCENARIOS = (
     "layer_decay",
 )
 
-TARGET_TOKENS = ("rho", "u", "theta", "em")
 POSITIVE = ("R", "mu", "kappa", "eps_fraction", "rho_plus", "theta_plus",
-            "fan_delta", "alpha", "t_final", "width", "center")
+            "alpha", "t_final")
 
 
 class ConfigError(ValueError):
@@ -57,8 +56,6 @@ class ScenarioConfig:
     delta: float = 0.05               # layer strength |du| + |dtheta|
     layer_branch: str = "lower"
     theta_star: float = 0.94          # the fan's left (star) temperature
-    w_minus: float = 0.5              # analytic fan-speed study only
-    fan_delta: float = 3.0            # speed jump of the analytic study
     alpha: float = 0.1                # fan smoothing scale
     # grid and march
     n_cells: int = 2000
@@ -66,13 +63,7 @@ class ScenarioConfig:
     t_final: float = 200.0
     # perturbation
     amplitude: float = 1e-2
-    center: float = 5.0
-    width: float = 2.0
-    targets: str = "u,theta,em"
     seed: int | None = None
-
-    def target_list(self) -> tuple:
-        return tuple(t.strip() for t in self.targets.split(",") if t.strip())
 
     def validate(self) -> list:
         """Return every violated constraint as a message (empty if valid)."""
@@ -97,18 +88,12 @@ class ScenarioConfig:
                              "superposition_stability") and not (
                 0 < self.theta_star < self.theta_plus):
             errs.append("theta_star must lie in (0, theta_plus)")
-        if self.w_minus < 0:
-            errs.append("w_minus must be nonnegative (fan enters the domain)")
         if self.n_cells < 16:
             errs.append("n_cells must be at least 16")
         if self.amplitude < 0:
             errs.append("amplitude must be nonnegative")
         if self.seed is not None and self.seed < 0:
             errs.append("seed must be nonnegative (or none)")
-        toks = self.target_list()
-        if not toks or any(t not in TARGET_TOKENS for t in toks):
-            errs.append("targets must be a comma list drawn from "
-                        + ", ".join(TARGET_TOKENS))
         return errs
 
 

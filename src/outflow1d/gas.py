@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "GasParams", "EndStates", "SonicRegime", "DielectricBound",
-    "pressure", "sound_speed", "classify_regime", "dielectric_bound",
-]
+__all__ = ["GasParams", "EndStates", "sound_speed", "classify_regime",
+           "dielectric_bound"]
 
 # relative tolerance for deciding |u|/c == 1 (transonic)
 MACH_TOL = 1e-9
@@ -44,15 +42,16 @@ class GasParams:
     eps: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.R <= 0:
+        # `not v > 0`: nan fails too
+        if not self.R > 0:
             raise ValueError("R must be positive")
-        if self.gamma <= 1:
+        if not self.gamma > 1:
             raise ValueError("gamma must exceed 1")
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError("mu must be positive")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError("kappa must be positive")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
 
     @property
@@ -76,48 +75,12 @@ class EndStates:
     theta_plus: float
 
     def __post_init__(self) -> None:
-        if self.u_minus >= 0:
+        if not self.u_minus < 0:
             raise ValueError("u_minus must be negative (outflow problem)")
-        if self.theta_minus <= 0 or self.theta_plus <= 0:
+        if not (self.theta_minus > 0 and self.theta_plus > 0):
             raise ValueError("temperatures must be positive")
-        if self.rho_plus <= 0:
+        if not self.rho_plus > 0:
             raise ValueError("rho_plus must be positive")
-
-
-@dataclass(frozen=True)
-class SonicRegime:
-    """Flow regime of a (u, theta) state: tag like 'subsonic-negative'."""
-
-    tag: str
-    mach: float
-
-    @property
-    def regime(self) -> str:
-        return self.tag.split("-")[0]
-
-    @property
-    def sign(self) -> str:
-        return self.tag.split("-")[1]
-
-
-@dataclass(frozen=True)
-class DielectricBound:
-    """Stability threshold for the dielectric constant.
-
-    c_bar = 1/(64*beta1*beta3) with beta1 = max(|u-|,|u+|),
-    beta2 = max(theta-, theta+), beta3 = beta1 + sqrt(R*gamma*beta2).
-    EndStates requires u- < 0, so beta1 > 0 and c_bar is finite.
-    """
-
-    c_bar: float
-    beta1: float
-    beta2: float
-    beta3: float
-
-
-def pressure(params: GasParams, rho, theta):
-    """p = R*rho*theta."""
-    return params.R * np.asarray(rho) * np.asarray(theta)
 
 
 def sound_speed(params: GasParams, theta):
@@ -128,27 +91,21 @@ def sound_speed(params: GasParams, theta):
     return np.sqrt(params.R * params.gamma * theta)
 
 
-def classify_regime(params: GasParams, u: float, theta: float) -> SonicRegime:
-    """Classify |u|/c against 1 with a relative tolerance of MACH_TOL."""
-    c = float(sound_speed(params, theta))
-    mach = abs(u) / c
+def classify_regime(params: GasParams, u: float, theta: float) -> str:
+    """'subsonic', 'transonic' or 'supersonic': |u|/c against 1 with a
+    relative tolerance of MACH_TOL."""
+    mach = abs(u) / float(sound_speed(params, theta))
     if abs(mach - 1.0) <= MACH_TOL:
-        regime = "transonic"
-    elif mach < 1.0:
-        regime = "subsonic"
-    else:
-        regime = "supersonic"
-    if u < 0:
-        sign = "negative"
-    elif u > 0:
-        sign = "positive"
-    else:
-        sign = "zero"
-    return SonicRegime(tag=f"{regime}-{sign}", mach=mach)
+        return "transonic"
+    return "subsonic" if mach < 1.0 else "supersonic"
 
 
-def dielectric_bound(params: GasParams, end: EndStates) -> DielectricBound:
+def dielectric_bound(params: GasParams, end: EndStates) -> float:
+    """The stability threshold c_bar = 1/(64*beta1*beta3) for the dielectric
+    constant, with beta1 = max(|u-|, |u+|), beta2 = max(theta-, theta+) and
+    beta3 = beta1 + sqrt(R*gamma*beta2).  EndStates requires u- < 0, so
+    beta1 > 0 and c_bar is finite."""
     beta1 = max(abs(end.u_minus), abs(end.u_plus))
     beta2 = max(end.theta_minus, end.theta_plus)
     beta3 = beta1 + math.sqrt(params.R * params.gamma * beta2)
-    return DielectricBound(1.0 / (64.0 * beta1 * beta3), beta1, beta2, beta3)
+    return 1.0 / (64.0 * beta1 * beta3)

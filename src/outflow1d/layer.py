@@ -343,7 +343,7 @@ def construct_layer(params: GasParams, far, delta: float,
         raise ValueError("far state needs positive density and temperature")
     if branch not in LAYER_BRANCHES:
         raise ValueError(f"branch must be one of {', '.join(LAYER_BRANCHES)}")
-    regime = classify_regime(params, u_f, th_f).regime
+    regime = classify_regime(params, u_f, th_f)
     if ((branch == "degenerate" and regime != "transonic")
             or (branch == "upper" and regime == "supersonic")):
         raise LayerError(f"a {regime} far state has no {branch!r} layer "

@@ -22,8 +22,9 @@ is advanced in Riemann coordinates W1 = (sqrt(eps)/2)(sqrt(eps) E - b)
 (sqrt(eps) E + b) (speed -1/sqrt(eps), absorbed at x = L) with upwind
 differences.  The stiff relaxation eps E_t = -E is kept out of the stage
 operator and applied exactly as a Strang pair of half-interval decay
-factors exp(-dt/(2 eps)).  The far field at x = L is Dirichlet: L is sized
-beyond the fastest fluid signal (default_domain_length).
+factors exp(-dt/(2 eps)).  The far field at x = L is Dirichlet.  An auto L
+(default_domain_length) counts the far state's u_+ + c_+ only, not the
+smoothed fan's tail: the scenarios check the background at x = L instead.
 
 Boundary conditions are enforced on the relaxed start of each step and on
 its result after the closing relaxation.  At x = 0 the
@@ -69,8 +70,8 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError("domain length must be positive")
+        if not 0.0 < self.length < math.inf:    # nan fails too
+            raise ValueError("domain length must be positive and finite")
         if self.n_cells < 16:
             raise ValueError("grid needs at least 16 cells")
 
@@ -92,7 +93,10 @@ class Grid1D:
 
 def default_domain_length(params: GasParams, end: EndStates,
                           t_final: float) -> float:
-    """Large enough that the fastest fluid signal stays inside until t_final."""
+    """2 (u_+ + c_+)(1 + t_final), at least 40: it counts the far state's
+    fastest signal u_+ + c_+ only.  The smoothed fan's tail can reach past
+    it; the scenarios check the background's gap at x = L against
+    FAR_FIELD_TOL, and counting the tail is ROADMAP item 11 (a)."""
     c_plus = math.sqrt(params.R * params.gamma * end.theta_plus)
     return max(40.0, 2.0 * (end.u_plus + c_plus) * (1.0 + t_final))
 
@@ -381,10 +385,10 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
 
     result = RunResult(state=state0.copy(), t_final=0.0, steps=0)
 
-    bound = dielectric_bound(params, end)
-    if params.eps >= bound.c_bar:
+    c_bar = dielectric_bound(params, end)
+    if params.eps >= c_bar:
         msg = (f"eps = {params.eps:g} is not below the dielectric bound "
-               f"{bound.c_bar:g}; the stability theory does not cover this run")
+               f"{c_bar:g}; the stability theory does not cover this run")
         result.warnings.append(msg)
 
     state = result.state

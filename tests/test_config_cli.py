@@ -49,15 +49,11 @@ class TestParsing:
 
     def test_typed_fields(self):
         cfg = parse_config_text(MINIMAL + "n_cells = 400\nseed = 7\n"
-                                "length = 50\ntargets = u,em\n")
+                                "length = 50\nlayer_branch = upper\n")
         assert cfg.n_cells == 400 and isinstance(cfg.n_cells, int)
         assert cfg.seed == 7
         assert cfg.length == 50.0 and isinstance(cfg.length, float)
-        assert cfg.target_list() == ("u", "em")
-
-    def test_target_list_strips_whitespace(self):
-        cfg = parse_config_text(MINIMAL + "targets = u , theta ,em\n")
-        assert cfg.target_list() == ("u", "theta", "em")
+        assert cfg.layer_branch == "upper"
 
     def test_scenario_defaults_for_decay_study(self):
         cfg = parse_config_text("scenario = burgers_decay\n")
@@ -81,13 +77,16 @@ class TestParsing:
         ("scenario = layer_stability\nsource_treatment = exact\n",
          "unknown key"),
         # retired knobs that took one value everywhere: eps is eps_fraction
-        # times c_bar and the fan's star temperature is theta_star, so an
-        # old config.echo naming any of them no longer parses
+        # times c_bar, the fan's star temperature is theta_star, and the
+        # bump and burgers_decay's fan are fixed, so an old config.echo
+        # naming any of them no longer parses
         *((f"scenario = layer_stability\n{key} = {value}\n",
            f"line 2: unknown key {key!r}") for key, value in (
             ("eps", "0.01"), ("q", "1.0"), ("shape", "cosine"),
             ("cfl_factor", "0.9"), ("dt_max", "0.5"), ("record_dt", "auto"),
-            ("theta_minus", "0.9"))),
+            ("theta_minus", "0.9"), ("center", "5.0"), ("width", "2.0"),
+            ("targets", "u,theta,em"), ("w_minus", "0.5"),
+            ("fan_delta", "3.0"))),
         ("scenario = layer_stability\nt_final = inf\n",
          "line 2: t_final must be a finite number"),
         ("scenario = layer_stability\nlength = nan\n",
@@ -118,7 +117,6 @@ class TestValidation:
     @pytest.mark.parametrize("line,needle", [
         ("u_plus = 0.3", "u_plus must be negative"),
         ("gamma = 1.0", "gamma must exceed 1"),
-        ("targets = u,swirl", "targets"),
         ("layer_branch = sideways", "layer_branch"),
         ("n_cells = 8", "n_cells"),
         ("seed = -1", "seed must be nonnegative"),
@@ -141,7 +139,7 @@ class TestValidation:
     def test_violations_accumulate(self):
         with pytest.raises(ConfigError) as exc:
             parse_config_text(MINIMAL + "u_plus = 0.3\ngamma = 0.9\n"
-                              "width = -1\n")
+                              "alpha = -1\n")
         assert len(exc.value.errors) == 3
 
     def test_theta_star_scoped_to_superposition(self):
@@ -257,7 +255,7 @@ class TestCli:
         assert sorted(p.name for p in out.iterdir()) == ["speed_profile.csv"]
         lines = (out / "speed_profile.csv").read_text().splitlines()
         assert lines[0] == "x,w,w_x"
-        assert float(lines[1].split(",")[1]) == load_config(path).w_minus
+        assert float(lines[1].split(",")[1]) == 0.5     # the fan's w_-
 
     def test_run_failing_fit_returns_one(self, write_cfg, tmp_path, capsys):
         # the untuned smoothing never reaches the asymptotic decay window

@@ -14,7 +14,7 @@ from outflow1d.layer import construct_layer
 from outflow1d.rarefaction import (DECAY_DX, DECAY_PAD, DECAY_TIMES,
                                    BurgersWave, CompositeProfile, R3Curve,
                                    burgers_eval, rarefaction_decay_check,
-                                   rarefaction_profile, rarefaction_slope)
+                                   rarefaction_profile)
 from outflow1d.scenarios import prepare_scenario
 
 PARAMS = GasParams(R=1.0, gamma=5.0 / 3.0, mu=1.0, kappa=1.0)
@@ -273,28 +273,35 @@ class TestFanProfiles:
             atol=1e-12)
 
     def test_slope_scaling(self):
-        wave = self.make_wave()
-        x = np.linspace(0.0, 20.0, 200)
-        _, wx = burgers_eval(wave, x, 2.0)
-        np.testing.assert_allclose(rarefaction_slope(PARAMS, wave, x, 2.0),
-                                   2.0 / (PARAMS.gamma + 1.0) * wx, rtol=1e-14)
+        # the decay check's norms are those of u_x = 2/(gamma+1) w_x
+        report = rarefaction_decay_check(PARAMS, STEEP_WAVE)
+        for k, (wave, x, tau) in enumerate(steep_cases()):
+            ux = 2.0 / (PARAMS.gamma + 1.0) * np.abs(wave.eval(x, tau)[1])
+            assert report["sup"]["norms"][k] == pytest.approx(ux.max(),
+                                                              rel=1e-14)
+            assert report["l2"]["norms"][k] == pytest.approx(
+                math.sqrt(np.trapezoid(ux * ux, x)), rel=1e-14)
 
 
 class TestDecayRates:
     WAVE = STEEP_WAVE
 
-    def test_sup_norm_rate(self):
-        report = rarefaction_decay_check(PARAMS, self.WAVE, math.inf)
-        assert report["passed"]
-        assert report["fitted"] == pytest.approx(-1.0, rel=0.15)
-        # pinned measurement guarding against silent regressions
-        assert report["fitted"] == pytest.approx(-0.96523, abs=2e-3)
+    @pytest.fixture(scope="class")
+    def report(self):
+        return rarefaction_decay_check(PARAMS, self.WAVE)
 
-    def test_l2_norm_rate(self):
-        report = rarefaction_decay_check(PARAMS, self.WAVE, 2.0)
-        assert report["passed"]
-        assert report["fitted"] == pytest.approx(-0.5, rel=0.15)
-        assert report["fitted"] == pytest.approx(-0.46773, abs=2e-3)
+    def test_sup_norm_rate(self, report):
+        sup = report["sup"]
+        assert sup["passed"] and sup["expected"] == -1.0
+        assert sup["fitted"] == pytest.approx(-1.0, rel=0.15)
+        # pinned measurement guarding against silent regressions
+        assert sup["fitted"] == pytest.approx(-0.96523, abs=2e-3)
+
+    def test_l2_norm_rate(self, report):
+        l2 = report["l2"]
+        assert l2["passed"] and l2["expected"] == -0.5
+        assert l2["fitted"] == pytest.approx(-0.5, rel=0.15)
+        assert l2["fitted"] == pytest.approx(-0.46773, abs=2e-3)
 
 
 class TestComposite:
