@@ -30,6 +30,13 @@ Boundary conditions are enforced on the relaxed start of each step and on
 its result after the closing relaxation.  At x = 0 the
 magnetic field is assigned literally as b(0) := sqrt(eps) * E(0), so the
 boundary identity sqrt(eps) E(0,t) - b(0,t) evaluates to exactly 0.0.
+
+Two fast paths change no bit.  Outflow states have u < 0 at every node
+(u_- < 0 and u_+ < 0, and so do the layer, the fan and their composite):
+there spatial_rhs takes the right-hand upwind operands without a select.
+When the state check's extrema bound max(|u| + c) within the field speed
+1/sqrt(eps), cfl_dt takes the field speed without a per-node pass.  Any
+other state takes the general paths.
 """
 
 from __future__ import annotations
@@ -114,6 +121,14 @@ def _row(i: int) -> property:
     return property(get, put, doc=f"{FIELDS[i]} nodal values (a row view)")
 
 
+def _block(data):
+    """data itself, refused unless it is a (5, n) block: one 1-D row per
+    field (scalars or 2-D rows would make a block of another rank)."""
+    if np.ndim(data) != 2 or len(data) != len(FIELDS):
+        raise ValueError("state block must have shape (5, n)")
+    return data
+
+
 class FieldState:
     """Nodal values of (rho, u, theta, E, b) as the rows of one C-contiguous
     (5, n) block `data`; the named attributes are views of its rows."""
@@ -124,15 +139,13 @@ class FieldState:
         rows = (rho, u, theta, E, b)
         if any(np.size(r) != np.size(rho) for r in rows):
             raise ValueError("field arrays must share one grid")
-        self.data = np.array(rows, dtype=float)
+        self.data = _block(np.array(rows, dtype=float))
 
     @classmethod
     def of(cls, data: np.ndarray) -> "FieldState":
         """Wrap an existing (5, n) block without copying it."""
-        if np.ndim(data) != 2 or len(data) != len(FIELDS):
-            raise ValueError("state block must have shape (5, n)")
         state = cls.__new__(cls)
-        state.data = data
+        state.data = _block(data)
         return state
 
     @property
@@ -172,6 +185,16 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
     differences at the interior nodes.  The arithmetic runs in place and
     keeps the numpy calls few: at these grid sizes each call's fixed
     dispatch cost, not the work per node, dominates.
+
+    Upwinding selects rho at each face and the u and theta differences at
+    each interior node by the local velocity's sign.  When max(u) < 0, as
+    on every background of the outflow problem, every face and centre
+    velocity is negative and every select would pick its right-hand
+    operand, so those operands are taken as slices: each product that
+    follows is the same rounded product.  A state with u >= 0 or NaN
+    somewhere takes the per-entry selects.  The face velocity's exact 1/2
+    is folded into the continuity scale and the right boundary flux; a
+    power-of-two scaling commutes with rounding.
     """
     p = params
     dx = grid.dx
@@ -180,24 +203,29 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
     tend = np.zeros(state.data.shape)
     drho, du, dth, dE, db = tend[:, 1:-1]
 
-    # --- continuity, conservative form -------------------------------------
-    u_half = u[:-1] + u[1:]
-    u_half *= 0.5
-    flux = np.where(u_half >= 0.0, rho[:-1], rho[1:])     # upwind rho
-    flux *= u_half                               # flux[i] sits at face i+1/2
-    flux_left = rho[0] * end.u_minus             # boundary flux rho(0) u_-
-    fluxes = {"flux_left": flux_left, "flux_right": flux[-1]}
-    np.subtract(flux[:-1], flux[1:], out=drho)
-    drho *= inv_dx
-    tend[0, 0] = (flux_left - flux[0]) / (0.5 * dx)
-
-    # --- momentum and temperature -------------------------------------------
     uc, rc, bc = u[1:-1], rho[1:-1], b[1:-1]
     d_u = u[1:] - u[:-1]
     d_th = th[1:] - th[:-1]
-    # u_c times the backward difference where u_c > 0, else the forward one:
-    # exactly max(u_c, 0) * back + min(u_c, 0) * fwd
-    upwind = uc > 0.0
+    u_half = u[:-1] + u[1:]                      # twice the face velocity
+    if u.max() < 0.0:                            # outflow: upwind is right
+        rho_up, du_up, dth_up = rho[1:], d_u[1:], d_th[1:]
+    else:
+        rho_up = np.where(u_half >= 0.0, rho[:-1], rho[1:])
+        # u_c times the backward difference where u_c > 0, else the forward
+        # one: exactly max(u_c, 0) * back + min(u_c, 0) * fwd
+        upwind = uc > 0.0
+        du_up = np.where(upwind, d_u[:-1], d_u[1:])
+        dth_up = np.where(upwind, d_th[:-1], d_th[1:])
+
+    # --- continuity, conservative form -------------------------------------
+    flux = rho_up * u_half                       # twice the flux at i+1/2
+    flux_left = rho.item(0) * end.u_minus        # boundary flux rho(0) u_-
+    fluxes = {"flux_left": flux_left, "flux_right": 0.5 * flux.item(-1)}
+    np.subtract(flux[:-1], flux[1:], out=drho)
+    drho *= 0.5 * inv_dx
+    tend[0, 0] = (2.0 * flux_left - flux.item(0)) / dx
+
+    # --- momentum and temperature -------------------------------------------
     u_dx = uc * inv_dx
     r_rho = p.R * rho
     pres = r_rho * th
@@ -211,9 +239,7 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
     du *= 0.5 * inv_dx                           # -p_x + mu u_xx
     du -= drive * bc
     du /= rc
-    conv = np.where(upwind, d_u[:-1], d_u[1:])
-    conv *= u_dx
-    du -= conv
+    du -= du_up * u_dx
 
     ux = u[2:] - u[:-2]                          # central u_x
     ux *= 0.5 * inv_dx
@@ -225,9 +251,7 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
     dth += lap
     dth += drive * drive
     dth *= np.divide(p.gamma - 1.0, r_rho[1:-1])
-    conv = np.where(upwind, d_th[:-1], d_th[1:])
-    conv *= u_dx
-    dth -= conv
+    dth -= dth_up * u_dx
 
     # --- field block ---------------------------------------------------------
     # upwind transport along the two characteristics, from first differences
@@ -286,18 +310,33 @@ def apply_boundary(params: GasParams, end: EndStates,
 
 
 def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
-           state: FieldState, config: SolverConfig) -> float:
+           state: FieldState, config: SolverConfig,
+           extrema: tuple | None = None) -> float:
     """Stable step: CFL * min(advective, diffusive), capped at dt_max.
 
-    The diffusivities mu/rho and kappa (gamma-1)/(R rho) peak where rho is
-    least; rounded division is monotone, so taking them at min(rho) gives
-    the same maxima bit for bit."""
+    extrema, if given, is _check_state's (minima, maxima) of this state's
+    rows; without it they are taken here.  The diffusivities mu/rho and
+    kappa (gamma-1)/(R rho) peak where rho is least; rounded division is
+    monotone, so taking them at min(rho) gives the same maxima bit for bit.
+
+    The signal speed is the larger of the field speed 1/sqrt(eps) and the
+    largest |u| + c.  Rounded multiply, sqrt and add are monotone, so
+    sqrt(R gamma theta_max) + max|u| bounds every node's |u| + c as the
+    exact pass rounds it; when that bound is within the field speed, the
+    field speed is the answer bit for bit and no per-node pass runs.  Only
+    a state whose sound or flow speed nears the field speed (or a NaN
+    bound) takes the exact pass."""
     p = params
-    c = state.theta * (p.R * p.gamma)
-    np.sqrt(c, out=c)
-    c += np.abs(state.u)
-    s_max = max(float(c.max()), 1.0 / p.sqrt_eps)
-    rho_min = float(state.rho.min())
+    if extrema is None:
+        extrema = _extrema(state)
+    (rho_min, u_min, *_), (_, u_max, th_max, *_) = extrema
+    r_gamma = p.R * p.gamma
+    s_max = 1.0 / p.sqrt_eps
+    if not math.sqrt(th_max * r_gamma) + max(-u_min, u_max) <= s_max:
+        c = state.theta * r_gamma
+        np.sqrt(c, out=c)
+        c += np.abs(state.u)
+        s_max = max(float(c.max()), s_max)
     diffusivity = max(p.mu / rho_min,
                       p.kappa * (p.gamma - 1.0) / (p.R * rho_min))
     dt = CFL * min(grid.dx / s_max, grid.dx * grid.dx / (2.0 * diffusivity))
@@ -393,7 +432,7 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
 
     state = result.state
     apply_boundary(params, end, state)
-    _check_state(state, 0.0, 0)
+    extrema = _check_state(state, 0.0, 0)
 
     # event times: the record grid, short of t_final by more than rounding,
     # then t_final
@@ -411,7 +450,7 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     t = 0.0
     for t_event in event_times:
         while t < t_event:
-            dt_stab = cfl_dt(params, end, grid, state, config)
+            dt_stab = cfl_dt(params, end, grid, state, config, extrema)
             if dt_stab < DT_FLOOR:
                 raise SolverError(f"step size collapsed to {dt_stab:g} "
                                   f"at t = {t:g}")
@@ -422,7 +461,7 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
             mass_after = _mass(grid, state)
             t = t_event if landed else t + dt
             result.steps += 1
-            _check_state(state, t, result.steps)
+            extrema = _check_state(state, t, result.steps)
 
             resid = abs((mass_after - mass) / dt
                         - (info["flux_left"] - info["flux_right"]))
@@ -440,18 +479,27 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     return result
 
 
-def _check_state(state: FieldState, t: float, n_step: int) -> None:
+def _extrema(state: FieldState) -> tuple[list, list]:
+    """The minimum and the maximum of each row, as lists of five floats."""
+    return state.data.min(axis=1).tolist(), state.data.max(axis=1).tolist()
+
+
+def _check_state(state: FieldState, t: float,
+                 n_step: int) -> tuple[list, list]:
     """Refuse a non-finite field (SolverError) or a non-positive rho/theta
-    (PositivityError).  The fast path takes one minimum per row and one
-    maximum of the block: they propagate NaN, bound every entry from both
-    sides and cannot overflow, and they need neither BLAS (a dot product
-    would run on BLAS threads that spin between steps) nor a boolean
-    temporary."""
-    rho_min, u_min, th_min, e_min, b_min = state.data.min(axis=1).tolist()
+    (PositivityError); return the rows' (minima, maxima) for cfl_dt.
+
+    The fast path takes one minimum and one maximum per row: they bound
+    every entry from both sides and cannot overflow, and they need neither
+    BLAS (a dot product would run on BLAS threads that spin between steps)
+    nor a boolean temporary.  A NaN makes its row's minimum NaN, which
+    fails the tests on the minima; the maxima are read only for +inf."""
+    minima, maxima = _extrema(state)
+    rho_min, u_min, th_min, e_min, b_min = minima
     if (rho_min > 0.0 and th_min > 0.0 and u_min > -math.inf
             and e_min > -math.inf and b_min > -math.inf
-            and state.data.max() < math.inf):
-        return
+            and max(maxima) < math.inf):
+        return minima, maxima
     for name, values in zip(FIELDS, state.data):
         if not np.isfinite(values).all():
             raise SolverError(f"{name} became non-finite at t = {t:g} "

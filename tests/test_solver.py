@@ -2,13 +2,14 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import outflow1d.solver as solver
 from oracles import read_snapshot_csv
-from outflow1d.config import ScenarioConfig
+from outflow1d.config import ScenarioConfig, load_config
 from outflow1d.gas import EndStates, GasParams
 from outflow1d.layer import construct_layer
 from outflow1d.scenarios import prepare_scenario
@@ -52,6 +53,13 @@ class TestConstruction:
         z = np.zeros(5)
         with pytest.raises(ValueError):
             FieldState(z, z, np.zeros(4), z, z)
+
+    @pytest.mark.parametrize("rows", [
+        [np.ones((3, 4))] * 5, [1.0, 1.0, 1.0, 0.0, 0.0]],
+        ids=["2-D rows", "scalars"])
+    def test_field_state_refuses_rows_that_are_not_1d(self, rows):
+        with pytest.raises(ValueError, match=r"shape \(5, n\)"):
+            FieldState(*rows)
 
     def test_field_state_copy_is_deep(self):
         g = Grid1D(40.0, 16)
@@ -557,8 +565,33 @@ class TestReferenceStencil:
     def test_cfl_dt_is_bitwise(self, composite, which, config):
         prep = composite
         state = march_states(prep)[which]
-        assert (cfl_dt(prep.params, prep.end, prep.grid, state, config)
-                == reference_cfl_dt(prep.params, prep.grid, state, config))
+        args = (prep.params, prep.end, prep.grid, state, config)
+        want = reference_cfl_dt(prep.params, prep.grid, state, config)
+        assert cfl_dt(*args) == want
+        assert cfl_dt(*args, _check_state(state, 0.0, 0)) == want
+
+    def test_cfl_dt_is_bitwise_where_sound_beats_field(self):
+        # at eps = 4 the field speed 1/sqrt(eps) = 0.5 is below |u| + c
+        # (about 1.8), so the extrema bound fails and the per-node pass runs
+        params = GasParams(eps=4.0)
+        end = uniform_end()
+        grid = Grid1D(40.0, 16)
+        state = constant_state(grid, end)
+        state.theta += 0.3 * bump(grid.x, 20.0, 16.0)
+        state.u -= 0.2 * bump(grid.x, 12.0, 8.0)
+        sound = np.abs(state.u) + np.sqrt(params.R * params.gamma
+                                          * state.theta)
+        assert sound.max() > 1.0 / params.sqrt_eps
+        config = SolverConfig()
+        want = reference_cfl_dt(params, grid, state, config)
+        assert cfl_dt(params, end, grid, state, config) == want
+        assert cfl_dt(params, end, grid, state, config,
+                      _check_state(state, 0.0, 0)) == want
+
+    def test_perturbed_state_takes_the_general_branches(self, composite):
+        states = march_states(composite)
+        assert states["initial"].u.max() < 0.0        # the outflow branch
+        assert states["perturbed"].u.max() >= 0.0     # the per-entry selects
 
     @pytest.mark.parametrize("which", ["initial", "perturbed"])
     def test_boundary_values_are_bitwise(self, composite, which):
@@ -613,3 +646,117 @@ class TestReferenceStencil:
             want, want_info = stage_call_step(want, dt)
             np.testing.assert_array_equal(got.data, want.data)
             assert info == want_info
+
+
+# --------------------------------------------------------------------------
+# the stencil with a per-entry upwind select at every face and interior
+# node, as it was before the outflow branch.  spatial_rhs must reproduce it
+# bit for bit on either branch, and cfl_dt must reproduce the full per-node
+# pass of reference_cfl_dt with or without the state check's extrema.
+# --------------------------------------------------------------------------
+
+def select_rhs(params, end, grid, state, config):
+    p = params
+    dx = grid.dx
+    inv_dx = 1.0 / dx
+    rho, u, th, E, b = state.data
+    tend = np.zeros(state.data.shape)
+    drho, du, dth, dE, db = tend[:, 1:-1]
+
+    u_half = u[:-1] + u[1:]
+    u_half *= 0.5
+    flux = np.where(u_half >= 0.0, rho[:-1], rho[1:])
+    flux *= u_half
+    flux_left = rho[0] * end.u_minus
+    fluxes = {"flux_left": flux_left, "flux_right": flux[-1]}
+    np.subtract(flux[:-1], flux[1:], out=drho)
+    drho *= inv_dx
+    tend[0, 0] = (flux_left - flux[0]) / (0.5 * dx)
+
+    uc, rc, bc = u[1:-1], rho[1:-1], b[1:-1]
+    d_u = u[1:] - u[:-1]
+    d_th = th[1:] - th[:-1]
+    upwind = uc > 0.0
+    u_dx = uc * inv_dx
+    r_rho = p.R * rho
+    pres = r_rho * th
+    ub = uc * bc
+    drive = ub + E[1:-1]
+
+    lap = d_u[1:] - d_u[:-1]
+    lap *= 2.0 * p.mu * inv_dx
+    np.subtract(pres[:-2], pres[2:], out=du)
+    du += lap
+    du *= 0.5 * inv_dx
+    du -= drive * bc
+    du /= rc
+    conv = np.where(upwind, d_u[:-1], d_u[1:])
+    conv *= u_dx
+    du -= conv
+
+    ux = u[2:] - u[:-2]
+    ux *= 0.5 * inv_dx
+    np.multiply(ux, p.mu, out=dth)
+    dth -= pres[1:-1]
+    dth *= ux
+    np.subtract(d_th[1:], d_th[:-1], out=lap)
+    lap *= p.kappa * inv_dx * inv_dx
+    dth += lap
+    dth += drive * drive
+    dth *= np.divide(p.gamma - 1.0, r_rho[1:-1])
+    conv = np.where(upwind, d_th[:-1], d_th[1:])
+    conv *= u_dx
+    dth -= conv
+
+    se = p.sqrt_eps
+    w2 = se * E
+    w1 = w2 - b
+    w2 += b
+    dw1 = w1[1:-1] - w1[:-2]
+    dw2 = w2[2:] - w2[1:-1]
+    np.subtract(dw2, dw1, out=dE)
+    dE *= 0.5 * inv_dx
+    dE -= ub
+    dE *= 1.0 / p.eps
+    np.add(dw2, dw1, out=db)
+    db *= 0.5 * inv_dx / se
+    return FieldState.of(tend), fluxes
+
+
+@pytest.fixture(scope="module")
+def layer_stability():
+    """configs/layer_stability.cfg, prepared as the scenario runs it."""
+    root = Path(__file__).resolve().parent.parent
+    return prepare_scenario(load_config(root / "configs"
+                                        / "layer_stability.cfg"))
+
+
+class TestOutflowBranches:
+    def march_both(self, prep, state, monkeypatch, outflow):
+        args = (prep.params, prep.end, prep.grid)
+        config = prep.solver_config
+        got = want = state
+        assert (state.u.max() < 0.0) == outflow
+        for n_step in range(300):
+            assert got.u.max() < 0.0 or not outflow
+            dt = cfl_dt(*args, got, config, _check_state(got, 0.0, n_step))
+            assert dt == cfl_dt(*args, got, config)
+            assert dt == reference_cfl_dt(prep.params, prep.grid, want,
+                                          config)
+            got, info = step(*args, got, dt, config)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "spatial_rhs", select_rhs)
+                want, want_info = step(*args, want, dt, config)
+            np.testing.assert_array_equal(got.data, want.data)
+            assert info == want_info
+            assert all(type(value) is float for value in info.values())
+
+    @pytest.mark.parametrize("which", ["initial", "perturbed"])
+    def test_composite_march_is_bitwise(self, composite, which,
+                                        monkeypatch):
+        self.march_both(composite, march_states(composite)[which],
+                        monkeypatch, outflow=which == "initial")
+
+    def test_layer_march_is_bitwise(self, layer_stability, monkeypatch):
+        self.march_both(layer_stability, layer_stability.state0,
+                        monkeypatch, outflow=True)
