@@ -4,7 +4,8 @@ A config file is plain text: one `key = value` per line, `#` starts a
 comment, keys are known in advance, and every violated constraint is
 reported (with the offending line number for parse problems) rather than
 just the first one.  Two optional quantities take a literal that leaves
-them unset: `length = auto` (sized from the far state's fastest signal) and
+them unset: `length = auto` (sized from the far state's fastest signal,
+then grown until the background reaches the far state at x = L) and
 `seed = none`.
 """
 
@@ -59,7 +60,7 @@ class ScenarioConfig:
     alpha: float = 0.1                # fan smoothing scale
     # grid and march
     n_cells: int = 2000
-    length: float | None = None       # None: sized from the fastest signal
+    length: float | None = None       # None: auto, sized by the scenario
     t_final: float = 200.0
     # perturbation
     amplitude: float = 1e-2
@@ -82,6 +83,9 @@ class ScenarioConfig:
             errs.append("u_plus must be negative (outflow problem)")
         if self.delta < 0:
             errs.append("delta must be nonnegative")
+        elif self.delta == 0 and self.scenario == "layer_decay":
+            errs.append("delta must be positive for layer_decay: a "
+                        "zero-strength layer has no tail to measure")
         if self.layer_branch not in LAYER_BRANCHES:
             errs.append(f"layer_branch must be one of {', '.join(LAYER_BRANCHES)}")
         if self.scenario in ("rarefaction_stability",

@@ -27,7 +27,7 @@ from .table import write_table
 __all__ = [
     "DiagRecord",
     "bump_profile", "phi_gap", "energy_density", "perturbation_energy",
-    "compound_dissipation", "l2_norm", "h1_norm", "sup_norm", "gradient",
+    "compound_dissipation", "l2_norm", "h1_norm", "sup_norm",
     "fit_convergence",
     "record_from_state", "write_diag_csv",
 ]
@@ -90,30 +90,21 @@ def compound_dissipation(x, E, b, psi, u_hat) -> float:
 # norms
 # --------------------------------------------------------------------------
 
-def gradient(x, f) -> np.ndarray:
-    """Centered first differences, one-sided at the ends (along the last
-    axis, so a stack of fields is differentiated row by row)."""
-    return np.gradient(np.asarray(f, float), np.asarray(x, float), axis=-1)
-
-
-def _per_field(norms):
-    """A Python float for one field, the array of row norms for a stack."""
-    return float(norms) if np.ndim(norms) == 0 else norms
-
-
 def l2_norm(x, f):
     f = np.asarray(f, float)
-    return _per_field(np.sqrt(np.trapezoid(f * f, x, axis=-1)))
+    return np.sqrt(np.trapezoid(f * f, x, axis=-1))
 
 
 def h1_norm(x, f):
-    fx = gradient(x, f)
+    """f_x by centred differences, one-sided at the ends; along the last
+    axis, so a stack of fields gives its row norms."""
     f = np.asarray(f, float)
-    return _per_field(np.sqrt(np.trapezoid(f * f + fx * fx, x, axis=-1)))
+    fx = np.gradient(f, np.asarray(x, float), axis=-1)
+    return np.sqrt(np.trapezoid(f * f + fx * fx, x, axis=-1))
 
 
 def sup_norm(f):
-    return _per_field(np.max(np.abs(f), axis=-1))
+    return np.max(np.abs(f), axis=-1)
 
 
 def fit_convergence(times, values) -> dict:

@@ -31,7 +31,7 @@ from .gas import GasParams, sound_speed
 from .layer import LayerProfile
 
 __all__ = [
-    "R3Curve", "BurgersWave", "CompositeProfile", "burgers_eval",
+    "R3Curve", "BurgersWave", "CompositeProfile",
     "rarefaction_profile", "rarefaction_decay_check",
 ]
 
@@ -87,9 +87,6 @@ class R3Curve:
         if np.any(rho <= 0) or np.any(rho > self.rho_plus * (1 + 1e-12)):
             raise ValueError("state left the admissible band (0, rho_plus]")
         return rho, u, theta
-
-    def w_of(self, u, theta):
-        return np.asarray(u, float) + sound_speed(self.params, theta)
 
 
 @dataclass(frozen=True)
@@ -191,11 +188,6 @@ class BurgersWave:
         return x0
 
 
-def burgers_eval(wave: BurgersWave, x, t):
-    """Fan speed field at profile time t (Burgers time tau = 1 + t)."""
-    return wave.eval(x, 1.0 + t)
-
-
 def rarefaction_profile(curve: R3Curve, wave: BurgersWave, x, t: float):
     """(rho_bar, u_bar, theta_bar) of the smoothed fan at time t.
 
@@ -203,7 +195,7 @@ def rarefaction_profile(curve: R3Curve, wave: BurgersWave, x, t: float):
     """
     if wave.w_minus < 0:
         raise ValueError("fan edge speed w_minus must be nonnegative")
-    w, _ = burgers_eval(wave, x, t)
+    w, _ = wave.eval(x, 1.0 + t)            # Burgers time tau = 1 + t
     return curve.state_from_w(w)
 
 

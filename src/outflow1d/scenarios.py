@@ -14,6 +14,7 @@ emits a fixed set of artifacts into the output directory:
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,9 +28,9 @@ from .diagnostics import (bump_profile, fit_convergence, record_from_state,
 from .gas import EndStates, GasParams, dielectric_bound, sound_speed
 from .layer import construct_layer, export_csv, find_M0, measure_decay
 from .rarefaction import DECAY_DX, DECAY_PAD, BurgersWave, \
-    CompositeProfile, R3Curve, burgers_eval, rarefaction_decay_check
-from .solver import FieldState, Grid1D, SolverConfig, apply_boundary, \
-    default_domain_length, run, write_snapshot_csv
+    CompositeProfile, R3Curve, rarefaction_decay_check
+from .solver import FieldState, Grid1D, SolverConfig, apply_boundary, run, \
+    write_snapshot_csv
 from .table import write_table
 
 __all__ = ["ScenarioError", "PreparedRun", "prepare_scenario",
@@ -41,8 +42,11 @@ class ScenarioError(RuntimeError):
 
 
 # largest gap allowed between the background at x = L and the far state,
-# which the march enforces there
+# which the march enforces there; an auto length grows by LENGTH_GROWTH
+# until it holds, at most MAX_GROWTHS times
 FAR_FIELD_TOL = 1e-8
+LENGTH_GROWTH = 1.25
+MAX_GROWTHS = 16
 # the perturbation bump: its centre (a seed jitters it by up to a quarter
 # width) and width
 BUMP_CENTER = 5.0
@@ -62,7 +66,6 @@ class PreparedRun:
     solver_config: SolverConfig
     record_dt: float
     perturbation: dict                # bump centre and signs per field
-    warnings: list                    # e.g. an auto length short of the fan
 
 
 def _apply_perturbation(cfg: ScenarioConfig, grid: Grid1D, state: FieldState,
@@ -106,7 +109,12 @@ def _build(cfg: ScenarioConfig, with_layer: bool,
     to the star state, then a 3-rarefaction fan (if with_fan) from the star
     state at temperature theta_star to the far state.  Without a fan the
     star state is the far state; without a layer it is the boundary data.
-    The fan depends on R and gamma only, so it is built before eps."""
+    The fan depends on R and gamma only, so it is built before eps.
+
+    The march pins the far state at x = L, so the background must sit
+    there within FAR_FIELD_TOL at t = 0 and at every record time.  An auto
+    length starts at default_domain_length and grows until it does; a
+    length that still misses raises ScenarioError."""
     params0 = _gas(cfg)
     plus = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
     star, curve, wave = plus, None, None
@@ -129,21 +137,22 @@ def _build(cfg: ScenarioConfig, with_layer: bool,
                      eps=cfg.eps_fraction * dielectric_bound(params0, end))
     background = CompositeProfile(star, layer, curve, wave)
 
-    length = cfg.length
+    record_dt = cfg.t_final / 50.0
+    times = [k * record_dt for k in range(50)] + [cfg.t_final]
+    length, growths = cfg.length, 0
     if length is None:
         length = default_domain_length(params, end, cfg.t_final)
-    record_dt = cfg.t_final / 50.0
-    gap, t_gap = _far_field_gap(
-        background, length, plus,
-        [k * record_dt for k in range(50)] + [cfg.t_final])
-    warnings = []
+        growths = MAX_GROWTHS
+    gap, t_gap = _far_field_gap(background, length, plus, times)
+    while gap > FAR_FIELD_TOL and growths:
+        length *= LENGTH_GROWTH
+        growths -= 1
+        gap, t_gap = _far_field_gap(background, length, plus, times)
     if gap > FAR_FIELD_TOL:
-        msg = (f"the background at x = L = {length:g} is {gap:.3g} off the "
-               f"far state at t = {t_gap:g}, above {FAR_FIELD_TOL:g}")
-        if cfg.length is not None:
-            raise ScenarioError(msg + "; lengthen the domain")
-        # default_domain_length does not count the fan's tail yet
-        warnings.append(msg + " (length = auto)")
+        raise ScenarioError(
+            f"the background at x = L = {length:g} is {gap:.3g} off the far "
+            f"state at t = {t_gap:g}, above {FAR_FIELD_TOL:g}; lengthen the "
+            "domain")
     grid = Grid1D(length, cfg.n_cells)
     state0 = _state_from_background(grid, background)
     perturbation = _apply_perturbation(cfg, grid, state0, params)
@@ -151,8 +160,15 @@ def _build(cfg: ScenarioConfig, with_layer: bool,
     return PreparedRun(params=params, end=end, grid=grid,
                        background=background, state0=state0,
                        solver_config=SolverConfig(),
-                       record_dt=record_dt, perturbation=perturbation,
-                       warnings=warnings)
+                       record_dt=record_dt, perturbation=perturbation)
+
+
+def default_domain_length(params: GasParams, end: EndStates,
+                          t_final: float) -> float:
+    """Where an auto length starts: 2 (u_+ + c_+)(1 + t_final), the reach
+    of the far state's fastest signal, at least 40."""
+    c_plus = math.sqrt(params.R * params.gamma * end.theta_plus)
+    return max(40.0, 2.0 * (end.u_plus + c_plus) * (1.0 + t_final))
 
 
 def _far_field_gap(background, length: float, far, times) -> tuple:
@@ -318,9 +334,8 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
         "rel_field_initial": rel_field[0], "rel_field_final": rel_field[-1],
         "sup_fluid_final": sup_fluid[-1], "sup_field_final": sup_field[-1],
         "mass_residual_max": result.mass_residual_max,
-        "cfl_margin_max": result.cfl_margin_max,
         "steps": result.steps, "runtime_s": runtime,
-        "warnings": prep.warnings + result.warnings,
+        "warnings": result.warnings,
     }
     files = {
         "diagnostics.csv": lambda path: write_diag_csv(path, diag_records),
@@ -440,7 +455,7 @@ def profile_scenario(cfg: ScenarioConfig, out_dir) -> None:
         wave = _burgers_wave(cfg)
         x = np.arange(0.0, wave.w_plus + DECAY_PAD, DECAY_DX)
         write_table(os.path.join(out_dir, "speed_profile.csv"), "x,w,w_x",
-                    (x, *burgers_eval(wave, x, 0.0)))
+                    (x, *wave.eval(x, 1.0)))
         return
     if cfg.scenario == "layer_decay":
         layer = _far_layer(cfg)

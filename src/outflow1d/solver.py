@@ -22,9 +22,7 @@ is advanced in Riemann coordinates W1 = (sqrt(eps)/2)(sqrt(eps) E - b)
 (sqrt(eps) E + b) (speed -1/sqrt(eps), absorbed at x = L) with upwind
 differences.  The stiff relaxation eps E_t = -E is kept out of the stage
 operator and applied exactly as a Strang pair of half-interval decay
-factors exp(-dt/(2 eps)).  The far field at x = L is Dirichlet.  An auto L
-(default_domain_length) counts the far state's u_+ + c_+ only, not the
-smoothed fan's tail: the scenarios check the background at x = L instead.
+factors exp(-dt/(2 eps)).  The far field at x = L is Dirichlet.
 
 Boundary conditions are enforced on the relaxed start of each step and on
 its result after the closing relaxation.  At x = 0 the
@@ -53,7 +51,7 @@ from .table import write_table
 __all__ = [
     "Grid1D", "FieldState", "SolverConfig", "RunResult",
     "SolverError", "PositivityError",
-    "default_domain_length", "spatial_rhs", "apply_boundary", "cfl_dt",
+    "spatial_rhs", "apply_boundary", "cfl_dt",
     "step", "run", "write_snapshot_csv",
 ]
 
@@ -96,16 +94,6 @@ class Grid1D:
         x = np.linspace(0.0, self.length, self.n_nodes)
         x.flags.writeable = False
         return x
-
-
-def default_domain_length(params: GasParams, end: EndStates,
-                          t_final: float) -> float:
-    """2 (u_+ + c_+)(1 + t_final), at least 40: it counts the far state's
-    fastest signal u_+ + c_+ only.  The smoothed fan's tail can reach past
-    it; the scenarios check the background's gap at x = L against
-    FAR_FIELD_TOL, and counting the tail is ROADMAP item 11 (a)."""
-    c_plus = math.sqrt(params.R * params.gamma * end.theta_plus)
-    return max(40.0, 2.0 * (end.u_plus + c_plus) * (1.0 + t_final))
 
 
 FIELDS = ("rho", "u", "theta", "E", "b")
@@ -388,15 +376,12 @@ def _mass(grid: Grid1D, state: FieldState) -> float:
 
 @dataclass
 class RunResult:
-    """March outcome: final state and the audit extrema."""
+    """March outcome: final state, step count, the mass audit's maximum."""
 
     state: FieldState
     t_final: float
     steps: int
     mass_residual_max: float = 0.0
-    cfl_margin_max: float = 0.0
-    dt_min: float = math.inf
-    dt_max_used: float = 0.0
     warnings: list = field(default_factory=list)
 
 
@@ -467,9 +452,6 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
                         - (info["flux_left"] - info["flux_right"]))
             mass = mass_after
             result.mass_residual_max = max(result.mass_residual_max, resid)
-            result.cfl_margin_max = max(result.cfl_margin_max, dt / dt_stab)
-            result.dt_min = min(result.dt_min, dt)
-            result.dt_max_used = max(result.dt_max_used, dt)
 
         if recorder is not None:
             recorder(t_event, state, result.mass_residual_max)

@@ -142,6 +142,16 @@ class TestValidation:
                               "alpha = -1\n")
         assert len(exc.value.errors) == 3
 
+    def test_zero_strength_layer_scoped_to_layer_decay(self):
+        # a zero-strength layer has no tail for layer_decay to measure; the
+        # solver scenarios march it as the constant far state
+        for scenario in ("layer_stability", "superposition_stability"):
+            assert ScenarioConfig(scenario=scenario, delta=0.0).validate() \
+                == []
+        assert ScenarioConfig(scenario="layer_decay", delta=0.0).validate() \
+            == ["delta must be positive for layer_decay: a zero-strength "
+                "layer has no tail to measure"]
+
     def test_theta_star_scoped_to_superposition(self):
         # harmless for a pure-layer run, rejected for both fan scenarios
         parse_config_text(MINIMAL + "theta_star = 2.0\n")
@@ -269,6 +279,16 @@ class TestCli:
     def test_run_invalid_config_returns_two(self, write_cfg, capsys):
         path = write_cfg(MINIMAL + "gamma = 0.5\n")
         assert main(["run", "--config", path]) == 2
+
+    def test_run_zero_strength_layer_decay_returns_two(self, write_cfg,
+                                                        tmp_path, capsys):
+        path = write_cfg("scenario = layer_decay\nu_plus = -2.0\n"
+                         "delta = 0\n")
+        out = tmp_path / "flat"
+        assert main(["run", "--config", path, "--out", str(out)]) == 2
+        assert "delta must be positive for layer_decay" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_negative_seed_override_returns_two(self, write_cfg,
                                                      tmp_path, capsys):

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from oracles import poincare_check, sobolev_check
 from outflow1d.diagnostics import (DIAG_COLUMNS, DiagRecord,
                                    bump_profile, compound_dissipation,
-                                   energy_density, fit_convergence, gradient,
-                                   h1_norm, l2_norm, perturbation_energy,
+                                   energy_density, fit_convergence, h1_norm, l2_norm, perturbation_energy,
                                    phi_gap, record_from_state, sup_norm,
                                    write_diag_csv)
 from outflow1d.gas import GasParams
@@ -110,9 +109,12 @@ class TestNorms:
             assert all(type(v) is float for v in rows.tolist())
 
     def test_gradient_of_linear_function(self):
+        # h1_norm differentiates 3x + 1 exactly: its square exceeds the
+        # L2 norm's by the integral of 3^2 over [0, 1]
         x = np.linspace(0.0, 1.0, 11)
-        np.testing.assert_allclose(gradient(x, 3.0 * x + 1.0), 3.0,
-                                   rtol=1e-12)
+        f = 3.0 * x + 1.0
+        assert h1_norm(x, f) ** 2 - l2_norm(x, f) ** 2 == pytest.approx(
+            9.0, rel=1e-12)
 
 
 class TestBumps:

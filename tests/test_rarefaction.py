@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from oracles import cq_constant, exact_fan_profile
 from outflow1d.config import ScenarioConfig
-from outflow1d.gas import GasParams
+from outflow1d.gas import GasParams, sound_speed
 from outflow1d.layer import construct_layer
 from outflow1d.rarefaction import (DECAY_DX, DECAY_PAD, DECAY_TIMES,
                                    BurgersWave, CompositeProfile, R3Curve,
-                                   burgers_eval, rarefaction_decay_check,
+                                   rarefaction_decay_check,
                                    rarefaction_profile)
 from outflow1d.scenarios import prepare_scenario
 
@@ -59,7 +59,7 @@ class TestR3Curve:
     def test_w_parametrization_round_trip(self, th):
         curve = R3Curve(PARAMS, *PLUS)
         rho, u, theta = curve.state_at_theta(th)
-        w = curve.w_of(u, theta)
+        w = u + sound_speed(PARAMS, theta)
         rho2, u2, th2 = curve.state_from_w(float(w))
         assert rho2 == pytest.approx(rho, rel=1e-12)
         assert u2 == pytest.approx(u, abs=1e-12)
@@ -150,10 +150,14 @@ class TestBurgersWave:
         assert isinstance(w, float) and isinstance(wx, float)
 
     def test_time_shift_enters_as_one_plus_t(self):
+        # the fan profile at time t is the Burgers field at tau = 1 + t
+        curve = R3Curve(PARAMS, *PLUS)
+        wave = BurgersWave(0.5, curve.w_plus - 0.5)
         x = np.linspace(0.0, 30.0, 50)
-        w_direct, _ = self.WAVE.eval(x, 1.0 + 2.5)
-        w_shift, _ = burgers_eval(self.WAVE, x, 2.5)
-        np.testing.assert_array_equal(w_direct, w_shift)
+        w_direct, _ = wave.eval(x, 1.0 + 2.5)
+        for got, want in zip(rarefaction_profile(curve, wave, x, 2.5),
+                             curve.state_from_w(w_direct)):
+            np.testing.assert_array_equal(got, want)
 
 
 # tuned data reaching the asymptotic regime inside t in [1, 100]: the
@@ -243,7 +247,7 @@ class TestFanProfiles:
     def make_wave(self):
         # left state on the curve with w_- >= 0, fan opening toward +x
         rho_m, u_m, th_m = self.CURVE.state_at_theta(0.9)
-        w_m = float(self.CURVE.w_of(u_m, th_m))
+        w_m = float(u_m + sound_speed(PARAMS, th_m))
         return BurgersWave(w_minus=w_m, delta_r=self.CURVE.w_plus - w_m)
 
     def test_left_of_fan_is_constant_state(self):
@@ -310,7 +314,7 @@ class TestComposite:
     def build_parts(self):
         star = R3Curve(PARAMS, *PLUS).state_at_theta(0.94)
         layer = construct_layer(PARAMS, star, 0.05)
-        w_star = float(self.CURVE.w_of(star[1], star[2]))
+        w_star = float(star[1] + sound_speed(PARAMS, star[2]))
         wave = BurgersWave(w_minus=w_star, delta_r=self.CURVE.w_plus - w_star)
         return star, layer, wave
 

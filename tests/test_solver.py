@@ -15,8 +15,8 @@ from outflow1d.layer import construct_layer
 from outflow1d.scenarios import prepare_scenario
 from outflow1d.solver import (FieldState, Grid1D, PositivityError,
                               SolverConfig, SolverError, _check_state,
-                              apply_boundary, cfl_dt, default_domain_length,
-                              run, spatial_rhs, step, write_snapshot_csv)
+                              apply_boundary, cfl_dt, run, spatial_rhs, step,
+                              write_snapshot_csv)
 
 
 def uniform_end(u=-0.5, theta=1.0, rho=1.0):
@@ -28,6 +28,19 @@ def constant_state(grid, end):
     n = grid.n_nodes
     return FieldState(np.full(n, end.rho_plus), np.full(n, end.u_plus),
                       np.full(n, end.theta_plus), np.zeros(n), np.zeros(n))
+
+
+@pytest.fixture
+def step_dts(monkeypatch):
+    """Every dt that run passes to solver.step, in order."""
+    dts = []
+
+    def recording(params, end, grid, state, dt, config):
+        dts.append(dt)
+        return step(params, end, grid, state, dt, config)
+
+    monkeypatch.setattr(solver, "step", recording)
+    return dts
 
 
 def bump(x, center, width):
@@ -101,13 +114,6 @@ class TestConstruction:
     def test_config_validation(self, kw):
         with pytest.raises(ValueError):
             SolverConfig(**kw)
-
-    def test_default_domain_length_floor(self):
-        end = uniform_end(u=-0.5)
-        assert default_domain_length(GasParams(), end, 1.0) == 40.0
-        long = default_domain_length(GasParams(), end, 500.0)
-        c = math.sqrt(5.0 / 3.0)
-        assert long == pytest.approx(2.0 * (-0.5 + c) * 501.0)
 
 
 class TestExactInvariants:
@@ -183,12 +189,6 @@ class TestFullRuns:
         res = run(params, end, grid, state0.copy(), 2.0)
         assert res.mass_residual_max < 1e-10
 
-    def test_cfl_margin_never_exceeds_one(self, layer_setup):
-        params, end, grid, _, state0 = layer_setup
-        res = run(params, end, grid, state0.copy(), 2.0)
-        assert res.cfl_margin_max <= 1.0 + 1e-9
-        assert res.dt_min > 0.0 and res.dt_max_used >= res.dt_min
-
     def test_records_land_on_the_requested_grid(self, layer_setup):
         params, end, grid, _, state0 = layer_setup
         times = []
@@ -197,7 +197,8 @@ class TestFullRuns:
         assert times == [0.0, 0.5, 1.0, 1.5, 2.0]
 
     def test_recorder_sees_each_event_and_the_running_audit(self,
-                                                            layer_setup):
+                                                            layer_setup,
+                                                            step_dts):
         # events are k * record_dt as computed (3 * 0.3 = 0.8999999999999999);
         # 6 * 0.3 = 1.7999999999999998 is t_final = 1.8 within rounding, so
         # it is no event of its own and costs no 2.2e-16 step
@@ -210,7 +211,7 @@ class TestFullRuns:
         assert audit[0] == 0.0
         assert all(a <= b for a, b in zip(audit, audit[1:]))
         assert audit[-1] == res.mass_residual_max > 0.0
-        assert res.dt_min > 1e-6
+        assert len(step_dts) == res.steps and min(step_dts) > 1e-6
         np.testing.assert_array_equal(calls[-1][1].data, res.state.data)
 
     def test_march_is_deterministic(self, layer_setup):
@@ -338,13 +339,14 @@ class TestFailureModes:
 
 
 class TestStepControls:
-    def test_dt_max_is_honored(self):
+    def test_dt_max_is_honored(self, step_dts):
         params = GasParams(eps=0.01)
         end = uniform_end()
         grid = Grid1D(40.0, 64)
         cfg = SolverConfig(dt_max=1e-3)
         res = run(params, end, grid, constant_state(grid, end), 0.1, cfg)
-        assert res.dt_max_used <= 1e-3 + 1e-15
+        assert len(step_dts) == res.steps >= 100
+        assert max(step_dts) <= 1e-3
 
     def test_field_speed_enters_the_full_cfl(self):
         # at eps = 1e-4 the field speed 1/sqrt(eps) = 100 outruns the sound
