@@ -9,10 +9,10 @@ from .layer import (LayerError, LayerProfile, construct_layer, find_M0,
 from .rarefaction import (BurgersWave, CompositeProfile, R3Curve,
                           rarefaction_decay_check, rarefaction_profile)
 from .solver import (FieldState, Grid1D, PositivityError, RunResult,
-                     SolverConfig, SolverError, apply_boundary, cfl_dt, run,
-                     spatial_rhs, step, write_snapshot_csv)
-from .diagnostics import (DiagRecord, bump_profile, compound_dissipation,
-                          energy_density, fit_convergence, h1_norm, l2_norm,
+                     SolverConfig, SolverError, apply_boundary, cfl_dt,
+                     record_times, run, spatial_rhs, step, write_snapshot_csv)
+from .diagnostics import (DiagRecord, bump_profile, energy_density,
+                          fit_convergence, h1_norm, l2_norm,
                           perturbation_energy, phi_gap, record_from_state,
                           sup_norm, write_diag_csv)
 from .config import (ConfigError, SCENARIOS, ScenarioConfig, echo_config,

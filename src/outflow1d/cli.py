@@ -54,24 +54,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_check(args) -> int:
+def _load(path, seed):
+    """The config at path, or None after saying on stderr why not."""
     try:
-        cfg = load_config(args.config)
+        return load_config(path, seed)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
+    return None
+
+
+def _cmd_check(args) -> int:
+    if (cfg := _load(args.config, None)) is None:
         return 2
     sys.stdout.write(echo_config(cfg))
     return 0
 
 
 def _cmd_profile(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(exc, file=sys.stderr)
+    if (cfg := _load(args.config, None)) is None:
         return 2
     out = args.out or f"{cfg.scenario}_profile"
     try:
@@ -84,10 +86,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config, args.seed)
-    except (ConfigError, OSError) as exc:
-        print(exc, file=sys.stderr)
+    if (cfg := _load(args.config, args.seed)) is None:
         return 2
     out = args.out or f"{cfg.scenario}_out"
     try:

@@ -8,9 +8,7 @@ gap Phi(s) = s - 1 - ln s,
     eta = psi^2/2 + R theta_hat Phi(rho_hat/rho)
           + R/(gamma-1) theta_hat Phi(theta/theta_hat),
 
-integrated against rho.  The compound field dissipation is the square
-integral of E + psi b + u_hat b (algebraically equal to E + u b; the two
-evaluation routes are kept distinct on purpose so tests can compare them).
+integrated against rho.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from .table import write_table
 __all__ = [
     "DiagRecord",
     "bump_profile", "phi_gap", "energy_density", "perturbation_energy",
-    "compound_dissipation", "l2_norm", "h1_norm", "sup_norm",
+    "l2_norm", "h1_norm", "sup_norm",
     "fit_convergence",
     "record_from_state", "write_diag_csv",
 ]
@@ -76,14 +74,6 @@ def perturbation_energy(params: GasParams, x, rho, theta, rho_hat, theta_hat,
                         psi) -> float:
     eta = energy_density(params, rho, theta, rho_hat, theta_hat, psi)
     return float(np.trapezoid(np.asarray(rho, float) * eta, x))
-
-
-def compound_dissipation(x, E, b, psi, u_hat) -> float:
-    """int (E + psi b + u_hat b)^2 dx, the damping rate of the field part."""
-    E = np.asarray(E, float)
-    b = np.asarray(b, float)
-    drive = E + np.asarray(psi, float) * b + np.asarray(u_hat, float) * b
-    return float(np.trapezoid(drive * drive, x))
 
 
 # --------------------------------------------------------------------------
@@ -171,11 +161,7 @@ class DiagRecord:
     sup_E: float
     sup_b: float
     energy: float
-    dissipation: float
-    phi0: float
-    E0: float
-    b0: float
-    mass_residual: float = 0.0        # the march's running audit maximum
+    mass_residual: float              # the march's running audit maximum
 
     @property
     def sup_fluid(self) -> float:
@@ -187,8 +173,10 @@ class DiagRecord:
 
 
 def record_from_state(params: GasParams, grid: Grid1D, state: FieldState,
-                      background, t: float) -> DiagRecord:
-    """Measure the state against the background profile at time t.
+                      background, t: float,
+                      mass_residual: float) -> DiagRecord:
+    """Measure the state against the background profile at time t; the
+    record carries the march's mass audit as given.
 
     background exposes eval(x, t) -> (rho, u, theta) as float arrays on x;
     its field part is identically zero.
@@ -197,15 +185,12 @@ def record_from_state(params: GasParams, grid: Grid1D, state: FieldState,
     rho_h, u_h, th_h = background.eval(x, t)
     pert = state.data.copy()                 # (phi, psi, zeta, E, b)
     pert[:3] -= (rho_h, u_h, th_h)
-    psi = pert[1]
     return DiagRecord(
         t, *l2_norm(x, pert).tolist(), *h1_norm(x, pert).tolist(),
         *sup_norm(pert).tolist(),
-        energy=perturbation_energy(params, x, state.rho, state.theta,
-                                   rho_h, th_h, psi),
-        dissipation=compound_dissipation(x, state.E, state.b, psi, u_h),
-        phi0=float(pert[0, 0]), E0=float(state.E[0]), b0=float(state.b[0]),
-    )
+        perturbation_energy(params, x, state.rho, state.theta, rho_h, th_h,
+                            pert[1]),
+        mass_residual)
 
 
 DIAG_COLUMNS = tuple(f.name for f in fields(DiagRecord))

@@ -52,7 +52,7 @@ __all__ = [
     "Grid1D", "FieldState", "SolverConfig", "RunResult",
     "SolverError", "PositivityError",
     "spatial_rhs", "apply_boundary", "cfl_dt",
-    "step", "run", "write_snapshot_csv",
+    "step", "record_times", "run", "write_snapshot_csv",
 ]
 
 DT_FLOOR = 1e-14          # below this the march has stagnated
@@ -374,6 +374,25 @@ def _mass(grid: Grid1D, state: FieldState) -> float:
     return grid.dx * (float(rho.sum()) - 0.5 * (rho.item(0) + rho.item(-1)))
 
 
+def record_times(t_final: float, record_dt: float | None) -> list:
+    """The times run lands on and shows its recorder: 0, each k * record_dt
+    (k >= 1) short of t_final by more than rounding, and t_final.  Raises
+    SolverError unless t_final and record_dt (if given) are finite and
+    positive."""
+    if not 0.0 < t_final < math.inf:      # nan fails too; inf never ends
+        raise SolverError("t_final must be finite and positive")
+    if record_dt is not None and not 0.0 < record_dt < math.inf:
+        raise SolverError("record_dt must be finite and positive")
+    times = [0.0]
+    if record_dt is not None:
+        k = 1
+        while k * record_dt < t_final * (1.0 - 1e-12):
+            times.append(k * record_dt)
+            k += 1
+    times.append(float(t_final))
+    return times
+
+
 @dataclass
 class RunResult:
     """March outcome: final state, step count, the mass audit's maximum."""
@@ -390,22 +409,19 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
         record_dt: float | None = None, recorder=None) -> RunResult:
     """March state0 to t_final.
 
-    The march lands exactly on every multiple of record_dt below t_final and
-    on t_final.  recorder, if given, is called as recorder(t, state,
-    mass_residual_max) at t = 0 and at each of those times, with the running
-    maximum of the mass audit (0.0 at t = 0); state is the march's own
-    array, so a recorder that keeps it must copy it.  Raises SolverError if
-    a field turns non-finite or the step size collapses, and PositivityError
-    if rho or theta leaves the positive cone.
+    The march lands exactly on each of record_times(t_final, record_dt).
+    recorder, if given, is called as recorder(t, state, mass_residual_max)
+    at each of those times, with the running maximum of the mass audit
+    (0.0 at t = 0); state is the march's own array, so a recorder that
+    keeps it must copy it.  Raises SolverError if a field turns non-finite
+    or the step size collapses, and PositivityError if rho or theta leaves
+    the positive cone.
     """
     if config is None:
         config = SolverConfig()
     if state0.n_nodes != grid.n_nodes:
         raise SolverError("state and grid sizes disagree")
-    if not 0.0 < t_final < math.inf:      # nan fails too; inf never ends
-        raise SolverError("t_final must be finite and positive")
-    if record_dt is not None and not 0.0 < record_dt < math.inf:
-        raise SolverError("record_dt must be finite and positive")
+    times = record_times(t_final, record_dt)
 
     result = RunResult(state=state0.copy(), t_final=0.0, steps=0)
 
@@ -419,21 +435,11 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     apply_boundary(params, end, state)
     extrema = _check_state(state, 0.0, 0)
 
-    # event times: the record grid, short of t_final by more than rounding,
-    # then t_final
-    event_times = []
-    if record_dt is not None:
-        k = 1
-        while k * record_dt < t_final * (1.0 - 1e-12):
-            event_times.append(k * record_dt)
-            k += 1
-    event_times.append(float(t_final))
-
     mass = _mass(grid, state)
     if recorder is not None:
         recorder(0.0, state, 0.0)
     t = 0.0
-    for t_event in event_times:
+    for t_event in times[1:]:
         while t < t_event:
             dt_stab = cfl_dt(params, end, grid, state, config, extrema)
             if dt_stab < DT_FLOOR:

@@ -247,7 +247,10 @@ class TestCli:
         assert "u_plus" in capsys.readouterr().err
 
     def test_check_missing_file(self, capsys):
-        assert main(["check", "--config", "/nonexistent/x.cfg"]) == 2
+        # every command that loads a config reports an unreadable one alike
+        for command in ("check", "profile", "run"):
+            assert main([command, "--config", "/nonexistent/x.cfg"]) == 2
+            assert capsys.readouterr().err.startswith("cannot read config: ")
 
     def test_profile_writes_layer_csv(self, write_cfg, tmp_path, capsys):
         path = write_cfg("scenario = layer_decay\nu_plus = -2.0\n"

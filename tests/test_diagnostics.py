@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import poincare_check, sobolev_check
-from outflow1d.diagnostics import (DIAG_COLUMNS, DiagRecord,
-                                   bump_profile, compound_dissipation,
-                                   energy_density, fit_convergence, h1_norm, l2_norm, perturbation_energy,
-                                   phi_gap, record_from_state, sup_norm,
+from outflow1d.diagnostics import (DIAG_COLUMNS, bump_profile,
+                                   energy_density, fit_convergence, h1_norm,
+                                   l2_norm, perturbation_energy, phi_gap,
+                                   record_from_state, sup_norm,
                                    write_diag_csv)
 from outflow1d.gas import GasParams
 from outflow1d.solver import FieldState, Grid1D
@@ -63,24 +63,6 @@ class TestEnergy:
                                 np.ones_like(x), np.ones_like(x),
                                 np.zeros_like(x))
         assert e > 0.0
-
-    def test_compound_dissipation_routes_agree(self):
-        # (E + psi b + u_hat b) == (E + u b) with u = u_hat + psi
-        rng = np.random.default_rng(42)
-        x = np.linspace(0.0, 20.0, 400)
-        E = rng.standard_normal(x.size)
-        b = rng.standard_normal(x.size)
-        psi = 0.1 * rng.standard_normal(x.size)
-        u_hat = -0.5 + 0.05 * np.sin(x)
-        via_split = compound_dissipation(x, E, b, psi, u_hat)
-        u = u_hat + psi
-        via_total = float(np.trapezoid((E + u * b) ** 2, x))
-        assert via_split == pytest.approx(via_total, rel=1e-13)
-
-    def test_dissipation_zero_without_fields(self):
-        x = np.linspace(0.0, 5.0, 50)
-        z = np.zeros_like(x)
-        assert compound_dissipation(x, z, z, z + 0.3, z - 0.5) == 0.0
 
 
 class TestNorms:
@@ -227,22 +209,24 @@ class TestRecords:
         n = self.GRID.n_nodes
         state = FieldState(np.ones(n), np.full(n, -0.5), np.ones(n),
                            np.zeros(n), np.zeros(n))
-        rec = record_from_state(PARAMS, self.GRID, state, Uniform(), 0.0)
+        rec = record_from_state(PARAMS, self.GRID, state, Uniform(), 0.0,
+                                0.0)
         assert rec.sup_fluid == 0.0 and rec.sup_field == 0.0
-        assert rec.energy == 0.0 and rec.dissipation == 0.0
+        assert rec.energy == 0.0
         assert rec.l2_phi == 0.0 and rec.h1_psi == 0.0
 
     def test_sup_aggregates(self):
         state = self.make_state()
-        rec = record_from_state(PARAMS, self.GRID, state, Uniform(), 1.0)
+        rec = record_from_state(PARAMS, self.GRID, state, Uniform(), 1.0,
+                                3e-12)
         assert rec.sup_fluid == pytest.approx(0.02, abs=1e-12)
         assert rec.sup_field == pytest.approx(0.05, abs=1e-12)
-        assert rec.mass_residual == 0.0
+        assert rec.mass_residual == 3e-12         # the audit, as given
 
     def test_csv_round_trip(self, tmp_path):
         state = self.make_state()
         recs = [record_from_state(PARAMS, self.GRID, state, Uniform(),
-                                  float(t)) for t in range(3)]
+                                  float(t), 1e-13 * t) for t in range(3)]
         path = tmp_path / "diag.csv"
         write_diag_csv(path, recs)
         header = path.read_text().splitlines()[0]
@@ -258,4 +242,4 @@ class TestRecords:
             "t", "l2_phi", "l2_psi", "l2_zeta", "l2_E", "l2_b",
             "h1_phi", "h1_psi", "h1_zeta", "h1_E", "h1_b",
             "sup_phi", "sup_psi", "sup_zeta", "sup_E", "sup_b",
-            "energy", "dissipation", "phi0", "E0", "b0", "mass_residual")
+            "energy", "mass_residual")

@@ -310,6 +310,26 @@ class TestFarField:
                 > scenarios.FAR_FIELD_TOL
                 >= max(self.gaps(prep, cfg, prep.grid.length, times)))
 
+    @pytest.mark.parametrize("name", ["rarefaction_stability",
+                                      "superposition_stability"])
+    def test_the_check_sees_the_record_times(self, name, monkeypatch):
+        # the far-field check and the march share one record schedule
+        checked, recorded = [], []
+        gap = scenarios._far_field_gap
+
+        def spy(background, length, far, times):
+            checked.append(list(times))
+            return gap(background, length, far, times)
+
+        monkeypatch.setattr(scenarios, "_far_field_gap", spy)
+        cfg = replace(load_config(CONFIGS / f"{name}.cfg"), n_cells=64)
+        prep = prepare_scenario(cfg)
+        run(prep.params, prep.end, prep.grid, prep.state0, cfg.t_final,
+            prep.solver_config, record_dt=prep.record_dt,
+            recorder=lambda t, s, _: recorded.append(t))
+        assert len(recorded) == 51
+        assert checked and all(times == recorded for times in checked)
+
     def test_an_auto_length_that_never_clears_is_refused(self):
         # a transonic degenerate layer (u_+ + c_+ = 0, so the start is 40):
         # its algebraic tail is still 6.6e-4 off at 40 * 1.25^16
@@ -512,9 +532,16 @@ class TestSolverScenarioRun:
         summary = run_scenario(cfg, tmp_path / "quiet")
         assert summary["verdict"] == "PASS"
         assert "zero amplitude" in summary["fit_rel_fluid"]["note"]
-        # only boundary pinning separates the data from the background
-        assert summary["rel_fluid_initial"] < 1e-14
+        # the data are the reference's start, so nothing separates the two
+        # runs, while the analytic background is some way off
+        assert summary["rel_fluid_initial"] == 0.0
         assert summary["rel_field_initial"] == 0.0
+        assert summary["rel_fluid_final"] == 0.0
+        assert summary["sup_fluid_final"] > 0.0
+        for name in ("rel_fluid", "rel_field"):
+            trace = np.loadtxt(tmp_path / "quiet" / "plots" / f"{name}.dat")
+            assert trace.shape == (51, 2)
+            assert trace[:, 1].tolist() == [0.0] * 51
 
     def test_unknown_scenario_is_refused(self, tmp_path):
         cfg = ScenarioConfig(scenario="nonsense")
