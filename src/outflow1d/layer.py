@@ -72,10 +72,12 @@ ALG_N_GEOM = 4000
 
 @dataclass
 class LayerProfile:
-    """Sampled stationary profile plus a monotone-cubic evaluator.
+    """Sampled stationary profile of strength delta > 0 plus a
+    monotone-cubic evaluator.
 
     Beyond x_max, the last sample, the evaluator returns the far-field
-    constants.
+    constants.  A zero-strength layer is the constant far state: no
+    profile holds it.
     """
 
     x: np.ndarray
@@ -87,15 +89,14 @@ class LayerProfile:
     u_far: float
     theta_far: float
     decay_rate_oracle: float | None = None   # nonzero eigenvalue(s) at the far point
-    _u_i: PchipInterpolator | None = field(default=None, repr=False)
-    _th_i: PchipInterpolator | None = field(default=None, repr=False)
+    _u_i: PchipInterpolator = field(init=False, repr=False)
+    _th_i: PchipInterpolator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.case_tag not in CASE_TAGS:
             raise ValueError(f"unknown case tag {self.case_tag!r}")
-        if self.x.size >= 2:
-            self._u_i = PchipInterpolator(self.x, self.u, extrapolate=False)
-            self._th_i = PchipInterpolator(self.x, self.theta, extrapolate=False)
+        self._u_i = PchipInterpolator(self.x, self.u, extrapolate=False)
+        self._th_i = PchipInterpolator(self.x, self.theta, extrapolate=False)
 
     @property
     def x_max(self) -> float:
@@ -112,13 +113,9 @@ class LayerProfile:
     def eval(self, x):
         """(rho, u, theta) at arbitrary x >= 0; constants beyond x_max."""
         x = np.asarray(x, dtype=float)
-        if self.x.size < 2:      # zero-strength layer
-            u = np.full(x.shape, self.u_far)
-            th = np.full(x.shape, self.theta_far)
-        else:
-            xc = np.clip(x, self.x[0], self.x_max)
-            u = np.where(x >= self.x_max, self.u_far, self._u_i(xc))
-            th = np.where(x >= self.x_max, self.theta_far, self._th_i(xc))
+        xc = np.clip(x, self.x[0], self.x_max)
+        u = np.where(x >= self.x_max, self.u_far, self._u_i(xc))
+        th = np.where(x >= self.x_max, self.theta_far, self._th_i(xc))
         rho = self.mass_flux / u
         return rho, u, th
 
@@ -335,12 +332,15 @@ def construct_layer(params: GasParams, far, delta: float,
     slow eigenvalue); the branch must be 'lower'.  subsonic and transonic
     'lower'/'upper': the stable manifold on the side of u_- below/above
     u_+.  transonic 'degenerate': the attracting (minus) side of the center
-    direction.  Raises ValueError for a branch outside LAYER_BRANCHES and
+    direction.  Raises ValueError for delta <= 0 (a zero-strength layer is
+    the far state itself) or a branch outside LAYER_BRANCHES, and
     LayerError when the branch does not fit the regime or the orbit fails.
     """
     rho_f, u_f, th_f = far
     if rho_f <= 0 or th_f <= 0:
         raise ValueError("far state needs positive density and temperature")
+    if not delta > 0:                     # nan fails too
+        raise ValueError("layer strength delta must be positive")
     if branch not in LAYER_BRANCHES:
         raise ValueError(f"branch must be one of {', '.join(LAYER_BRANCHES)}")
     regime = classify_regime(params, u_f, th_f)
@@ -348,13 +348,6 @@ def construct_layer(params: GasParams, far, delta: float,
             or (branch == "upper" and regime == "supersonic")):
         raise LayerError(f"a {regime} far state has no {branch!r} layer "
                          "branch")
-
-    if delta == 0.0:                      # zero-strength layer is exact
-        tag = {"supersonic": "supersonic", "subsonic": "subsonic",
-               "transonic": "transonic_manifold"}[regime]
-        return LayerProfile(x=np.array([0.0]), u=np.array([u_f]),
-                            theta=np.array([th_f]), delta=0.0, case_tag=tag,
-                            rho_far=rho_f, u_far=u_f, theta_far=th_f)
 
     if regime == "supersonic":
         _, V = _eigen(layer_jacobian(params, far))
@@ -385,9 +378,6 @@ def measure_decay(profile: LayerProfile, component: str = "u") -> dict:
     vals = {"u": profile.u, "theta": profile.theta}[component]
     dev = np.abs(vals - far)
     dmax = dev.max()
-    if dmax == 0.0:
-        return {"kind": "constant", "rate": 0.0, "exponent": 0.0,
-                "residual": 0.0, "decades": 0.0}
     lo = max(1e-8 * max(1.0, dmax), dev[dev > 0].min())
     hi = dmax / 3.0
     m = (dev >= lo) & (dev <= hi)
@@ -400,7 +390,7 @@ def measure_decay(profile: LayerProfile, component: str = "u") -> dict:
     ce = np.polyfit(x, ld, 1)
     rms_e = float(np.sqrt(np.mean((np.polyval(ce, x) - ld) ** 2)))
     # algebraic fit against (1 + delta*x)
-    reg = np.log1p(profile.delta * x) if profile.delta > 0 else np.log1p(x)
+    reg = np.log1p(profile.delta * x)
     ca = np.polyfit(reg, ld, 1)
     rms_a = float(np.sqrt(np.mean((np.polyval(ca, reg) - ld) ** 2)))
     kind = "exponential" if rms_e <= rms_a else "algebraic"
@@ -419,8 +409,6 @@ def find_M0(profile: LayerProfile, params: GasParams) -> float:
 
     Clamped below at 1; raises if the tail never turns monotone.
     """
-    if profile.x.size < 2:
-        return 1.0
     du, dth = profile.slopes(params)
     ok = ((du * np.sign(profile.u_far - profile.u) >= -1e-12)
           & (dth * np.sign(profile.theta_far - profile.theta) >= -1e-12))

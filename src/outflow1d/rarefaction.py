@@ -233,9 +233,10 @@ class CompositeProfile:
 
         (rho, u, theta)^hat (x,t) = tilde(x) + bar(x,t) - star,
 
-    with zero electromagnetic part.  Either wave part may be absent: a pure
-    layer uses bar == star (= the layer's far state), a pure fan uses
-    tilde == star (= the fan's left state).
+    with zero electromagnetic part.  An absent part stands at the star
+    state: a pure layer uses bar == star (= the layer's far state), a pure
+    fan uses tilde == star (= the fan's left state), and with neither part
+    the background is the constant star state.
     """
 
     star: tuple          # (rho, u, theta) shared state
@@ -245,25 +246,13 @@ class CompositeProfile:
 
     def __post_init__(self) -> None:
         self.star = tuple(map(float, self.star))
-        if self.layer is None and self.wave is None:
-            raise ValueError("composite needs at least one wave component")
         if (self.curve is None) != (self.wave is None):
             raise ValueError("fan part needs both curve and wave")
 
     def eval(self, x, t: float):
         x = np.asarray(x, dtype=float)
-        r_s, u_s, th_s = self.star
-        if self.layer is not None:
-            r_t, u_t, th_t = self.layer.eval(x)
-        else:
-            r_t = np.full(x.shape, r_s)
-            u_t = np.full(x.shape, u_s)
-            th_t = np.full(x.shape, th_s)
-        if self.wave is not None:
-            r_b, u_b, th_b = rarefaction_profile(self.curve, self.wave, x, t)
-        else:
-            r_b = np.full(x.shape, r_s)
-            u_b = np.full(x.shape, u_s)
-            th_b = np.full(x.shape, th_s)
-        return r_t + r_b - r_s, u_t + u_b - u_s, th_t + th_b - th_s
-
+        star = [np.full(x.shape, s) for s in self.star]
+        tilde = star if self.layer is None else self.layer.eval(x)
+        bar = (star if self.wave is None
+               else rarefaction_profile(self.curve, self.wave, x, t))
+        return tuple(a + b - s for a, b, s in zip(tilde, bar, self.star))

@@ -105,16 +105,18 @@ def _gas(cfg: ScenarioConfig) -> GasParams:
 
 def _build(cfg: ScenarioConfig, with_layer: bool,
            with_fan: bool) -> PreparedRun:
-    """The composite wave: a boundary layer (if with_layer) from the boundary
-    to the star state, then a 3-rarefaction fan (if with_fan) from the star
-    state at temperature theta_star to the far state.  Without a fan the
-    star state is the far state; without a layer it is the boundary data.
-    The fan depends on R and gamma only, so it is built before eps.
+    """The composite wave: a boundary layer (if with_layer and delta > 0)
+    from the boundary to the star state, then a 3-rarefaction fan (if
+    with_fan) from the star state at temperature theta_star to the far
+    state.  Without a fan the star state is the far state; without a layer
+    (at delta = 0 too, where layer_branch is not read) it is the boundary
+    data.  The fan depends on R and gamma only, so it is built before eps.
 
     The march pins the far state at x = L, so the background must sit
     there within FAR_FIELD_TOL at t = 0 and at every record time.  An auto
-    length starts at default_domain_length and grows until it does; a
-    length that still misses raises ScenarioError."""
+    length starts at default_domain_length and grows until it does,
+    keeping the starting dx: n_cells grows with it.  A length that still
+    misses raises ScenarioError."""
     params0 = _gas(cfg)
     plus = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
     star, curve, wave = plus, None, None
@@ -128,8 +130,8 @@ def _build(cfg: ScenarioConfig, with_layer: bool,
                 "the expansion would leave through the boundary")
         wave = BurgersWave(w_star, curve.w_plus - w_star, cfg.alpha)
     layer = (construct_layer(params0, star, cfg.delta, cfg.layer_branch)
-             if with_layer else None)
-    data = (layer.u[0], layer.theta[0]) if with_layer else star[1:]
+             if with_layer and cfg.delta > 0 else None)
+    data = star[1:] if layer is None else (layer.u[0], layer.theta[0])
     end = EndStates(u_minus=float(data[0]), theta_minus=float(data[1]),
                     rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
                     theta_plus=cfg.theta_plus)
@@ -143,6 +145,7 @@ def _build(cfg: ScenarioConfig, with_layer: bool,
     if length is None:
         length = default_domain_length(params, end, cfg.t_final)
         growths = MAX_GROWTHS
+    dx = length / cfg.n_cells
     gap, t_gap = _far_field_gap(background, length, plus, times)
     while gap > FAR_FIELD_TOL and growths:
         length *= LENGTH_GROWTH
@@ -153,7 +156,7 @@ def _build(cfg: ScenarioConfig, with_layer: bool,
             f"the background at x = L = {length:g} is {gap:.3g} off the far "
             f"state at t = {t_gap:g}, above {FAR_FIELD_TOL:g}; lengthen the "
             "domain")
-    grid = Grid1D(length, cfg.n_cells)
+    grid = Grid1D(length, round(length / dx))
     state0 = _state_from_background(grid, background)
     perturbation = _apply_perturbation(cfg, grid, state0, params)
     apply_boundary(params, end, state0)     # the values run enforces first
@@ -174,7 +177,10 @@ def default_domain_length(params: GasParams, end: EndStates,
 def _far_field_gap(background, length: float, far, times) -> tuple:
     """(gap, t): the largest distance max(|rho - rho_+|, |u - u_+|,
     |theta - theta_+|) of the background at x = length from the far state
-    over `times`, and the first time it is reached."""
+    over `times`, and the first time it is reached.  A background without
+    a fan does not move, so it is checked at the first time only."""
+    if background.wave is None:
+        times = times[:1]
     gaps = [max(abs(float(v[0]) - f)
                 for v, f in zip(background.eval([length], t), far))
             for t in times]

@@ -144,7 +144,7 @@ class TestValidation:
 
     def test_zero_strength_layer_scoped_to_layer_decay(self):
         # a zero-strength layer has no tail for layer_decay to measure; the
-        # solver scenarios march it as the constant far state
+        # solver scenarios build no layer at delta = 0
         for scenario in ("layer_stability", "superposition_stability"):
             assert ScenarioConfig(scenario=scenario, delta=0.0).validate() \
                 == []

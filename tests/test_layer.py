@@ -392,20 +392,22 @@ class TestWalkMatchesSolveIvp:
 
 
 class TestEdgesAndSerialization:
-    def test_zero_strength_layer_is_exact(self):
-        prof = construct_layer(PARAMS, FAR_SUPER, 0.0)
-        assert prof.delta == 0.0 and prof.x_max == 0.0
-        rho, u, th = prof.eval(np.linspace(0, 5, 11))
-        np.testing.assert_allclose(u, -2.0)
-        np.testing.assert_allclose(th, 1.0)
-        np.testing.assert_allclose(rho, 1.0)
+    def test_zero_strength_layer_is_refused(self):
+        # a layer of strength 0 is the far state itself: the caller builds
+        # no layer (a scenario at delta = 0 has none)
+        for delta in (0.0, -0.05, math.nan):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                construct_layer(PARAMS, FAR_SUPER, delta)
 
     @pytest.mark.parametrize("far", [FAR_SUPER, FAR_SUB, FAR_TRANS],
                              ids=["supersonic", "subsonic", "transonic"])
     def test_zero_strength_walks_nothing(self, monkeypatch, far):
         walks = counting(monkeypatch, "LSODA")
-        prof = construct_layer(PARAMS, far, 0.0)
-        assert (prof.u[0], prof.theta[0]) == far[1:] and walks == []
+        branches = ["lower", "degenerate"] if far is FAR_TRANS else ["lower"]
+        for branch in branches:
+            with pytest.raises(ValueError, match="delta must be positive"):
+                construct_layer(PARAMS, far, 0.0, branch)
+        assert walks == []
 
     @pytest.mark.parametrize("regime", ["supersonic", "subsonic",
                                         "transonic_degenerate"])
@@ -428,9 +430,15 @@ class TestEdgesAndSerialization:
 
     def test_csv_is_crlf_text_with_a_header(self, tmp_path):
         path = tmp_path / "layer.csv"
-        export_csv(construct_layer(PARAMS, FAR_SUPER, 0.0), path)
-        assert path.read_bytes() == (b"x,u_tilde,theta_tilde,rho_tilde\r\n"
-                                     b"0,-2,1,1\r\n")
+        prof = construct_layer(PARAMS, FAR_SUPER, 0.1)
+        export_csv(prof, path)
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[0] == b"x,u_tilde,theta_tilde,rho_tilde"
+        assert lines[-1] == b"" and len(lines) == prof.x.size + 2
+        assert not any(b"\n" in line or b"\r" in line for line in lines)
+        rows = np.array([line.split(b",") for line in lines[1:-1]], float)
+        np.testing.assert_array_equal(
+            rows, np.column_stack((prof.x, prof.u, prof.theta, prof.rho)))
 
     def test_far_state_validation(self):
         with pytest.raises(ValueError):

@@ -318,9 +318,14 @@ class TestComposite:
         wave = BurgersWave(w_minus=w_star, delta_r=self.CURVE.w_plus - w_star)
         return star, layer, wave
 
-    def test_needs_at_least_one_component(self):
-        with pytest.raises(ValueError):
-            CompositeProfile(star=(1.0, -0.15, 1.0))
+    def test_no_component_is_the_star(self):
+        # a background with neither part is the constant star state
+        star = R3Curve(PARAMS, *PLUS).state_at_theta(0.94)
+        x = np.linspace(0.0, 30.0, 301)
+        for got, want in zip(CompositeProfile(star).eval(x, 5.0), star):
+            assert got.shape == x.shape
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          np.full(x.shape, want).view(np.int64))
 
     def test_fan_needs_curve_and_wave_together(self):
         _, layer, wave = self.build_parts()

@@ -218,6 +218,37 @@ class TestPrepareFanScenarios:
 
 
 
+class TestZeroStrengthLayer:
+    """A layer of strength 0 is no layer: the background is the star state
+    plus whichever parts exist."""
+
+    def test_superposition_without_a_layer_is_the_fan(self):
+        cfg = superposition_cfg(delta=0.0)
+        comp = prepare_scenario(cfg)
+        fan = prepare_scenario(replace(cfg, scenario="rarefaction_stability"))
+        assert comp.background.layer is None
+        assert comp.end == fan.end and comp.params == fan.params
+        assert comp.grid == fan.grid
+        np.testing.assert_array_equal(bits(comp.state0), bits(fan.state0))
+        for t in (0.0, 5.0, cfg.t_final):
+            for a, b in zip(comp.background.eval(comp.grid.x, t),
+                            fan.background.eval(fan.grid.x, t)):
+                np.testing.assert_array_equal(a.view(np.uint64),
+                                              b.view(np.uint64))
+
+    def test_a_layer_scenario_at_zero_strength_marches_the_far_state(
+            self, tmp_path):
+        # layer_branch is not read: "upper" has no supersonic layer
+        cfg = layer_cfg(delta=0.0, layer_branch="upper")
+        prep = prepare_scenario(cfg)
+        assert prep.background.layer is None
+        assert (prep.end.u_minus, prep.end.theta_minus) == (cfg.u_plus,
+                                                            cfg.theta_plus)
+        scenarios.profile_scenario(cfg, tmp_path / "profile")
+        assert os.listdir(tmp_path / "profile") == ["initial.csv"]
+        assert run_scenario(cfg, tmp_path / "run")["verdict"] == "PASS"
+
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
@@ -306,6 +337,11 @@ class TestFarField:
         prep = prepare_scenario(cfg)
         assert prep.grid.length == 40.0 * scenarios.LENGTH_GROWTH ** 8
         assert prep.grid.length == pytest.approx(238.42, abs=5e-3)
+        # n_cells grows with L, so dx stays the starting 40 / 64 to within
+        # half a cell's rounding
+        dx0 = 40.0 / cfg.n_cells
+        assert prep.grid.n_cells == round(prep.grid.length / dx0) == 381
+        assert abs(prep.grid.dx - dx0) <= 0.5 * dx0 / prep.grid.n_cells
         assert (max(self.gaps(prep, cfg, prep.grid.length / 1.25, times))
                 > scenarios.FAR_FIELD_TOL
                 >= max(self.gaps(prep, cfg, prep.grid.length, times)))
@@ -339,6 +375,25 @@ class TestFarField:
                            r"0\.000657 off the far state at t = 0, above "
                            "1e-08; lengthen the domain"):
             prepare_scenario(cfg)
+
+    def test_a_fan_free_background_is_checked_once_per_length(
+            self, monkeypatch):
+        # without a fan the background does not move: one evaluation at
+        # x = L per length tried (the start and 16 growths), not one per
+        # record time
+        calls = []
+        evaluate = scenarios.CompositeProfile.eval
+
+        def spy(self, x, t):
+            calls.append(t)
+            return evaluate(self, x, t)
+
+        monkeypatch.setattr(scenarios.CompositeProfile, "eval", spy)
+        cfg = layer_cfg(u_plus=-1.0, theta_plus=0.6, delta=0.05,
+                        layer_branch="degenerate", length=None)
+        with pytest.raises(ScenarioError, match="at t = 0, above"):
+            prepare_scenario(cfg)
+        assert calls == [0.0] * (scenarios.MAX_GROWTHS + 1)
 
 
 class TestLayerDecay:
