@@ -101,13 +101,6 @@ class ScenarioConfig:
         return errs
 
 
-# per-scenario default overrides applied between the dataclass defaults and
-# the file contents (the analytic decay study needs a steeper fan than the
-# stability runs to push the data-dominated transient out of the fit window)
-SCENARIO_DEFAULTS = {
-    "burgers_decay": {"alpha": math.e},
-}
-
 _FIELDS = {f.name: f for f in fields(ScenarioConfig)}
 # optional keys and the literal that leaves them unset
 _SENTINELS = {"length": "auto", "seed": "none"}
@@ -163,9 +156,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
     if errs:
         raise ConfigError(errs)
 
-    values = dict(SCENARIO_DEFAULTS.get(seen["scenario"], {}))
-    values.update(seen)
-    cfg = ScenarioConfig(**values)
+    cfg = ScenarioConfig(**seen)
     problems = cfg.validate()
     if problems:
         raise ConfigError(problems)

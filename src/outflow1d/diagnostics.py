@@ -162,6 +162,8 @@ class DiagRecord:
     sup_b: float
     energy: float
     mass_residual: float              # the march's running audit maximum
+    rel_fluid: float                  # sup distance to the reference state:
+    rel_field: float                  # max over (rho, u, theta), over (E, b)
 
     @property
     def sup_fluid(self) -> float:
@@ -173,9 +175,10 @@ class DiagRecord:
 
 
 def record_from_state(params: GasParams, grid: Grid1D, state: FieldState,
-                      background, t: float,
+                      background, reference: FieldState | None, t: float,
                       mass_residual: float) -> DiagRecord:
-    """Measure the state against the background profile at time t; the
+    """Measure the state against the background profile at time t and
+    against the reference state (rel_* are 0.0 when it is None); the
     record carries the march's mass audit as given.
 
     background exposes eval(x, t) -> (rho, u, theta) as float arrays on x;
@@ -185,12 +188,14 @@ def record_from_state(params: GasParams, grid: Grid1D, state: FieldState,
     rho_h, u_h, th_h = background.eval(x, t)
     pert = state.data.copy()                 # (phi, psi, zeta, E, b)
     pert[:3] -= (rho_h, u_h, th_h)
+    rel = [0.0] * 5 if reference is None else \
+        sup_norm(state.data - reference.data).tolist()
     return DiagRecord(
         t, *l2_norm(x, pert).tolist(), *h1_norm(x, pert).tolist(),
         *sup_norm(pert).tolist(),
         perturbation_energy(params, x, state.rho, state.theta, rho_h, th_h,
                             pert[1]),
-        mass_residual)
+        mass_residual, max(rel[:3]), max(rel[3:]))
 
 
 DIAG_COLUMNS = tuple(f.name for f in fields(DiagRecord))

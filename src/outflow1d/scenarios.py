@@ -6,9 +6,13 @@ emits a fixed set of artifacts into the output directory:
 
     config.echo        materialized configuration (reparseable)
     verdict.txt        PASS / FAIL / INCONCLUSIVE plus the deciding numbers
-    diagnostics.csv    one row per record (solver scenarios)
+    diagnostics.csv    one row per record (solver scenarios), with the
+                       rel_fluid and rel_field columns the verdict judges
     snapshot_*.csv     initial/final fields at 17 significant digits
-    plots/*.dat        two-column gnuplot traces described in MANIFEST.txt
+    decay_norms.csv    burgers_decay's slope norms
+    layer_profile.csv  layer_decay's layer
+
+Every numeric artifact is a headed CSV table, and each number is filed once.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .config import ScenarioConfig, echo_config, load_config
 from .diagnostics import (bump_profile, fit_convergence, record_from_state,
-                          sup_norm, write_diag_csv)
+                          write_diag_csv)
 from .gas import EndStates, GasParams, dielectric_bound, sound_speed
 from .layer import construct_layer, export_csv, find_M0, measure_decay
 from .rarefaction import DECAY_DX, DECAY_PAD, BurgersWave, \
@@ -233,18 +237,13 @@ def _verdict_text(summary: dict) -> str:
 # every path, relative to out_dir, that some scenario emits
 ARTIFACTS = ("config.echo", "verdict.txt", "diagnostics.csv",
              "snapshot_initial.csv", "snapshot_final.csv", "decay_norms.csv",
-             "layer_profile.csv", "plots/MANIFEST.txt",
-             *(f"plots/{name}.dat" for name in (
-                 "sup_fluid", "sup_field", "rel_fluid", "rel_field", "energy",
-                 "profile_u_final", "slope_sup", "slope_l2", "layer_u",
-                 "layer_theta")))
+             "layer_profile.csv")
 
 
-def _emit(cfg: ScenarioConfig, out_dir, summary: dict, files: dict,
-          plots: dict) -> None:
-    """Write config.echo, files (name -> writer(path)), verdict.txt and any
-    plots (name -> (description, xs, ys)) with their MANIFEST.txt, after
-    removing what an earlier run left of ARTIFACTS (and nothing else)."""
+def _emit(cfg: ScenarioConfig, out_dir, summary: dict, files: dict) -> None:
+    """Write config.echo, files (name -> writer(path)) and verdict.txt,
+    after removing what an earlier run left of ARTIFACTS (and nothing
+    else)."""
     os.makedirs(out_dir, exist_ok=True)
     for name in ARTIFACTS:
         if os.path.isfile(path := os.path.join(out_dir, name)):
@@ -253,21 +252,10 @@ def _emit(cfg: ScenarioConfig, out_dir, summary: dict, files: dict,
     for name, write in files.items():
         write(os.path.join(out_dir, name))
     _write_text(os.path.join(out_dir, "verdict.txt"), _verdict_text(summary))
-    if not plots:
-        return
-    plot_dir = os.path.join(out_dir, "plots")
-    os.makedirs(plot_dir, exist_ok=True)
-    manifest = []
-    for name, (description, xs, ys) in plots.items():
-        write_table(os.path.join(plot_dir, name + ".dat"), "", (xs, ys),
-                    sep=" ")
-        manifest.append(f"{name}.dat: {description}")
-    _write_text(os.path.join(plot_dir, "MANIFEST.txt"),
-                "\n".join(manifest) + "\n")
 
 
 # --------------------------------------------------------------------------
-# scenario drivers: each returns (summary, files, plots) for _emit
+# scenario drivers: each returns (summary, files) for _emit
 # --------------------------------------------------------------------------
 
 def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
@@ -281,19 +269,17 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
     reference difference, which isolates the fate of the injected bump;
     norms against the analytic background are still recorded for the
     diagnostics file.  The reference reuses the prepared background and
-    keeps its state at every record for the perturbed march to subtract.
+    keeps its state at every record for the perturbed march's records to
+    subtract; at amplitude 0 there is no reference march, as the data are
+    the reference's start bit for bit, and every rel_* is 0.
     """
     prep = prepare_scenario(cfg)
-    reference, diag_records, rel_fluid, rel_field = [], [], [], []
+    reference, diag_records = [], []
 
     def recorder(t, state, mass_residual_max):
         diag_records.append(record_from_state(
-            prep.params, prep.grid, state, prep.background, t,
-            mass_residual_max))
-        if reference:
-            sup = sup_norm(state.data - reference.pop(0).data).tolist()
-            rel_fluid.append(max(sup[:3]))
-            rel_field.append(max(sup[3:]))
+            prep.params, prep.grid, state, prep.background,
+            reference.pop(0) if reference else None, t, mass_residual_max))
 
     t0 = time.perf_counter()
     if cfg.amplitude != 0.0:
@@ -305,19 +291,17 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
                  prep.solver_config, record_dt=prep.record_dt,
                  recorder=recorder)
 
-    times = [r.t for r in diag_records]
-    sup_fluid = [r.sup_fluid for r in diag_records]
-    sup_field = [r.sup_field for r in diag_records]
-
+    first, last = diag_records[0], diag_records[-1]
     if cfg.amplitude == 0.0:
         verdict = "PASS"
         fit_rel_fluid = fit_rel_field = {
             "verdict": "PASS", "note": "zero amplitude: nothing to damp"}
-        # the data are the reference's start bit for bit: no difference
-        rel_fluid = rel_field = [0.0] * len(times)
     else:
-        fit_rel_fluid = fit_convergence(times, rel_fluid)
-        fit_rel_field = fit_convergence(times, rel_field)
+        times = [r.t for r in diag_records]
+        fit_rel_fluid = fit_convergence(times,
+                                        [r.rel_fluid for r in diag_records])
+        fit_rel_field = fit_convergence(times,
+                                        [r.rel_field for r in diag_records])
         verdicts = (fit_rel_fluid["verdict"], fit_rel_field["verdict"])
         if "FAIL" in verdicts:
             verdict = "FAIL"
@@ -330,9 +314,11 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
     summary = {
         "verdict": verdict,
         "fit_rel_fluid": fit_rel_fluid, "fit_rel_field": fit_rel_field,
-        "rel_fluid_initial": rel_fluid[0], "rel_fluid_final": rel_fluid[-1],
-        "rel_field_initial": rel_field[0], "rel_field_final": rel_field[-1],
-        "sup_fluid_final": sup_fluid[-1], "sup_field_final": sup_field[-1],
+        "rel_fluid_initial": first.rel_fluid,
+        "rel_fluid_final": last.rel_fluid,
+        "rel_field_initial": first.rel_field,
+        "rel_field_final": last.rel_field,
+        "sup_fluid_final": last.sup_fluid, "sup_field_final": last.sup_field,
         "mass_residual_max": result.mass_residual_max,
         "steps": result.steps, "runtime_s": runtime,
         "warnings": result.warnings,
@@ -344,20 +330,7 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
         "snapshot_final.csv": lambda path: write_snapshot_csv(
             path, prep.grid, result.t_final, result.state),
     }
-    plots = {
-        "sup_fluid": ("t  max |phi|, |psi|, |zeta| against the analytic "
-                      "background", times, sup_fluid),
-        "sup_field": ("t  max |E|, |b|", times, sup_field),
-        "rel_fluid": ("t  max fluid difference, perturbed minus reference "
-                      "run", times, rel_fluid),
-        "rel_field": ("t  max field difference, perturbed minus reference "
-                      "run", times, rel_field),
-        "energy": ("t  weighted perturbation energy", times,
-                   [r.energy for r in diag_records]),
-        "profile_u_final": ("x  u at the final time", prep.grid.x,
-                            result.state.u),
-    }
-    return summary, files, plots
+    return summary, files
 
 
 def _burgers_wave(cfg: ScenarioConfig) -> BurgersWave:
@@ -379,17 +352,10 @@ def _drive_burgers_decay(cfg: ScenarioConfig) -> tuple:
         "slope_sup": sup["fitted"], "expected_sup": sup["expected"],
         "slope_l2": l2["fitted"], "expected_l2": l2["expected"],
     }
-
-    plots = {
-        "slope_sup": ("t  sup norm of the fan velocity slope", times,
-                      sup["norms"]),
-        "slope_l2": ("t  L2 norm of the fan velocity slope", times,
-                     l2["norms"]),
-    }
     files = {"decay_norms.csv": lambda path: write_table(
         path, "t,sup_slope_norm,l2_slope_norm",
         (times, sup["norms"], l2["norms"]))}
-    return summary, files, plots
+    return summary, files
 
 
 def _drive_layer_decay(cfg: ScenarioConfig) -> tuple:
@@ -416,12 +382,7 @@ def _drive_layer_decay(cfg: ScenarioConfig) -> tuple:
         "x_max": layer.x_max,
     }
     files = {"layer_profile.csv": lambda path: export_csv(layer, path)}
-    plots = {
-        "layer_u": ("x  stationary velocity profile", layer.x, layer.u),
-        "layer_theta": ("x  stationary temperature profile", layer.x,
-                        layer.theta),
-    }
-    return summary, files, plots
+    return summary, files
 
 
 _DRIVERS = {
@@ -433,14 +394,14 @@ _DRIVERS = {
 def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     """Execute one configured scenario, emitting artifacts into out_dir."""
     if cfg.scenario in _BUILDERS:
-        summary, files, plots = _drive_solver_scenario(cfg)
+        summary, files = _drive_solver_scenario(cfg)
     elif cfg.scenario in _DRIVERS:
-        summary, files, plots = _DRIVERS[cfg.scenario](cfg)
+        summary, files = _DRIVERS[cfg.scenario](cfg)
     else:
         raise ScenarioError(f"unknown scenario {cfg.scenario!r}")
     summary = {"scenario": cfg.scenario, "out_dir": str(out_dir), **summary}
     summary.setdefault("warnings", [])
-    _emit(cfg, out_dir, summary, files, plots)
+    _emit(cfg, out_dir, summary, files)
     return summary
 
 
@@ -492,7 +453,9 @@ def run_batch(config_paths, out_root, workers: int = 2,
     """Run several configs in worker processes; one failure never takes the
     batch down.  Writes out_root/batch_summary.csv and returns the rows.
     Each config writes into out_root/<file stem>: raises ValueError before
-    any run when two configs share a stem."""
+    any run when two configs share a stem or workers is below 1."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     config_paths = [str(p) for p in config_paths]
     stems = [os.path.splitext(os.path.basename(p))[0] for p in config_paths]
     clashes = [p for p, stem in zip(config_paths, stems)

@@ -56,10 +56,14 @@ class TestParsing:
         assert cfg.layer_branch == "upper"
 
     def test_scenario_defaults_for_decay_study(self):
+        # one default per key: a parsed config and one built in code agree,
+        # and the decay study's steep fan is its config file's own alpha
         cfg = parse_config_text("scenario = burgers_decay\n")
-        assert cfg.alpha == pytest.approx(math.e)
+        assert cfg == ScenarioConfig(scenario="burgers_decay")
         over = parse_config_text("scenario = burgers_decay\nalpha = 0.3\n")
-        assert over.alpha == 0.3
+        assert over == ScenarioConfig(scenario="burgers_decay", alpha=0.3)
+        assert load_config(ROOT / "configs" / "burgers_decay.cfg").alpha \
+            == math.e
 
     @pytest.mark.parametrize("text,needle", [
         ("scenario = layer_stability\njust words\n", "expected key = value"),
@@ -279,6 +283,33 @@ class TestCli:
         assert (out / "verdict.txt").read_text().startswith(
             "scenario = burgers_decay")
 
+    def test_profile_refused_build_returns_one(self, write_cfg, tmp_path,
+                                               capsys):
+        # a fan that reaches theta_plus at t_final = 200 misses the far
+        # state at x = 80, and a set length is never grown
+        path = write_cfg("scenario = rarefaction_stability\n"
+                         "theta_star = 0.9\nlength = 80\n")
+        out = tmp_path / "prof"
+        assert main(["profile", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("profile construction failed: ")
+        assert "lengthen the domain" in err
+
+    def test_run_at_the_dielectric_bound_warns(self, write_cfg, tmp_path,
+                                               capsys):
+        path = write_cfg("scenario = layer_stability\nu_plus = -2\n"
+                         "delta = 0.1\nn_cells = 64\nlength = 60\n"
+                         "t_final = 5\neps_fraction = 1\n")
+        out = tmp_path / "bound"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert re.search(r"^warning: eps = \S+ is not below the dielectric "
+                         r"bound ", stdout, re.MULTILINE)
+        verdict = (out / "verdict.txt").read_text()
+        assert "verdict = PASS\n" in verdict
+        assert re.search(r"^warnings = eps = \S+ is not below the "
+                         r"dielectric bound ", verdict, re.MULTILINE)
+
     def test_run_invalid_config_returns_two(self, write_cfg, capsys):
         path = write_cfg(MINIMAL + "gamma = 0.5\n")
         assert main(["run", "--config", path]) == 2
@@ -345,6 +376,16 @@ class TestCli:
         assert "ERROR" in row and "ConfigError" in row
         assert "seed must be nonnegative" in row
         assert not (out / "case").exists()     # no scenario started
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_batch_refuses_fewer_than_one_worker(self, write_cfg, tmp_path,
+                                                 capsys, workers):
+        path = write_cfg("scenario = layer_decay\nu_plus = -2.0\n")
+        out = tmp_path / "batch"
+        assert main(["batch", "--config", path, "--out", str(out),
+                     "--workers", workers]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_batch_refuses_configs_sharing_a_file_name(self, tmp_path,
                                                        capsys):

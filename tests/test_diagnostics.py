@@ -209,23 +209,30 @@ class TestRecords:
         n = self.GRID.n_nodes
         state = FieldState(np.ones(n), np.full(n, -0.5), np.ones(n),
                            np.zeros(n), np.zeros(n))
-        rec = record_from_state(PARAMS, self.GRID, state, Uniform(), 0.0,
-                                0.0)
+        rec = record_from_state(PARAMS, self.GRID, state, Uniform(), None,
+                                0.0, 0.0)
         assert rec.sup_fluid == 0.0 and rec.sup_field == 0.0
         assert rec.energy == 0.0
         assert rec.l2_phi == 0.0 and rec.h1_psi == 0.0
+        assert rec.rel_fluid == 0.0 and rec.rel_field == 0.0
 
     def test_sup_aggregates(self):
         state = self.make_state()
-        rec = record_from_state(PARAMS, self.GRID, state, Uniform(), 1.0,
-                                3e-12)
+        n = self.GRID.n_nodes
+        uniform = FieldState(np.ones(n), np.full(n, -0.5), np.ones(n),
+                             np.zeros(n), np.zeros(n))
+        rec = record_from_state(PARAMS, self.GRID, state, Uniform(), uniform,
+                                1.0, 3e-12)
         assert rec.sup_fluid == pytest.approx(0.02, abs=1e-12)
         assert rec.sup_field == pytest.approx(0.05, abs=1e-12)
+        # the uniform state is the background, so both distances agree
+        assert rec.rel_fluid == pytest.approx(0.02, abs=1e-12)
+        assert rec.rel_field == pytest.approx(0.05, abs=1e-12)
         assert rec.mass_residual == 3e-12         # the audit, as given
 
     def test_csv_round_trip(self, tmp_path):
         state = self.make_state()
-        recs = [record_from_state(PARAMS, self.GRID, state, Uniform(),
+        recs = [record_from_state(PARAMS, self.GRID, state, Uniform(), None,
                                   float(t), 1e-13 * t) for t in range(3)]
         path = tmp_path / "diag.csv"
         write_diag_csv(path, recs)
@@ -242,4 +249,4 @@ class TestRecords:
             "t", "l2_phi", "l2_psi", "l2_zeta", "l2_E", "l2_b",
             "h1_phi", "h1_psi", "h1_zeta", "h1_E", "h1_b",
             "sup_phi", "sup_psi", "sup_zeta", "sup_E", "sup_b",
-            "energy", "mass_residual")
+            "energy", "mass_residual", "rel_fluid", "rel_field")

@@ -487,8 +487,9 @@ def files_in(out: Path) -> set:
 
 class TestReusedOutputDirectory:
     def test_an_earlier_runs_artifacts_are_removed(self, tmp_path):
-        # the layer run's profile and plots must not outlive it, while a
-        # file no scenario emits (the user's own) is left alone
+        # the layer run's profile must not outlive it, while a file no
+        # scenario emits (the user's own, or an older version's plots/) is
+        # left alone
         (tmp_path / "plots").mkdir()
         for name in ("notes.txt", "plots/mine.dat"):
             (tmp_path / name).write_text("keep\n")
@@ -498,8 +499,7 @@ class TestReusedOutputDirectory:
         run_scenario(load_config(CONFIGS / "burgers_decay.cfg"), tmp_path)
         burgers_files = files_in(tmp_path) - {"notes.txt", "plots/mine.dat"}
         assert burgers_files == {
-            "config.echo", "verdict.txt", "decay_norms.csv",
-            "plots/MANIFEST.txt", "plots/slope_sup.dat", "plots/slope_l2.dat"}
+            "config.echo", "verdict.txt", "decay_norms.csv"}
         assert layer_files | burgers_files <= set(scenarios.ARTIFACTS)
         for name in ("notes.txt", "plots/mine.dat"):
             assert (tmp_path / name).read_text() == "keep\n"
@@ -539,12 +539,7 @@ class TestSolverScenarioRun:
         for name in ("config.echo", "diagnostics.csv", "snapshot_initial.csv",
                      "snapshot_final.csv", "verdict.txt"):
             assert (out / name).is_file(), name
-        plots = out / "plots"
-        for name in ("sup_fluid", "sup_field", "rel_fluid", "rel_field",
-                     "energy", "profile_u_final"):
-            assert (plots / f"{name}.dat").is_file(), name
-        manifest = (plots / "MANIFEST.txt").read_text()
-        assert manifest.count(".dat:") == 6
+        assert not (out / "plots").exists()
         assert files_in(out) <= set(scenarios.ARTIFACTS)
 
     def test_config_echo_reparses_to_same_config(self, layer_run):
@@ -565,14 +560,12 @@ class TestSolverScenarioRun:
 
     def test_difference_trace_files(self, layer_run):
         _, out, summary = layer_run
-        trace = np.loadtxt(out / "plots" / "rel_fluid.dat")
-        assert trace.shape == (51, 2)
-        assert trace[0, 0] == 0.0
-        assert trace[0, 1] == pytest.approx(summary["rel_fluid_initial"],
-                                            rel=1e-15)
-        assert trace[-1, 1] == pytest.approx(summary["rel_fluid_final"],
-                                             rel=1e-15)
-        assert np.all(np.diff(trace[:, 0]) > 0)
+        table = np.genfromtxt(out / "diagnostics.csv", delimiter=",",
+                              names=True)
+        trace = table["rel_fluid"]
+        assert trace.shape == (51,)
+        assert trace[0] == summary["rel_fluid_initial"]
+        assert trace[-1] == summary["rel_fluid_final"]
 
     def test_verdict_file_names_the_deciding_numbers(self, layer_run):
         _, out, _ = layer_run
@@ -593,10 +586,10 @@ class TestSolverScenarioRun:
         assert summary["rel_field_initial"] == 0.0
         assert summary["rel_fluid_final"] == 0.0
         assert summary["sup_fluid_final"] > 0.0
+        table = np.genfromtxt(tmp_path / "quiet" / "diagnostics.csv",
+                              delimiter=",", names=True)
         for name in ("rel_fluid", "rel_field"):
-            trace = np.loadtxt(tmp_path / "quiet" / "plots" / f"{name}.dat")
-            assert trace.shape == (51, 2)
-            assert trace[:, 1].tolist() == [0.0] * 51
+            assert table[name].tolist() == [0.0] * 51
 
     def test_unknown_scenario_is_refused(self, tmp_path):
         cfg = ScenarioConfig(scenario="nonsense")
@@ -628,8 +621,8 @@ class TestReferencePairing:
         run_scenario(cfg, tmp_path)
         assert prepared == [cfg]
 
-        rel_fluid = np.loadtxt(tmp_path / "plots" / "rel_fluid.dat")
-        rel_field = np.loadtxt(tmp_path / "plots" / "rel_field.dat")
+        table = np.genfromtxt(tmp_path / "diagnostics.csv", delimiter=",",
+                              names=True)
         preps = [prepare_scenario(cfg),
                  prepare_scenario(replace(cfg, amplitude=0.0))]
         states = []
@@ -639,12 +632,12 @@ class TestReferencePairing:
                 p.solver_config, record_dt=p.record_dt,
                 recorder=lambda t, s, _: kept.append((t, s.copy())))
             states.append(kept)
-        assert [t for t, _ in states[0]] == rel_fluid[:, 0].tolist()
+        assert [t for t, _ in states[0]] == table["t"].tolist()
         expected = [self.sup_diffs(sa, sb) for (_, sa), (_, sb)
                     in zip(*states)]
-        assert len(expected) == len(rel_fluid) == 51
-        assert rel_fluid[:, 1].tolist() == [f for f, _ in expected]
-        assert rel_field[:, 1].tolist() == [g for _, g in expected]
+        assert len(expected) == len(table) == 51
+        assert table["rel_fluid"].tolist() == [f for f, _ in expected]
+        assert table["rel_field"].tolist() == [g for _, g in expected]
 
 
 GOOD_BATCH = """\
