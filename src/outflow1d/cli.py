@@ -6,7 +6,8 @@
     outflow1d batch   --config F1 F2 ... [--out D] [--workers N] [--seed N]
 
 Exit codes: 0 success (verdict PASS), 1 failed run or FAIL/INCONCLUSIVE
-verdict, 2 configuration or usage errors.
+verdict, 2 configuration or usage errors, an --out that cannot be made
+among them: each command makes it before any work.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ def _cmd_profile(args) -> int:
     except _RUN_ERRORS as exc:
         print(f"profile construction failed: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"cannot write to {out}: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote analytic profiles to {out}")
     return 0
 
@@ -94,6 +98,9 @@ def _cmd_run(args) -> int:
     except _RUN_ERRORS as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"cannot write to {out}: {exc}", file=sys.stderr)
+        return 2
     print(f"scenario {summary['scenario']}: {summary['verdict']} "
           f"(artifacts in {out})")
     for warning in summary.get("warnings", []):
@@ -107,6 +114,9 @@ def _cmd_batch(args) -> int:
                          seed=args.seed)
     except ValueError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write to {args.out}: {exc}", file=sys.stderr)
         return 2
     width = max(len(r["config"]) for r in rows)
     for row in rows:

@@ -3,10 +3,12 @@
 A config file is plain text: one `key = value` per line, `#` starts a
 comment, keys are known in advance, and every violated constraint is
 reported (with the offending line number for parse problems) rather than
-just the first one.  Two optional quantities take a literal that leaves
-them unset: `length = auto` (sized from the far state's fastest signal,
-then grown until the background reaches the far state at x = L) and
-`seed = none`.
+just the first one.  Of SCENARIOS, superposition_stability marches a layer
+of strength delta (none at 0) and a fan from theta_star to theta_plus (none
+at theta_plus); the two decay checks ignore theta_star.  Two optional
+quantities take a literal that leaves them unset: `length = auto` (sized
+from the far state's fastest signal, then grown until the background
+reaches the far state at x = L) and `seed = none`.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ from .layer import LAYER_BRANCHES
 __all__ = ["ScenarioConfig", "ConfigError", "SCENARIOS",
            "load_config", "parse_config_text", "echo_config"]
 
-SCENARIOS = (
-    "layer_stability",
-    "rarefaction_stability",
-    "superposition_stability",
-    "burgers_decay",
-    "layer_decay",
-)
+SCENARIOS = ("superposition_stability", "burgers_decay", "layer_decay")
 
 POSITIVE = ("R", "mu", "kappa", "eps_fraction", "rho_plus", "theta_plus",
             "alpha", "t_final")
@@ -54,9 +50,9 @@ class ScenarioConfig:
     rho_plus: float = 1.0
     u_plus: float = -0.15
     theta_plus: float = 1.0
-    delta: float = 0.05               # layer strength |du| + |dtheta|
+    delta: float = 0.05               # layer strength |du| + |dtheta|; 0: none
     layer_branch: str = "lower"
-    theta_star: float = 0.94          # the fan's left (star) temperature
+    theta_star: float = 0.94          # star temperature; theta_plus: no fan
     alpha: float = 0.1                # fan smoothing scale
     # grid and march
     n_cells: int = 2000
@@ -88,10 +84,9 @@ class ScenarioConfig:
                         "zero-strength layer has no tail to measure")
         if self.layer_branch not in LAYER_BRANCHES:
             errs.append(f"layer_branch must be one of {', '.join(LAYER_BRANCHES)}")
-        if self.scenario in ("rarefaction_stability",
-                             "superposition_stability") and not (
-                0 < self.theta_star < self.theta_plus):
-            errs.append("theta_star must lie in (0, theta_plus)")
+        if self.scenario == "superposition_stability" and not (
+                0 < self.theta_star <= self.theta_plus):
+            errs.append("theta_star must lie in (0, theta_plus]")
         if self.n_cells < 16:
             errs.append("n_cells must be at least 16")
         if self.amplitude < 0:

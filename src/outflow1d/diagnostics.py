@@ -162,8 +162,7 @@ class DiagRecord:
     sup_b: float
     energy: float
     mass_residual: float              # the march's running audit maximum
-    rel_fluid: float                  # sup distance to the reference state:
-    rel_field: float                  # max over (rho, u, theta), over (E, b)
+    rel_fluid: float                  # sup |(rho, u, theta) - reference|
 
     @property
     def sup_fluid(self) -> float:
@@ -178,8 +177,8 @@ def record_from_state(params: GasParams, grid: Grid1D, state: FieldState,
                       background, reference: FieldState | None, t: float,
                       mass_residual: float) -> DiagRecord:
     """Measure the state against the background profile at time t and
-    against the reference state (rel_* are 0.0 when it is None); the
-    record carries the march's mass audit as given.
+    its fluid part against the reference state (rel_fluid is 0.0 when it
+    is None); the record carries the march's mass audit as given.
 
     background exposes eval(x, t) -> (rho, u, theta) as float arrays on x;
     its field part is identically zero.
@@ -188,14 +187,14 @@ def record_from_state(params: GasParams, grid: Grid1D, state: FieldState,
     rho_h, u_h, th_h = background.eval(x, t)
     pert = state.data.copy()                 # (phi, psi, zeta, E, b)
     pert[:3] -= (rho_h, u_h, th_h)
-    rel = [0.0] * 5 if reference is None else \
-        sup_norm(state.data - reference.data).tolist()
+    rel = 0.0 if reference is None else \
+        float(sup_norm(state.data[:3] - reference.data[:3]).max())
     return DiagRecord(
         t, *l2_norm(x, pert).tolist(), *h1_norm(x, pert).tolist(),
         *sup_norm(pert).tolist(),
         perturbation_energy(params, x, state.rho, state.theta, rho_h, th_h,
                             pert[1]),
-        mass_residual, max(rel[:3]), max(rel[3:]))
+        mass_residual, rel)
 
 
 DIAG_COLUMNS = tuple(f.name for f in fields(DiagRecord))

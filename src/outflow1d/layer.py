@@ -422,7 +422,6 @@ def find_M0(profile: LayerProfile, params: GasParams) -> float:
 
 
 def export_csv(profile: LayerProfile, path) -> None:
-    """Write the samples, CRLF-ended: x, u_tilde, theta_tilde, rho_tilde."""
+    """Write the samples: x, u_tilde, theta_tilde, rho_tilde."""
     write_table(path, "x,u_tilde,theta_tilde,rho_tilde",
-                (profile.x, profile.u, profile.theta, profile.rho),
-                newline="\r\n")
+                (profile.x, profile.u, profile.theta, profile.rho))

@@ -2,12 +2,14 @@
 
 Each scenario turns a ScenarioConfig into concrete objects (end states,
 background profile, initial data), optionally time-marches the solver, and
-emits a fixed set of artifacts into the output directory:
+emits a fixed set of artifacts into the output directory.  The one solver
+scenario marches the composite wave of _build, whose parts of zero
+strength are absent:
 
     config.echo        materialized configuration (reparseable)
     verdict.txt        PASS / FAIL / INCONCLUSIVE plus the deciding numbers
-    diagnostics.csv    one row per record (solver scenarios), with the
-                       rel_fluid and rel_field columns the verdict judges
+    diagnostics.csv    one row per record (the solver scenario), with the
+                       rel_fluid, sup_E and sup_b columns the verdict judges
     snapshot_*.csv     initial/final fields at 17 significant digits
     decay_norms.csv    burgers_decay's slope norms
     layer_profile.csv  layer_decay's layer
@@ -107,14 +109,13 @@ def _gas(cfg: ScenarioConfig) -> GasParams:
     return GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
 
 
-def _build(cfg: ScenarioConfig, with_layer: bool,
-           with_fan: bool) -> PreparedRun:
-    """The composite wave: a boundary layer (if with_layer and delta > 0)
-    from the boundary to the star state, then a 3-rarefaction fan (if
-    with_fan) from the star state at temperature theta_star to the far
+def _build(cfg: ScenarioConfig) -> PreparedRun:
+    """The composite wave: a boundary layer (if delta > 0) from the
+    boundary to the star state, then a 3-rarefaction fan (if theta_star <
+    theta_plus) from the star state at temperature theta_star to the far
     state.  Without a fan the star state is the far state; without a layer
-    (at delta = 0 too, where layer_branch is not read) it is the boundary
-    data.  The fan depends on R and gamma only, so it is built before eps.
+    (layer_branch is then not read) it is the boundary data.  The fan
+    depends on R and gamma only, so it is built before eps.
 
     The march pins the far state at x = L, so the background must sit
     there within FAR_FIELD_TOL at t = 0 and at every record time.  An auto
@@ -124,17 +125,18 @@ def _build(cfg: ScenarioConfig, with_layer: bool,
     params0 = _gas(cfg)
     plus = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
     star, curve, wave = plus, None, None
-    if with_fan:
+    if cfg.theta_star < cfg.theta_plus:
         curve = R3Curve(params0, *plus)
         star = curve.state_at_theta(cfg.theta_star)
         w_star = star[1] + float(sound_speed(params0, star[2]))
         if w_star < 0:
             raise ScenarioError(
                 f"fan edge speed is negative at theta = {cfg.theta_star:g}; "
-                "the expansion would leave through the boundary")
+                "the expansion would leave through the boundary (theta_star "
+                "= theta_plus builds no fan)")
         wave = BurgersWave(w_star, curve.w_plus - w_star, cfg.alpha)
     layer = (construct_layer(params0, star, cfg.delta, cfg.layer_branch)
-             if with_layer and cfg.delta > 0 else None)
+             if cfg.delta > 0 else None)
     data = star[1:] if layer is None else (layer.u[0], layer.theta[0])
     end = EndStates(u_minus=float(data[0]), theta_minus=float(data[1]),
                     rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
@@ -192,19 +194,11 @@ def _far_field_gap(background, length: float, far, times) -> tuple:
     return gaps[k], times[k]
 
 
-# solver scenario -> (has a boundary layer, has a fan)
-_BUILDERS = {
-    "layer_stability": (True, False),
-    "rarefaction_stability": (False, True),
-    "superposition_stability": (True, True),
-}
-
-
 def prepare_scenario(cfg: ScenarioConfig) -> PreparedRun:
-    """Build the marching problem for a solver-backed scenario."""
-    if cfg.scenario not in _BUILDERS:
+    """Build the marching problem of the solver scenario."""
+    if cfg.scenario != "superposition_stability":
         raise ScenarioError(f"scenario {cfg.scenario!r} is not solver-backed")
-    return _build(cfg, *_BUILDERS[cfg.scenario])
+    return _build(cfg)
 
 
 # --------------------------------------------------------------------------
@@ -244,7 +238,6 @@ def _emit(cfg: ScenarioConfig, out_dir, summary: dict, files: dict) -> None:
     """Write config.echo, files (name -> writer(path)) and verdict.txt,
     after removing what an earlier run left of ARTIFACTS (and nothing
     else)."""
-    os.makedirs(out_dir, exist_ok=True)
     for name in ARTIFACTS:
         if os.path.isfile(path := os.path.join(out_dir, name)):
             os.remove(path)
@@ -271,7 +264,8 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
     diagnostics file.  The reference reuses the prepared background and
     keeps its state at every record for the perturbed march's records to
     subtract; at amplitude 0 there is no reference march, as the data are
-    the reference's start bit for bit, and every rel_* is 0.
+    the reference's start bit for bit, and rel_fluid is 0.  The reference
+    keeps E = b = 0 exactly, so the field is judged by its sup_field.
     """
     prep = prepare_scenario(cfg)
     reference, diag_records = [], []
@@ -301,7 +295,7 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
         fit_rel_fluid = fit_convergence(times,
                                         [r.rel_fluid for r in diag_records])
         fit_rel_field = fit_convergence(times,
-                                        [r.rel_field for r in diag_records])
+                                        [r.sup_field for r in diag_records])
         verdicts = (fit_rel_fluid["verdict"], fit_rel_field["verdict"])
         if "FAIL" in verdicts:
             verdict = "FAIL"
@@ -316,8 +310,8 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
         "fit_rel_fluid": fit_rel_fluid, "fit_rel_field": fit_rel_field,
         "rel_fluid_initial": first.rel_fluid,
         "rel_fluid_final": last.rel_fluid,
-        "rel_field_initial": first.rel_field,
-        "rel_field_final": last.rel_field,
+        "rel_field_initial": first.sup_field,
+        "rel_field_final": last.sup_field,
         "sup_fluid_final": last.sup_fluid, "sup_field_final": last.sup_field,
         "mass_residual_max": result.mass_residual_max,
         "steps": result.steps, "runtime_s": runtime,
@@ -386,19 +380,19 @@ def _drive_layer_decay(cfg: ScenarioConfig) -> tuple:
 
 
 _DRIVERS = {
+    "superposition_stability": _drive_solver_scenario,
     "burgers_decay": _drive_burgers_decay,
     "layer_decay": _drive_layer_decay,
 }
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
-    """Execute one configured scenario, emitting artifacts into out_dir."""
-    if cfg.scenario in _BUILDERS:
-        summary, files = _drive_solver_scenario(cfg)
-    elif cfg.scenario in _DRIVERS:
-        summary, files = _DRIVERS[cfg.scenario](cfg)
-    else:
+    """Execute one configured scenario, emitting artifacts into out_dir,
+    which is made first: an unusable one raises OSError before any work."""
+    if cfg.scenario not in _DRIVERS:
         raise ScenarioError(f"unknown scenario {cfg.scenario!r}")
+    os.makedirs(out_dir, exist_ok=True)
+    summary, files = _DRIVERS[cfg.scenario](cfg)
     summary = {"scenario": cfg.scenario, "out_dir": str(out_dir), **summary}
     summary.setdefault("warnings", [])
     _emit(cfg, out_dir, summary, files)
@@ -407,10 +401,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
 
 def profile_scenario(cfg: ScenarioConfig, out_dir) -> None:
     """Write the analytic objects of cfg's scenario into out_dir without
-    marching: a solver scenario's initial.csv (its prep.state0) and, with a
-    layer, layer_profile.csv; layer_decay's layer_profile.csv; and
+    marching: the solver scenario's initial.csv (its prep.state0) and,
+    with a layer, layer_profile.csv; layer_decay's layer_profile.csv; and
     burgers_decay's speed_profile.csv, the fan at t = 0 on the grid of its
-    decay check."""
+    decay check.  out_dir is made first, as in run_scenario."""
     os.makedirs(out_dir, exist_ok=True)
     if cfg.scenario == "burgers_decay":
         wave = _burgers_wave(cfg)

@@ -7,10 +7,10 @@ import numpy as np
 CHUNK_ROWS = 512
 
 
-def write_table(path, header, columns, newline="\n") -> None:
+def write_table(path, header, columns) -> None:
     """Write equal-length columns as comma-separated `%.17g` rows after a
-    header line, byte for byte what numpy's text writer prints at that
-    format; each chunk of CHUNK_ROWS rows is one `%` over its
+    header line, LF-ended, byte for byte what numpy's text writer prints
+    at that format; each chunk of CHUNK_ROWS rows is one `%` over its
     row-interleaved values and one write, so no whole-file string is
     built.  Raises ValueError when the columns differ in length."""
     columns = [np.asarray(c, dtype=float) for c in columns]
@@ -20,9 +20,9 @@ def write_table(path, header, columns, newline="\n") -> None:
     # layer_decay runs grew its peak RSS by about 15 kB per run (the heap
     # fragments around the ~800 B that each scipy 1.17 LSODA solver leaks);
     # with bytes it stays flat
-    row = (",".join(["%.17g"] * len(columns)) + newline).encode()
+    row = (",".join(["%.17g"] * len(columns)) + "\n").encode()
     with open(path, "wb") as fh:
-        fh.write((header + newline).encode())
+        fh.write((header + "\n").encode())
         for i in range(0, len(columns[0]), CHUNK_ROWS):
             chunk = np.column_stack([c[i:i + CHUNK_ROWS] for c in columns])
             fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))

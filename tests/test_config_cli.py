@@ -13,11 +13,12 @@ import pytest
 
 import outflow1d
 from outflow1d.cli import _build_parser, main
+from outflow1d import scenarios
 from outflow1d.config import (ConfigError, ScenarioConfig, echo_config,
                               load_config, parse_config_text)
 from outflow1d.scenarios import run_scenario
 
-MINIMAL = "scenario = layer_stability\n"
+MINIMAL = "scenario = superposition_stability\n"
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -33,13 +34,13 @@ def test_every_exported_name_resolves(name):
 class TestParsing:
     def test_minimal_config_gets_defaults(self):
         cfg = parse_config_text(MINIMAL)
-        assert cfg.scenario == "layer_stability"
+        assert cfg.scenario == "superposition_stability"
         assert cfg.gamma == pytest.approx(5.0 / 3.0)
         assert cfg.n_cells == 2000 and cfg.length is None and cfg.seed is None
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text(
-            "# experiment\n\nscenario = layer_stability  # trailing\n"
+            "# experiment\n\nscenario = burgers_decay  # trailing\n"
             "delta = 0.1\n")
         assert cfg.delta == 0.1
 
@@ -65,6 +66,8 @@ class TestParsing:
         assert load_config(ROOT / "configs" / "burgers_decay.cfg").alpha \
             == math.e
 
+    # each text fails to parse, and parsing stops before validation, so the
+    # retired scenario name layer_stability in it goes unreported
     @pytest.mark.parametrize("text,needle", [
         ("scenario = layer_stability\njust words\n", "expected key = value"),
         ("scenario = layer_stability\ncolour = red\n", "unknown key"),
@@ -104,16 +107,17 @@ class TestParsing:
         with pytest.raises(ConfigError) as exc:
             parse_config_text(text)
         assert any(needle in e for e in exc.value.errors)
+        assert not any(e.startswith("scenario must be one of")
+                       for e in exc.value.errors)
 
     def test_line_numbers_in_messages(self):
         with pytest.raises(ConfigError) as exc:
-            parse_config_text("scenario = layer_stability\n\nbad line\n")
+            parse_config_text(MINIMAL + "\nbad line\n")
         assert any(e.startswith("line 3:") for e in exc.value.errors)
 
     def test_all_problems_reported_at_once(self):
         with pytest.raises(ConfigError) as exc:
-            parse_config_text("scenario = layer_stability\nwho = 1\n"
-                              "what = 2\nn_cells = x\n")
+            parse_config_text(MINIMAL + "who = 1\nwhat = 2\nn_cells = x\n")
         assert len(exc.value.errors) == 3
 
 
@@ -132,7 +136,7 @@ class TestValidation:
 
     def test_non_finite_floats_are_listed(self):
         # a config built in code never meets the parser's finiteness check
-        cfg = ScenarioConfig(scenario="layer_stability", t_final=math.inf,
+        cfg = ScenarioConfig(scenario="burgers_decay", t_final=math.inf,
                              length=math.nan, amplitude=-math.inf)
         errors = cfg.validate()
         for key in ("t_final", "length", "amplitude"):
@@ -148,8 +152,8 @@ class TestValidation:
 
     def test_zero_strength_layer_scoped_to_layer_decay(self):
         # a zero-strength layer has no tail for layer_decay to measure; the
-        # solver scenarios build no layer at delta = 0
-        for scenario in ("layer_stability", "superposition_stability"):
+        # solver scenario builds no layer at delta = 0
+        for scenario in ("superposition_stability", "burgers_decay"):
             assert ScenarioConfig(scenario=scenario, delta=0.0).validate() \
                 == []
         assert ScenarioConfig(scenario="layer_decay", delta=0.0).validate() \
@@ -157,14 +161,16 @@ class TestValidation:
                 "layer has no tail to measure"]
 
     def test_theta_star_scoped_to_superposition(self):
-        # harmless for a pure-layer run, rejected for both fan scenarios
-        parse_config_text(MINIMAL + "theta_star = 2.0\n")
-        for scenario in ("superposition_stability", "rarefaction_stability"):
+        # ignored by the decay checks; the solver scenario takes theta_star
+        # up to theta_plus, where it builds no fan
+        for scenario in ("layer_decay", "burgers_decay"):
+            parse_config_text(f"scenario = {scenario}\ntheta_star = 2.0\n")
+        parse_config_text(MINIMAL + "theta_star = 1.0\n")
+        for value in ("1.0000001", "2.0", "0", "-0.5"):
             with pytest.raises(ConfigError) as exc:
-                parse_config_text(f"scenario = {scenario}\n"
-                                  "theta_star = 2.0\n")
+                parse_config_text(MINIMAL + f"theta_star = {value}\n")
             assert exc.value.errors == [
-                "theta_star must lie in (0, theta_plus)"]
+                "theta_star must lie in (0, theta_plus]"]
 
     def test_fully_coupled_cases_rejected_for_reduced_check(self):
         # the reduced-model scenario and its keys are gone: README's
@@ -198,6 +204,9 @@ class TestEcho:
         assert "seed = none" in echoed
 
     def test_example_configs_round_trip(self):
+        # every shipped config loads; bench/degenerate_layer.cfg keeps the
+        # default theta_star above its theta_plus = 0.6, which only the
+        # solver scenario refuses
         paths = sorted((ROOT / "configs").glob("*.cfg"))
         assert len(paths) == 5
         for path in paths + [ROOT / "bench" / "degenerate_layer.cfg"]:
@@ -243,7 +252,8 @@ class TestCli:
         path = write_cfg(MINIMAL + "delta = 0.1\n")
         assert main(["check", "--config", path]) == 0
         out = capsys.readouterr().out
-        assert "delta = 0.1" in out and "scenario = layer_stability" in out
+        assert "delta = 0.1" in out
+        assert "scenario = superposition_stability" in out
 
     def test_check_invalid_config(self, write_cfg, capsys):
         path = write_cfg(MINIMAL + "u_plus = 0.3\n")
@@ -287,8 +297,8 @@ class TestCli:
                                                capsys):
         # a fan that reaches theta_plus at t_final = 200 misses the far
         # state at x = 80, and a set length is never grown
-        path = write_cfg("scenario = rarefaction_stability\n"
-                         "theta_star = 0.9\nlength = 80\n")
+        path = write_cfg(MINIMAL + "delta = 0\ntheta_star = 0.9\n"
+                         "length = 80\n")
         out = tmp_path / "prof"
         assert main(["profile", "--config", path, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -297,7 +307,7 @@ class TestCli:
 
     def test_run_at_the_dielectric_bound_warns(self, write_cfg, tmp_path,
                                                capsys):
-        path = write_cfg("scenario = layer_stability\nu_plus = -2\n"
+        path = write_cfg(MINIMAL + "u_plus = -2\ntheta_star = 1\n"
                          "delta = 0.1\nn_cells = 64\nlength = 60\n"
                          "t_final = 5\neps_fraction = 1\n")
         out = tmp_path / "bound"
@@ -333,16 +343,16 @@ class TestCli:
         assert "seed must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("scenario,has_layer", [
+    @pytest.mark.parametrize("name,has_layer", [
         ("layer_stability", True),
         ("rarefaction_stability", False),
         ("superposition_stability", True),
     ])
     def test_profile_solver_scenarios(self, write_cfg, tmp_path, capsys,
-                                      scenario, has_layer):
-        # long enough for the fan's tail at the default t_final = 200
-        path = write_cfg(f"scenario = {scenario}\nn_cells = 64\n"
-                         "length = 500\n")
+                                      name, has_layer):
+        # each shipped solver config, on a coarse grid
+        cfg = load_config(ROOT / "configs" / f"{name}.cfg")
+        path = write_cfg(echo_config(replace(cfg, n_cells=64)))
         out = tmp_path / "prof"
         assert main(["profile", "--config", path, "--out", str(out)]) == 0
         assert (out / "initial.csv").is_file()
@@ -352,7 +362,7 @@ class TestCli:
                                                    capsys):
         # initial.csv is the state the run marches from; a pure layer's
         # layer_profile.csv is the far-state layer that layer_decay judges
-        path = write_cfg("scenario = layer_stability\nu_plus = -2.0\n"
+        path = write_cfg(MINIMAL + "u_plus = -2.0\ntheta_star = 1.0\n"
                          "delta = 0.1\nn_cells = 64\nlength = 60\n"
                          "t_final = 0.5\n")
         prof, run_out, decay_out = (tmp_path / name for name in (
@@ -401,6 +411,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert paths[0] in err and paths[1] in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under"])
+    def test_run_refuses_an_unusable_out_before_marching(
+            self, tmp_path, capsys, monkeypatch, under):
+        # an existing file, or a path under one, is no output directory
+        def no_march(*args, **kwargs):
+            raise AssertionError("the march started")
+
+        monkeypatch.setattr(scenarios, "run", no_march)
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "sub" if under else tmp_path / "taken"
+        path = str(ROOT / "configs" / "layer_stability.cfg")
+        assert main(["run", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot write to {out}: ")
+
+    def test_profile_refuses_an_unusable_out(self, write_cfg, tmp_path,
+                                              capsys):
+        (tmp_path / "taken").write_text("")
+        path = write_cfg("scenario = layer_decay\nu_plus = -2.0\n")
+        out = tmp_path / "taken"
+        assert main(["profile", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot write to {out}: ")
+
+    def test_batch_refuses_an_unusable_out(self, write_cfg, tmp_path, capsys,
+                                           monkeypatch):
+        def no_run(job):
+            raise AssertionError("a config ran")
+
+        monkeypatch.setattr(scenarios, "_batch_worker", no_run)
+        (tmp_path / "taken").write_text("")
+        path = write_cfg("scenario = layer_decay\nu_plus = -2.0\n")
+        out = tmp_path / "taken" / "batch"
+        assert main(["batch", "--config", path, "--out", str(out),
+                     "--workers", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot write to {out}: ")
+        assert (tmp_path / "taken").read_text() == ""
 
     def test_run_with_a_misfit_layer_branch_returns_one(self, write_cfg,
                                                          tmp_path, capsys):

@@ -214,7 +214,7 @@ class TestRecords:
         assert rec.sup_fluid == 0.0 and rec.sup_field == 0.0
         assert rec.energy == 0.0
         assert rec.l2_phi == 0.0 and rec.h1_psi == 0.0
-        assert rec.rel_fluid == 0.0 and rec.rel_field == 0.0
+        assert rec.rel_fluid == 0.0
 
     def test_sup_aggregates(self):
         state = self.make_state()
@@ -225,9 +225,9 @@ class TestRecords:
                                 1.0, 3e-12)
         assert rec.sup_fluid == pytest.approx(0.02, abs=1e-12)
         assert rec.sup_field == pytest.approx(0.05, abs=1e-12)
-        # the uniform state is the background, so both distances agree
+        # the uniform state is the background, so the distances agree; a
+        # reference with E = b = 0 is sup_field off the state's field
         assert rec.rel_fluid == pytest.approx(0.02, abs=1e-12)
-        assert rec.rel_field == pytest.approx(0.05, abs=1e-12)
         assert rec.mass_residual == 3e-12         # the audit, as given
 
     def test_csv_round_trip(self, tmp_path):
@@ -249,4 +249,4 @@ class TestRecords:
             "t", "l2_phi", "l2_psi", "l2_zeta", "l2_E", "l2_b",
             "h1_phi", "h1_psi", "h1_zeta", "h1_E", "h1_b",
             "sup_phi", "sup_psi", "sup_zeta", "sup_E", "sup_b",
-            "energy", "mass_residual", "rel_fluid", "rel_field")
+            "energy", "mass_residual", "rel_fluid")

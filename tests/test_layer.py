@@ -428,14 +428,15 @@ class TestEdgesAndSerialization:
         with pytest.raises(LayerError, match="Required step size"):
             construct_layer(PARAMS, far, 0.05, branch)
 
-    def test_csv_is_crlf_text_with_a_header(self, tmp_path):
+    def test_csv_is_lf_text_with_a_header(self, tmp_path):
+        # LF-ended like every other table the package files
         path = tmp_path / "layer.csv"
         prof = construct_layer(PARAMS, FAR_SUPER, 0.1)
         export_csv(prof, path)
-        lines = path.read_bytes().split(b"\r\n")
+        lines = path.read_bytes().split(b"\n")
         assert lines[0] == b"x,u_tilde,theta_tilde,rho_tilde"
         assert lines[-1] == b"" and len(lines) == prof.x.size + 2
-        assert not any(b"\n" in line or b"\r" in line for line in lines)
+        assert not any(b"\r" in line for line in lines)
         rows = np.array([line.split(b",") for line in lines[1:-1]], float)
         np.testing.assert_array_equal(
             rows, np.column_stack((prof.x, prof.u, prof.theta, prof.rho)))

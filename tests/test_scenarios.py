@@ -29,18 +29,19 @@ from outflow1d.solver import apply_boundary, run
 
 
 def layer_cfg(**over) -> ScenarioConfig:
-    """Coarse supersonic layer-stability configuration."""
-    base = dict(scenario="layer_stability", u_plus=-2.0, delta=0.1,
-                amplitude=1e-2, seed=7,
+    """Coarse supersonic layer: the composite wave with a fan of zero
+    strength (theta_star = theta_plus)."""
+    base = dict(scenario="superposition_stability", u_plus=-2.0, delta=0.1,
+                theta_star=1.0, amplitude=1e-2, seed=7,
                 n_cells=120, length=40.0, t_final=20.0)
     base.update(over)
     return ScenarioConfig(**base)
 
 
 # the fan cfgs' length holds the smoothed fan's tail to t_final (see
-# FAR_FIELD_TOL)
+# FAR_FIELD_TOL); rarefaction_cfg's layer has zero strength
 def rarefaction_cfg(**over) -> ScenarioConfig:
-    base = dict(scenario="rarefaction_stability", theta_star=0.9,
+    base = dict(scenario="superposition_stability", delta=0.0, theta_star=0.9,
                 amplitude=1e-2, seed=7, n_cells=64, length=300.0,
                 t_final=10.0)
     base.update(over)
@@ -219,22 +220,27 @@ class TestPrepareFanScenarios:
 
 
 class TestZeroStrengthLayer:
-    """A layer of strength 0 is no layer: the background is the star state
+    """A part of strength 0 is absent: the background is the star state
     plus whichever parts exist."""
 
     def test_superposition_without_a_layer_is_the_fan(self):
-        cfg = superposition_cfg(delta=0.0)
-        comp = prepare_scenario(cfg)
-        fan = prepare_scenario(replace(cfg, scenario="rarefaction_stability"))
-        assert comp.background.layer is None
-        assert comp.end == fan.end and comp.params == fan.params
-        assert comp.grid == fan.grid
-        np.testing.assert_array_equal(bits(comp.state0), bits(fan.state0))
-        for t in (0.0, 5.0, cfg.t_final):
-            for a, b in zip(comp.background.eval(comp.grid.x, t),
-                            fan.background.eval(fan.grid.x, t)):
-                np.testing.assert_array_equal(a.view(np.uint64),
-                                              b.view(np.uint64))
+        # the fan is the composite's own fan, and the boundary data are its
+        # left (star) state
+        comp = prepare_scenario(superposition_cfg())
+        fan = prepare_scenario(superposition_cfg(delta=0.0))
+        assert fan.background.layer is None
+        assert fan.background.star == comp.background.star
+        assert fan.background.wave == comp.background.wave
+        assert (fan.end.u_minus, fan.end.theta_minus) \
+            == fan.background.star[1:]
+
+    def test_theta_star_at_theta_plus_builds_no_fan(self):
+        cfg = superposition_cfg(theta_star=1.0)
+        prep = prepare_scenario(cfg)
+        assert prep.background.wave is None and prep.background.curve is None
+        assert prep.background.star == (cfg.rho_plus, cfg.u_plus,
+                                        cfg.theta_plus)
+        assert prep.background.layer.delta == pytest.approx(0.05, rel=1e-12)
 
     def test_a_layer_scenario_at_zero_strength_marches_the_far_state(
             self, tmp_path):
@@ -570,7 +576,7 @@ class TestSolverScenarioRun:
     def test_verdict_file_names_the_deciding_numbers(self, layer_run):
         _, out, _ = layer_run
         text = (out / "verdict.txt").read_text()
-        assert text.startswith("scenario = layer_stability\n")
+        assert text.startswith("scenario = superposition_stability\n")
         assert "verdict = PASS" in text
         assert "fit_rel_fluid.verdict = PASS" in text
         assert "mass_residual_max" in text
@@ -588,7 +594,7 @@ class TestSolverScenarioRun:
         assert summary["sup_fluid_final"] > 0.0
         table = np.genfromtxt(tmp_path / "quiet" / "diagnostics.csv",
                               delimiter=",", names=True)
-        for name in ("rel_fluid", "rel_field"):
+        for name in ("rel_fluid", "sup_E", "sup_b"):
             assert table[name].tolist() == [0.0] * 51
 
     def test_unknown_scenario_is_refused(self, tmp_path):
@@ -637,7 +643,25 @@ class TestReferencePairing:
                     in zip(*states)]
         assert len(expected) == len(table) == 51
         assert table["rel_fluid"].tolist() == [f for f, _ in expected]
-        assert table["rel_field"].tolist() == [g for _, g in expected]
+        # the reference's field is 0, so its distance is the record's own
+        assert np.maximum(table["sup_E"], table["sup_b"]).tolist() \
+            == [g for _, g in expected]
+
+    @pytest.mark.parametrize("name", ["layer_stability",
+                                      "rarefaction_stability",
+                                      "superposition_stability"])
+    def test_the_reference_field_stays_exactly_zero(self, name):
+        # every term of the field block and of its boundary extrapolation
+        # is a multiple of E or b, so the verdict judges sup_E and sup_b
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        prep = prepare_scenario(cfg)
+        em = []
+        run(prep.params, prep.end, prep.grid,
+            scenarios._state_from_background(prep.grid, prep.background),
+            cfg.t_final, prep.solver_config, record_dt=prep.record_dt,
+            recorder=lambda t, s, _: em.append(s.data[3:].copy()))
+        assert len(em) == 51
+        assert all(not f.any() for f in em)
 
 
 GOOD_BATCH = """\
@@ -647,7 +671,8 @@ delta = 0.1
 """
 
 BAD_BATCH = """\
-scenario = rarefaction_stability
+scenario = superposition_stability
+delta = 0
 theta_star = 0.5
 n_cells = 64
 length = 40
@@ -671,7 +696,7 @@ class TestBatch:
         assert rows[0]["error"] == ""
         assert (out_root / "good" / "verdict.txt").is_file()
 
-        assert rows[1]["scenario"] == "rarefaction_stability"
+        assert rows[1]["scenario"] == "superposition_stability"
         assert rows[1]["verdict"] == "ERROR"
         assert rows[1]["error"].startswith("ScenarioError")
 

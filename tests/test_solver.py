@@ -378,8 +378,9 @@ class TestTruncationOrder:
         # tendencies on it are the truncation error; upwind convection is
         # first order: the sup falls by about 2 per doubling (1.88, 1.85,
         # 1.72 for rho, u, theta at 400 -> 800, then 1.94, 1.93, 1.84)
-        cfg = ScenarioConfig(scenario="layer_stability", u_plus=-2.0,
-                             delta=0.1, length=60.0, t_final=40.0)
+        cfg = ScenarioConfig(scenario="superposition_stability", u_plus=-2.0,
+                             delta=0.1, theta_star=1.0, length=60.0,
+                             t_final=40.0)
         sups = interior_fluid_sups(cfg, (200, 400, 800, 1600))
         order = np.log2(sups[:-1] / sups[1:])[-2:]
         assert np.all((0.75 <= order) & (order <= 1.1)), order
