@@ -165,10 +165,6 @@ class DiagRecord:
     rel_fluid: float                  # sup |(rho, u, theta) - reference|
 
     @property
-    def sup_fluid(self) -> float:
-        return max(self.sup_phi, self.sup_psi, self.sup_zeta)
-
-    @property
     def sup_field(self) -> float:
         return max(self.sup_E, self.sup_b)
 

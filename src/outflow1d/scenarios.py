@@ -7,14 +7,16 @@ scenario marches the composite wave of _build, whose parts of zero
 strength are absent:
 
     config.echo        materialized configuration (reparseable)
-    verdict.txt        PASS / FAIL / INCONCLUSIVE plus the deciding numbers
+    verdict.txt        PASS / FAIL / INCONCLUSIVE, the numbers that decided
+                       it and the facts of the run that no table holds
     diagnostics.csv    one row per record (the solver scenario), with the
                        rel_fluid, sup_E and sup_b columns the verdict judges
     snapshot_*.csv     initial/final fields at 17 significant digits
     decay_norms.csv    burgers_decay's slope norms
     layer_profile.csv  layer_decay's layer
 
-Every numeric artifact is a headed CSV table, and each number is filed once.
+Every numeric artifact is a headed CSV table, and each number is filed
+once: verdict.txt repeats no table cell and no input.
 """
 
 from __future__ import annotations
@@ -165,6 +167,9 @@ def _build(cfg: ScenarioConfig) -> PreparedRun:
     grid = Grid1D(length, round(length / dx))
     state0 = _state_from_background(grid, background)
     perturbation = _apply_perturbation(cfg, grid, state0, params)
+    if (reach := perturbation["center"] + BUMP_WIDTH / 2.0) > length:
+        raise ScenarioError(f"the perturbation bump reaches x = {reach:g}, "
+                            f"beyond L = {length:g}; lengthen the domain")
     apply_boundary(params, end, state0)     # the values run enforces first
     return PreparedRun(params=params, end=end, grid=grid,
                        background=background, state0=state0,
@@ -214,7 +219,7 @@ def _verdict_text(summary: dict) -> str:
     lines = [f"scenario = {summary['scenario']}",
              f"verdict = {summary['verdict']}"]
     for key, val in summary.items():
-        if key in ("scenario", "verdict", "out_dir"):
+        if key in ("scenario", "verdict"):
             continue
         if isinstance(val, dict):
             for k2, v2 in val.items():
@@ -235,12 +240,8 @@ ARTIFACTS = ("config.echo", "verdict.txt", "diagnostics.csv",
 
 
 def _emit(cfg: ScenarioConfig, out_dir, summary: dict, files: dict) -> None:
-    """Write config.echo, files (name -> writer(path)) and verdict.txt,
-    after removing what an earlier run left of ARTIFACTS (and nothing
-    else)."""
-    for name in ARTIFACTS:
-        if os.path.isfile(path := os.path.join(out_dir, name)):
-            os.remove(path)
+    """Write config.echo, files (name -> writer(path)) and verdict.txt
+    into out_dir, which run_scenario has cleared of ARTIFACTS."""
     _write_text(os.path.join(out_dir, "config.echo"), echo_config(cfg))
     for name, write in files.items():
         write(os.path.join(out_dir, name))
@@ -285,7 +286,6 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
                  prep.solver_config, record_dt=prep.record_dt,
                  recorder=recorder)
 
-    first, last = diag_records[0], diag_records[-1]
     if cfg.amplitude == 0.0:
         verdict = "PASS"
         fit_rel_fluid = fit_rel_field = {
@@ -308,12 +308,6 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
     summary = {
         "verdict": verdict,
         "fit_rel_fluid": fit_rel_fluid, "fit_rel_field": fit_rel_field,
-        "rel_fluid_initial": first.rel_fluid,
-        "rel_fluid_final": last.rel_fluid,
-        "rel_field_initial": first.sup_field,
-        "rel_field_final": last.sup_field,
-        "sup_fluid_final": last.sup_fluid, "sup_field_final": last.sup_field,
-        "mass_residual_max": result.mass_residual_max,
         "steps": result.steps, "runtime_s": runtime,
         "warnings": result.warnings,
     }
@@ -322,7 +316,7 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
         "snapshot_initial.csv": lambda path: write_snapshot_csv(
             path, prep.grid, 0.0, prep.state0),
         "snapshot_final.csv": lambda path: write_snapshot_csv(
-            path, prep.grid, result.t_final, result.state),
+            path, prep.grid, cfg.t_final, result.state),
     }
     return summary, files
 
@@ -373,7 +367,6 @@ def _drive_layer_decay(cfg: ScenarioConfig) -> tuple:
         "verdict": "PASS" if ok else "FAIL",
         "case_tag": layer.case_tag, "decay_u": detail,
         "decay_theta_kind": fit_th["kind"], "monotone_from": m0,
-        "x_max": layer.x_max,
     }
     files = {"layer_profile.csv": lambda path: export_csv(layer, path)}
     return summary, files
@@ -387,13 +380,18 @@ _DRIVERS = {
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
-    """Execute one configured scenario, emitting artifacts into out_dir,
-    which is made first: an unusable one raises OSError before any work."""
+    """Execute one configured scenario, emitting artifacts into out_dir.
+    out_dir is made first, so an unusable one raises OSError before any
+    work, and cleared of what an earlier run left of ARTIFACTS (and
+    nothing else), so a run that fails leaves none of them behind."""
     if cfg.scenario not in _DRIVERS:
         raise ScenarioError(f"unknown scenario {cfg.scenario!r}")
     os.makedirs(out_dir, exist_ok=True)
+    for name in ARTIFACTS:
+        if os.path.isfile(path := os.path.join(out_dir, name)):
+            os.remove(path)
     summary, files = _DRIVERS[cfg.scenario](cfg)
-    summary = {"scenario": cfg.scenario, "out_dir": str(out_dir), **summary}
+    summary = {"scenario": cfg.scenario, **summary}
     summary.setdefault("warnings", [])
     _emit(cfg, out_dir, summary, files)
     return summary

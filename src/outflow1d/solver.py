@@ -398,7 +398,6 @@ class RunResult:
     """March outcome: final state, step count, the mass audit's maximum."""
 
     state: FieldState
-    t_final: float
     steps: int
     mass_residual_max: float = 0.0
     warnings: list = field(default_factory=list)
@@ -423,7 +422,7 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
         raise SolverError("state and grid sizes disagree")
     times = record_times(t_final, record_dt)
 
-    result = RunResult(state=state0.copy(), t_final=0.0, steps=0)
+    result = RunResult(state=state0.copy(), steps=0)
 
     c_bar = dielectric_bound(params, end)
     if params.eps >= c_bar:
@@ -463,7 +462,6 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
             recorder(t_event, state, result.mass_residual_max)
 
     result.state = state
-    result.t_final = t
     return result
 
 

@@ -17,7 +17,8 @@ import pytest
 from outflow1d import layer as layer_mod
 from outflow1d import scenarios
 from outflow1d.config import ScenarioConfig, load_config, parse_config_text
-from outflow1d.diagnostics import DIAG_COLUMNS, bump_profile
+from outflow1d.diagnostics import DIAG_COLUMNS, bump_profile, \
+    fit_convergence
 from outflow1d.gas import (EndStates, GasParams, classify_regime,
                            dielectric_bound, sound_speed)
 from outflow1d.layer import LayerError
@@ -402,6 +403,43 @@ class TestFarField:
         assert calls == [0.0] * (scenarios.MAX_GROWTHS + 1)
 
 
+class TestBumpReach:
+    """A domain that cannot hold the whole perturbation bump is refused:
+    a run that perturbs nothing cannot judge its decay."""
+
+    @staticmethod
+    def no_wave_cfg(**over) -> ScenarioConfig:
+        base = dict(scenario="superposition_stability", delta=0.0,
+                    theta_star=1.0, seed=None, n_cells=16, length=3.0)
+        base.update(over)
+        return ScenarioConfig(**base)
+
+    def test_the_domain_must_reach_past_the_bump(self):
+        # centre 5, width 2: the bump lies on [4, 6], wholly past L = 3
+        with pytest.raises(ScenarioError,
+                           match="bump reaches x = 6, beyond L = 3;"):
+            prepare_scenario(self.no_wave_cfg())
+        with pytest.raises(ScenarioError, match="beyond L = 5.9"):
+            prepare_scenario(self.no_wave_cfg(length=5.9))
+        length = np.nextafter(6.0, 7.0)
+        prep = prepare_scenario(self.no_wave_cfg(length=length))
+        assert prep.grid.length == length
+        assert prep.state0.u.max() > prep.background.star[1]
+
+    @pytest.mark.parametrize("seed", [4, 3])    # jitter +0.443, -0.414
+    def test_the_drawn_centre_sets_the_reach(self, seed):
+        center = prepare_scenario(self.no_wave_cfg(
+            seed=seed, length=40.0)).perturbation["center"]
+        reach = center + scenarios.BUMP_WIDTH / 2.0
+        # far enough from the unjittered reach 6 that a check on the fixed
+        # centre would decide one of the two lengths below wrongly
+        assert abs(reach - 6.0) > 0.4
+        with pytest.raises(ScenarioError, match=f"reaches x = {reach:g},"):
+            prepare_scenario(self.no_wave_cfg(seed=seed, length=reach - 0.1))
+        prep = prepare_scenario(self.no_wave_cfg(seed=seed, length=reach))
+        assert prep.perturbation["center"] == center
+
+
 class TestLayerDecay:
     @pytest.mark.parametrize("far, tag", [
         ({"u_plus": -0.15}, "subsonic"),
@@ -510,6 +548,18 @@ class TestReusedOutputDirectory:
         for name in ("notes.txt", "plots/mine.dat"):
             assert (tmp_path / name).read_text() == "keep\n"
 
+    def test_a_failed_run_leaves_no_earlier_artifact(self, tmp_path):
+        # an earlier run's PASS must not stand for a run that failed
+        (tmp_path / "notes.txt").write_text("keep\n")
+        run_scenario(load_config(CONFIGS / "layer_decay.cfg"), tmp_path)
+        assert (tmp_path / "verdict.txt").is_file()
+        short = replace(load_config(CONFIGS / "layer_stability.cfg"),
+                        length=10.0)
+        with pytest.raises(ScenarioError, match="at x = L = 10 is"):
+            run_scenario(short, tmp_path)
+        assert files_in(tmp_path) == {"notes.txt"}
+        assert (tmp_path / "notes.txt").read_text() == "keep\n"
+
 
 @pytest.fixture(scope="module")
 def layer_run(tmp_path_factory):
@@ -526,17 +576,25 @@ class TestSolverScenarioRun:
         assert summary["fit_rel_fluid"]["verdict"] == "PASS"
         assert summary["fit_rel_field"]["verdict"] == "PASS"
 
+    @staticmethod
+    def diagnostics(out: Path):
+        return np.genfromtxt(out / "diagnostics.csv", delimiter=",",
+                             names=True)
+
     def test_difference_series_starts_at_injected_size(self, layer_run):
-        cfg, _, summary = layer_run
-        assert 0.8 * cfg.amplitude <= summary["rel_fluid_initial"] \
-            <= 1.000001 * cfg.amplitude
-        assert summary["rel_field_initial"] > cfg.amplitude  # amplified 1/sqrt(eps)
-        assert summary["rel_fluid_final"] < 0.05 * summary["rel_fluid_initial"]
-        assert summary["rel_field_final"] < 1e-8
+        cfg, out, _ = layer_run
+        table = self.diagnostics(out)
+        fluid = table["rel_fluid"]
+        field = np.maximum(table["sup_E"], table["sup_b"])
+        assert 0.8 * cfg.amplitude <= fluid[0] <= 1.000001 * cfg.amplitude
+        assert field[0] > cfg.amplitude  # amplified 1/sqrt(eps)
+        assert fluid[-1] < 0.05 * fluid[0]
+        assert field[-1] < 1e-8
 
     def test_audits_stay_clean(self, layer_run):
-        _, _, summary = layer_run
-        assert summary["mass_residual_max"] < 1e-8
+        _, out, summary = layer_run
+        # mass_residual is the running maximum: its last row is the march's
+        assert self.diagnostics(out)["mass_residual"][-1] < 1e-8
         assert summary["warnings"] == []
         assert summary["steps"] > 100
 
@@ -565,21 +623,23 @@ class TestSolverScenarioRun:
         assert np.all(np.diff(table["t"]) > 0)
 
     def test_difference_trace_files(self, layer_run):
+        # the file holds the very series the verdict was fitted from
         _, out, summary = layer_run
-        table = np.genfromtxt(out / "diagnostics.csv", delimiter=",",
-                              names=True)
-        trace = table["rel_fluid"]
-        assert trace.shape == (51,)
-        assert trace[0] == summary["rel_fluid_initial"]
-        assert trace[-1] == summary["rel_fluid_final"]
+        table = self.diagnostics(out)
+        assert table["rel_fluid"].shape == (51,)
+        assert fit_convergence(table["t"], table["rel_fluid"]) \
+            == summary["fit_rel_fluid"]
+        assert fit_convergence(table["t"], np.maximum(
+            table["sup_E"], table["sup_b"])) == summary["fit_rel_field"]
 
     def test_verdict_file_names_the_deciding_numbers(self, layer_run):
-        _, out, _ = layer_run
+        _, out, summary = layer_run
         text = (out / "verdict.txt").read_text()
         assert text.startswith("scenario = superposition_stability\n")
         assert "verdict = PASS" in text
         assert "fit_rel_fluid.verdict = PASS" in text
-        assert "mass_residual_max" in text
+        for fit in ("fit_rel_fluid", "fit_rel_field"):
+            assert f"{fit}.ratio = {summary[fit]['ratio']}\n" in text
 
     def test_zero_amplitude_passes_trivially(self, tmp_path):
         cfg = layer_cfg(amplitude=0.0, n_cells=64, t_final=5.0, seed=None)
@@ -588,19 +648,48 @@ class TestSolverScenarioRun:
         assert "zero amplitude" in summary["fit_rel_fluid"]["note"]
         # the data are the reference's start, so nothing separates the two
         # runs, while the analytic background is some way off
-        assert summary["rel_fluid_initial"] == 0.0
-        assert summary["rel_field_initial"] == 0.0
-        assert summary["rel_fluid_final"] == 0.0
-        assert summary["sup_fluid_final"] > 0.0
-        table = np.genfromtxt(tmp_path / "quiet" / "diagnostics.csv",
-                              delimiter=",", names=True)
+        table = self.diagnostics(tmp_path / "quiet")
         for name in ("rel_fluid", "sup_E", "sup_b"):
             assert table[name].tolist() == [0.0] * 51
+        assert max(table[name][-1]
+                   for name in ("sup_phi", "sup_psi", "sup_zeta")) > 0.0
 
     def test_unknown_scenario_is_refused(self, tmp_path):
         cfg = ScenarioConfig(scenario="nonsense")
         with pytest.raises(ScenarioError, match="unknown scenario"):
             run_scenario(cfg, tmp_path)
+
+
+class TestVerdictSchema:
+    """verdict.txt holds the verdict, the numbers that decided it and the
+    facts of the run that no table holds, and nothing else."""
+
+    FIT = ("verdict", "n", "first_quartile_mean", "last_quartile_mean",
+           "ratio", "rate")
+
+    @staticmethod
+    def keys(out: Path) -> list:
+        return [line.split(" = ")[0]
+                for line in (out / "verdict.txt").read_text().splitlines()]
+
+    def test_each_scenario_files_exactly_its_keys(self, layer_run, tmp_path):
+        _, out, _ = layer_run
+        assert self.keys(out) == [
+            "scenario", "verdict",
+            *(f"fit_rel_fluid.{k}" for k in self.FIT),
+            *(f"fit_rel_field.{k}" for k in self.FIT),
+            "steps", "runtime_s", "warnings"]
+        run_scenario(load_config(CONFIGS / "layer_decay.cfg"),
+                     tmp_path / "layer")
+        assert self.keys(tmp_path / "layer") == [
+            "scenario", "verdict", "case_tag", "decay_u.kind",
+            "decay_u.rate", "decay_u.rate_oracle", "decay_theta_kind",
+            "monotone_from", "warnings"]
+        run_scenario(load_config(CONFIGS / "burgers_decay.cfg"),
+                     tmp_path / "burgers")
+        assert self.keys(tmp_path / "burgers") == [
+            "scenario", "verdict", "slope_sup", "expected_sup", "slope_l2",
+            "expected_l2", "warnings"]
 
 
 class TestReferencePairing:
