@@ -237,6 +237,16 @@ def _verdict_text(summary: dict) -> str:
 ARTIFACTS = ("config.echo", "verdict.txt", "diagnostics.csv",
              "snapshot_initial.csv", "snapshot_final.csv", "decay_norms.csv",
              "layer_profile.csv")
+# every path, relative to out_dir, that profile_scenario writes
+PROFILE_ARTIFACTS = ("initial.csv", "layer_profile.csv", "speed_profile.csv")
+
+
+def _clear(out_dir, names) -> None:
+    """Make out_dir and remove the files of names from it (nothing else)."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name in names:
+        if os.path.isfile(path := os.path.join(out_dir, name)):
+            os.remove(path)
 
 
 def _emit(cfg: ScenarioConfig, out_dir, summary: dict, files: dict) -> None:
@@ -386,10 +396,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     nothing else), so a run that fails leaves none of them behind."""
     if cfg.scenario not in _DRIVERS:
         raise ScenarioError(f"unknown scenario {cfg.scenario!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    for name in ARTIFACTS:
-        if os.path.isfile(path := os.path.join(out_dir, name)):
-            os.remove(path)
+    _clear(out_dir, ARTIFACTS)
     summary, files = _DRIVERS[cfg.scenario](cfg)
     summary = {"scenario": cfg.scenario, **summary}
     summary.setdefault("warnings", [])
@@ -402,8 +409,9 @@ def profile_scenario(cfg: ScenarioConfig, out_dir) -> None:
     marching: the solver scenario's initial.csv (its prep.state0) and,
     with a layer, layer_profile.csv; layer_decay's layer_profile.csv; and
     burgers_decay's speed_profile.csv, the fan at t = 0 on the grid of its
-    decay check.  out_dir is made first, as in run_scenario."""
-    os.makedirs(out_dir, exist_ok=True)
+    decay check.  out_dir is made first and cleared of what an earlier
+    profile left of PROFILE_ARTIFACTS, as in run_scenario."""
+    _clear(out_dir, PROFILE_ARTIFACTS)
     if cfg.scenario == "burgers_decay":
         wave = _burgers_wave(cfg)
         x = np.arange(0.0, wave.w_plus + DECAY_PAD, DECAY_DX)

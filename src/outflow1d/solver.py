@@ -29,17 +29,25 @@ its result after the closing relaxation.  At x = 0 the
 magnetic field is assigned literally as b(0) := sqrt(eps) * E(0), so the
 boundary identity sqrt(eps) E(0,t) - b(0,t) evaluates to exactly 0.0.
 
-Two fast paths change no bit.  Outflow states have u < 0 at every node
-(u_- < 0 and u_+ < 0, and so do the layer, the fan and their composite):
-there spatial_rhs takes the right-hand upwind operands without a select.
-When the state check's extrema bound max(|u| + c) within the field speed
-1/sqrt(eps), cfl_dt takes the field speed without a per-node pass.  Any
-other state takes the general paths.
+The stencil of spatial_rhs is one C loop over the nodes (_STENCIL_C),
+compiled on first import and called through ctypes.  Its upwind operands
+are a per-node select by the sign of the local velocity, and it keeps the
+order of every rounded operation of the numpy stencil that the tests keep
+as its oracle, so its tendencies are that stencil's bit for bit.  One
+fast path is left, and it changes no bit: when the state check's extrema
+bound max(|u| + c) within the field speed 1/sqrt(eps), cfl_dt takes the
+field speed without a per-node pass.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import subprocess
+import sysconfig
+import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -160,6 +168,138 @@ class SolverConfig:
             raise ValueError("dt_max must be positive")
 
 
+# --------------------------------------------------------------------------
+# the stencil in C: one loop over the nodes, compiled on first import
+# --------------------------------------------------------------------------
+
+_STENCIL_C = r"""
+/* Tendencies of the (5, n) state block s (rows rho, u, theta, E, b) into
+ * the (5, n) block out, every entry written; returns half the continuity
+ * flux at the last face.  Each rounded operation is the one of the numpy
+ * stencil kept as the tests' oracle (select_rhs), in the same order; with
+ * no contraction into fused multiply-adds the tendencies are its bit for
+ * bit.  A difference read at two nodes is recomputed at each: the same
+ * operands, so the same bits.  The upwind selects are false for NaN, as
+ * numpy's comparisons are, and then take the right-hand operand. */
+double outflow_rhs(long n, const double *s, double *out, double dx,
+                   double inv_dx, double half_inv_dx, double flux_left,
+                   double R, double mu, double mu_lap, double kappa_lap,
+                   double gm1, double se, double inv_eps, double b_scale)
+{
+    const double *rho = s, *u = s + n, *th = s + 2 * n, *E = s + 3 * n,
+                 *b = s + 4 * n;
+    double *drho = out, *du = out + n, *dth = out + 2 * n,
+           *dE = out + 3 * n, *db = out + 4 * n;
+    double u_half, flux;    /* twice the face velocity and twice the flux */
+
+    for (int row = 0; row < 5; row++)
+        out[row * n] = out[row * n + n - 1] = 0.0;
+    u_half = u[0] + u[1];
+    flux = (u_half >= 0.0 ? rho[0] : rho[1]) * u_half;
+    drho[0] = (2.0 * flux_left - flux) / dx;
+
+    for (long i = 1; i < n - 1; i++) {
+        double uc = u[i], rc = rho[i], bc = b[i];
+        double d_um = u[i] - u[i - 1], d_up = u[i + 1] - u[i];
+        double d_thm = th[i] - th[i - 1], d_thp = th[i + 1] - th[i];
+        int upwind = uc > 0.0;
+        double du_up = upwind ? d_um : d_up;
+        double dth_up = upwind ? d_thm : d_thp;
+
+        /* continuity, conservative form */
+        double flux_m = flux;
+        u_half = u[i] + u[i + 1];
+        flux = (u_half >= 0.0 ? rho[i] : rho[i + 1]) * u_half;
+        drho[i] = (flux_m - flux) * half_inv_dx;
+
+        /* momentum: (-p_x + mu u_xx - (E + u b) b) / rho - u u_x */
+        double u_dx = uc * inv_dx;
+        double r_rho = R * rc;
+        double pres_m = (R * rho[i - 1]) * th[i - 1];
+        double pres_c = r_rho * th[i];
+        double pres_p = (R * rho[i + 1]) * th[i + 1];
+        double ub = uc * bc;
+        double drive = ub + E[i];
+
+        double v = (pres_m - pres_p) + (d_up - d_um) * mu_lap;
+        v *= half_inv_dx;
+        v -= drive * bc;
+        v /= rc;
+        du[i] = v - du_up * u_dx;
+
+        /* temperature: (gamma - 1) / (R rho) times
+         * (mu u_x^2 - p u_x + kappa theta_xx + (E + u b)^2) - u theta_x */
+        double ux = (u[i + 1] - u[i - 1]) * half_inv_dx;
+        v = (ux * mu - pres_c) * ux;
+        v += (d_thp - d_thm) * kappa_lap;
+        v += drive * drive;
+        v *= gm1 / r_rho;
+        dth[i] = v - dth_up * u_dx;
+
+        /* field block: upwind transport of w1 = sqrt(eps) E - b (backward)
+         * and w2 = sqrt(eps) E + b (forward); the first and last interior
+         * nodes read the boundary-set w1[0] and w2[n-1] */
+        double dw1 = (se * E[i] - b[i]) - (se * E[i - 1] - b[i - 1]);
+        double dw2 = (se * E[i + 1] + b[i + 1]) - (se * E[i] + b[i]);
+        dE[i] = ((dw2 - dw1) * half_inv_dx - ub) * inv_eps;
+        db[i] = (dw2 + dw1) * b_scale;
+    }
+    return 0.5 * flux;
+}
+"""
+
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
+
+
+def _build(source: str, cache_dir, cc: list | None = None) -> str:
+    """Path of the shared object compiled from source: built into
+    cache_dir, under a name that hashes the source and the compiler
+    command, only if it is not there yet, whatever PYTHONDONTWRITEBYTECODE
+    says.  The compiler is sysconfig's CC unless cc is given.  A missing or
+    failing compiler raises ImportError with its message; there is no
+    other stencil to fall back on."""
+    if cc is None:
+        cc = (sysconfig.get_config_var("CC") or "").split()
+        if not cc:
+            raise ImportError("no C compiler: sysconfig has no CC")
+    cmd = [*cc, *_CFLAGS, "-x", "c", "-"]
+    tag = hashlib.sha256("\0".join([source, *cmd]).encode()).hexdigest()
+    path = os.path.join(cache_dir, f"_stencil-{tag[:16]}.so")
+    if os.path.isfile(path):
+        return path
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+    os.close(fd)
+    try:
+        try:
+            done = subprocess.run([*cmd, "-o", tmp], input=source, text=True,
+                                  capture_output=True)
+        except OSError as exc:
+            raise ImportError(f"cannot run the C compiler {cc[0]!r}: "
+                              f"{exc}") from exc
+        if done.returncode != 0:
+            raise ImportError(f"compiling the stencil failed "
+                              f"({' '.join(cmd)}):\n{done.stderr}")
+        os.replace(tmp, path)   # atomic: a concurrent import sees all or none
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return path
+
+
+def _load(source: str, cache_dir):
+    """The outflow_rhs function of _build(source, cache_dir)."""
+    fn = ctypes.CDLL(_build(source, cache_dir)).outflow_rhs
+    fn.restype = ctypes.c_double
+    block = ctypes.POINTER(ctypes.c_double)
+    fn.argtypes = [ctypes.c_long, block, block, *[ctypes.c_double] * 12]
+    return fn
+
+
+_outflow_rhs = _load(_STENCIL_C, _CACHE)
+
+
 def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
                 state: FieldState, config: SolverConfig):
     """Tendencies at every node plus the boundary mass fluxes.
@@ -168,99 +308,38 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
     controlled fields; apply_boundary owns those values.  The relaxation
     -E/eps is left to step's exact factors.  config is unread.
 
-    Convection and diffusion come from one first-difference array per
-    field, whose slices [:-1] and [1:] are the backward and forward
-    differences at the interior nodes.  The arithmetic runs in place and
-    keeps the numpy calls few: at these grid sizes each call's fixed
-    dispatch cost, not the work per node, dominates.
-
+    One call of the compiled stencil _STENCIL_C fills a new block.  It
+    reads the state block as C-contiguous, writable doubles (ctypes's
+    from_buffer takes no other), so any other block is copied first.
     Upwinding selects rho at each face and the u and theta differences at
-    each interior node by the local velocity's sign.  When max(u) < 0, as
-    on every background of the outflow problem, every face and centre
-    velocity is negative and every select would pick its right-hand
-    operand, so those operands are taken as slices: each product that
-    follows is the same rounded product.  A state with u >= 0 or NaN
-    somewhere takes the per-entry selects.  The face velocity's exact 1/2
-    is folded into the continuity scale and the right boundary flux; a
-    power-of-two scaling commutes with rounding.
+    each interior node by the local velocity's sign.  The face velocity's
+    exact 1/2 is folded into the continuity scale and the right boundary
+    flux; a power-of-two scaling commutes with rounding.  The scale
+    factors are rounded here, once per call, as the tests' numpy oracle
+    rounds them.  Raises ValueError on fewer than 3 nodes.
     """
     p = params
+    data = state.data
+    flags = data.flags
+    if not (flags.c_contiguous and flags.writeable
+            and data.dtype == np.float64):
+        data = np.array(data, dtype=np.float64, order="C")
+    n = data.shape[1]
+    if n < 3:
+        raise ValueError("the stencil needs at least 3 nodes")
     dx = grid.dx
     inv_dx = 1.0 / dx
-    rho, u, th, E, b = state.data
-    tend = np.zeros(state.data.shape)
-    drho, du, dth, dE, db = tend[:, 1:-1]
-
-    uc, rc, bc = u[1:-1], rho[1:-1], b[1:-1]
-    d_u = u[1:] - u[:-1]
-    d_th = th[1:] - th[:-1]
-    u_half = u[:-1] + u[1:]                      # twice the face velocity
-    if u.max() < 0.0:                            # outflow: upwind is right
-        rho_up, du_up, dth_up = rho[1:], d_u[1:], d_th[1:]
-    else:
-        rho_up = np.where(u_half >= 0.0, rho[:-1], rho[1:])
-        # u_c times the backward difference where u_c > 0, else the forward
-        # one: exactly max(u_c, 0) * back + min(u_c, 0) * fwd
-        upwind = uc > 0.0
-        du_up = np.where(upwind, d_u[:-1], d_u[1:])
-        dth_up = np.where(upwind, d_th[:-1], d_th[1:])
-
-    # --- continuity, conservative form -------------------------------------
-    flux = rho_up * u_half                       # twice the flux at i+1/2
-    flux_left = rho.item(0) * end.u_minus        # boundary flux rho(0) u_-
-    fluxes = {"flux_left": flux_left, "flux_right": 0.5 * flux.item(-1)}
-    np.subtract(flux[:-1], flux[1:], out=drho)
-    drho *= 0.5 * inv_dx
-    tend[0, 0] = (2.0 * flux_left - flux.item(0)) / dx
-
-    # --- momentum and temperature -------------------------------------------
-    u_dx = uc * inv_dx
-    r_rho = p.R * rho
-    pres = r_rho * th
-    ub = uc * bc
-    drive = ub + E[1:-1]                         # E + u b, the compound field
-
-    lap = d_u[1:] - d_u[:-1]                     # dx^2 u_xx
-    lap *= 2.0 * p.mu * inv_dx
-    np.subtract(pres[:-2], pres[2:], out=du)
-    du += lap
-    du *= 0.5 * inv_dx                           # -p_x + mu u_xx
-    du -= drive * bc
-    du /= rc
-    du -= du_up * u_dx
-
-    ux = u[2:] - u[:-2]                          # central u_x
-    ux *= 0.5 * inv_dx
-    np.multiply(ux, p.mu, out=dth)               # mu u_x^2 - p u_x
-    dth -= pres[1:-1]
-    dth *= ux
-    np.subtract(d_th[1:], d_th[:-1], out=lap)    # kappa theta_xx
-    lap *= p.kappa * inv_dx * inv_dx
-    dth += lap
-    dth += drive * drive
-    dth *= np.divide(p.gamma - 1.0, r_rho[1:-1])
-    dth -= dth_up * u_dx
-
-    # --- field block ---------------------------------------------------------
-    # upwind transport along the two characteristics, from first differences
-    # of w1 = sqrt(eps) E - b = 2 W1/sqrt(eps) (backward: W1 moves right) and
-    # w2 = sqrt(eps) E + b = 2 W2/sqrt(eps) (forward: W2 moves left); the
-    # stencils at the first/last interior node consume the boundary-set
-    # w1[0] and w2[-1]
+    half_inv_dx = 0.5 * inv_dx
     se = p.sqrt_eps
-    w2 = se * E
-    w1 = w2 - b
-    w2 += b
-    dw1 = w1[1:-1] - w1[:-2]
-    dw2 = w2[2:] - w2[1:-1]
-    np.subtract(dw2, dw1, out=dE)
-    dE *= 0.5 * inv_dx
-    dE -= ub
-    dE *= 1.0 / p.eps
-    np.add(dw2, dw1, out=db)
-    db *= 0.5 * inv_dx / se
-
-    return FieldState.of(tend), fluxes
+    tend = np.empty((5, n))
+    flux_left = data.item(0, 0) * end.u_minus    # boundary flux rho(0) u_-
+    flux_right = _outflow_rhs(
+        n, ctypes.c_double.from_buffer(data),
+        ctypes.c_double.from_buffer(tend), dx, inv_dx, half_inv_dx,
+        flux_left, p.R, p.mu, 2.0 * p.mu * inv_dx, p.kappa * inv_dx * inv_dx,
+        p.gamma - 1.0, se, 1.0 / p.eps, half_inv_dx / se)
+    return (FieldState.of(tend),
+            {"flux_left": flux_left, "flux_right": flux_right})
 
 
 def apply_boundary(params: GasParams, end: EndStates,

@@ -560,6 +560,16 @@ class TestReusedOutputDirectory:
         assert files_in(tmp_path) == {"notes.txt"}
         assert (tmp_path / "notes.txt").read_text() == "keep\n"
 
+    def test_an_earlier_profile_is_removed(self, tmp_path):
+        # the layer's initial.csv and layer_profile.csv must not stand next
+        # to the fan's speed profile
+        scenarios.profile_scenario(
+            load_config(CONFIGS / "layer_stability.cfg"), tmp_path)
+        assert files_in(tmp_path) == {"initial.csv", "layer_profile.csv"}
+        scenarios.profile_scenario(
+            load_config(CONFIGS / "burgers_decay.cfg"), tmp_path)
+        assert files_in(tmp_path) == {"speed_profile.csv"}
+
 
 @pytest.fixture(scope="module")
 def layer_run(tmp_path_factory):

@@ -1,8 +1,10 @@
 """Time marcher: invariants, audits, boundary identity, serialization."""
 
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -593,8 +595,10 @@ class TestReferenceStencil:
 
     def test_perturbed_state_takes_the_general_branches(self, composite):
         states = march_states(composite)
-        assert states["initial"].u.max() < 0.0        # the outflow branch
-        assert states["perturbed"].u.max() >= 0.0     # the per-entry selects
+        # every select takes its right operand on the first, both on the
+        # second
+        assert states["initial"].u.max() < 0.0
+        assert states["perturbed"].u.max() >= 0.0
 
     @pytest.mark.parametrize("which", ["initial", "perturbed"])
     def test_boundary_values_are_bitwise(self, composite, which):
@@ -652,10 +656,11 @@ class TestReferenceStencil:
 
 
 # --------------------------------------------------------------------------
-# the stencil with a per-entry upwind select at every face and interior
-# node, as it was before the outflow branch.  spatial_rhs must reproduce it
-# bit for bit on either branch, and cfl_dt must reproduce the full per-node
-# pass of reference_cfl_dt with or without the state check's extrema.
+# the numpy stencil with a per-entry upwind select at every face and
+# interior node, as spatial_rhs computed it before the compiled stencil.
+# The compiled stencil must reproduce it bit for bit on any state, and
+# cfl_dt must reproduce the full per-node pass of reference_cfl_dt with or
+# without the state check's extrema.
 # --------------------------------------------------------------------------
 
 def select_rhs(params, end, grid, state, config):
@@ -735,6 +740,10 @@ def layer_stability():
 
 
 class TestOutflowBranches:
+    """The compiled stencil against the numpy oracle select_rhs over
+    300-step marches: each state, boundary flux and step size bit for bit,
+    from outflow states and from one whose u takes both signs."""
+
     def march_both(self, prep, state, monkeypatch, outflow):
         args = (prep.params, prep.end, prep.grid)
         config = prep.solver_config
@@ -763,3 +772,116 @@ class TestOutflowBranches:
     def test_layer_march_is_bitwise(self, layer_stability, monkeypatch):
         self.march_both(layer_stability, layer_stability.state0,
                         monkeypatch, outflow=True)
+
+
+def bits(a):
+    """The IEEE bit patterns of a float64 array: NaNs compare too."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_oracle_bits(params, end, grid, block):
+    """spatial_rhs on FieldState.of(block) is select_rhs on the block's
+    float64 values, bit for bit, and leaves the block as it was."""
+    before = np.array(block, copy=True)
+    got, fluxes = spatial_rhs(params, end, grid, FieldState.of(block),
+                              SolverConfig())
+    want, want_fluxes = select_rhs(params, end, grid, FieldState.of(
+        np.array(block, dtype=np.float64)), SolverConfig())
+    np.testing.assert_array_equal(bits(got.data), bits(want.data))
+    assert bits(list(fluxes.values())).tolist() == bits(
+        [float(v) for v in want_fluxes.values()]).tolist()
+    assert all(type(value) is float for value in fluxes.values())
+    np.testing.assert_array_equal(bits(block), bits(before))
+
+
+def rough_block(n, seed):
+    """A (5, n) state with u of both signs around positive rho, theta."""
+    rng = np.random.default_rng(seed)
+    block = rng.uniform(-1.0, 1.0, (5, n))
+    block[[0, 2]] = rng.uniform(0.5, 2.0, (2, n))
+    return block
+
+
+class TestCompiledStencil:
+    # the stencil reads only grid.dx; Grid1D refuses fewer than 16 cells
+    GRID = SimpleNamespace(dx=0.1)
+
+    def test_nan_at_one_node_matches_the_oracle(self, composite):
+        prep = composite
+        for row in range(5):
+            block = prep.state0.data.copy()
+            block[row, block.shape[1] // 2] = np.nan
+            assert_oracle_bits(prep.params, prep.end, prep.grid, block)
+
+    @pytest.mark.parametrize("n", [3, 4, 17])
+    def test_the_loops_edges_match_the_oracle(self, n):
+        for seed in range(5):
+            assert_oracle_bits(GasParams(), uniform_end(), self.GRID,
+                               rough_block(n, seed))
+
+    def test_a_non_contiguous_block_matches_the_oracle(self, composite):
+        prep = composite
+        wide = np.repeat(march_states(prep)["perturbed"].data, 2, axis=1)
+        block = wide[:, ::2]
+        assert not block.flags.c_contiguous
+        assert_oracle_bits(prep.params, prep.end, prep.grid, block)
+        assert_oracle_bits(prep.params, prep.end, prep.grid,
+                           np.asfortranarray(block))
+
+    def test_an_integer_block_matches_the_oracle(self):
+        block = np.rint(4.0 * rough_block(17, 3)).astype(np.int64)
+        block[[0, 2]] = np.abs(block[[0, 2]]) + 1
+        assert_oracle_bits(GasParams(), uniform_end(), self.GRID, block)
+
+    def test_a_read_only_block_matches_the_oracle(self):
+        block = rough_block(17, 4)
+        block.flags.writeable = False
+        assert_oracle_bits(GasParams(), uniform_end(), self.GRID, block)
+
+    def test_two_nodes_are_refused(self):
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            spatial_rhs(GasParams(), uniform_end(), self.GRID,
+                        FieldState.of(rough_block(2, 0)), SolverConfig())
+
+
+class TestStencilBuild:
+    def test_the_module_builds_into_the_packages_pycache(self):
+        path = Path(solver._build(solver._STENCIL_C, solver._CACHE))
+        assert path.is_file()
+        assert path.parent == Path(solver.__file__).parent / "__pycache__"
+        assert path.name.startswith("_stencil-") and path.suffix == ".so"
+
+    def test_a_second_load_runs_no_compiler(self, tmp_path, monkeypatch):
+        solver._load(solver._STENCIL_C, tmp_path)
+        first = sorted(tmp_path.iterdir())
+        assert len(first) == 1
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran")
+
+        monkeypatch.setattr(solver.subprocess, "run", no_compiler)
+        monkeypatch.setattr(solver, "_outflow_rhs",
+                            solver._load(solver._STENCIL_C, tmp_path))
+        assert sorted(tmp_path.iterdir()) == first
+        assert_oracle_bits(GasParams(), uniform_end(),
+                           TestCompiledStencil.GRID, rough_block(17, 1))
+
+    def test_an_edited_source_gets_a_new_file(self, tmp_path):
+        first = solver._build(solver._STENCIL_C, tmp_path)
+        edited = solver._build(solver._STENCIL_C + "/* edited */\n",
+                               tmp_path)
+        assert edited != first
+        assert sorted(tmp_path.iterdir()) == sorted(map(Path, (first,
+                                                                edited)))
+
+    def test_a_failing_compiler_raises_import_error(self, tmp_path):
+        cc = [sys.executable, "-c",
+              "import sys; sys.stderr.write('no stencil today'); sys.exit(1)"]
+        with pytest.raises(ImportError, match="no stencil today"):
+            solver._build(solver._STENCIL_C, tmp_path, cc)
+        with pytest.raises(ImportError, match="error"):   # gcc's own stderr
+            solver._build("not C at all", tmp_path)
+        with pytest.raises(ImportError, match="cannot run the C compiler"):
+            solver._build(solver._STENCIL_C, tmp_path,
+                          [str(tmp_path / "no-such-cc")])
+        assert not any(tmp_path.iterdir())     # no partial file is left
