@@ -694,12 +694,16 @@ class TestVerdictSchema:
         assert self.keys(tmp_path / "layer") == [
             "scenario", "verdict", "case_tag", "decay_u.kind",
             "decay_u.rate", "decay_u.rate_oracle", "decay_theta_kind",
-            "monotone_from", "warnings"]
+            "monotone_from"]
         run_scenario(load_config(CONFIGS / "burgers_decay.cfg"),
                      tmp_path / "burgers")
         assert self.keys(tmp_path / "burgers") == [
-            "scenario", "verdict", "slope_sup", "expected_sup", "slope_l2",
-            "expected_l2", "warnings"]
+            "scenario", "verdict", "slope_sup", "slope_l2"]
+        run_scenario(load_config(ROOT / "bench" / "degenerate_layer.cfg"),
+                     tmp_path / "degenerate")
+        assert self.keys(tmp_path / "degenerate") == [
+            "scenario", "verdict", "case_tag", "decay_u.kind",
+            "decay_u.exponent", "decay_theta_kind", "monotone_from"]
 
 
 class TestReferencePairing:

@@ -779,18 +779,20 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-def assert_oracle_bits(params, end, grid, block):
+def assert_oracle_bits(params, end, grid, block, nan_sign=True):
     """spatial_rhs on FieldState.of(block) is select_rhs on the block's
-    float64 values, bit for bit, and leaves the block as it was."""
+    float64 values, bit for bit (with nan_sign false, but for the sign of
+    a NaN), and leaves the block as it was."""
     before = np.array(block, copy=True)
     got, fluxes = spatial_rhs(params, end, grid, FieldState.of(block),
                               SolverConfig())
     want, want_fluxes = select_rhs(params, end, grid, FieldState.of(
         np.array(block, dtype=np.float64)), SolverConfig())
-    np.testing.assert_array_equal(bits(got.data), bits(want.data))
-    assert bits(list(fluxes.values())).tolist() == bits(
-        [float(v) for v in want_fluxes.values()]).tolist()
     assert all(type(value) is float for value in fluxes.values())
+    got = bits(np.append(got.data, list(fluxes.values())))
+    want = np.append(want.data, [float(v) for v in want_fluxes.values()])
+    sign = np.uint64(0 if nan_sign else 1 << 63) * np.isnan(want)
+    np.testing.assert_array_equal(got | sign, bits(want) | sign)
     np.testing.assert_array_equal(bits(block), bits(before))
 
 
@@ -813,11 +815,25 @@ class TestCompiledStencil:
             block[row, block.shape[1] // 2] = np.nan
             assert_oracle_bits(prep.params, prep.end, prep.grid, block)
 
-    @pytest.mark.parametrize("n", [3, 4, 17])
+    # every remainder of the vector loop's 2- and 4-lane bodies, and the
+    # composite's grid size
+    @pytest.mark.parametrize("n", [*range(3, 25), 2001])
     def test_the_loops_edges_match_the_oracle(self, n):
         for seed in range(5):
             assert_oracle_bits(GasParams(), uniform_end(), self.GRID,
                                rough_block(n, seed))
+
+    @pytest.mark.parametrize("row", range(5))
+    def test_two_nan_payloads_match_the_oracle(self, row):
+        # where np.nan and -np.nan meet in one sum or product, which sign
+        # comes out depends on the operand order, which C leaves to the
+        # compiler (and each clone orders its own); every other bit holds
+        for node in range(1, 22):
+            block = rough_block(24, row)
+            block[row, node:node + 2] = np.nan, -np.nan
+            assert bits(block[row, node]) != bits(block[row, node + 1])
+            assert_oracle_bits(GasParams(), uniform_end(), self.GRID, block,
+                               nan_sign=False)
 
     def test_a_non_contiguous_block_matches_the_oracle(self, composite):
         prep = composite
@@ -865,6 +881,34 @@ class TestStencilBuild:
         assert sorted(tmp_path.iterdir()) == first
         assert_oracle_bits(GasParams(), uniform_end(),
                            TestCompiledStencil.GRID, rough_block(17, 1))
+
+    def test_the_default_clone_matches_the_oracle(self, tmp_path,
+                                                  monkeypatch):
+        # on a CPU with AVX2 the loader picks that clone, so the SSE2 one
+        # runs only when the source has no clones at all
+        line = '__attribute__((target_clones("avx2", "default")))\n'
+        assert solver._STENCIL_C.count(line) == 1
+        monkeypatch.setattr(solver, "_outflow_rhs", solver._load(
+            solver._STENCIL_C.replace(line, ""), tmp_path))
+        for n in (*range(3, 12), 2001):
+            for seed in range(3):
+                assert_oracle_bits(GasParams(), uniform_end(),
+                                   TestCompiledStencil.GRID,
+                                   rough_block(n, seed))
+        for row in range(5):
+            block = rough_block(24, row)
+            block[row, 11] = np.nan
+            assert_oracle_bits(GasParams(), uniform_end(),
+                               TestCompiledStencil.GRID, block)
+
+    def test_the_flags_keep_the_bits(self):
+        # the cache name hashes the source and the command, not the CPU:
+        # a flag that reorders, contracts or targets the build machine
+        # would break the oracle or the cache
+        assert "-ffp-contract=off" in solver._CFLAGS
+        for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                     "-march=native", "-mfma"):
+            assert flag not in solver._CFLAGS
 
     def test_an_edited_source_gets_a_new_file(self, tmp_path):
         first = solver._build(solver._STENCIL_C, tmp_path)
