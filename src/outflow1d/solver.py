@@ -29,7 +29,7 @@ its result after the closing relaxation.  At x = 0 the
 magnetic field is assigned literally as b(0) := sqrt(eps) * E(0), so the
 boundary identity sqrt(eps) E(0,t) - b(0,t) evaluates to exactly 0.0.
 
-The stencil of spatial_rhs is one C loop over the nodes (_STENCIL_C),
+The stencil of spatial_rhs is one C loop over the nodes (in _compiled),
 compiled on first import and called through ctypes.  Its upwind operands
 are a per-node select by the sign of the local velocity, and it keeps the
 order of every rounded operation of the numpy stencil that the tests keep
@@ -45,17 +45,13 @@ when the state check's extrema bound max(|u| + c) within the field speed
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import math
-import os
-import subprocess
-import sysconfig
-import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from . import _compiled
 from .gas import EndStates, GasParams, dielectric_bound
 from .table import write_table
 
@@ -171,146 +167,7 @@ class SolverConfig:
             raise ValueError("dt_max must be positive")
 
 
-# --------------------------------------------------------------------------
-# the stencil in C: one loop over the nodes, compiled on first import
-# --------------------------------------------------------------------------
-
-_STENCIL_C = r"""
-/* Tendencies of the (5, n) state block s (rows rho, u, theta, E, b) into
- * the (5, n) block out, every entry written; returns half the continuity
- * flux at the last face.  Each rounded operation is the one of the numpy
- * stencil kept as the tests' oracle (select_rhs), in the same order; with
- * no contraction into fused multiply-adds the tendencies are its bit for
- * bit, but for the sign of a NaN where two NaNs meet in a sum or product
- * (C leaves the order of such operands to the compiler).  An operand read
- * at two nodes (a u or theta difference, a face's continuity flux) is
- * recomputed at each: the same operands, so the same bits, and no value
- * is carried from one node to the next, so gcc vectorizes the loop.  The
- * upwind selects are false for NaN, as numpy's comparisons are, and then
- * take the right-hand operand. */
-static double face_flux(const double *restrict rho, const double *restrict u,
-                        long i)
-{
-    double u_half = u[i] + u[i + 1];    /* twice the face velocity */
-    return (u_half >= 0.0 ? rho[i] : rho[i + 1]) * u_half;
-}
-
-__attribute__((target_clones("avx2", "default")))
-double outflow_rhs(long n, const double *restrict s, double *restrict out,
-                   double dx, double inv_dx, double half_inv_dx,
-                   double flux_left, double R, double mu, double mu_lap,
-                   double kappa_lap, double gm1, double se, double inv_eps,
-                   double b_scale)
-{
-    const double *restrict rho = s, *restrict u = s + n,
-                 *restrict th = s + 2 * n, *restrict E = s + 3 * n,
-                 *restrict b = s + 4 * n;
-    double *restrict drho = out, *restrict du = out + n,
-           *restrict dth = out + 2 * n, *restrict dE = out + 3 * n,
-           *restrict db = out + 4 * n;
-
-    for (int row = 0; row < 5; row++)
-        out[row * n] = out[row * n + n - 1] = 0.0;
-    drho[0] = (2.0 * flux_left - face_flux(rho, u, 0)) / dx;
-
-    for (long i = 1; i < n - 1; i++) {
-        double uc = u[i], rc = rho[i], bc = b[i];
-        double d_um = u[i] - u[i - 1], d_up = u[i + 1] - u[i];
-        double d_thm = th[i] - th[i - 1], d_thp = th[i + 1] - th[i];
-        int upwind = uc > 0.0;
-        double du_up = upwind ? d_um : d_up;
-        double dth_up = upwind ? d_thm : d_thp;
-
-        /* continuity, conservative form (fluxes doubled) */
-        drho[i] = (face_flux(rho, u, i - 1) - face_flux(rho, u, i))
-                  * half_inv_dx;
-
-        /* momentum: (-p_x + mu u_xx - (E + u b) b) / rho - u u_x */
-        double u_dx = uc * inv_dx;
-        double r_rho = R * rc;
-        double pres_m = (R * rho[i - 1]) * th[i - 1];
-        double pres_c = r_rho * th[i];
-        double pres_p = (R * rho[i + 1]) * th[i + 1];
-        double ub = uc * bc;
-        double drive = ub + E[i];
-
-        double v = (pres_m - pres_p) + (d_up - d_um) * mu_lap;
-        v *= half_inv_dx;
-        v -= drive * bc;
-        v /= rc;
-        du[i] = v - du_up * u_dx;
-
-        /* temperature: (gamma - 1) / (R rho) times
-         * (mu u_x^2 - p u_x + kappa theta_xx + (E + u b)^2) - u theta_x */
-        double ux = (u[i + 1] - u[i - 1]) * half_inv_dx;
-        v = (ux * mu - pres_c) * ux;
-        v += (d_thp - d_thm) * kappa_lap;
-        v += drive * drive;
-        v *= gm1 / r_rho;
-        dth[i] = v - dth_up * u_dx;
-
-        /* field block: upwind transport of w1 = sqrt(eps) E - b (backward)
-         * and w2 = sqrt(eps) E + b (forward); the first and last interior
-         * nodes read the boundary-set w1[0] and w2[n-1] */
-        double dw1 = (se * E[i] - b[i]) - (se * E[i - 1] - b[i - 1]);
-        double dw2 = (se * E[i + 1] + b[i + 1]) - (se * E[i] + b[i]);
-        dE[i] = ((dw2 - dw1) * half_inv_dx - ub) * inv_eps;
-        db[i] = (dw2 + dw1) * b_scale;
-    }
-    return 0.5 * face_flux(rho, u, n - 2);
-}
-"""
-
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
-_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
-
-
-def _build(source: str, cache_dir, cc: list | None = None) -> str:
-    """Path of the shared object compiled from source: built into
-    cache_dir, under a name that hashes the source and the compiler
-    command, only if it is not there yet, whatever PYTHONDONTWRITEBYTECODE
-    says.  The compiler is sysconfig's CC unless cc is given.  A missing or
-    failing compiler raises ImportError with its message; there is no
-    other stencil to fall back on."""
-    if cc is None:
-        cc = (sysconfig.get_config_var("CC") or "").split()
-        if not cc:
-            raise ImportError("no C compiler: sysconfig has no CC")
-    cmd = [*cc, *_CFLAGS, "-x", "c", "-"]
-    tag = hashlib.sha256("\0".join([source, *cmd]).encode()).hexdigest()
-    path = os.path.join(cache_dir, f"_stencil-{tag[:16]}.so")
-    if os.path.isfile(path):
-        return path
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-    os.close(fd)
-    try:
-        try:
-            done = subprocess.run([*cmd, "-o", tmp], input=source, text=True,
-                                  capture_output=True)
-        except OSError as exc:
-            raise ImportError(f"cannot run the C compiler {cc[0]!r}: "
-                              f"{exc}") from exc
-        if done.returncode != 0:
-            raise ImportError(f"compiling the stencil failed "
-                              f"({' '.join(cmd)}):\n{done.stderr}")
-        os.replace(tmp, path)   # atomic: a concurrent import sees all or none
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-    return path
-
-
-def _load(source: str, cache_dir):
-    """The outflow_rhs function of _build(source, cache_dir)."""
-    fn = ctypes.CDLL(_build(source, cache_dir)).outflow_rhs
-    fn.restype = ctypes.c_double
-    block = ctypes.POINTER(ctypes.c_double)
-    fn.argtypes = [ctypes.c_long, block, block, *[ctypes.c_double] * 12]
-    return fn
-
-
-_outflow_rhs = _load(_STENCIL_C, _CACHE)
+_outflow_rhs = _compiled.LIB.outflow_rhs
 
 
 def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
@@ -321,7 +178,7 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
     controlled fields; apply_boundary owns those values.  The relaxation
     -E/eps is left to step's exact factors.  config is unread.
 
-    One call of the compiled stencil _STENCIL_C fills a new block.  It
+    One call of the compiled stencil outflow_rhs fills a new block.  It
     reads the state block as C-contiguous, writable doubles (ctypes's
     from_buffer takes no other), so any other block is copied first.
     Upwinding selects rho at each face and the u and theta differences at

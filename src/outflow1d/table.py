@@ -1,28 +1,42 @@
-"""The one writer of every numeric table the package files."""
+"""The one writer of every numeric table the package files.
+
+Cells are formatted in C (format_rows in _compiled._STENCIL_C), as `%.17g`
+in the C locale, byte for byte what Python's `b"%.17g" % v` prints (a NaN
+of either sign as `nan`), so no Python float formatting runs per cell.
+"""
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
+from ._compiled import LIB
+
 CHUNK_ROWS = 512
+CELL_BYTES = 25         # the longest %.17g cell, 24 bytes, and its NUL
 
 
 def write_table(path, header, columns) -> None:
     """Write equal-length columns as comma-separated `%.17g` rows after a
     header line, LF-ended, byte for byte what numpy's text writer prints
-    at that format; each chunk of CHUNK_ROWS rows is one `%` over its
-    row-interleaved values and one write, so no whole-file string is
-    built.  Raises ValueError when the columns differ in length."""
+    at that format; each chunk of CHUNK_ROWS rows is one call of the
+    compiled formatter into one reused buffer and one write, so no
+    whole-file string is built.  Raises ValueError when the columns differ
+    in length."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len({len(c) for c in columns}) > 1:
         raise ValueError(f"column lengths differ: {[len(c) for c in columns]}")
-    # bytes, not str: with a str `%` and a text file, a loop of degenerate
-    # layer_decay runs grew its peak RSS by about 15 kB per run (the heap
-    # fragments around the ~800 B that each scipy 1.17 LSODA solver leaks);
-    # with bytes it stays flat
-    row = (",".join(["%.17g"] * len(columns)) + "\n").encode()
+    block = np.array(columns, dtype=float)      # (ncols, nrows), C order
+    ncols, nrows = block.shape
+    cells = block.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+    buf = ctypes.create_string_buffer(CELL_BYTES * ncols
+                                      * min(nrows, CHUNK_ROWS))
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode())
-        for i in range(0, len(columns[0]), CHUNK_ROWS):
-            chunk = np.column_stack([c[i:i + CHUNK_ROWS] for c in columns])
-            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for r0 in range(0, nrows, CHUNK_ROWS):
+            size = LIB.format_rows(nrows, ncols, cells, r0,
+                                   min(r0 + CHUNK_ROWS, nrows), buf)
+            if size < 0:
+                raise OSError("no C locale to format the table in")
+            fh.write(memoryview(buf)[:size])

@@ -2,8 +2,9 @@
 
 Nothing in the package calls these: each restates a piece of the theory
 (the field characteristics, a normalization constant, the sharp fan, two
-functional inequalities) or inverts an artifact writer, so a test can
-compare the package's numbers with a second route to the same quantity.
+functional inequalities), inverts an artifact writer or writes a table in
+pure Python, so a test can compare the package's numbers or bytes with a
+second route to the same result.
 """
 
 import math
@@ -113,3 +114,22 @@ def read_snapshot_csv(path):
     """Inverse of solver.write_snapshot_csv: returns (t, x, FieldState)."""
     table = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
     return float(table[0, 0]), table[:, 1], FieldState.of(table[:, 2:].T.copy())
+
+
+# --------------------------------------------------------------------------
+# tables
+# --------------------------------------------------------------------------
+
+def python_write_table(path, header, columns) -> None:
+    """The table writer before its cells were formatted in C: each chunk
+    of 512 rows is one bytes `%` of Python's `%.17g` over the chunk's
+    row-interleaved values."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"column lengths differ: {[len(c) for c in columns]}")
+    row = (",".join(["%.17g"] * len(columns)) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode())
+        for i in range(0, len(columns[0]), 512):
+            chunk = np.column_stack([c[i:i + 512] for c in columns])
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import outflow1d._compiled as compiled
 import outflow1d.solver as solver
 from oracles import read_snapshot_csv
 from outflow1d.config import ScenarioConfig, load_config
@@ -862,22 +863,22 @@ class TestCompiledStencil:
 
 class TestStencilBuild:
     def test_the_module_builds_into_the_packages_pycache(self):
-        path = Path(solver._build(solver._STENCIL_C, solver._CACHE))
+        path = Path(compiled._build(compiled._STENCIL_C, compiled._CACHE))
         assert path.is_file()
         assert path.parent == Path(solver.__file__).parent / "__pycache__"
         assert path.name.startswith("_stencil-") and path.suffix == ".so"
 
     def test_a_second_load_runs_no_compiler(self, tmp_path, monkeypatch):
-        solver._load(solver._STENCIL_C, tmp_path)
+        compiled._load(compiled._STENCIL_C, tmp_path)
         first = sorted(tmp_path.iterdir())
         assert len(first) == 1
 
         def no_compiler(*args, **kwargs):
             raise AssertionError("the compiler ran")
 
-        monkeypatch.setattr(solver.subprocess, "run", no_compiler)
-        monkeypatch.setattr(solver, "_outflow_rhs",
-                            solver._load(solver._STENCIL_C, tmp_path))
+        monkeypatch.setattr(compiled.subprocess, "run", no_compiler)
+        monkeypatch.setattr(solver, "_outflow_rhs", compiled._load(
+            compiled._STENCIL_C, tmp_path).outflow_rhs)
         assert sorted(tmp_path.iterdir()) == first
         assert_oracle_bits(GasParams(), uniform_end(),
                            TestCompiledStencil.GRID, rough_block(17, 1))
@@ -887,9 +888,9 @@ class TestStencilBuild:
         # on a CPU with AVX2 the loader picks that clone, so the SSE2 one
         # runs only when the source has no clones at all
         line = '__attribute__((target_clones("avx2", "default")))\n'
-        assert solver._STENCIL_C.count(line) == 1
-        monkeypatch.setattr(solver, "_outflow_rhs", solver._load(
-            solver._STENCIL_C.replace(line, ""), tmp_path))
+        assert compiled._STENCIL_C.count(line) == 1
+        monkeypatch.setattr(solver, "_outflow_rhs", compiled._load(
+            compiled._STENCIL_C.replace(line, ""), tmp_path).outflow_rhs)
         for n in (*range(3, 12), 2001):
             for seed in range(3):
                 assert_oracle_bits(GasParams(), uniform_end(),
@@ -905,27 +906,29 @@ class TestStencilBuild:
         # the cache name hashes the source and the command, not the CPU:
         # a flag that reorders, contracts or targets the build machine
         # would break the oracle or the cache
-        assert "-ffp-contract=off" in solver._CFLAGS
+        assert "-ffp-contract=off" in compiled._CFLAGS
         for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations",
                      "-march=native", "-mfma"):
-            assert flag not in solver._CFLAGS
+            assert flag not in compiled._CFLAGS
 
     def test_an_edited_source_gets_a_new_file(self, tmp_path):
-        first = solver._build(solver._STENCIL_C, tmp_path)
-        edited = solver._build(solver._STENCIL_C + "/* edited */\n",
-                               tmp_path)
+        # the new build removes the earlier one, which no import loads
+        first = compiled._build(compiled._STENCIL_C, tmp_path)
+        (tmp_path / "kept.pyc").write_bytes(b"")
+        edited = compiled._build(compiled._STENCIL_C + "/* edited */\n",
+                                 tmp_path)
         assert edited != first
-        assert sorted(tmp_path.iterdir()) == sorted(map(Path, (first,
-                                                                edited)))
+        assert sorted(tmp_path.iterdir()) == [Path(edited),
+                                              tmp_path / "kept.pyc"]
 
     def test_a_failing_compiler_raises_import_error(self, tmp_path):
         cc = [sys.executable, "-c",
               "import sys; sys.stderr.write('no stencil today'); sys.exit(1)"]
         with pytest.raises(ImportError, match="no stencil today"):
-            solver._build(solver._STENCIL_C, tmp_path, cc)
+            compiled._build(compiled._STENCIL_C, tmp_path, cc)
         with pytest.raises(ImportError, match="error"):   # gcc's own stderr
-            solver._build("not C at all", tmp_path)
+            compiled._build("not C at all", tmp_path)
         with pytest.raises(ImportError, match="cannot run the C compiler"):
-            solver._build(solver._STENCIL_C, tmp_path,
-                          [str(tmp_path / "no-such-cc")])
+            compiled._build(compiled._STENCIL_C, tmp_path,
+                            [str(tmp_path / "no-such-cc")])
         assert not any(tmp_path.iterdir())     # no partial file is left

@@ -1,8 +1,12 @@
-"""The one numeric table writer against np.savetxt, its byte-level oracle."""
+"""The one numeric table writer against its byte-level oracles: np.savetxt,
+Python's own `%.17g` and the pure-Python writer it replaced."""
+
+import locale
 
 import numpy as np
 import pytest
 
+from oracles import python_write_table
 from outflow1d.table import CHUNK_ROWS, write_table
 
 
@@ -70,3 +74,83 @@ def test_columns_of_unequal_length_are_refused(tmp_path):
     path = tmp_path / "table.csv"
     with pytest.raises(ValueError, match="column lengths differ"):
         write_table(path, "x,y", (np.zeros(3), np.zeros(2)))
+
+
+def value_classes() -> np.ndarray:
+    """Doubles of every kind the formatter meets: random bit patterns (NaN
+    payloads of both signs among them), signed zeros, infinities and NaNs,
+    subnormals, near and exact decimal ties at the 17th digit, every decade
+    from 1e-320 to 1e308, powers of two and integers."""
+    rng = np.random.default_rng(28)
+    random = np.frombuffer(rng.bytes(8 * 100_000), dtype=np.float64)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                np.uint64(0x7FF0000000000001).view(np.float64),
+                np.uint64(0xFFF8DEADBEEF0001).view(np.float64),
+                5e-324, -5e-324, 2.2250738585072009e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308]
+    subnormals = (np.frombuffer(rng.bytes(8 * 1000), dtype=np.uint64)
+                  % (1 << 52)).view(np.float64)
+    k = np.arange(1000.0)
+    near_ties = np.concatenate([(k + 0.5) * 10.0 ** j
+                                for j in range(-25, 25)])
+    exact_ties = 1e15 + np.concatenate([k + 0.25, k + 0.75])
+    decades = [float(f"1e{e}") for e in range(-320, 309)]
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    integers = np.concatenate([np.arange(-1000.0, 1000.0),
+                               2.0 ** 53 + np.arange(-3.0, 4.0),
+                               10.0 ** np.arange(23)])
+    values = np.concatenate([random, specials, subnormals, near_ties,
+                             exact_ties, decades, powers, integers])
+    return np.concatenate([values, -values])
+
+
+def test_cells_are_pythons_percent_g_byte_for_byte(tmp_path):
+    values = value_classes()
+    expected = b"".join(b"%.17g\n" % v for v in values.tolist())
+    assert table_bytes(tmp_path, [values], "v") == b"v\n" + expected
+    # three columns: the same cells joined by commas, row by row
+    cols = values[:len(values) // 3 * 3].reshape(-1, 3)
+    expected = b"".join(b"%.17g,%.17g,%.17g\n" % tuple(r)
+                        for r in cols.tolist())
+    assert table_bytes(tmp_path, cols.T, "a,b,c") == b"a,b,c\n" + expected
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS,
+                               CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
+def test_matches_the_python_writer_byte_for_byte(tmp_path, n):
+    rng, pool = np.random.default_rng(n), value_classes()
+    cols = [rng.choice(pool, n) for _ in range(4)]
+    python_write_table(tmp_path / "python.csv", "w,x,y,z", cols)
+    assert (table_bytes(tmp_path, cols, "w,x,y,z")
+            == (tmp_path / "python.csv").read_bytes())
+
+
+COMMA_LOCALES = ("de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8",
+                 "fr_FR.utf8", "fr_FR", "nl_NL.UTF-8", "ru_RU.UTF-8")
+
+
+@pytest.fixture
+def comma_numeric():
+    """LC_NUMERIC set to an installed locale whose decimal point is a
+    comma, restored afterwards; skips when there is none."""
+    saved = locale.setlocale(locale.LC_NUMERIC)
+    try:
+        for name in COMMA_LOCALES:
+            try:
+                locale.setlocale(locale.LC_NUMERIC, name)
+            except locale.Error:
+                continue
+            if locale.localeconv()["decimal_point"] == ",":
+                yield name
+                return
+        pytest.skip("no locale with a decimal comma is installed")
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, saved)
+
+
+def test_a_comma_locale_leaves_the_bytes_alone(tmp_path, comma_numeric):
+    # Python's float formatting ignores LC_NUMERIC; C's would print 0,5
+    cols = [[0.5, -1.25e-300, np.nan], [1.0 / 3.0, 2.5e300, -np.inf]]
+    expected = b"".join(b"%.17g,%.17g\n" % r for r in zip(*cols))
+    assert expected.startswith(b"0.5,")
+    assert table_bytes(tmp_path, cols, "x,y") == b"x,y\n" + expected
