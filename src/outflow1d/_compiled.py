@@ -5,8 +5,9 @@ solver.spatial_rhs) and the table formatter (format_rows, called by
 table.write_table).  The first import compiles it with Python's configured
 compiler into the package's __pycache__, under a name that hashes the
 source and the command; later imports load that file.  LIB is the loaded
-library, both functions typed.  There is no fallback: without a working
-compiler the import raises ImportError.
+library, both functions typed.  The formatter's exact digits need
+`unsigned __int128` (gcc or clang on a 64-bit target).  There is no
+fallback: without a working compiler the import raises ImportError.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import tempfile
 _STENCIL_C = r"""
 #include <locale.h>
 #include <math.h>
+#include <stdint.h>
 #include <stdio.h>
+#include <string.h>
 
 /* Tendencies of the (5, n) state block s (rows rho, u, theta, E, b) into
  * the (5, n) block out, every entry written; returns half the continuity
@@ -118,14 +121,112 @@ __attribute__((constructor)) static void make_c_numeric(void)
     c_numeric = newlocale(LC_ALL_MASK, "C", (locale_t)0);
 }
 
+/* 10^k for k = 0 .. 21 */
+static const unsigned __int128 POW10[22] = {
+    1u, 10u, 100u, 1000u, 10000u, 100000u, 1000000u, 10000000u,
+    100000000u, 1000000000u, 10000000000u, 100000000000u,
+    1000000000000u, 10000000000000u, 100000000000000u,
+    1000000000000000u, 10000000000000000u, 100000000000000000u,
+    1000000000000000000u, 10000000000000000000u,
+    (unsigned __int128)10000000000000000000u * 10u,
+    (unsigned __int128)10000000000000000000u * 100u,
+};
+
+/* The %.17g cell of v written to p, and its length, when v is a zero or
+ * its cell is fixed notation (decimal exponent X from -4 to 16); 0, with
+ * the cell left to snprintf, for every other value.  A finite normal v
+ * is m 2^q exactly (m < 2^53), so its 17 significant digits are
+ * N = m 10^(16 - X) 2^q rounded half to even, in integers: m 10^(16 - X)
+ * < 2^53 10^21 < 2^123, and a shift of at most 66 bits leaves the
+ * remainder to compare with one half.  The same rounding of the exact
+ * value is what glibc and Python print. */
+static int fixed_cell(double v, char *p)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    char *start = p;
+    if (bits >> 63)
+        *p++ = '-';
+    int biased = (int)(bits >> 52 & 0x7ff);
+    uint64_t m = bits & ((1ull << 52) - 1);
+    if (biased == 0 && m == 0) {
+        *p++ = '0';
+        return (int)(p - start);
+    }
+    int e2 = biased - 1023;             /* 2^e2 <= |v| < 2^(e2 + 1) */
+    /* snprintf's: subnormals, |v| < 2^-14 < 1e-4, |v| >= 2^57 > 1e17,
+     * infinities and NaNs */
+    if (biased == 0 || e2 < -14 || e2 > 56)
+        return 0;
+    m |= 1ull << 52;
+    int q = e2 - 52;
+    /* floor(e2 log10 2), exact for these e2: X or X - 1 */
+    int X = (e2 * 78913) >> 18;
+    unsigned __int128 t = (unsigned __int128)m * POW10[16 - X];
+    if ((q >= 0 ? t << q : t >> -q) >= POW10[17]) {
+        if (X == 16)
+            return 0;                   /* |v| >= 1e17 */
+        t = (unsigned __int128)m * POW10[16 - ++X];
+    }
+    unsigned __int128 n;
+    if (q >= 0)
+        n = t << q;
+    else {
+        unsigned __int128 half = (unsigned __int128)1 << (-q - 1);
+        unsigned __int128 rest = t & ((half << 1) - 1);
+        n = t >> -q;
+        n += rest > half || (rest == half && (n & 1));
+    }
+    if (n == POW10[17]) {   /* rounded up into the next decade; no double
+                             * of this range is that close below a power
+                             * of ten, but the digits need not rest on it */
+        n = POW10[16];
+        X++;
+    }
+    if (X < -4 || X > 16)
+        return 0;
+
+    char digits[17];                    /* N < 10^17: 9 digits, then 8 */
+    uint32_t hi = (uint32_t)((uint64_t)n / 100000000u),
+             lo = (uint32_t)((uint64_t)n % 100000000u);
+    for (int i = 16; i >= 9; i--, lo /= 10)
+        digits[i] = (char)('0' + lo % 10);
+    for (int i = 8; i >= 0; i--, hi /= 10)
+        digits[i] = (char)('0' + hi % 10);
+    int len = 17;                       /* %g strips trailing zeros */
+    while (digits[len - 1] == '0')
+        len--;
+    if (X >= 0) {
+        memcpy(p, digits, (size_t)X + 1);
+        p += X + 1;
+        if (len > X + 1) {
+            *p++ = '.';
+            memcpy(p, digits + X + 1, (size_t)(len - X - 1));
+            p += len - X - 1;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = -1; i > X; i--)
+            *p++ = '0';
+        memcpy(p, digits, (size_t)len);
+        p += len;
+    }
+    return (int)(p - start);
+}
+
 /* Rows r0 .. r1 - 1 of the C-contiguous (ncols, nrows) block (one row of
  * the block per table column) as table text into out: each cell as
- * %.17g, which glibc rounds exactly, as Python's float formatting does; a
- * NaN of either sign as "nan", Python's spelling, where glibc would print
- * "-nan"; cells joined by ',' and each row ended by '\n'.  A cell is at
- * most 24 characters and snprintf writes one more byte, the NUL that the
- * next separator overwrites, so out must hold 25 bytes per cell.  Returns
- * the number of bytes written, or -1 when no C locale could be made. */
+ * %.17g, byte for byte what Python's float formatting prints; cells
+ * joined by ',' and each row ended by '\n'.  A zero or a fixed-notation
+ * cell comes from fixed_cell's integer digits; every other cell from
+ * snprintf, which glibc rounds exactly too, with a NaN of either sign as
+ * "nan", Python's spelling, where glibc would print "-nan".  A cell is
+ * at most 24 characters ("-0.0000" and 17 digits, or a sign, 17 digits,
+ * a point and "e-308"), and snprintf writes one more
+ * byte, the NUL that the next separator overwrites, so out must hold 25
+ * bytes per cell.  Returns the number of bytes written, or -1 when no C
+ * locale could be made. */
 long format_rows(long nrows, long ncols, const double *block, long r0,
                  long r1, char *out)
 {
@@ -136,8 +237,10 @@ long format_rows(long nrows, long ncols, const double *block, long r0,
     for (long r = r0; r < r1; r++)
         for (long c = 0; c < ncols; c++) {
             double v = block[c * nrows + r];
-            p += isnan(v) ? snprintf(p, 25, "nan")
-                          : snprintf(p, 25, "%.17g", v);
+            int len = fixed_cell(v, p);
+            p += len ? len
+                     : isnan(v) ? snprintf(p, 25, "nan")
+                                : snprintf(p, 25, "%.17g", v);
             *p++ = c + 1 < ncols ? ',' : '\n';
         }
     uselocale(caller);

@@ -1,8 +1,11 @@
 """The one writer of every numeric table the package files.
 
-Cells are formatted in C (format_rows in _compiled._STENCIL_C), as `%.17g`
-in the C locale, byte for byte what Python's `b"%.17g" % v` prints (a NaN
-of either sign as `nan`), so no Python float formatting runs per cell.
+Cells are formatted in C (format_rows in _compiled._STENCIL_C) as `%.17g`,
+byte for byte what Python's `b"%.17g" % v` prints, so no Python float
+formatting runs per cell: a zero or a fixed-notation cell
+(1e-4 <= |v| < 1e17) from its 17 digits rounded half to even in 128-bit
+integers, every other cell by the C library's `%.17g` in the C locale (a
+NaN of either sign as `nan`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,14 @@
 """The one numeric table writer against its byte-level oracles: np.savetxt,
 Python's own `%.17g` and the pure-Python writer it replaced."""
 
-import locale
+import math
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,11 +83,31 @@ def test_columns_of_unequal_length_are_refused(tmp_path):
         write_table(path, "x,y", (np.zeros(3), np.zeros(2)))
 
 
+def exact_ties(rng, per_decade: int) -> np.ndarray:
+    """Exact 17th-digit ties in every decade [10^X, 10^(X+1)) from 1e-4 to
+    1e16: odd n / 2^j with j = 17 - X, whose decimal expansion ends in a 5
+    at the 18th significant digit.  Above 2^53 < 1e16 every double is an
+    even integer, so the last decade before 1e17 has none."""
+    ties = []
+    for X in range(-4, 16):
+        j = 17 - X
+        lo = math.ceil(Fraction(10) ** X * 2 ** j)
+        hi = min(math.ceil(Fraction(10) ** (X + 1) * 2 ** j), 2 ** 53)
+        odd = 2 * rng.integers(lo // 2, hi // 2, per_decade) + 1
+        ties.append(np.ldexp(odd.astype(float), -j))
+    return np.concatenate(ties)
+
+
 def value_classes() -> np.ndarray:
     """Doubles of every kind the formatter meets: random bit patterns (NaN
     payloads of both signs among them), signed zeros, infinities and NaNs,
     subnormals, near and exact decimal ties at the 17th digit, every decade
-    from 1e-320 to 1e308, powers of two and integers."""
+    from 1e-320 to 1e308, powers of two and integers; and, for the cells
+    printed from integer digits (fixed notation, 1e-4 <= |v| < 1e17),
+    uniform draws in every decade from 1e-5 to 1e18, exact ties in each,
+    the doubles next to each power of ten (where rounding to 17 digits
+    would carry into the next decade; among them the largest doubles below
+    1e-4 and 1e17) and 2^53 +- k."""
     rng = np.random.default_rng(28)
     random = np.frombuffer(rng.bytes(8 * 100_000), dtype=np.float64)
     specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
@@ -93,15 +120,31 @@ def value_classes() -> np.ndarray:
     k = np.arange(1000.0)
     near_ties = np.concatenate([(k + 0.5) * 10.0 ** j
                                 for j in range(-25, 25)])
-    exact_ties = 1e15 + np.concatenate([k + 0.25, k + 0.75])
+    ties = np.concatenate([1e15 + k + 0.25, 1e15 + k + 0.75,
+                           exact_ties(rng, 1000)])
     decades = [float(f"1e{e}") for e in range(-320, 309)]
+    in_decades = np.concatenate([rng.uniform(10.0 ** e, 10.0 ** (e + 1), 2000)
+                                 for e in range(-5, 18)])
+    below = above = np.array([float(f"1e{e}") for e in range(-5, 19)])
+    edges = [below]
+    for _ in range(8):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        edges += [below, above]
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     integers = np.concatenate([np.arange(-1000.0, 1000.0),
-                               2.0 ** 53 + np.arange(-3.0, 4.0),
+                               2.0 ** 53 + np.arange(-1000.0, 1001.0),
                                10.0 ** np.arange(23)])
-    values = np.concatenate([random, specials, subnormals, near_ties,
-                             exact_ties, decades, powers, integers])
+    values = np.concatenate([random, specials, subnormals, near_ties, ties,
+                             decades, in_decades, *edges, powers,
+                             integers])
     return np.concatenate([values, -values])
+
+
+def test_the_exact_ties_have_18_significant_digits():
+    ties = exact_ties(np.random.default_rng(0), 50)
+    for t in ties.tolist():
+        digits = Decimal(t).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, t
 
 
 def test_cells_are_pythons_percent_g_byte_for_byte(tmp_path):
@@ -128,29 +171,73 @@ def test_matches_the_python_writer_byte_for_byte(tmp_path, n):
 COMMA_LOCALES = ("de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8",
                  "fr_FR.utf8", "fr_FR", "nl_NL.UTF-8", "ru_RU.UTF-8")
 
+COMMA_COLUMNS = [[0.5, -1.25e-300, np.nan, 1.5e-7],
+                 [1.0 / 3.0, 2.5e300, -np.inf, -0.0]]
 
-@pytest.fixture
-def comma_numeric():
-    """LC_NUMERIC set to an installed locale whose decimal point is a
-    comma, restored afterwards; skips when there is none."""
-    saved = locale.setlocale(locale.LC_NUMERIC)
-    try:
-        for name in COMMA_LOCALES:
-            try:
-                locale.setlocale(locale.LC_NUMERIC, name)
-            except locale.Error:
-                continue
-            if locale.localeconv()["decimal_point"] == ",":
-                yield name
-                return
-        pytest.skip("no locale with a decimal comma is installed")
-    finally:
-        locale.setlocale(locale.LC_NUMERIC, saved)
+# With LC_NUMERIC set to argv[1], check that the C library itself prints a
+# decimal comma, then write the columns argv[3:] (comma-joined reprs) as a
+# table to argv[2].
+COMMA_SCRIPT = textwrap.dedent("""
+    import ctypes, locale, sys
+    from outflow1d.table import write_table
+    locale.setlocale(locale.LC_NUMERIC, sys.argv[1])
+    buf = ctypes.create_string_buffer(16)
+    ctypes.CDLL(None).snprintf(buf, 16, b"%.1f", ctypes.c_double(0.5))
+    assert buf.value == b"0,5", buf.value
+    write_table(sys.argv[2], "x,y",
+                [[float(v) for v in col.split(",")] for col in sys.argv[3:]])
+""")
+
+
+def comma_locale_of(env) -> str | None:
+    """The first of COMMA_LOCALES that a Python run in env can set, and
+    whose decimal point is a comma, or None."""
+    probe = ("import locale, sys\n"
+             "for name in sys.argv[1:]:\n"
+             "    try:\n"
+             "        locale.setlocale(locale.LC_NUMERIC, name)\n"
+             "    except locale.Error:\n"
+             "        continue\n"
+             "    if locale.localeconv()['decimal_point'] == ',':\n"
+             "        print(name)\n"
+             "        break\n")
+    done = subprocess.run([sys.executable, "-c", probe, *COMMA_LOCALES],
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout.strip() or None
+
+
+@pytest.fixture(scope="module")
+def comma_numeric(tmp_path_factory):
+    """(name, environment) of a locale whose decimal point is a comma: an
+    installed one, or else de_DE.UTF-8 built by localedef into a temporary
+    directory that LOCPATH names; skips when localedef is missing or
+    cannot build it (its de_DE sources are missing)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    name = comma_locale_of(env)
+    if name is None:
+        localedef = shutil.which("localedef")
+        if localedef is None:
+            pytest.skip("no decimal-comma locale installed and no localedef")
+        locpath = tmp_path_factory.mktemp("locales")
+        built = subprocess.run([localedef, "-i", "de_DE", "-f", "UTF-8",
+                                str(locpath / "de_DE.UTF-8")],
+                               capture_output=True, text=True)
+        env["LOCPATH"] = str(locpath)
+        name = comma_locale_of(env)
+        if name is None:
+            pytest.skip("localedef could not build de_DE.UTF-8: "
+                        + built.stderr.strip())
+    return name, env
 
 
 def test_a_comma_locale_leaves_the_bytes_alone(tmp_path, comma_numeric):
-    # Python's float formatting ignores LC_NUMERIC; C's would print 0,5
-    cols = [[0.5, -1.25e-300, np.nan], [1.0 / 3.0, 2.5e300, -np.inf]]
-    expected = b"".join(b"%.17g,%.17g\n" % r for r in zip(*cols))
+    # Python's float formatting ignores LC_NUMERIC; C's would print 0,5.
+    # The exponential, inf and nan cells take the C library's route.
+    name, env = comma_numeric
+    path = tmp_path / "comma.csv"
+    columns = [",".join(map(repr, col)) for col in COMMA_COLUMNS]
+    subprocess.run([sys.executable, "-c", COMMA_SCRIPT, name, str(path),
+                    *columns], env=env, check=True)
+    expected = b"".join(b"%.17g,%.17g\n" % r for r in zip(*COMMA_COLUMNS))
     assert expected.startswith(b"0.5,")
-    assert table_bytes(tmp_path, cols, "x,y") == b"x,y\n" + expected
+    assert path.read_bytes() == b"x,y\n" + expected
