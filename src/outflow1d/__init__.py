@@ -11,10 +11,8 @@ from .rarefaction import (BurgersWave, CompositeProfile, R3Curve,
 from .solver import (FieldState, Grid1D, PositivityError, RunResult,
                      SolverConfig, SolverError, apply_boundary, cfl_dt,
                      record_times, run, spatial_rhs, step, write_snapshot_csv)
-from .diagnostics import (DiagRecord, bump_profile, energy_density,
-                          fit_convergence, h1_norm, l2_norm,
-                          perturbation_energy, phi_gap, record_from_state,
-                          sup_norm, write_diag_csv)
+from .diagnostics import (DiagRecord, bump_profile, fit_convergence,
+                          record_from_state, sup_norm, write_diag_csv)
 from .config import (ConfigError, SCENARIOS, ScenarioConfig, echo_config,
                      load_config, parse_config_text)
 from .scenarios import (PreparedRun, ScenarioError, default_domain_length,

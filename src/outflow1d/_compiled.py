@@ -258,8 +258,9 @@ def _build(source: str, cache_dir, cc: list | None = None) -> str:
     command, only if it is not there yet, whatever PYTHONDONTWRITEBYTECODE
     says; a new build removes the directory's other builds, which no
     import of this source loads.  The compiler is sysconfig's CC unless cc
-    is given.  A missing or failing compiler raises ImportError with its
-    message; there is no other code to fall back on."""
+    is given.  A missing or failing compiler, or a cache_dir that cannot be
+    made or written, raises ImportError with its message; there is no
+    other code to fall back on."""
     if cc is None:
         cc = (sysconfig.get_config_var("CC") or "").split()
         if not cc:
@@ -269,8 +270,12 @@ def _build(source: str, cache_dir, cc: list | None = None) -> str:
     path = os.path.join(cache_dir, f"_stencil-{tag[:16]}.so")
     if os.path.isfile(path):
         return path
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+    except OSError as exc:
+        raise ImportError(f"cannot write the build cache "
+                          f"{os.fspath(cache_dir)}: {exc}") from exc
     os.close(fd)
     try:
         try:

@@ -1,14 +1,8 @@
-"""Perturbation bookkeeping: bumps, norms, energy functionals, decay fits.
+"""Perturbation bookkeeping: bumps, sup norms, decay fits, records.
 
 Perturbations are measured against a background profile (rho_hat, u_hat,
 theta_hat) with zero field part: phi = rho - rho_hat, psi = u - u_hat,
-zeta = theta - theta_hat.  The weighted perturbation energy uses the convex
-gap Phi(s) = s - 1 - ln s,
-
-    eta = psi^2/2 + R theta_hat Phi(rho_hat/rho)
-          + R/(gamma-1) theta_hat Phi(theta/theta_hat),
-
-integrated against rho.
+zeta = theta - theta_hat.
 """
 
 from __future__ import annotations
@@ -18,15 +12,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gas import GasParams
 from .solver import FieldState, Grid1D
 from .table import write_table
 
 __all__ = [
     "DiagRecord",
-    "bump_profile", "phi_gap", "energy_density", "perturbation_energy",
-    "l2_norm", "h1_norm", "sup_norm",
-    "fit_convergence",
+    "bump_profile", "sup_norm", "fit_convergence",
     "record_from_state", "write_diag_csv",
 ]
 
@@ -43,54 +34,6 @@ def bump_profile(x, amplitude: float, center: float,
     out = amplitude * np.cos(arg) ** 2
     out[np.abs(x - center) > width / 2.0] = 0.0
     return out
-
-
-# --------------------------------------------------------------------------
-# energy functionals
-# --------------------------------------------------------------------------
-
-def phi_gap(s):
-    """Phi(s) = s - 1 - ln s: nonnegative, vanishing only at s = 1."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0):
-        raise ValueError("phi_gap needs positive arguments")
-    return s - 1.0 - np.log(s)
-
-
-def energy_density(params: GasParams, rho, theta, rho_hat, theta_hat, psi):
-    """Pointwise eta; integrate rho * eta for the perturbation energy."""
-    p = params
-    rho = np.asarray(rho, float)
-    theta = np.asarray(theta, float)
-    rho_hat = np.asarray(rho_hat, float)
-    theta_hat = np.asarray(theta_hat, float)
-    psi = np.asarray(psi, float)
-    return (0.5 * psi * psi
-            + p.R * theta_hat * phi_gap(rho_hat / rho)
-            + p.R / (p.gamma - 1.0) * theta_hat * phi_gap(theta / theta_hat))
-
-
-def perturbation_energy(params: GasParams, x, rho, theta, rho_hat, theta_hat,
-                        psi) -> float:
-    eta = energy_density(params, rho, theta, rho_hat, theta_hat, psi)
-    return float(np.trapezoid(np.asarray(rho, float) * eta, x))
-
-
-# --------------------------------------------------------------------------
-# norms
-# --------------------------------------------------------------------------
-
-def l2_norm(x, f):
-    f = np.asarray(f, float)
-    return np.sqrt(np.trapezoid(f * f, x, axis=-1))
-
-
-def h1_norm(x, f):
-    """f_x by centred differences, one-sided at the ends; along the last
-    axis, so a stack of fields gives its row norms."""
-    f = np.asarray(f, float)
-    fx = np.gradient(f, np.asarray(x, float), axis=-1)
-    return np.sqrt(np.trapezoid(f * f + fx * fx, x, axis=-1))
 
 
 def sup_norm(f):
@@ -145,22 +88,11 @@ class DiagRecord:
     """One sampled diagnostic row; CSV columns follow this field order."""
 
     t: float
-    l2_phi: float
-    l2_psi: float
-    l2_zeta: float
-    l2_E: float
-    l2_b: float
-    h1_phi: float
-    h1_psi: float
-    h1_zeta: float
-    h1_E: float
-    h1_b: float
     sup_phi: float
     sup_psi: float
     sup_zeta: float
     sup_E: float
     sup_b: float
-    energy: float
     mass_residual: float              # the march's running audit maximum
     rel_fluid: float                  # sup |(rho, u, theta) - reference|
 
@@ -169,8 +101,8 @@ class DiagRecord:
         return max(self.sup_E, self.sup_b)
 
 
-def record_from_state(params: GasParams, grid: Grid1D, state: FieldState,
-                      background, reference: FieldState | None, t: float,
+def record_from_state(grid: Grid1D, state: FieldState, background,
+                      reference: FieldState | None, t: float,
                       mass_residual: float) -> DiagRecord:
     """Measure the state against the background profile at time t and
     its fluid part against the reference state (rel_fluid is 0.0 when it
@@ -185,12 +117,7 @@ def record_from_state(params: GasParams, grid: Grid1D, state: FieldState,
     pert[:3] -= (rho_h, u_h, th_h)
     rel = 0.0 if reference is None else \
         float(sup_norm(state.data[:3] - reference.data[:3]).max())
-    return DiagRecord(
-        t, *l2_norm(x, pert).tolist(), *h1_norm(x, pert).tolist(),
-        *sup_norm(pert).tolist(),
-        perturbation_energy(params, x, state.rho, state.theta, rho_h, th_h,
-                            pert[1]),
-        mass_residual, rel)
+    return DiagRecord(t, *sup_norm(pert).tolist(), mass_residual, rel)
 
 
 DIAG_COLUMNS = tuple(f.name for f in fields(DiagRecord))

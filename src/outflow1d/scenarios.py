@@ -271,7 +271,7 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
     equations at all), so both runs share a slowly evolving model/mesh
     drift.  The verdict therefore judges the decay of the perturbed-minus-
     reference difference, which isolates the fate of the injected bump;
-    norms against the analytic background are still recorded for the
+    sup norms against the analytic background are still recorded for the
     diagnostics file.  The reference reuses the prepared background and
     keeps its state at every record for the perturbed march's records to
     subtract; at amplitude 0 there is no reference march, as the data are
@@ -283,7 +283,7 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
 
     def recorder(t, state, mass_residual_max):
         diag_records.append(record_from_state(
-            prep.params, prep.grid, state, prep.background,
+            prep.grid, state, prep.background,
             reference.pop(0) if reference else None, t, mass_residual_max))
 
     t0 = time.perf_counter()

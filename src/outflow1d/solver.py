@@ -217,10 +217,11 @@ def apply_boundary(params: GasParams, end: EndStates,
     """Enforce boundary values in place.
 
     x = 0: u and theta Dirichlet (rho(0) is evolved); the outgoing field
-    characteristic W2 is extrapolated from the interior, the incoming one is
+    characteristic W2 is copied from the adjacent node, the incoming one is
     zero, and b(0) is assigned literally as sqrt(eps) * E(0).
-    x = L: fluid Dirichlet to the far state; the outgoing W1 is extrapolated
-    and the incoming W2 absorbed (zero), i.e. b(L) = -sqrt(eps) * E(L).
+    x = L: fluid Dirichlet to the far state; the outgoing W1 is copied from
+    the adjacent node and the incoming W2 absorbed (zero), i.e.
+    b(L) = -sqrt(eps) * E(L).
     """
     rho, u, th, E, b = state.data
     u[0] = end.u_minus
@@ -232,17 +233,11 @@ def apply_boundary(params: GasParams, end: EndStates,
     se = params.sqrt_eps
     # read as Python floats: the same double arithmetic, minus the cost of
     # numpy scalars
-    e1, e2, e_2, e_1 = E.item(1), E.item(2), E.item(-3), E.item(-2)
-    b1, b2, b_2, b_1 = b.item(1), b.item(2), b.item(-3), b.item(-2)
-    w2_1 = 0.5 * se * (se * e1 + b1)
-    w2_2 = 0.5 * se * (se * e2 + b2)
-    w2_ext = 2.0 * w2_1 - w2_2
-    E[0] = e0 = w2_ext / params.eps           # eps E = W1 + W2 with W1 = 0
+    w2 = 0.5 * se * (se * E.item(1) + b.item(1))
+    E[0] = e0 = w2 / params.eps               # eps E = W1 + W2 with W1 = 0
     b[0] = se * e0                            # literal: identity is bitwise
-    w1_1 = 0.5 * se * (se * e_1 - b_1)
-    w1_2 = 0.5 * se * (se * e_2 - b_2)
-    w1_ext = 2.0 * w1_1 - w1_2
-    E[-1] = e_end = w1_ext / params.eps       # incoming W2 absorbed to zero
+    w1 = 0.5 * se * (se * E.item(-2) - b.item(-2))
+    E[-1] = e_end = w1 / params.eps           # incoming W2 absorbed to zero
     b[-1] = -se * e_end
 
 

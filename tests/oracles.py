@@ -2,9 +2,9 @@
 
 Nothing in the package calls these: each restates a piece of the theory
 (the field characteristics, a normalization constant, the sharp fan, two
-functional inequalities), inverts an artifact writer or writes a table in
-pure Python, so a test can compare the package's numbers or bytes with a
-second route to the same result.
+functional inequalities), measures the march's one-step field map, inverts
+an artifact writer or writes a table in pure Python, so a test can compare
+the package's numbers or bytes with a second route to the same result.
 """
 
 import math
@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from outflow1d.gas import GasParams
 from outflow1d.rarefaction import BurgersWave, R3Curve
-from outflow1d.solver import FieldState
+from outflow1d.solver import FieldState, cfl_dt, step
 
 
 # --------------------------------------------------------------------------
@@ -49,6 +49,37 @@ def from_riemann(params: GasParams, W1, W2):
     E = (W1 + W2) / params.eps
     b = (W2 - W1) / params.sqrt_eps
     return E, b
+
+
+def field_step_norms(params: GasParams, end, grid, state: FieldState,
+                     config) -> tuple[float, float]:
+    """The 2-norm of solver.step's field block at a zero-field state, over
+    every node and over the interior nodes, as a pair.
+
+    At E = b = 0 the field enters the fluid rows only quadratically, so
+    the step map's field block is linear: column j is the step's (E, b)
+    from a kick of h at the j-th field entry, over h.  The kick h = 2^-27
+    puts the quadratic terms below rounding, and 2n steps at cfl_dt's step
+    give the whole block.  The norm is the one of the field energy
+    1/2 sum dx (eps E^2 + b^2), a node sum with the same weight at every
+    node, so the boundary rows count as much as an interior one."""
+    if state.data[3:].any():
+        raise ValueError("the field block is linear only at E = b = 0")
+    n = state.n_nodes
+    dt = cfl_dt(params, end, grid, state, config)
+    h = 2.0 ** -27
+    block = np.empty((2 * n, 2 * n))
+    for col in range(2 * n):
+        kicked = state.copy()
+        kicked.data[3 + col // n, col % n] = h
+        new, _ = step(params, end, grid, kicked, dt, config)
+        block[:, col] = new.data[3:].ravel() / h
+    # the eps E^2 + b^2 weights; dx and 1/2 scale every entry alike
+    scale = np.repeat([params.sqrt_eps, 1.0], n)
+    block = scale[:, None] * block / scale[None, :]
+    inner = np.r_[1:n - 1, n + 1:2 * n - 1]
+    return (float(np.linalg.norm(block, 2)),
+            float(np.linalg.norm(block[np.ix_(inner, inner)], 2)))
 
 
 # --------------------------------------------------------------------------

@@ -251,7 +251,7 @@ def test_09_decoupled_field_relaxation():
     # b = 0 feels no transport and no Lorentz force, so in the interior the
     # coupled march must reduce to the exact relaxation factors; boundary
     # values travel at most two nodes per step (one per Heun stage) plus the
-    # extrapolation stencil
+    # node the boundary copy reads, so the reach keeps one node to spare
     params = GasParams(**STD, eps=0.01)
     end = EndStates(u_minus=-0.5, theta_minus=1.0,
                     rho_plus=1.0, u_plus=-0.5, theta_plus=1.0)

@@ -1,102 +1,26 @@
-"""Norms, energy functionals, inequality monitors and decay-fit verdicts."""
-
-import math
+"""Sup norms, bumps, inequality monitors, decay-fit verdicts, records."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import poincare_check, sobolev_check
 from outflow1d.diagnostics import (DIAG_COLUMNS, bump_profile,
-                                   energy_density, fit_convergence, h1_norm,
-                                   l2_norm, perturbation_energy, phi_gap,
-                                   record_from_state, sup_norm,
-                                   write_diag_csv)
-from outflow1d.gas import GasParams
+                                   fit_convergence, record_from_state,
+                                   sup_norm, write_diag_csv)
 from outflow1d.solver import FieldState, Grid1D
-
-PARAMS = GasParams()
-
-
-class TestPhiGap:
-    def test_reference_values(self):
-        assert phi_gap(1.0) == 0.0
-        assert phi_gap(2.0) == pytest.approx(1.0 - math.log(2.0), rel=1e-15)
-        assert phi_gap(math.e) == pytest.approx(math.e - 2.0, rel=1e-15)
-
-    @given(s=st.floats(1e-6, 1e6))
-    @settings(max_examples=200, deadline=None)
-    def test_nonnegative_with_unique_zero(self, s):
-        val = float(phi_gap(s))
-        assert val >= 0.0
-        if abs(s - 1.0) > 1e-3:
-            assert val > 0.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            phi_gap(0.0)
-        with pytest.raises(ValueError):
-            phi_gap(np.array([1.0, -2.0]))
-
-
-class TestEnergy:
-    def test_vanishes_on_the_background(self):
-        eta = energy_density(PARAMS, 1.3, 0.8, 1.3, 0.8, 0.0)
-        assert eta == 0.0
-
-    def test_small_perturbation_quadratic_form(self):
-        # eta ~ psi^2/2 + R thh (phi/rhh)^2/2 + R zeta^2/(2 (g-1) thh)
-        rhh, thh = 1.2, 0.9
-        phi, psi, zeta = 1e-5, 2e-5, -1.5e-5
-        eta = float(energy_density(PARAMS, rhh + phi, thh + zeta, rhh, thh,
-                                   psi))
-        expected = (0.5 * psi ** 2
-                    + 0.5 * PARAMS.R * thh * (phi / rhh) ** 2
-                    + 0.5 * PARAMS.R * zeta ** 2 / ((PARAMS.gamma - 1.0) * thh))
-        assert eta == pytest.approx(expected, rel=1e-4)
-
-    def test_energy_is_positive_off_background(self):
-        x = np.linspace(0.0, 10.0, 201)
-        rho = 1.0 + 0.05 * np.exp(-((x - 5.0) ** 2))
-        e = perturbation_energy(PARAMS, x, rho, np.full_like(x, 1.0),
-                                np.ones_like(x), np.ones_like(x),
-                                np.zeros_like(x))
-        assert e > 0.0
 
 
 class TestNorms:
-    X = np.linspace(0.0, 20.0 * math.pi, 20001)
-
-    def test_l2_of_sine(self):
-        # ||sin||_{L2(0, 20 pi)} = sqrt(10 pi)
-        assert l2_norm(self.X, np.sin(self.X)) == pytest.approx(
-            math.sqrt(10.0 * math.pi), rel=1e-4)
-
-    def test_h1_of_sine(self):
-        # ||sin||^2 + ||cos||^2 = L over full periods
-        assert h1_norm(self.X, np.sin(self.X)) == pytest.approx(
-            math.sqrt(20.0 * math.pi), rel=1e-4)
-
     def test_sup_norm(self):
         assert sup_norm(np.array([0.1, -3.0, 2.0])) == 3.0
 
     def test_stacked_fields_give_the_per_field_norms_bitwise(self):
         x = np.linspace(0.0, 40.0, 2001)
         stack = np.array([np.sin(k * x) * np.exp(-0.1 * x) for k in range(5)])
-        for norm, args in ((l2_norm, (x,)), (h1_norm, (x,)), (sup_norm, ())):
-            rows = norm(*args, stack)
-            assert rows.shape == (5,)
-            assert rows.tolist() == [norm(*args, f) for f in stack]
-            assert all(type(v) is float for v in rows.tolist())
-
-    def test_gradient_of_linear_function(self):
-        # h1_norm differentiates 3x + 1 exactly: its square exceeds the
-        # L2 norm's by the integral of 3^2 over [0, 1]
-        x = np.linspace(0.0, 1.0, 11)
-        f = 3.0 * x + 1.0
-        assert h1_norm(x, f) ** 2 - l2_norm(x, f) ** 2 == pytest.approx(
-            9.0, rel=1e-12)
+        rows = sup_norm(stack)
+        assert rows.shape == (5,)
+        assert rows.tolist() == [sup_norm(f) for f in stack]
+        assert all(type(v) is float for v in rows.tolist())
 
 
 class TestBumps:
@@ -209,12 +133,10 @@ class TestRecords:
         n = self.GRID.n_nodes
         state = FieldState(np.ones(n), np.full(n, -0.5), np.ones(n),
                            np.zeros(n), np.zeros(n))
-        rec = record_from_state(PARAMS, self.GRID, state, Uniform(), None,
+        rec = record_from_state(self.GRID, state, Uniform(), None,
                                 0.0, 0.0)
         assert max(rec.sup_phi, rec.sup_psi, rec.sup_zeta) == 0.0
         assert rec.sup_field == 0.0
-        assert rec.energy == 0.0
-        assert rec.l2_phi == 0.0 and rec.h1_psi == 0.0
         assert rec.rel_fluid == 0.0
 
     def test_sup_aggregates(self):
@@ -222,7 +144,7 @@ class TestRecords:
         n = self.GRID.n_nodes
         uniform = FieldState(np.ones(n), np.full(n, -0.5), np.ones(n),
                              np.zeros(n), np.zeros(n))
-        rec = record_from_state(PARAMS, self.GRID, state, Uniform(), uniform,
+        rec = record_from_state(self.GRID, state, Uniform(), uniform,
                                 1.0, 3e-12)
         assert max(rec.sup_phi, rec.sup_psi, rec.sup_zeta) \
             == pytest.approx(0.02, abs=1e-12)
@@ -234,7 +156,7 @@ class TestRecords:
 
     def test_csv_round_trip(self, tmp_path):
         state = self.make_state()
-        recs = [record_from_state(PARAMS, self.GRID, state, Uniform(), None,
+        recs = [record_from_state(self.GRID, state, Uniform(), None,
                                   float(t), 1e-13 * t) for t in range(3)]
         path = tmp_path / "diag.csv"
         write_diag_csv(path, recs)
@@ -248,7 +170,5 @@ class TestRecords:
 
     def test_column_schema_is_stable(self):
         assert DIAG_COLUMNS == (
-            "t", "l2_phi", "l2_psi", "l2_zeta", "l2_E", "l2_b",
-            "h1_phi", "h1_psi", "h1_zeta", "h1_E", "h1_b",
-            "sup_phi", "sup_psi", "sup_zeta", "sup_E", "sup_b",
-            "energy", "mass_residual", "rel_fluid")
+            "t", "sup_phi", "sup_psi", "sup_zeta", "sup_E", "sup_b",
+            "mass_residual", "rel_fluid")

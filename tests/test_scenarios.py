@@ -754,7 +754,7 @@ class TestReferencePairing:
                                       "rarefaction_stability",
                                       "superposition_stability"])
     def test_the_reference_field_stays_exactly_zero(self, name):
-        # every term of the field block and of its boundary extrapolation
+        # every term of the field block and of its boundary copy
         # is a multiple of E or b, so the verdict judges sup_E and sup_b
         cfg = load_config(CONFIGS / f"{name}.cfg")
         prep = prepare_scenario(cfg)

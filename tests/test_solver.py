@@ -1,6 +1,7 @@
 """Time marcher: invariants, audits, boundary identity, serialization."""
 
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import outflow1d._compiled as compiled
+import outflow1d.scenarios as scenarios
 import outflow1d.solver as solver
-from oracles import read_snapshot_csv
+from oracles import field_step_norms, read_snapshot_csv
 from outflow1d.config import ScenarioConfig, load_config
 from outflow1d.gas import EndStates, GasParams
 from outflow1d.layer import construct_layer
@@ -472,13 +474,11 @@ def reference_boundary(params, end, data):
     u[0], th[0] = end.u_minus, end.theta_minus
     rho[-1], u[-1], th[-1] = end.rho_plus, end.u_plus, end.theta_plus
     se = params.sqrt_eps
-    w2_ext = (2.0 * (0.5 * se * (se * E[1] + b[1]))
-              - 0.5 * se * (se * E[2] + b[2]))
-    E[0] = w2_ext / params.eps
+    w2 = 0.5 * se * (se * E[1] + b[1])
+    E[0] = w2 / params.eps
     b[0] = se * E[0]
-    w1_ext = (2.0 * (0.5 * se * (se * E[-2] - b[-2]))
-              - 0.5 * se * (se * E[-3] - b[-3]))
-    E[-1] = w1_ext / params.eps
+    w1 = 0.5 * se * (se * E[-2] - b[-2])
+    E[-1] = w1 / params.eps
     b[-1] = -se * E[-1]
 
 
@@ -775,6 +775,76 @@ class TestOutflowBranches:
                         monkeypatch, outflow=True)
 
 
+def extrapolating_boundary(params, end, state):
+    """apply_boundary as it was before: each outgoing field characteristic
+    extrapolated linearly (2 w_1 - w_2) from the two nodes next to the
+    boundary, in place of the copy from the adjacent node."""
+    rho, u, th, E, b = state.data
+    u[0], th[0] = end.u_minus, end.theta_minus
+    rho[-1], u[-1], th[-1] = end.rho_plus, end.u_plus, end.theta_plus
+    se = params.sqrt_eps
+    e1, e2, e_2, e_1 = E.item(1), E.item(2), E.item(-3), E.item(-2)
+    b1, b2, b_2, b_1 = b.item(1), b.item(2), b.item(-3), b.item(-2)
+    w2_ext = 2.0 * (0.5 * se * (se * e1 + b1)) - 0.5 * se * (se * e2 + b2)
+    E[0] = e0 = w2_ext / params.eps
+    b[0] = se * e0
+    w1_ext = 2.0 * (0.5 * se * (se * e_1 - b_1)) - 0.5 * se * (se * e_2 - b_2)
+    E[-1] = e_end = w1_ext / params.eps
+    b[-1] = -se * e_end
+
+
+class TestBoundaryField:
+    """The march reads the boundary field only through w1(0) and w2(L),
+    which are 0 under either closure of the outgoing characteristic, so
+    the closure moves the boundary field and nothing else.  What it sets
+    is the one-step growth of the field block over every node."""
+
+    def march_both(self, prep, state, monkeypatch):
+        """300 steps with the copy and with the extrapolation: each dt,
+        boundary flux, fluid row and interior field entry bit for bit.
+        Returns the two final states."""
+        args = (prep.params, prep.end, prep.grid)
+        config = prep.solver_config
+        got = want = state
+        for _ in range(300):
+            dt = cfl_dt(*args, got, config)
+            got, info = step(*args, got, dt, config)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "apply_boundary", extrapolating_boundary)
+                assert cfl_dt(*args, want, config) == dt
+                want, want_info = step(*args, want, dt, config)
+            assert info == want_info
+            np.testing.assert_array_equal(got.data[:3], want.data[:3])
+            np.testing.assert_array_equal(got.data[3:, 1:-1],
+                                          want.data[3:, 1:-1])
+        return got, want
+
+    def test_the_extrapolation_moves_only_the_boundary_field(
+            self, composite, layer_stability, monkeypatch):
+        states = march_states(composite)
+        self.march_both(composite, states["initial"], monkeypatch)
+        self.march_both(layer_stability, layer_stability.state0, monkeypatch)
+        got, want = self.march_both(composite, states["perturbed"],
+                                    monkeypatch)
+        # the rough field reaches both ends, where the closures differ
+        assert (got.data[3:, [0, -1]] != want.data[3:, [0, -1]]).all()
+
+    @pytest.mark.parametrize("name, n_cells", [
+        ("layer_stability", 400), ("rarefaction_stability", 300)])
+    def test_the_boundary_nodes_add_no_one_step_growth(self, name, n_cells):
+        # the extrapolation raised the layer's norm from 1.0006 over the
+        # interior to 1.0756 over every node; the copy adds below 1e-5
+        root = Path(__file__).resolve().parent.parent
+        cfg = replace(load_config(root / "configs" / f"{name}.cfg"),
+                      n_cells=n_cells)
+        prep = prepare_scenario(cfg)
+        state = scenarios._state_from_background(prep.grid, prep.background)
+        every, interior = field_step_norms(prep.params, prep.end, prep.grid,
+                                           state, prep.solver_config)
+        assert every <= interior + 1e-4
+        assert abs(interior - 1.0) < 1e-3
+
+
 def bits(a):
     """The IEEE bit patterns of a float64 array: NaNs compare too."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
@@ -932,3 +1002,11 @@ class TestStencilBuild:
             compiled._build(compiled._STENCIL_C, tmp_path,
                             [str(tmp_path / "no-such-cc")])
         assert not any(tmp_path.iterdir())     # no partial file is left
+
+    def test_an_unwritable_cache_raises_import_error(self, tmp_path):
+        # a cache path under a regular file cannot be made
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        cache = blocker / "__pycache__"
+        with pytest.raises(ImportError, match=re.escape(f"build cache {cache}")):
+            compiled._build(compiled._STENCIL_C, cache)
