@@ -73,34 +73,37 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _make(make, cfg, out, failed: str) -> tuple:
+    """(make(cfg, out), 0), or (None, exit code) after saying on stderr why
+    not: 1 for a failed construction or march, 2 for an out that cannot be
+    written."""
+    try:
+        return make(cfg, out), 0
+    except _RUN_ERRORS as exc:
+        print(f"{failed} failed: {exc}", file=sys.stderr)
+        return None, 1
+    except OSError as exc:
+        print(f"cannot write to {out}: {exc}", file=sys.stderr)
+        return None, 2
+
+
 def _cmd_profile(args) -> int:
     if (cfg := _load(args.config, None)) is None:
         return 2
     out = args.out or f"{cfg.scenario}_profile"
-    try:
-        profile_scenario(cfg, out)
-    except _RUN_ERRORS as exc:
-        print(f"profile construction failed: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"cannot write to {out}: {exc}", file=sys.stderr)
-        return 2
-    print(f"wrote analytic profiles to {out}")
-    return 0
+    _, code = _make(profile_scenario, cfg, out, "profile construction")
+    if code == 0:
+        print(f"wrote analytic profiles to {out}")
+    return code
 
 
 def _cmd_run(args) -> int:
     if (cfg := _load(args.config, args.seed)) is None:
         return 2
     out = args.out or f"{cfg.scenario}_out"
-    try:
-        summary = run_scenario(cfg, out)
-    except _RUN_ERRORS as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"cannot write to {out}: {exc}", file=sys.stderr)
-        return 2
+    summary, code = _make(run_scenario, cfg, out, "run")
+    if code:
+        return code
     print(f"scenario {summary['scenario']}: {summary['verdict']} "
           f"(artifacts in {out})")
     for warning in summary.get("warnings", []):

@@ -3,7 +3,9 @@
 A config file is plain text: one `key = value` per line, `#` starts a
 comment, keys are known in advance, and every violated constraint is
 reported (with the offending line number for parse problems) rather than
-just the first one.  Of SCENARIOS, superposition_stability marches a layer
+just the first one.  A ScenarioConfig runs the same checks when it is
+built, whether by the parser, in code or by `dataclasses.replace`, so one
+that exists is valid.  Of SCENARIOS, superposition_stability marches a layer
 of strength delta (none at 0) and a fan from theta_star to theta_plus (none
 at theta_plus); the two decay checks ignore theta_star.  Two optional
 quantities take a literal that leaves them unset: `length = auto` (sized
@@ -37,7 +39,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Materialized experiment description (defaults already applied)."""
+    """Materialized experiment description (defaults already applied),
+    valid once built: __post_init__ refuses any other."""
 
     scenario: str
     # gas and field constants
@@ -62,8 +65,8 @@ class ScenarioConfig:
     amplitude: float = 1e-2
     seed: int | None = None
 
-    def validate(self) -> list:
-        """Return every violated constraint as a message (empty if valid)."""
+    def __post_init__(self) -> None:
+        """Raise ConfigError listing every violated constraint, if any."""
         errs = [f"{key} must be a finite number"    # inf never ends a march
                 for key, value in vars(self).items()
                 if isinstance(value, float) and not math.isfinite(value)]
@@ -93,7 +96,8 @@ class ScenarioConfig:
             errs.append("amplitude must be nonnegative")
         if self.seed is not None and self.seed < 0:
             errs.append("seed must be nonnegative (or none)")
-        return errs
+        if errs:
+            raise ConfigError(errs)
 
 
 _FIELDS = {f.name: f for f in fields(ScenarioConfig)}
@@ -151,25 +155,15 @@ def parse_config_text(text: str) -> ScenarioConfig:
     if errs:
         raise ConfigError(errs)
 
-    cfg = ScenarioConfig(**seen)
-    problems = cfg.validate()
-    if problems:
-        raise ConfigError(problems)
-    return cfg
+    return ScenarioConfig(**seen)
 
 
 def load_config(path, seed: int | None = None) -> ScenarioConfig:
-    """Parse a config file; a seed, if given, replaces the file's seed and
-    the result is validated again."""
+    """Parse a config file; a seed, if given, replaces the file's seed (and
+    is checked as any field is)."""
     with open(path) as fh:
         cfg = parse_config_text(fh.read())
-    if seed is None:
-        return cfg
-    cfg = replace(cfg, seed=seed)
-    problems = cfg.validate()
-    if problems:
-        raise ConfigError(problems)
-    return cfg
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def echo_config(cfg: ScenarioConfig) -> str:

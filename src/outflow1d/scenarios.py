@@ -3,8 +3,8 @@
 Each scenario turns a ScenarioConfig into concrete objects (end states,
 background profile, initial data), optionally time-marches the solver, and
 emits a fixed set of artifacts into the output directory.  The one solver
-scenario marches the composite wave of _build, whose parts of zero
-strength are absent:
+scenario marches the composite wave of prepare_scenario, whose parts of
+zero strength are absent:
 
     config.echo        materialized configuration (reparseable)
     verdict.txt        PASS / FAIL / INCONCLUSIVE, the numbers that decided
@@ -37,8 +37,8 @@ from .gas import EndStates, GasParams, dielectric_bound, sound_speed
 from .layer import construct_layer, export_csv, find_M0, measure_decay
 from .rarefaction import DECAY_DX, DECAY_PAD, BurgersWave, \
     CompositeProfile, R3Curve, rarefaction_decay_check
-from .solver import FieldState, Grid1D, SolverConfig, apply_boundary, \
-    record_times, run, write_snapshot_csv
+from .solver import FieldState, Grid1D, SolverConfig, apply_boundary, run, \
+    write_snapshot_csv
 from .table import write_table
 
 __all__ = ["ScenarioError", "PreparedRun", "prepare_scenario",
@@ -74,6 +74,7 @@ class PreparedRun:
     solver_config: SolverConfig
     record_dt: float
     perturbation: dict                # bump centre and signs per field
+    warnings: list                    # hypotheses of the theory not met
 
 
 def _apply_perturbation(cfg: ScenarioConfig, grid: Grid1D, state: FieldState,
@@ -111,19 +112,23 @@ def _gas(cfg: ScenarioConfig) -> GasParams:
     return GasParams(cfg.R, cfg.gamma, cfg.mu, cfg.kappa, eps=1.0)
 
 
-def _build(cfg: ScenarioConfig) -> PreparedRun:
-    """The composite wave: a boundary layer (if delta > 0) from the
-    boundary to the star state, then a 3-rarefaction fan (if theta_star <
-    theta_plus) from the star state at temperature theta_star to the far
-    state.  Without a fan the star state is the far state; without a layer
-    (layer_branch is then not read) it is the boundary data.  The fan
-    depends on R and gamma only, so it is built before eps.
+def prepare_scenario(cfg: ScenarioConfig) -> PreparedRun:
+    """Build the marching problem of the solver scenario: the composite
+    wave of a boundary layer (if delta > 0) from the boundary to the star
+    state, then a 3-rarefaction fan (if theta_star < theta_plus) from the
+    star state at temperature theta_star to the far state.  Without a fan
+    the star state is the far state; without a layer (layer_branch is then
+    not read) it is the boundary data.  The fan depends on R and gamma
+    only, so it is built before eps, which is eps_fraction times the
+    dielectric bound c_bar; an eps at or above c_bar is filed in warnings.
 
     The march pins the far state at x = L, so the background must sit
-    there within FAR_FIELD_TOL at t = 0 and at every record time.  An auto
-    length starts at default_domain_length and grows until it does,
+    there within FAR_FIELD_TOL from t = 0 to t_final (_far_field_gap).  An
+    auto length starts at default_domain_length and grows until it does,
     keeping the starting dx: n_cells grows with it.  A length that still
     misses raises ScenarioError."""
+    if cfg.scenario != "superposition_stability":
+        raise ScenarioError(f"scenario {cfg.scenario!r} is not solver-backed")
     params0 = _gas(cfg)
     plus = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
     star, curve, wave = plus, None, None
@@ -143,22 +148,25 @@ def _build(cfg: ScenarioConfig) -> PreparedRun:
     end = EndStates(u_minus=float(data[0]), theta_minus=float(data[1]),
                     rho_plus=cfg.rho_plus, u_plus=cfg.u_plus,
                     theta_plus=cfg.theta_plus)
-    params = replace(params0,
-                     eps=cfg.eps_fraction * dielectric_bound(params0, end))
+    c_bar = dielectric_bound(params0, end)
+    params = replace(params0, eps=cfg.eps_fraction * c_bar)
+    warnings = []
+    if params.eps >= c_bar:
+        warnings.append(f"eps = {params.eps:g} is not below the dielectric "
+                        f"bound {c_bar:g}; the stability theory does not "
+                        "cover this run")
     background = CompositeProfile(star, layer, curve, wave)
 
-    record_dt = cfg.t_final / 50.0
-    times = record_times(cfg.t_final, record_dt)
     length, growths = cfg.length, 0
     if length is None:
         length = default_domain_length(params, end, cfg.t_final)
         growths = MAX_GROWTHS
     dx = length / cfg.n_cells
-    gap, t_gap = _far_field_gap(background, length, plus, times)
+    gap, t_gap = _far_field_gap(background, length, plus, cfg.t_final)
     while gap > FAR_FIELD_TOL and growths:
         length *= LENGTH_GROWTH
         growths -= 1
-        gap, t_gap = _far_field_gap(background, length, plus, times)
+        gap, t_gap = _far_field_gap(background, length, plus, cfg.t_final)
     if gap > FAR_FIELD_TOL:
         raise ScenarioError(
             f"the background at x = L = {length:g} is {gap:.3g} off the far "
@@ -174,7 +182,8 @@ def _build(cfg: ScenarioConfig) -> PreparedRun:
     return PreparedRun(params=params, end=end, grid=grid,
                        background=background, state0=state0,
                        solver_config=SolverConfig(),
-                       record_dt=record_dt, perturbation=perturbation)
+                       record_dt=cfg.t_final / 50.0,
+                       perturbation=perturbation, warnings=warnings)
 
 
 def default_domain_length(params: GasParams, end: EndStates,
@@ -185,25 +194,18 @@ def default_domain_length(params: GasParams, end: EndStates,
     return max(40.0, 2.0 * (end.u_plus + c_plus) * (1.0 + t_final))
 
 
-def _far_field_gap(background, length: float, far, times) -> tuple:
-    """(gap, t): the largest distance max(|rho - rho_+|, |u - u_+|,
+def _far_field_gap(background, length: float, far, t_final: float) -> tuple:
+    """(gap, t): the larger distance max(|rho - rho_+|, |u - u_+|,
     |theta - theta_+|) of the background at x = length from the far state
-    over `times`, and the first time it is reached.  A background without
-    a fan does not move, so it is checked at the first time only."""
-    if background.wave is None:
-        times = times[:1]
+    at t = 0 and t_final, and the first time it is reached.  These two
+    bound every time between: at fixed x, rho, u and theta are the layer's
+    values plus a fan term monotone in t (the characteristic foot through x
+    moves left, w0 is nondecreasing, and rho, u, theta rise with w)."""
     gaps = [max(abs(float(v[0]) - f)
                 for v, f in zip(background.eval([length], t), far))
-            for t in times]
+            for t in (0.0, t_final)]
     k = int(np.argmax(gaps))
-    return gaps[k], times[k]
-
-
-def prepare_scenario(cfg: ScenarioConfig) -> PreparedRun:
-    """Build the marching problem of the solver scenario."""
-    if cfg.scenario != "superposition_stability":
-        raise ScenarioError(f"scenario {cfg.scenario!r} is not solver-backed")
-    return _build(cfg)
+    return gaps[k], (0.0, t_final)[k]
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +321,7 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
         "verdict": verdict,
         "fit_rel_fluid": fit_rel_fluid, "fit_rel_field": fit_rel_field,
         "steps": result.steps, "runtime_s": runtime,
-        "warnings": result.warnings,
+        "warnings": prep.warnings,
     }
     files = {
         "diagnostics.csv": lambda path: write_diag_csv(path, diag_records),
@@ -392,8 +394,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     out_dir is made first, so an unusable one raises OSError before any
     work, and cleared of what an earlier run left of ARTIFACTS (and
     nothing else), so a run that fails leaves none of them behind."""
-    if cfg.scenario not in _DRIVERS:
-        raise ScenarioError(f"unknown scenario {cfg.scenario!r}")
     _clear(out_dir, ARTIFACTS)
     summary, files = _DRIVERS[cfg.scenario](cfg)
     summary = {"scenario": cfg.scenario, **summary}

@@ -46,13 +46,13 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import _compiled
-from .gas import EndStates, GasParams, dielectric_bound
+from .gas import EndStates, GasParams
 from .table import write_table
 
 __all__ = [
@@ -344,7 +344,6 @@ class RunResult:
     state: FieldState
     steps: int
     mass_residual_max: float = 0.0
-    warnings: list = field(default_factory=list)
 
 
 def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
@@ -358,7 +357,9 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     (0.0 at t = 0); state is the march's own array, so a recorder that
     keeps it must copy it.  Raises SolverError if a field turns non-finite
     or the step size collapses, and PositivityError if rho or theta leaves
-    the positive cone.
+    the positive cone.  run only marches: params.eps is taken as given,
+    and whether it meets the theory's dielectric bound is for whoever set
+    it (prepare_scenario files that in its warnings).
     """
     if config is None:
         config = SolverConfig()
@@ -367,13 +368,6 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     times = record_times(t_final, record_dt)
 
     result = RunResult(state=state0.copy(), steps=0)
-
-    c_bar = dielectric_bound(params, end)
-    if params.eps >= c_bar:
-        msg = (f"eps = {params.eps:g} is not below the dielectric bound "
-               f"{c_bar:g}; the stability theory does not cover this run")
-        result.warnings.append(msg)
-
     state = result.state
     apply_boundary(params, end, state)
     extrema = _check_state(state, 0.0, 0)

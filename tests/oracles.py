@@ -2,8 +2,9 @@
 
 Nothing in the package calls these: each restates a piece of the theory
 (the field characteristics, a normalization constant, the sharp fan, two
-functional inequalities), measures the march's one-step field map, inverts
-an artifact writer or writes a table in pure Python, so a test can compare
+functional inequalities), measures the march's one-step map (its field
+block's norm, its Jacobian's spectral radius), inverts an artifact writer
+or writes a table in pure Python, so a test can compare
 the package's numbers or bytes with a second route to the same result.
 """
 
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import eigs
 
 from outflow1d.gas import GasParams
 from outflow1d.rarefaction import BurgersWave, R3Curve
@@ -80,6 +83,59 @@ def field_step_norms(params: GasParams, end, grid, state: FieldState,
     inner = np.r_[1:n - 1, n + 1:2 * n - 1]
     return (float(np.linalg.norm(block, 2)),
             float(np.linalg.norm(block[np.ix_(inner, inner)], 2)))
+
+
+def step_jacobian(params: GasParams, end, grid, state: FieldState,
+                  dt: float, config, stride: int = 11):
+    """The Jacobian of solver.step at state and a fixed dt, as a sparse
+    (5n, 5n) matrix over the rows of state.data, by colored forward
+    differences.
+
+    A step reads two nodes to either side (two stencil stages) and its
+    boundary copies reach one further, so kicking every stride-th node of
+    one field at once (stride >= 7) leaves the responses apart: row node r
+    answers the kicked node within stride // 2 of it.  That is
+    5 * stride step calls, 55 at the default stride.  Each kick is
+    2^-27 times the field's largest magnitude (or 2^-27 for a zero field),
+    which keeps the quadratic terms near rounding."""
+    n = state.n_nodes
+    base, _ = step(params, end, grid, state, dt, config)
+    nodes = np.arange(n)
+    rows, cols, vals = [], [], []
+    for f in range(5):
+        h = 2.0 ** -27 * max(float(np.abs(state.data[f]).max()), 1.0)
+        for color in range(stride):
+            kicked = state.copy()
+            kicked.data[f, color::stride] += h
+            new, _ = step(params, end, grid, kicked, dt, config)
+            diff = (new.data - base.data) / h
+            # the kicked node each row node answers: the nearest of color
+            owner = nodes - (nodes - color + stride // 2) % stride \
+                + stride // 2
+            mine = (owner >= 0) & (owner < n)
+            for g in range(5):
+                hit = mine & (diff[g] != 0.0)
+                rows.append(g * n + nodes[hit])
+                cols.append(f * n + owner[hit])
+                vals.append(diff[g][hit])
+    return csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(5 * n, 5 * n))
+
+
+def step_spectral_radius(params: GasParams, end, grid, state: FieldState,
+                         config, dt: float | None = None) -> float:
+    """The largest eigenvalue modulus of step_jacobian at state, at dt
+    (cfl_dt's step if None).  Of six eigenvalues of largest modulus from
+    ARPACK with a fixed start vector, so a repeat gives the same digits.
+    Meaningful for a stationary background only: a step map that drifts
+    with t has no one spectrum to certify."""
+    if dt is None:
+        dt = cfl_dt(params, end, grid, state, config)
+    jac = step_jacobian(params, end, grid, state, dt, config)
+    start = np.full(jac.shape[0], 1.0 / math.sqrt(jac.shape[0]))
+    values = eigs(jac, k=6, which="LM", v0=start, return_eigenvectors=False)
+    return float(np.abs(values).max())
 
 
 # --------------------------------------------------------------------------

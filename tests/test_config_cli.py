@@ -136,13 +136,28 @@ class TestValidation:
 
     def test_non_finite_floats_are_listed(self):
         # a config built in code never meets the parser's finiteness check
-        cfg = ScenarioConfig(scenario="burgers_decay", t_final=math.inf,
-                             length=math.nan, amplitude=-math.inf)
-        errors = cfg.validate()
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(scenario="burgers_decay", t_final=math.inf,
+                           length=math.nan, amplitude=-math.inf)
         for key in ("t_final", "length", "amplitude"):
-            assert f"{key} must be a finite number" in errors
-        assert not any("finite" in e for e in replace(
-            cfg, t_final=1.0, length=None, amplitude=0.0).validate())
+            assert f"{key} must be a finite number" in exc.value.errors
+        ScenarioConfig(scenario="burgers_decay", t_final=1.0, length=None,
+                       amplitude=0.0)
+
+    def test_a_config_built_in_code_is_checked(self):
+        # the checks of the parser, all at once, with no file in sight
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(scenario="superposition_stability",
+                           theta_star=1.2, delta=-0.05, amplitude=-0.01)
+        assert exc.value.errors == ["delta must be nonnegative",
+                                    "theta_star must lie in (0, theta_plus]",
+                                    "amplitude must be nonnegative"]
+
+    def test_a_replaced_field_is_checked_again(self):
+        cfg = ScenarioConfig(scenario="superposition_stability")
+        with pytest.raises(ConfigError) as exc:
+            replace(cfg, n_cells=8)
+        assert exc.value.errors == ["n_cells must be at least 16"]
 
     def test_violations_accumulate(self):
         with pytest.raises(ConfigError) as exc:
@@ -154,11 +169,12 @@ class TestValidation:
         # a zero-strength layer has no tail for layer_decay to measure; the
         # solver scenario builds no layer at delta = 0
         for scenario in ("superposition_stability", "burgers_decay"):
-            assert ScenarioConfig(scenario=scenario, delta=0.0).validate() \
-                == []
-        assert ScenarioConfig(scenario="layer_decay", delta=0.0).validate() \
-            == ["delta must be positive for layer_decay: a zero-strength "
-                "layer has no tail to measure"]
+            ScenarioConfig(scenario=scenario, delta=0.0)
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(scenario="layer_decay", delta=0.0)
+        assert exc.value.errors == [
+            "delta must be positive for layer_decay: a zero-strength layer "
+            "has no tail to measure"]
 
     def test_theta_star_scoped_to_superposition(self):
         # ignored by the decay checks; the solver scenario takes theta_star

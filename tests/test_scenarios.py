@@ -16,7 +16,8 @@ import pytest
 
 from outflow1d import layer as layer_mod
 from outflow1d import scenarios
-from outflow1d.config import ScenarioConfig, load_config, parse_config_text
+from outflow1d.config import ConfigError, ScenarioConfig, load_config, \
+    parse_config_text
 from outflow1d.diagnostics import DIAG_COLUMNS, bump_profile, \
     fit_convergence
 from outflow1d.gas import (EndStates, GasParams, classify_regime,
@@ -26,7 +27,7 @@ from outflow1d.rarefaction import BurgersWave, R3Curve
 from outflow1d.scenarios import (PreparedRun, ScenarioError,
                                  default_domain_length, prepare_scenario,
                                  run_batch, run_scenario)
-from outflow1d.solver import apply_boundary, run
+from outflow1d.solver import apply_boundary, record_times, run
 
 
 def layer_cfg(**over) -> ScenarioConfig:
@@ -78,6 +79,15 @@ class TestPrepareLayer:
         eps_half = prepare_scenario(layer_cfg(eps_fraction=0.5)).params.eps
         eps_quarter = prepare_scenario(layer_cfg(eps_fraction=0.25)).params.eps
         assert eps_quarter == pytest.approx(0.5 * eps_half, rel=1e-15)
+
+    def test_dielectric_warning_above_bound(self):
+        # eps at the bound c_bar is outside the theory: filed once, at set-up
+        prep = prepare_scenario(layer_cfg(eps_fraction=1.0))
+        c_bar = dielectric_bound(replace(prep.params, eps=1.0), prep.end)
+        assert prep.warnings == [
+            f"eps = {c_bar:g} is not below the dielectric bound {c_bar:g}; "
+            "the stability theory does not cover this run"]
+        assert prepare_scenario(layer_cfg(eps_fraction=0.5)).warnings == []
 
     def test_grid_uses_requested_length(self):
         prep = prepare_scenario(layer_cfg())
@@ -300,13 +310,31 @@ class TestPreparedState:
 
 class TestFarField:
     """The march pins the far state at x = L, so the background must sit
-    there, within FAR_FIELD_TOL, at t = 0 and at every record time."""
+    there, within FAR_FIELD_TOL, at every time of the march.  At fixed x
+    the gap is monotone in t, so prepare_scenario checks it at t = 0 and
+    t_final only; test_the_gap_is_monotone_over_the_record_times guards
+    that premise on the configs and lengths that are marched."""
 
     @staticmethod
     def gaps(prep, cfg, length, times):
         plus = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
         return [max(abs(float(v[0]) - f) for v, f in zip(
             prep.background.eval([length], t), plus)) for t in times]
+
+    @staticmethod
+    def far_field_calls(monkeypatch) -> list:
+        """The times of every CompositeProfile.eval at a single point (the
+        far-field check's x = L); evaluations on a grid are not listed."""
+        calls = []
+        evaluate = scenarios.CompositeProfile.eval
+
+        def spy(self, x, t):
+            if np.size(x) == 1:
+                calls.append(t)
+            return evaluate(self, x, t)
+
+        monkeypatch.setattr(scenarios.CompositeProfile, "eval", spy)
+        return calls
 
     @pytest.mark.parametrize("name", ["layer_stability",
                                       "rarefaction_stability",
@@ -353,31 +381,62 @@ class TestFarField:
                 > scenarios.FAR_FIELD_TOL
                 >= max(self.gaps(prep, cfg, prep.grid.length, times)))
 
-    @pytest.mark.parametrize("name", ["rarefaction_stability",
-                                      "superposition_stability"])
-    def test_the_check_sees_the_record_times(self, name, monkeypatch):
-        # the far-field check and the march share one record schedule
-        checked, recorded = [], []
-        gap = scenarios._far_field_gap
+    @staticmethod
+    def lengths_tried(prep, cfg) -> list:
+        """The lengths prepare_scenario tried, in order: cfg's, or an auto
+        length's start and each growth up to the grid's length."""
+        lengths = [prep.grid.length]
+        if cfg.length is None:
+            start = scenarios.default_domain_length(prep.params, prep.end,
+                                                    cfg.t_final)
+            while lengths[0] > start * (1.0 + 1e-12):
+                lengths.insert(0, lengths[0] / scenarios.LENGTH_GROWTH)
+            assert lengths[0] == pytest.approx(start, rel=1e-12)
+        return lengths
 
-        def spy(background, length, far, times):
-            checked.append(list(times))
-            return gap(background, length, far, times)
+    # bench/tests' reduced composite_verdict: its auto length grows 5 times
+    BENCH_COMPOSITE = pytest.param("superposition_stability",
+                                   dict(n_cells=200, t_final=40.0), 6,
+                                   id="bench_composite")
 
-        monkeypatch.setattr(scenarios, "_far_field_gap", spy)
-        cfg = replace(load_config(CONFIGS / f"{name}.cfg"), n_cells=64)
+    @pytest.mark.parametrize("name,over,tried", [
+        pytest.param("rarefaction_stability", dict(n_cells=64), 1,
+                     id="rarefaction_stability"),
+        pytest.param("superposition_stability", dict(n_cells=64), 1,
+                     id="superposition_stability"),
+        BENCH_COMPOSITE])
+    def test_the_check_sees_t_0_and_t_final(self, name, over, tried,
+                                            monkeypatch):
+        # two evaluations at x = L per length tried, whatever the number
+        # of record times (51 here)
+        calls = self.far_field_calls(monkeypatch)
+        cfg = replace(load_config(CONFIGS / f"{name}.cfg"), **over)
         prep = prepare_scenario(cfg)
-        run(prep.params, prep.end, prep.grid, prep.state0, cfg.t_final,
-            prep.solver_config, record_dt=prep.record_dt,
-            recorder=lambda t, s, _: recorded.append(t))
-        assert len(recorded) == 51
-        assert checked and all(times == recorded for times in checked)
+        assert len(self.lengths_tried(prep, cfg)) == tried
+        assert calls == [0.0, cfg.t_final] * tried
+
+    @pytest.mark.parametrize("name,over,tried", [
+        ("layer_stability", {}, 1), ("rarefaction_stability", {}, 1),
+        ("superposition_stability", {}, 1), BENCH_COMPOSITE])
+    def test_the_gap_is_monotone_over_the_record_times(self, name, over,
+                                                        tried):
+        # at every length tried, the gap at x = L never shrinks over the
+        # record times, so its largest is at t = 0 or t_final
+        cfg = replace(load_config(CONFIGS / f"{name}.cfg"), **over)
+        prep = prepare_scenario(cfg)
+        times = record_times(cfg.t_final, prep.record_dt)
+        assert len(times) == 51
+        lengths = self.lengths_tried(prep, cfg)
+        assert len(lengths) == tried
+        for length in lengths:
+            gaps = self.gaps(prep, cfg, length, times)
+            assert all(a <= b for a, b in zip(gaps, gaps[1:])), length
 
     def test_an_auto_length_that_never_clears_is_refused(self):
         # a transonic degenerate layer (u_+ + c_+ = 0, so the start is 40):
         # its algebraic tail is still 6.6e-4 off at 40 * 1.25^16
-        cfg = layer_cfg(u_plus=-1.0, theta_plus=0.6, delta=0.05,
-                        layer_branch="degenerate", length=None)
+        cfg = layer_cfg(u_plus=-1.0, theta_plus=0.6, theta_star=0.6,
+                        delta=0.05, layer_branch="degenerate", length=None)
         with pytest.raises(ScenarioError, match=r"at x = L = 1421\.09 is "
                            r"0\.000657 off the far state at t = 0, above "
                            "1e-08; lengthen the domain"):
@@ -385,22 +444,15 @@ class TestFarField:
 
     def test_a_fan_free_background_is_checked_once_per_length(
             self, monkeypatch):
-        # without a fan the background does not move: one evaluation at
-        # x = L per length tried (the start and 16 growths), not one per
-        # record time
-        calls = []
-        evaluate = scenarios.CompositeProfile.eval
-
-        def spy(self, x, t):
-            calls.append(t)
-            return evaluate(self, x, t)
-
-        monkeypatch.setattr(scenarios.CompositeProfile, "eval", spy)
-        cfg = layer_cfg(u_plus=-1.0, theta_plus=0.6, delta=0.05,
-                        layer_branch="degenerate", length=None)
+        # without a fan the background does not move: one check per length
+        # tried (the start and 16 growths), whose two times give equal
+        # gaps, so the refusal names t = 0
+        calls = self.far_field_calls(monkeypatch)
+        cfg = layer_cfg(u_plus=-1.0, theta_plus=0.6, theta_star=0.6,
+                        delta=0.05, layer_branch="degenerate", length=None)
         with pytest.raises(ScenarioError, match="at t = 0, above"):
             prepare_scenario(cfg)
-        assert calls == [0.0] * (scenarios.MAX_GROWTHS + 1)
+        assert calls == [0.0, cfg.t_final] * (scenarios.MAX_GROWTHS + 1)
 
 
 class TestBumpReach:
@@ -664,10 +716,10 @@ class TestSolverScenarioRun:
         assert max(table[name][-1]
                    for name in ("sup_phi", "sup_psi", "sup_zeta")) > 0.0
 
-    def test_unknown_scenario_is_refused(self, tmp_path):
-        cfg = ScenarioConfig(scenario="nonsense")
-        with pytest.raises(ScenarioError, match="unknown scenario"):
-            run_scenario(cfg, tmp_path)
+    def test_unknown_scenario_is_refused(self):
+        # refused when the config is built, so no driver ever sees it
+        with pytest.raises(ConfigError, match="scenario must be one of"):
+            ScenarioConfig(scenario="nonsense")
 
 
 class TestVerdictSchema:

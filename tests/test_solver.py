@@ -13,7 +13,8 @@ import pytest
 import outflow1d._compiled as compiled
 import outflow1d.scenarios as scenarios
 import outflow1d.solver as solver
-from oracles import field_step_norms, read_snapshot_csv
+from oracles import field_step_norms, read_snapshot_csv, \
+    step_spectral_radius
 from outflow1d.config import ScenarioConfig, load_config
 from outflow1d.gas import EndStates, GasParams
 from outflow1d.layer import construct_layer
@@ -333,14 +334,6 @@ class TestFailureModes:
         with pytest.raises(SolverError, match="record_dt"):
             run(params, end, grid, constant_state(grid, end), 1.0,
                 record_dt=record_dt)
-
-    def test_dielectric_warning_above_bound(self):
-        params = GasParams(eps=1.0)       # far above the threshold
-        end = uniform_end()
-        grid = Grid1D(40.0, 64)
-        # one channel: this suite turns a warnings.warn into an error
-        res = run(params, end, grid, constant_state(grid, end), 0.5)
-        assert len(res.warnings) == 1 and "dielectric" in res.warnings[0]
 
 
 class TestStepControls:
@@ -843,6 +836,31 @@ class TestBoundaryField:
                                            state, prep.solver_config)
         assert every <= interior + 1e-4
         assert abs(interior - 1.0) < 1e-3
+
+
+class TestSpectralRadius:
+    """The spectral radius of the step map at a stationary background
+    (the layer): below 1 at cfl_dt's step, and above 1 at a step past the
+    scheme's bound, so a cfl_dt that steps too far fails here.  A
+    background that moves with t (a fan) has no one step map to certify."""
+
+    @staticmethod
+    def radius(prep) -> float:
+        state = scenarios._state_from_background(prep.grid, prep.background)
+        solver.apply_boundary(prep.params, prep.end, state)
+        return step_spectral_radius(prep.params, prep.end, prep.grid, state,
+                                    prep.solver_config)
+
+    def test_cfl_dt_is_a_stable_step_on_the_layer(self, layer_stability):
+        # the slowest mode decays at -ln(0.999294) / dt = 0.156 per unit t
+        radius = self.radius(layer_stability)
+        assert radius == pytest.approx(0.999294, abs=1e-6)
+        assert radius < 1.0
+
+    def test_a_step_past_the_bound_is_unstable(self, layer_stability,
+                                               monkeypatch):
+        monkeypatch.setattr(solver, "CFL", 1.5)
+        assert self.radius(layer_stability) == pytest.approx(2.489, abs=1e-3)
 
 
 def bits(a):
