@@ -16,6 +16,8 @@ reaches the far state at x = L) and `seed = none`.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, fields, replace
 
 from .layer import LAYER_BRANCHES
@@ -27,6 +29,10 @@ SCENARIOS = ("superposition_stability", "burgers_decay", "layer_decay")
 
 POSITIVE = ("R", "mu", "kappa", "eps_fraction", "rho_plus", "theta_plus",
             "alpha", "t_final")
+# each field annotation (less "| None"): the type it takes, bool excluded,
+# and how an error names it
+_TYPES = {"str": (str, "a string"), "int": (numbers.Integral, "an integer"),
+         "float": (numbers.Real, "a number")}
 
 
 class ConfigError(ValueError):
@@ -66,10 +72,23 @@ class ScenarioConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        """Raise ConfigError listing every violated constraint, if any."""
-        errs = [f"{key} must be a finite number"    # inf never ends a march
-                for key, value in vars(self).items()
-                if isinstance(value, float) and not math.isfinite(value)]
+        """Raise ConfigError listing every violated constraint, if any.  A
+        field of the wrong type is listed in the parser's words, and, as
+        when parsing, no range check runs until every field has its type."""
+        errs, mistyped = [], False
+        for f in fields(self):
+            kind, noun = _TYPES[f.type.removesuffix(" | None")]
+            value = getattr(self, f.name)
+            if value is None and f.type.endswith("None"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                errs.append(f"{f.name} must be {noun}")
+                mistyped = True
+            elif kind is numbers.Real and not abs(value) <= sys.float_info.max:
+                # inf would never end a march; nan and 10**400 fail too
+                errs.append(f"{f.name} must be a finite number")
+        if mistyped:
+            raise ConfigError(errs)
         if self.scenario not in SCENARIOS:
             errs.append(f"scenario must be one of {', '.join(SCENARIOS)}")
         errs += [f"{key} must be positive" for key in POSITIVE
@@ -103,28 +122,22 @@ class ScenarioConfig:
 _FIELDS = {f.name: f for f in fields(ScenarioConfig)}
 # optional keys and the literal that leaves them unset
 _SENTINELS = {"length": "auto", "seed": "none"}
-_INT_FIELDS = ("n_cells", "seed")
 
 
 def _parse_value(key: str, raw: str, line_no: int, errs: list):
     sentinel = _SENTINELS.get(key)
     if sentinel is not None and raw.lower() == sentinel:
         return None
-    alt = f" or {sentinel}" if sentinel else ""
-    if key in _INT_FIELDS:
-        try:
-            return int(raw)
-        except ValueError:
-            errs.append(f"line {line_no}: {key} must be an integer{alt}")
-            return None
-    if _FIELDS[key].type == "str" or isinstance(_FIELDS[key].default, str):
+    kind = _FIELDS[key].type.removesuffix(" | None")
+    if kind == "str":
         return raw
     try:
-        value = float(raw)
+        value = int(raw) if kind == "int" else float(raw)
     except ValueError:
-        errs.append(f"line {line_no}: {key} must be a number{alt}")
+        alt = f" or {sentinel}" if sentinel else ""
+        errs.append(f"line {line_no}: {key} must be {_TYPES[kind][1]}{alt}")
         return None
-    if not math.isfinite(value):      # inf would never end a march
+    if kind == "float" and not math.isfinite(value):  # inf never ends a march
         errs.append(f"line {line_no}: {key} must be a finite number")
         return None
     return value

@@ -102,22 +102,20 @@ class DiagRecord:
 
 
 def record_from_state(grid: Grid1D, state: FieldState, background,
-                      reference: FieldState | None, t: float,
-                      mass_residual: float) -> DiagRecord:
-    """Measure the state against the background profile at time t and
-    its fluid part against the reference state (rel_fluid is 0.0 when it
-    is None); the record carries the march's mass audit as given.
+                      reference, t: float, mass_residual: float) -> DiagRecord:
+    """Measure the state against the background profile at time t and its
+    fluid part against reference[:3], a reference's (rho, u, theta) (rel_fluid
+    is 0.0 for None); the record carries the march's mass audit as given.
 
     background exposes eval(x, t) -> (rho, u, theta) as float arrays on x;
     its field part is identically zero.
     """
-    x = grid.x
-    rho_h, u_h, th_h = background.eval(x, t)
-    pert = state.data.copy()                 # (phi, psi, zeta, E, b)
-    pert[:3] -= (rho_h, u_h, th_h)
+    fluid = state.data[:3]
+    pert = fluid - background.eval(grid.x, t)      # (phi, psi, zeta)
     rel = 0.0 if reference is None else \
-        float(sup_norm(state.data[:3] - reference.data[:3]).max())
-    return DiagRecord(t, *sup_norm(pert).tolist(), mass_residual, rel)
+        float(sup_norm(fluid - reference[:3]).max())
+    return DiagRecord(t, *sup_norm(pert).tolist(),
+                      *sup_norm(state.data[3:]).tolist(), mass_residual, rel)
 
 
 DIAG_COLUMNS = tuple(f.name for f in fields(DiagRecord))

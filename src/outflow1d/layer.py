@@ -194,9 +194,10 @@ def _walk(params, far, y0, span, t_eval, stops=(), backward=False):
     and direction is +1, -1 or 0 (either way).  A stop fires on a step whose
     start and end values of g bracket 0 in its direction, ends included;
     brentq finds the crossing on the step's dense output, the earliest of
-    several ends the walk, and the samples run up to it.  u = 0 is always
-    the last stop.  Every sample and crossing is what solve_ivp's t_eval
-    and terminal events give, bit for bit.
+    several ends the walk, and the samples run up to it.  u = 0 and then
+    theta = 0 are always the last two stops, so every walk ends before it
+    leaves the physical states.  Every sample and crossing is what
+    solve_ivp's t_eval and terminal events give, bit for bit.
 
     Returns (t, y, stop, t_stop, y_stop): the samples (y of shape (2, n)),
     the index of the stop that ended the walk, its crossing and the state
@@ -207,7 +208,7 @@ def _walk(params, far, y0, span, t_eval, stops=(), backward=False):
         du, dth = layer_ode_rhs(params, far, *y.tolist())
         return np.array((-du, -dth) if backward else (du, dth))
 
-    stops = (*stops, (lambda y: y[0], 0))
+    stops = (*stops, (lambda y: y[0], 0), (lambda y: y[1], 0))
     solver = LSODA(rhs, 0.0, y0, float(span), rtol=RTOL, atol=ATOL)
     state = y0.tolist()
     g = [fn(state) for fn, _ in stops]
@@ -241,17 +242,19 @@ def _walk(params, far, y0, span, t_eval, stops=(), backward=False):
     return np.hstack(ts), np.hstack(ys), None, None, None
 
 
-def _forward_layer(params, far, data, tag: str, alg: bool) -> LayerProfile:
-    """Forward orbit from the boundary data; converges for the node and the
-    degenerate-transonic attracting side.  Raises LayerError if it misses
-    the far state."""
+def _forward_layer(params, far, data, tag: str, rate) -> LayerProfile:
+    """Forward orbit from the boundary data; converges for the node (tail
+    rate `rate`) and the degenerate-transonic attracting side (rate None).
+    Raises LayerError if the data's theta is not positive or the orbit
+    misses the far state."""
     rho_f, u_f, th_f = far
+    if not data[1] > 0:
+        raise LayerError(f"the {tag} layer's boundary data has theta_- = "
+                         f"{data[1]:g}, not positive; lower delta")
     delta = _deficit(data, far)
     scale = max(1.0, abs(u_f), th_f)
     runaway = 10.0 * delta + 0.1 * scale
-
-    ev, _ = _eigen(layer_jacobian(params, far))
-    rate_min = min(abs(e) for e in ev if abs(e) > 1e-12)
+    alg = rate is None
 
     if alg:
         x_end = ALG_SPAN / max(delta, 1e-12)
@@ -262,7 +265,7 @@ def _forward_layer(params, far, data, tag: str, alg: bool) -> LayerProfile:
     else:
         # enough room for the slow mode to reach the FP_TOL ball
         x_end = 2.0 * (math.log(max(delta, 1e-12) / (FP_TOL * scale))
-                       / rate_min if delta > FP_TOL * scale else 1.0) + 10.0
+                       / rate if delta > FP_TOL * scale else 1.0) + 10.0
         xs = np.arange(0.0, x_end, SAMPLE_H)
 
     # runaway ends every walk; entering the fixed-point ball ends an
@@ -274,8 +277,8 @@ def _forward_layer(params, far, data, tag: str, alg: bool) -> LayerProfile:
         params, far, np.array(data, dtype=float), x_end, xs, stops)
     converged = not alg and stop == 1
     miss = _deficit((u[-1], th[-1]), far)
-    # runaway, u = 0, an algebraic orbit that fails to contract, or an
-    # exponential one that never enters the fixed-point ball
+    # runaway, u = 0, theta = 0, an algebraic orbit that fails to contract,
+    # or an exponential one that never enters the fixed-point ball
     if ((stop is not None and not converged)
             or (miss > 0.5 * delta if alg
                 else not converged and miss > 10.0 * FP_TOL * scale)):
@@ -290,7 +293,7 @@ def _forward_layer(params, far, data, tag: str, alg: bool) -> LayerProfile:
     return LayerProfile(
         x=x, u=u, theta=th, delta=delta, case_tag=tag,
         rho_far=rho_f, u_far=u_f, theta_far=th_f,
-        decay_rate_oracle=-rate_min if not alg else None)
+        decay_rate_oracle=None if alg else -rate)
 
 
 def _manifold_layer(params, far, delta: float, upper: bool,
@@ -334,7 +337,9 @@ def construct_layer(params: GasParams, far, delta: float,
     u_+.  transonic 'degenerate': the attracting (minus) side of the center
     direction.  Raises ValueError for delta <= 0 (a zero-strength layer is
     the far state itself) or a branch outside LAYER_BRANCHES, and
-    LayerError when the branch does not fit the regime or the orbit fails.
+    LayerError when the branch does not fit the regime, the profile would
+    reach theta <= 0 (a delta too large for the far state), or the orbit
+    fails.
     """
     rho_f, u_f, th_f = far
     if rho_f <= 0 or th_f <= 0:
@@ -350,19 +355,19 @@ def construct_layer(params: GasParams, far, delta: float,
                          "branch")
 
     if regime == "supersonic":
-        _, V = _eigen(layer_jacobian(params, far))
+        ev, V = _eigen(layer_jacobian(params, far))
         v = V[:, 1]                       # slow (least negative) direction
         v = v / np.abs(v).sum()
         sgn = -math.copysign(1.0, v[0])   # push u below u_+ (stronger outflow)
         return _forward_layer(params, far, (u_f + sgn * delta * v[0],
                                             th_f + sgn * delta * v[1]),
-                              "supersonic", alg=False)
+                              "supersonic", -float(ev[1]))
     if branch == "degenerate":
         # l.D2F[v_c,v_c] / (l.v_c) > 0 at transonic points: minus side attracts
         v_c = center_direction(params, far)
         return _forward_layer(params, far, (u_f - delta * v_c[0],
                                             th_f - delta * v_c[1]),
-                              "transonic_degenerate", alg=True)
+                              "transonic_degenerate", None)
     tag = "subsonic" if regime == "subsonic" else "transonic_manifold"
     return _manifold_layer(params, far, delta, branch == "upper", tag)
 

@@ -275,10 +275,10 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
     reference difference, which isolates the fate of the injected bump;
     sup norms against the analytic background are still recorded for the
     diagnostics file.  The reference reuses the prepared background and
-    keeps its state at every record for the perturbed march's records to
-    subtract; at amplitude 0 there is no reference march, as the data are
-    the reference's start bit for bit, and rel_fluid is 0.  The reference
-    keeps E = b = 0 exactly, so the field is judged by its sup_field.
+    keeps its rho, u, theta at every record for the perturbed march's
+    records to subtract; at amplitude 0 there is no reference march, as the
+    data are the reference's start bit for bit, and rel_fluid is 0.  Its
+    field stays E = b = 0 exactly, so the field is judged by sup_field.
     """
     prep = prepare_scenario(cfg)
     reference, diag_records = [], []
@@ -293,7 +293,7 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
         ref0 = _state_from_background(prep.grid, prep.background)
         run(prep.params, prep.end, prep.grid, ref0, cfg.t_final,
             prep.solver_config, record_dt=prep.record_dt,
-            recorder=lambda t, state, _: reference.append(state.copy()))
+            recorder=lambda t, s, _: reference.append(s.data[:3].copy()))
     result = run(prep.params, prep.end, prep.grid, prep.state0, cfg.t_final,
                  prep.solver_config, record_dt=prep.record_dt,
                  recorder=recorder)

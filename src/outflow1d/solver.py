@@ -343,7 +343,7 @@ class RunResult:
 
     state: FieldState
     steps: int
-    mass_residual_max: float = 0.0
+    mass_residual_max: float
 
 
 def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
@@ -367,15 +367,14 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
         raise SolverError("state and grid sizes disagree")
     times = record_times(t_final, record_dt)
 
-    result = RunResult(state=state0.copy(), steps=0)
-    state = result.state
+    state = state0.copy()
     apply_boundary(params, end, state)
     extrema = _check_state(state, 0.0, 0)
 
     mass = _mass(grid, state)
     if recorder is not None:
         recorder(0.0, state, 0.0)
-    t = 0.0
+    t, steps, mass_residual_max = 0.0, 0, 0.0
     for t_event in times[1:]:
         while t < t_event:
             dt_stab = cfl_dt(params, end, grid, state, config, extrema)
@@ -388,19 +387,18 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
             state, info = step(params, end, grid, state, dt, config)
             mass_after = _mass(grid, state)
             t = t_event if landed else t + dt
-            result.steps += 1
-            extrema = _check_state(state, t, result.steps)
+            steps += 1
+            extrema = _check_state(state, t, steps)
 
             resid = abs((mass_after - mass) / dt
                         - (info["flux_left"] - info["flux_right"]))
             mass = mass_after
-            result.mass_residual_max = max(result.mass_residual_max, resid)
+            mass_residual_max = max(mass_residual_max, resid)
 
         if recorder is not None:
-            recorder(t_event, state, result.mass_residual_max)
+            recorder(t_event, state, mass_residual_max)
 
-    result.state = state
-    return result
+    return RunResult(state, steps, mass_residual_max)
 
 
 def _extrema(state: FieldState) -> tuple[list, list]:

@@ -9,6 +9,7 @@ import re
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import outflow1d
@@ -128,6 +129,8 @@ class TestValidation:
         ("layer_branch = sideways", "layer_branch"),
         ("n_cells = 8", "n_cells"),
         ("seed = -1", "seed must be nonnegative"),
+        ("length = 0.0", "length must be positive (or auto)"),
+        ("length = -5.0", "length must be positive (or auto)"),
     ])
     def test_single_violations(self, line, needle):
         with pytest.raises(ConfigError) as exc:
@@ -138,8 +141,9 @@ class TestValidation:
         # a config built in code never meets the parser's finiteness check
         with pytest.raises(ConfigError) as exc:
             ScenarioConfig(scenario="burgers_decay", t_final=math.inf,
-                           length=math.nan, amplitude=-math.inf)
-        for key in ("t_final", "length", "amplitude"):
+                           length=math.nan, amplitude=-math.inf,
+                           alpha=10**400)      # no float holds it
+        for key in ("t_final", "length", "amplitude", "alpha"):
             assert f"{key} must be a finite number" in exc.value.errors
         ScenarioConfig(scenario="burgers_decay", t_final=1.0, length=None,
                        amplitude=0.0)
@@ -158,6 +162,38 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             replace(cfg, n_cells=8)
         assert exc.value.errors == ["n_cells must be at least 16"]
+
+    @pytest.mark.parametrize("over, error", [
+        ({"n_cells": 100.5}, "n_cells must be an integer"),
+        ({"n_cells": True}, "n_cells must be an integer"),
+        ({"seed": 7.5}, "seed must be an integer"),
+        ({"t_final": "40"}, "t_final must be a number"),
+        ({"delta": True}, "delta must be a number"),
+        ({"scenario": 3}, "scenario must be a string"),
+        ({"layer_branch": None}, "layer_branch must be a string"),
+    ], ids=["n_cells_float", "n_cells_bool", "seed_float", "t_final_str",
+            "delta_bool", "scenario_int", "layer_branch_none"])
+    def test_a_mistyped_field_is_listed_in_the_parsers_words(self, over,
+                                                            error):
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(**{"scenario": "superposition_stability", **over})
+        assert exc.value.errors == [error]
+
+    def test_range_checks_wait_for_every_type(self):
+        # as when parsing: every type error and non-finite number, in field
+        # order, and no range check (theta_plus = -1 is one)
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(scenario="superposition_stability",
+                           theta_plus=-1.0, theta_star="0.9", alpha=math.inf,
+                           n_cells=8.0)
+        assert exc.value.errors == ["theta_star must be a number",
+                                    "alpha must be a finite number",
+                                    "n_cells must be an integer"]
+
+    def test_integers_and_numpy_scalars_are_well_typed(self):
+        ScenarioConfig(scenario="superposition_stability", R=1,
+                       t_final=np.float64(2.0), n_cells=np.int64(64),
+                       seed=np.int32(3), length=60)
 
     def test_violations_accumulate(self):
         with pytest.raises(ConfigError) as exc:
@@ -239,6 +275,17 @@ def test_readme_key_knobs_name_every_config_key():
     named = re.findall(r"`([A-Za-z_]\w*)`", paragraph)
     assert sorted(named) == sorted(
         f.name for f in fields(ScenarioConfig) if f.name != "scenario")
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    # README's "Library use" example runs as printed and PASSes: an API
+    # renamed or retired without it fails here
+    text = (ROOT / "README.md").read_text()
+    start = text.index("```python\n", text.index("## Library use"))
+    block = text[start + len("```python\n"):text.index("```", start + 3)]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("PASS ")
 
 
 def test_readme_command_block_names_every_subcommand():

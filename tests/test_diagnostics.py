@@ -144,7 +144,7 @@ class TestRecords:
         n = self.GRID.n_nodes
         uniform = FieldState(np.ones(n), np.full(n, -0.5), np.ones(n),
                              np.zeros(n), np.zeros(n))
-        rec = record_from_state(self.GRID, state, Uniform(), uniform,
+        rec = record_from_state(self.GRID, state, Uniform(), uniform.data,
                                 1.0, 3e-12)
         assert max(rec.sup_phi, rec.sup_psi, rec.sup_zeta) \
             == pytest.approx(0.02, abs=1e-12)

@@ -10,9 +10,10 @@ from scipy.integrate import solve_ivp
 from outflow1d import config as config_mod
 from outflow1d import layer as layer_mod
 from outflow1d.gas import GasParams
-from outflow1d.layer import (LayerError, center_direction, construct_layer,
-                             export_csv, find_M0, layer_jacobian,
-                             layer_ode_rhs, measure_decay, stable_direction)
+from outflow1d.layer import (LayerError, LayerProfile, center_direction,
+                             construct_layer, export_csv, find_M0,
+                             layer_jacobian, layer_ode_rhs, measure_decay,
+                             stable_direction)
 
 PARAMS = GasParams(R=1.0, gamma=5.0 / 3.0, mu=1.0, kappa=1.0)
 
@@ -308,14 +309,15 @@ class TestOneWalkPerLayer:
 
 def solve_ivp_walk(params, far, y0, span, t_eval, stops=(), backward=False):
     """The walk's oracle: solve_ivp's LSODA with the same t_eval, each stop
-    a terminal event and u = 0 the last one; returns what _walk returns."""
+    a terminal event and u = 0 and theta = 0 the last two; returns what
+    _walk returns."""
 
     def rhs(x, y):
         du, dth = layer_ode_rhs(params, far, *y.tolist())
         return np.array((-du, -dth) if backward else (du, dth))
 
     events = []
-    for g, direction in (*stops, (lambda y: y[0], 0)):
+    for g, direction in (*stops, (lambda y: y[0], 0), (lambda y: y[1], 0)):
         def event(x, y, g=g):
             return g(y)
         event.terminal, event.direction = True, direction
@@ -391,6 +393,50 @@ class TestWalkMatchesSolveIvp:
             np.testing.assert_array_equal(bits(got[4]), bits(want[4]))
 
 
+class TestPhysicalLayers:
+    """A layer keeps theta > 0: a strength too large for its far state is
+    refused with LayerError, never built through theta <= 0."""
+
+    @pytest.mark.parametrize("far, delta, branch", [
+        (FAR_SUPER, 5.0, "lower"),          # theta_- = -2/3
+        (FAR_SUPER, 3.0, "lower"),          # theta_- = -2.2e-16
+        (FAR_TRANS, 3.0, "degenerate"),     # theta_- = -0.257
+    ], ids=["supersonic_5", "supersonic_3", "degenerate_3"])
+    def test_forward_data_below_theta_0_is_refused_before_walking(
+            self, monkeypatch, far, delta, branch):
+        walks = counting(monkeypatch, "LSODA")
+        with pytest.raises(LayerError, match="theta_- = .*, not positive"):
+            construct_layer(PARAMS, far, delta, branch)
+        assert walks == []
+
+    @pytest.mark.parametrize("delta", [2.0, 3.0, 6.0])
+    def test_a_manifold_walk_ends_at_theta_0(self, monkeypatch, delta):
+        # the transonic upper branch reaches theta = 0 before strength 2:
+        # the walk stops there, with every sample at theta > 0
+        walks, walk = [], layer_mod._walk
+
+        def recording(*args, **kwargs):
+            walks.append(walk(*args, **kwargs))
+            return walks[-1]
+
+        monkeypatch.setattr(layer_mod, "_walk", recording)
+        with pytest.raises(LayerError, match="never reached strength"):
+            construct_layer(PARAMS, FAR_TRANS, delta, "upper")
+        ((_, (_, th), stop, _, y_stop),) = walks
+        assert stop == 2                    # strength, u = 0, theta = 0
+        assert y_stop[1] == pytest.approx(0.0, abs=1e-12)
+        assert th.min() > 0.0
+
+    @pytest.mark.parametrize("far, branch, theta_min", [
+        (FAR_SUPER, "lower", 1.0 / 3.0),
+        (FAR_TRANS, "degenerate", 0.2 / 7.0),
+    ], ids=["supersonic", "degenerate"])
+    def test_strength_2_is_still_built(self, far, branch, theta_min):
+        prof = construct_layer(PARAMS, far, 2.0, branch)
+        assert prof.theta.min() == pytest.approx(theta_min, abs=1e-12)
+        assert prof.theta.min() == prof.theta[0]
+
+
 class TestEdgesAndSerialization:
     def test_zero_strength_layer_is_refused(self):
         # a layer of strength 0 is the far state itself: the caller builds
@@ -440,6 +486,13 @@ class TestEdgesAndSerialization:
         rows = np.array([line.split(b",") for line in lines[1:-1]], float)
         np.testing.assert_array_equal(
             rows, np.column_stack((prof.x, prof.u, prof.theta, prof.rho)))
+
+    def test_an_unknown_case_tag_is_refused(self):
+        x = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="unknown case tag 'sonic'"):
+            LayerProfile(x=x, u=-2.0 - 0.1 * np.exp(-x), theta=np.ones(3),
+                         delta=0.1, case_tag="sonic", rho_far=1.0,
+                         u_far=-2.0, theta_far=1.0)
 
     def test_far_state_validation(self):
         with pytest.raises(ValueError):

@@ -505,6 +505,14 @@ class TestLayerDecay:
         assert summary["decay_u"]["rate_oracle"] < 0.0
         assert summary["verdict"] == "PASS"
 
+    def test_a_layer_through_theta_0_is_refused(self, tmp_path):
+        # at delta = 5 the supersonic layer would start at theta = -2/3:
+        # there is no layer to measure, so no verdict either
+        cfg = ScenarioConfig(scenario="layer_decay", u_plus=-2.0, delta=5.0)
+        with pytest.raises(LayerError, match="theta_- = -0.666667"):
+            run_scenario(cfg, tmp_path)
+        assert not any(tmp_path.iterdir())
+
 
 class TestBurgersDecay:
     def test_one_fan_evaluation_per_sample_time(self, monkeypatch, tmp_path):
@@ -801,6 +809,22 @@ class TestReferencePairing:
         # the reference's field is 0, so its distance is the record's own
         assert np.maximum(table["sup_E"], table["sup_b"]).tolist() \
             == [g for _, g in expected]
+
+    def test_the_reference_keeps_only_its_fluid_rows(self, tmp_path,
+                                                     monkeypatch):
+        # the verdict reads the reference's rho, u and theta; its field
+        # stays 0 (below), so no record keeps it
+        cfg = layer_cfg(n_cells=64, t_final=5.0)
+        kept, record = [], scenarios.record_from_state
+
+        def recording(grid, state, background, reference, *args):
+            kept.append(reference)
+            return record(grid, state, background, reference, *args)
+
+        monkeypatch.setattr(scenarios, "record_from_state", recording)
+        run_scenario(cfg, tmp_path)
+        assert len(kept) == 51
+        assert all(r.shape == (3, 65) and r.base is None for r in kept)
 
     @pytest.mark.parametrize("name", ["layer_stability",
                                       "rarefaction_stability",

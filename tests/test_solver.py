@@ -286,6 +286,17 @@ class TestFailureModes:
         with pytest.raises(PositivityError, match=r"^theta lost positivity"):
             run(params, end, grid, state0, 1.0)
 
+    def test_a_collapsing_step_size_raises(self):
+        # a near-vacuum node drives the stable step below DT_FLOOR
+        params = GasParams(eps=0.01)
+        end = uniform_end()
+        grid = Grid1D(40.0, 64)
+        state0 = constant_state(grid, end)
+        state0.rho[30] = 1e-30
+        with pytest.raises(SolverError, match=r"^step size collapsed to "
+                                              r"1\.75781e-31 at t = 0$"):
+            run(params, end, grid, state0, 1.0)
+
     def test_mass_is_the_trapezoid_rule(self, composite, layer_setup):
         _, _, layer_grid, _, layer_state = layer_setup
         cases = [(layer_grid, layer_state)] + [
@@ -1020,6 +1031,16 @@ class TestStencilBuild:
             compiled._build(compiled._STENCIL_C, tmp_path,
                             [str(tmp_path / "no-such-cc")])
         assert not any(tmp_path.iterdir())     # no partial file is left
+
+    def test_no_configured_compiler_raises_import_error(self, tmp_path,
+                                                        monkeypatch):
+        get = compiled.sysconfig.get_config_var
+        monkeypatch.setattr(compiled.sysconfig, "get_config_var",
+                            lambda name: None if name == "CC" else get(name))
+        with pytest.raises(ImportError,
+                           match="^no C compiler: sysconfig has no CC$"):
+            compiled._build(compiled._STENCIL_C, tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_an_unwritable_cache_raises_import_error(self, tmp_path):
         # a cache path under a regular file cannot be made
