@@ -119,11 +119,6 @@ class LayerProfile:
         rho = self.mass_flux / u
         return rho, u, th
 
-    def slopes(self, params: GasParams):
-        """ODE slopes (u', theta') at the sample points."""
-        return layer_ode_rhs(params, (self.rho_far, self.u_far, self.theta_far),
-                             self.u, self.theta)
-
 
 def layer_ode_rhs(params: GasParams, far, u, theta):
     """Right side of the stationary profile ODE; far = (rho, u, theta)_+.
@@ -312,8 +307,11 @@ def _manifold_layer(params, far, delta: float, upper: bool,
         params, far, y0, span, np.arange(0.0, span, SAMPLE_H),
         [(lambda y: _deficit(y, far) - delta, 0)], backward=True)
     if stop != 0:
-        raise LayerError(f"the {tag} manifold walk never reached strength "
-                         f"{delta:g}")
+        end = (f"reached {('u', 'theta')[stop - 1]} = 0" if stop
+               else "ran out of span")
+        reached = _deficit(y_ev if stop else (u_s[-1], th_s[-1]), far)
+        raise LayerError(f"the {tag} manifold walk {end} at strength "
+                         f"{reached:.3g}, short of delta = {delta:g}")
     # samples at or past the stop are dropped: x must strictly increase
     keep = s < s_ev
     x = s_ev - np.append(s[keep], s_ev)[::-1]   # the stop lands at x = 0
@@ -414,7 +412,9 @@ def find_M0(profile: LayerProfile, params: GasParams) -> float:
 
     Clamped below at 1; raises if the tail never turns monotone.
     """
-    du, dth = profile.slopes(params)
+    du, dth = layer_ode_rhs(
+        params, (profile.rho_far, profile.u_far, profile.theta_far),
+        profile.u, profile.theta)
     ok = ((du * np.sign(profile.u_far - profile.u) >= -1e-12)
           & (dth * np.sign(profile.theta_far - profile.theta) >= -1e-12))
     # suffix scan: all samples beyond the candidate must be monotone

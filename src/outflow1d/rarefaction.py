@@ -31,8 +31,7 @@ from .gas import GasParams, sound_speed
 from .layer import LayerProfile
 
 __all__ = [
-    "R3Curve", "BurgersWave", "CompositeProfile",
-    "rarefaction_profile", "rarefaction_decay_check",
+    "R3Curve", "BurgersWave", "CompositeProfile", "rarefaction_decay_check",
 ]
 
 # module-level tolerance on fitted decay exponents (fraction of expected)
@@ -119,13 +118,12 @@ class BurgersWave:
         return np.where(x0 > 0.0, out, 0.0)
 
     def eval(self, x, tau):
-        """w and w_x at Burgers time tau (no shock: w0 is nondecreasing).
+        """Arrays w and w_x on the points x at Burgers time tau (no shock:
+        w0 is nondecreasing).
 
         Points left of the fan edge x <= w_-*tau short-circuit to w_- exactly.
         """
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         w = np.full(x.shape, self.w_minus, dtype=float)
         wx = np.zeros(x.shape, dtype=float)
         act = x > self.w_minus * tau
@@ -134,20 +132,7 @@ class BurgersWave:
             wp = self.w0_prime(x0)
             w[act] = self.w0(x0)
             wx[act] = wp / (1.0 + wp * tau)
-        if scalar:
-            return float(w[0]), float(wx[0])
         return w, wx
-
-    def residual(self, x, tau):
-        """|x0 + w0(x0)tau - x| of the recovered characteristic feet."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        res = np.zeros(x.shape)
-        act = x > self.w_minus * tau
-        if np.any(act):
-            xa = x[act]
-            x0 = self._feet(xa, tau)
-            res[act] = np.abs(x0 + self.w0(x0) * tau - xa)
-        return res
 
     def _feet(self, xa, tau):
         """Feet of the characteristics through xa > w_minus * tau.
@@ -186,17 +171,6 @@ class BurgersWave:
             g = x0 + self.w0(x0) * tau - xa
             x0 = x0 - g / (1.0 + self.w0_prime(x0) * tau)
         return x0
-
-
-def rarefaction_profile(curve: R3Curve, wave: BurgersWave, x, t: float):
-    """(rho_bar, u_bar, theta_bar) of the smoothed fan at time t.
-
-    Requires w_- >= 0 so the fan moves away from the boundary.
-    """
-    if wave.w_minus < 0:
-        raise ValueError("fan edge speed w_minus must be nonnegative")
-    w, _ = wave.eval(x, 1.0 + t)            # Burgers time tau = 1 + t
-    return curve.state_from_w(w)
 
 
 def rarefaction_decay_check(params: GasParams, wave: BurgersWave) -> dict:
@@ -253,6 +227,7 @@ class CompositeProfile:
         x = np.asarray(x, dtype=float)
         star = [np.full(x.shape, s) for s in self.star]
         tilde = star if self.layer is None else self.layer.eval(x)
+        # the fan at time t is the Burgers field at tau = 1 + t
         bar = (star if self.wave is None
-               else rarefaction_profile(self.curve, self.wave, x, t))
+               else self.curve.state_from_w(self.wave.eval(x, 1.0 + t)[0]))
         return tuple(a + b - s for a, b, s in zip(tilde, bar, self.star))

@@ -4,8 +4,11 @@ public names."""
 import argparse
 import importlib
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -383,6 +386,18 @@ class TestCli:
         assert re.search(r"^warnings = eps = \S+ is not below the "
                          r"dielectric bound ", verdict, re.MULTILINE)
 
+    def test_run_unsampled_bump_returns_one(self, write_cfg, tmp_path,
+                                            capsys):
+        # at 16 cells (dx = 3.75) no node lies on the bump [4, 6]
+        text = (ROOT / "configs" / "layer_stability.cfg").read_text()
+        path = write_cfg(text.replace("n_cells = 400", "n_cells = 16"))
+        out = tmp_path / "coarse"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "run failed: the perturbation is zero at every interior node "
+            "(dx = 3.75, bump width 2); refine the grid\n")
+        assert not any(out.iterdir())
+
     def test_run_invalid_config_returns_two(self, write_cfg, capsys):
         path = write_cfg(MINIMAL + "gamma = 0.5\n")
         assert main(["run", "--config", path]) == 2
@@ -533,3 +548,27 @@ class TestCli:
         assert len(lines) == 3
         assert any("PASS" in line for line in lines[1:])
         assert any("FAIL" in line for line in lines[1:])
+
+
+class TestModuleEntryPoint:
+    """python3 -m outflow1d.cli is the outflow1d command."""
+
+    @staticmethod
+    def module(cwd, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "outflow1d.cli", *args], cwd=cwd,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True)
+
+    def test_check_echoes_the_config(self, tmp_path):
+        path = ROOT / "configs" / "layer_decay.cfg"
+        done = self.module(tmp_path, "check", "--config", str(path))
+        assert done.returncode == 0
+        assert done.stdout == echo_config(load_config(path))
+
+    def test_run_of_a_missing_config_exits_two(self, tmp_path):
+        done = self.module(tmp_path, "run", "--config",
+                           str(tmp_path / "missing.cfg"))
+        assert done.returncode == 2
+        assert done.stderr.startswith("cannot read config: ")
+        assert not any(tmp_path.iterdir())

@@ -247,7 +247,7 @@ class TestTransonicLayers:
         prof = degenerate_profile
         x0 = find_M0(prof, PARAMS)
         assert x0 >= 1.0
-        du, dth = prof.slopes(PARAMS)
+        du, dth = layer_ode_rhs(PARAMS, FAR_TRANS, prof.u, prof.theta)
         tail = prof.x >= x0
         assert np.all(du[tail] >= -1e-12) and np.all(dth[tail] >= -1e-12)
 
@@ -276,7 +276,7 @@ class TestTransonicLayers:
         # a manifold layer approaches the far state with u rising and theta
         # falling; both deficits still shrink monotonically
         prof = construct_layer(PARAMS, FAR_TRANS, 0.05)
-        du, dth = prof.slopes(PARAMS)
+        du, dth = layer_ode_rhs(PARAMS, FAR_TRANS, prof.u, prof.theta)
         assert (dth < -1e-12).any()
         x0 = find_M0(prof, PARAMS)
         tail = prof.x >= x0
@@ -420,12 +420,30 @@ class TestPhysicalLayers:
             return walks[-1]
 
         monkeypatch.setattr(layer_mod, "_walk", recording)
-        with pytest.raises(LayerError, match="never reached strength"):
+        with pytest.raises(LayerError, match="walk reached theta = 0 at "
+                           "strength 1.04, short of delta"):
             construct_layer(PARAMS, FAR_TRANS, delta, "upper")
         ((_, (_, th), stop, _, y_stop),) = walks
         assert stop == 2                    # strength, u = 0, theta = 0
         assert y_stop[1] == pytest.approx(0.0, abs=1e-12)
         assert th.min() > 0.0
+
+    @pytest.mark.parametrize("far, delta, branch, message", [
+        (FAR_TRANS, 2.0, "upper", "transonic_manifold manifold walk reached "
+         "theta = 0 at strength 1.04, short of delta = 2"),
+        (FAR_SUB, 50.0, "upper", "subsonic manifold walk reached theta = 0 "
+         "at strength 1.15, short of delta = 50"),
+        (FAR_SUB, 1000.0, "lower", "subsonic manifold walk reached theta = 0 "
+         "at strength 69, short of delta = 1000"),
+        (FAR_TRANS, 40.0, "lower", "transonic_manifold manifold walk reached "
+         "theta = 0 at strength 8.9, short of delta = 40"),
+    ], ids=["transonic_upper", "subsonic_upper", "subsonic_lower",
+            "transonic_lower"])
+    def test_a_failed_manifold_walk_names_its_stop(self, far, delta, branch,
+                                                   message):
+        with pytest.raises(LayerError) as err:
+            construct_layer(PARAMS, far, delta, branch)
+        assert str(err.value) == "the " + message
 
     @pytest.mark.parametrize("far, branch, theta_min", [
         (FAR_SUPER, "lower", 1.0 / 3.0),

@@ -492,6 +492,23 @@ class TestBumpReach:
         assert prep.perturbation["center"] == center
 
 
+class TestUnsampledBump:
+    """A bump that falls between the grid nodes leaves the perturbed march
+    equal to its reference: the run is refused, not judged FAIL."""
+
+    @pytest.mark.parametrize("name, n_cells, dx", [
+        ("superposition_stability", 50, "9.17"),
+        ("layer_stability", 16, "3.75"),
+    ])
+    def test_the_run_is_refused(self, name, n_cells, dx, tmp_path):
+        cfg = replace(load_config(CONFIGS / f"{name}.cfg"), n_cells=n_cells)
+        with pytest.raises(ScenarioError, match=(
+                rf"zero at every interior node \(dx = {dx}, bump width 2\); "
+                "refine the grid")):
+            run_scenario(cfg, tmp_path)
+        assert not any(tmp_path.iterdir())
+
+
 class TestLayerDecay:
     @pytest.mark.parametrize("far, tag", [
         ({"u_plus": -0.15}, "subsonic"),
