@@ -37,9 +37,8 @@ as its oracle, so its tendencies are that stencil's bit for bit (where
 two NaNs meet in one sum or product, but for the sign of the NaN).  No
 value is carried from one node to the next, so gcc vectorizes the loop;
 the function has an AVX2 and a baseline (SSE2) clone, and the loader
-picks one by the CPU.  One fast path is left, and it changes no bit:
-when the state check's extrema bound max(|u| + c) within the field speed
-1/sqrt(eps), cfl_dt takes the field speed without a per-node pass.
+picks one by the CPU.  The step size is one formula of the per-row
+extrema that the state check already takes, with no per-node pass.
 """
 
 from __future__ import annotations
@@ -246,29 +245,23 @@ def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
            extrema: tuple | None = None) -> float:
     """Stable step: CFL * min(advective, diffusive), capped at dt_max.
 
-    extrema, if given, is _check_state's (minima, maxima) of this state's
-    rows; without it they are taken here.  The diffusivities mu/rho and
-    kappa (gamma-1)/(R rho) peak where rho is least; rounded division is
-    monotone, so taking them at min(rho) gives the same maxima bit for bit.
+    A closed formula of the rows' extrema: extrema, if given, is
+    _check_state's (minima, maxima) of this state's rows, and state is read
+    (through _extrema) only when they are not given; end is never read.
 
-    The signal speed is the larger of the field speed 1/sqrt(eps) and the
-    largest |u| + c.  Rounded multiply, sqrt and add are monotone, so
-    sqrt(R gamma theta_max) + max|u| bounds every node's |u| + c as the
-    exact pass rounds it; when that bound is within the field speed, the
-    field speed is the answer bit for bit and no per-node pass runs.  Only
-    a state whose sound or flow speed nears the field speed (or a NaN
-    bound) takes the exact pass."""
+    The signal speed is max(sqrt(R gamma theta_max) + max|u|, 1/sqrt(eps)),
+    with max|u| = max(-u_min, u_max).  Rounded multiply, sqrt and add are
+    monotone, so the first term is at least every node's |u| + c as a
+    per-node pass would round it; the bound is written first so that a NaN
+    in it gives a NaN step.  The diffusivities mu/rho and
+    kappa (gamma-1)/(R rho) peak where rho is least, and rounded division
+    is monotone, so they are taken at min(rho)."""
     p = params
     if extrema is None:
         extrema = _extrema(state)
     (rho_min, u_min, *_), (_, u_max, th_max, *_) = extrema
-    r_gamma = p.R * p.gamma
-    s_max = 1.0 / p.sqrt_eps
-    if not math.sqrt(th_max * r_gamma) + max(-u_min, u_max) <= s_max:
-        c = state.theta * r_gamma
-        np.sqrt(c, out=c)
-        c += np.abs(state.u)
-        s_max = max(float(c.max()), s_max)
+    s_max = max(math.sqrt(th_max * (p.R * p.gamma)) + max(-u_min, u_max),
+                1.0 / p.sqrt_eps)
     diffusivity = max(p.mu / rho_min,
                       p.kappa * (p.gamma - 1.0) / (p.R * rho_min))
     dt = CFL * min(grid.dx / s_max, grid.dx * grid.dx / (2.0 * diffusivity))

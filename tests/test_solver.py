@@ -4,11 +4,14 @@ import math
 import re
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import outflow1d._compiled as compiled
 import outflow1d.scenarios as scenarios
@@ -368,6 +371,40 @@ class TestStepControls:
         assert dt == pytest.approx(0.9 * grid.dx * params.sqrt_eps,
                                    rel=1e-15)
 
+    @given(eps=st.floats(1e-4, 1e2), n_cells=st.integers(16, 80),
+           speed=st.floats(0.0, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_the_step_bounds_every_nodes_courant_number(self, eps, n_cells,
+                                                        speed, seed):
+        # the guarantees of an exact per-node pass: dt (|u| + c) / dx and
+        # dt / (dx sqrt(eps)) stay within CFL at every node, up to one
+        # rounding (the two roundings of CFL * (dx / s) stay below 2^-52
+        # relative), with each speed rounded as a per-node pass rounds it
+        params = GasParams(eps=eps)
+        grid = Grid1D(40.0, n_cells)
+        rng = np.random.default_rng(seed)
+        n = grid.n_nodes
+        state = FieldState(rng.uniform(0.05, 5.0, n),
+                           speed * rng.uniform(-1.0, 1.0, n),
+                           rng.uniform(0.01, 10.0, n),
+                           rng.standard_normal(n), rng.standard_normal(n))
+        dt = cfl_dt(params, uniform_end(), grid, state, SolverConfig())
+        sound = np.abs(state.u) + np.sqrt(params.R * params.gamma
+                                          * state.theta)
+        limit = Fraction(solver.CFL) * (1 + Fraction(1, 2 ** 52))
+        for s in (float(sound.max()), 1.0 / params.sqrt_eps):
+            assert Fraction(dt) * Fraction(s) / Fraction(grid.dx) <= limit
+
+    @pytest.mark.parametrize("eps", [1e-4, 4.0])     # field, sound binds
+    def test_a_nan_temperature_gives_a_nan_step(self, eps):
+        grid = Grid1D(40.0, 16)
+        end = uniform_end()
+        state = constant_state(grid, end)
+        state.theta[5] = math.nan
+        for config in (SolverConfig(), SolverConfig(dt_max=1e-3)):
+            assert math.isnan(cfl_dt(GasParams(eps=eps), end, grid, state,
+                                     config))
+
 
 def interior_fluid_sups(cfg, sizes):
     """Sup over the interior nodes of the rho/u/theta tendencies of
@@ -582,7 +619,10 @@ class TestReferenceStencil:
 
     def test_cfl_dt_is_bitwise_where_sound_beats_field(self):
         # at eps = 4 the field speed 1/sqrt(eps) = 0.5 is below |u| + c
-        # (about 1.8), so the extrema bound fails and the per-node pass runs
+        # (about 1.8), so the extrema bound sqrt(R gamma theta_max) + max|u|
+        # sets the step: the formula bit for bit, and no longer than the
+        # step of the exact per-node speed (the theta and u bumps peak at
+        # different nodes, so the bound exceeds that speed)
         params = GasParams(eps=4.0)
         end = uniform_end()
         grid = Grid1D(40.0, 16)
@@ -592,11 +632,14 @@ class TestReferenceStencil:
         sound = np.abs(state.u) + np.sqrt(params.R * params.gamma
                                           * state.theta)
         assert sound.max() > 1.0 / params.sqrt_eps
+        bound = (math.sqrt(state.theta.max() * (params.R * params.gamma))
+                 + np.abs(state.u).max())
         config = SolverConfig()
-        want = reference_cfl_dt(params, grid, state, config)
+        want = 0.9 * (grid.dx / bound)
         assert cfl_dt(params, end, grid, state, config) == want
         assert cfl_dt(params, end, grid, state, config,
                       _check_state(state, 0.0, 0)) == want
+        assert want < reference_cfl_dt(params, grid, state, config)
 
     def test_perturbed_state_takes_the_general_branches(self, composite):
         states = march_states(composite)
@@ -664,8 +707,8 @@ class TestReferenceStencil:
 # the numpy stencil with a per-entry upwind select at every face and
 # interior node, as spatial_rhs computed it before the compiled stencil.
 # The compiled stencil must reproduce it bit for bit on any state, and
-# cfl_dt must reproduce the full per-node pass of reference_cfl_dt with or
-# without the state check's extrema.
+# cfl_dt must give reference_cfl_dt's step (the field speed binds on these
+# states) with or without the state check's extrema.
 # --------------------------------------------------------------------------
 
 def select_rhs(params, end, grid, state, config):
