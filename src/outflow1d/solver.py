@@ -243,28 +243,30 @@ def apply_boundary(params: GasParams, end: EndStates,
 def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
            state: FieldState, config: SolverConfig,
            extrema: tuple | None = None) -> float:
-    """Stable step: CFL * min(advective, diffusive), capped at dt_max.
+    """Stable step CFL * min(dx / s_max, 1 / (2D/dx^2 + max|u|/dx)),
+    capped at dt_max: a closed formula of the rows' extrema.  extrema, if
+    given, is _check_state's (minima, maxima) of this state's rows; state
+    is read (through _extrema) only without them, and end is never read.
 
-    A closed formula of the rows' extrema: extrema, if given, is
-    _check_state's (minima, maxima) of this state's rows, and state is read
-    (through _extrema) only when they are not given; end is never read.
-
-    The signal speed is max(sqrt(R gamma theta_max) + max|u|, 1/sqrt(eps)),
-    with max|u| = max(-u_min, u_max).  Rounded multiply, sqrt and add are
-    monotone, so the first term is at least every node's |u| + c as a
-    per-node pass would round it; the bound is written first so that a NaN
-    in it gives a NaN step.  The diffusivities mu/rho and
-    kappa (gamma-1)/(R rho) peak where rho is least, and rounded division
-    is monotone, so they are taken at min(rho)."""
+    s_max = max(sqrt(R gamma theta_max) + max|u|, 1/sqrt(eps)) with
+    max|u| = max(-u_min, u_max).  Rounded multiply, sqrt and add are
+    monotone, so its first term is at least every node's |u| + c as a
+    per-node pass would round it; written first, a NaN in it gives a NaN
+    step.  D, the larger of mu/rho and kappa (gamma-1)/(R rho), peaks at
+    min(rho) (rounded division is monotone).  The second term is Heun's
+    bound: at the highest wavenumber diffusion and upwind convection give
+    z = -(4D/dx^2 + 2|u|/dx) dt, and |1 + z + z^2/2| > 1 for z < -2."""
     p = params
     if extrema is None:
         extrema = _extrema(state)
     (rho_min, u_min, *_), (_, u_max, th_max, *_) = extrema
-    s_max = max(math.sqrt(th_max * (p.R * p.gamma)) + max(-u_min, u_max),
-                1.0 / p.sqrt_eps)
+    u_abs = max(-u_min, u_max)
+    s_max = max(math.sqrt(th_max * (p.R * p.gamma)) + u_abs, 1.0 / p.sqrt_eps)
     diffusivity = max(p.mu / rho_min,
                       p.kappa * (p.gamma - 1.0) / (p.R * rho_min))
-    dt = CFL * min(grid.dx / s_max, grid.dx * grid.dx / (2.0 * diffusivity))
+    dx = grid.dx
+    dt = CFL * min(dx / s_max,
+                   1.0 / (2.0 * diffusivity / (dx * dx) + u_abs / dx))
     if config.dt_max is not None:
         dt = min(dt, config.dt_max)
     return dt

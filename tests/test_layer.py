@@ -512,6 +512,40 @@ class TestEdgesAndSerialization:
                          delta=0.1, case_tag="sonic", rho_far=1.0,
                          u_far=-2.0, theta_far=1.0)
 
+    def test_find_m0_refuses_a_tail_that_never_turns_monotone(self):
+        # with u and theta off the subsonic far state this way, the layer
+        # ODE's slope grows the u deficit at the last sample: no suffix of
+        # the samples is monotone
+        x = np.linspace(0.0, 10.0, 50)
+        bump = 0.01 * np.exp(-x / 3.0)
+        prof = LayerProfile(x=x, u=-0.15 - bump, theta=1.0 + bump,
+                            delta=0.01, case_tag="subsonic", rho_far=1.0,
+                            u_far=-0.15, theta_far=1.0)
+        with pytest.raises(LayerError, match="profile deficits never "
+                           "become non-increasing"):
+            find_M0(prof, PARAMS)
+
+    def test_measure_decay_widens_a_narrow_window(self):
+        # a u deficit from 0.1 to 1e-3 over 20 samples leaves 15 of them
+        # at most dmax/3, short of the 16 a fit needs, so the window widens
+        # to 0.9 dmax; the samples crowd 4x past x = 5, so that window's
+        # slope is not the narrow one's
+        k = np.arange(20)
+        x = np.where(k <= 5, k, 5.0 + 0.25 * (k - 5))
+        prof = LayerProfile(x=x, u=-2.0 - 0.1 * 100.0 ** (-k / 19.0),
+                            theta=np.ones(20), delta=0.1,
+                            case_tag="supersonic", rho_far=1.0, u_far=-2.0,
+                            theta_far=1.0)
+        dev = np.abs(prof.u - prof.u_far)
+        lo, dmax = dev.min(), dev.max()
+        narrow = (dev >= lo) & (dev <= dmax / 3.0)
+        wide = (dev >= lo) & (dev <= 0.9 * dmax)
+        assert narrow.sum() == 15
+        rate = measure_decay(prof, "u")["rate"]
+        assert rate == np.polyfit(x[wide], np.log(dev[wide]), 1)[0]
+        assert rate != pytest.approx(
+            np.polyfit(x[narrow], np.log(dev[narrow]), 1)[0], rel=0.1)
+
     def test_far_state_validation(self):
         with pytest.raises(ValueError):
             construct_layer(PARAMS, (0.0, -2.0, 1.0), 0.1)

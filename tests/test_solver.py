@@ -21,11 +21,14 @@ from oracles import field_step_norms, read_snapshot_csv, \
 from outflow1d.config import ScenarioConfig, load_config
 from outflow1d.gas import EndStates, GasParams
 from outflow1d.layer import construct_layer
-from outflow1d.scenarios import prepare_scenario
+from outflow1d.scenarios import prepare_scenario, run_scenario
 from outflow1d.solver import (FieldState, Grid1D, PositivityError,
                               SolverConfig, SolverError, _check_state,
                               apply_boundary, cfl_dt, run, spatial_rhs, step,
                               write_snapshot_csv)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def uniform_end(u=-0.5, theta=1.0, rho=1.0):
@@ -371,6 +374,21 @@ class TestStepControls:
         assert dt == pytest.approx(0.9 * grid.dx * params.sqrt_eps,
                                    rel=1e-15)
 
+    def test_a_layer_verdict_does_not_turn_on_the_step(self, tmp_path,
+                                                        monkeypatch):
+        # at 300 cells and eps = 8 c_bar (E = b = 0 in the reference, so
+        # eps reaches it only through dt) the layer FAILed at fluid ratio
+        # 6.41 with dx^2 / (2D) as the diffusive step, and PASSed at
+        # 0.0013448 at half of it
+        cfg = replace(load_config(CONFIGS / "layer_stability.cfg"),
+                      n_cells=300, eps_fraction=8.0)
+        full = run_scenario(cfg, tmp_path / "full")
+        monkeypatch.setattr(solver, "CFL", 0.45)
+        half = run_scenario(cfg, tmp_path / "half")
+        assert full["verdict"] == half["verdict"] == "PASS"
+        assert full["fit_rel_fluid"]["ratio"] == pytest.approx(
+            half["fit_rel_fluid"]["ratio"], rel=1e-3)
+
     @given(eps=st.floats(1e-4, 1e2), n_cells=st.integers(16, 80),
            speed=st.floats(0.0, 20.0), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -546,7 +564,11 @@ def reference_cfl_dt(params, grid, state, config):
     diffusivity = max(float(np.max(p.mu / state.rho)),
                       float(np.max(p.kappa * (p.gamma - 1.0)
                                    / (p.R * state.rho))))
-    dt = 0.9 * min(grid.dx / s_max, grid.dx * grid.dx / (2.0 * diffusivity))
+    # Heun's real-axis bound with diffusion and upwind convection together
+    u_abs = float(np.max(np.abs(state.u)))
+    dx = grid.dx
+    dt = 0.9 * min(dx / s_max,
+                   1.0 / (2.0 * diffusivity / (dx * dx) + u_abs / dx))
     if config.dt_max is not None:
         dt = min(dt, config.dt_max)
     return dt
@@ -782,9 +804,7 @@ def select_rhs(params, end, grid, state, config):
 @pytest.fixture(scope="module")
 def layer_stability():
     """configs/layer_stability.cfg, prepared as the scenario runs it."""
-    root = Path(__file__).resolve().parent.parent
-    return prepare_scenario(load_config(root / "configs"
-                                        / "layer_stability.cfg"))
+    return prepare_scenario(load_config(CONFIGS / "layer_stability.cfg"))
 
 
 class TestOutflowBranches:
@@ -881,8 +901,7 @@ class TestBoundaryField:
     def test_the_boundary_nodes_add_no_one_step_growth(self, name, n_cells):
         # the extrapolation raised the layer's norm from 1.0006 over the
         # interior to 1.0756 over every node; the copy adds below 1e-5
-        root = Path(__file__).resolve().parent.parent
-        cfg = replace(load_config(root / "configs" / f"{name}.cfg"),
+        cfg = replace(load_config(CONFIGS / f"{name}.cfg"),
                       n_cells=n_cells)
         prep = prepare_scenario(cfg)
         state = scenarios._state_from_background(prep.grid, prep.background)
@@ -915,6 +934,19 @@ class TestSpectralRadius:
                                                monkeypatch):
         monkeypatch.setattr(solver, "CFL", 1.5)
         assert self.radius(layer_stability) == pytest.approx(2.489, abs=1e-3)
+
+    @pytest.mark.parametrize("n_cells, eps_fraction, want", [
+        (300, 8.0, 0.997861), (200, 8.0, 0.995986), (400, 4.0, 0.998673)])
+    def test_cfl_dt_is_stable_where_diffusion_binds(self, n_cells,
+                                                     eps_fraction, want):
+        # the diffusive bound binds on these layers; with dx^2 / (2D) as
+        # that bound the radii read 1.082779, 1.069209 and 1.003261
+        prep = prepare_scenario(replace(
+            load_config(CONFIGS / "layer_stability.cfg"), n_cells=n_cells,
+            eps_fraction=eps_fraction))
+        radius = self.radius(prep)
+        assert radius == pytest.approx(want, abs=1e-6)
+        assert radius < 1.0
 
 
 def bits(a):
