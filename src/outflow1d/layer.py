@@ -32,7 +32,8 @@ always real: no spiraling orbits in any regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import LSODA
@@ -73,7 +74,8 @@ ALG_N_GEOM = 4000
 @dataclass
 class LayerProfile:
     """Sampled stationary profile of strength delta > 0 plus a
-    monotone-cubic evaluator.
+    monotone-cubic evaluator, built on the first eval (a caller that reads
+    only the samples never builds it).
 
     Beyond x_max, the last sample, the evaluator returns the far-field
     constants.  A zero-strength layer is the constant far state: no
@@ -89,14 +91,18 @@ class LayerProfile:
     u_far: float
     theta_far: float
     decay_rate_oracle: float | None = None   # nonzero eigenvalue(s) at the far point
-    _u_i: PchipInterpolator = field(init=False, repr=False)
-    _th_i: PchipInterpolator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.case_tag not in CASE_TAGS:
             raise ValueError(f"unknown case tag {self.case_tag!r}")
-        self._u_i = PchipInterpolator(self.x, self.u, extrapolate=False)
-        self._th_i = PchipInterpolator(self.x, self.theta, extrapolate=False)
+
+    @cached_property
+    def _u_i(self) -> PchipInterpolator:
+        return PchipInterpolator(self.x, self.u, extrapolate=False)
+
+    @cached_property
+    def _th_i(self) -> PchipInterpolator:
+        return PchipInterpolator(self.x, self.theta, extrapolate=False)
 
     @property
     def x_max(self) -> float:
@@ -181,9 +187,9 @@ def _deficit(y, far):
 
 def _walk(params, far, y0, span, t_eval, stops=(), backward=False):
     """LSODA orbit of the profile ODE from y0 over [0, span] (in s = -x when
-    backward), sampled at the increasing points t_eval.  LSODA switches to
-    BDF where the orbit turns stiff, as the transonic tail does (eigenvalues
-    0 and -1.9).
+    backward), sampled at the increasing points of the array t_eval.  LSODA
+    switches to BDF where the orbit turns stiff, as the transonic tail does
+    (eigenvalues 0 and -1.9).
 
     `stops` are (g, direction) pairs: g maps a state (u, theta) to a float
     and direction is +1, -1 or 0 (either way).  A stop fires on a step whose
@@ -199,9 +205,9 @@ def _walk(params, far, y0, span, t_eval, stops=(), backward=False):
     there, or None for all three when the walk reached span.  Raises
     LayerError when a step fails."""
 
-    def rhs(x, y):
+    def rhs(x, y):      # a plain pair: scipy's wrapper makes the array
         du, dth = layer_ode_rhs(params, far, *y.tolist())
-        return np.array((-du, -dth) if backward else (du, dth))
+        return (-du, -dth) if backward else (du, dth)
 
     stops = (*stops, (lambda y: y[0], 0), (lambda y: y[1], 0))
     solver = LSODA(rhs, 0.0, y0, float(span), rtol=RTOL, atol=ATOL)
@@ -224,7 +230,7 @@ def _walk(params, far, y0, span, t_eval, stops=(), backward=False):
                             solver.t_old, t, xtol=STOP_XTOL, rtol=STOP_XTOL)
                      for k in fired]
             t = min(roots)
-        end = np.searchsorted(t_eval, t, side="right")
+        end = t_eval.searchsorted(t, "right")
         if end > done:
             if sol is None:
                 sol = solver.dense_output()

@@ -255,11 +255,15 @@ def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
     step.  D, the larger of mu/rho and kappa (gamma-1)/(R rho), peaks at
     min(rho) (rounded division is monotone).  The second term is Heun's
     bound: at the highest wavenumber diffusion and upwind convection give
-    z = -(4D/dx^2 + 2|u|/dx) dt, and |1 + z + z^2/2| > 1 for z < -2."""
+    z = -(4D/dx^2 + 2|u|/dx) dt, and |1 + z + z^2/2| > 1 for z < -2.
+    A state that run would refuse for its rho or theta (one not positive,
+    or NaN) has no step: the result is NaN."""
     p = params
     if extrema is None:
         extrema = _extrema(state)
-    (rho_min, u_min, *_), (_, u_max, th_max, *_) = extrema
+    (rho_min, u_min, th_min, *_), (_, u_max, th_max, *_) = extrema
+    if not (rho_min > 0.0 and th_min > 0.0):
+        return math.nan
     u_abs = max(-u_min, u_max)
     s_max = max(math.sqrt(th_max * (p.R * p.gamma)) + u_abs, 1.0 / p.sqrt_eps)
     diffusivity = max(p.mu / rho_min,

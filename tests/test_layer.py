@@ -2,10 +2,13 @@
 
 import itertools
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import PchipInterpolator
 
 from outflow1d import config as config_mod
 from outflow1d import layer as layer_mod
@@ -14,6 +17,7 @@ from outflow1d.layer import (LayerError, LayerProfile, center_direction,
                              construct_layer, export_csv, find_M0,
                              layer_jacobian, layer_ode_rhs, measure_decay,
                              stable_direction)
+from outflow1d.scenarios import prepare_scenario, run_scenario
 
 PARAMS = GasParams(R=1.0, gamma=5.0 / 3.0, mu=1.0, kappa=1.0)
 
@@ -29,6 +33,8 @@ LAMBDA_FAST = -3.5
 FAR_SUB = (1.0, -0.15, 1.0)
 # Transonic far state: u = -c = -sqrt(R*gamma*theta) with theta = 0.6.
 FAR_TRANS = (1.0, -1.0, 0.6)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def quadratic_eigs(J):
@@ -305,6 +311,58 @@ class TestOneWalkPerLayer:
             self, degenerate_profile):
         prof = degenerate_profile
         assert (prof.u[0], prof.theta[0]) == degenerate_data()
+
+
+class TestLazyEvaluator:
+    """The monotone-cubic evaluators are built on the first eval: a caller
+    that reads only the samples builds none."""
+
+    @pytest.mark.parametrize("far, branch", [(FAR_SUPER, "lower"),
+                                             (FAR_TRANS, "degenerate")],
+                             ids=["supersonic", "degenerate"])
+    def test_construction_builds_none(self, monkeypatch, far, branch):
+        builds = counting(monkeypatch, "PchipInterpolator")
+        construct_layer(PARAMS, far, 0.05, branch)
+        assert builds == []
+
+    @pytest.mark.parametrize("changes", [
+        {}, {"u_plus": -1.0, "theta_plus": 0.6, "delta": 0.05,
+             "layer_branch": "degenerate"}], ids=["config", "degenerate"])
+    def test_layer_decay_builds_none(self, monkeypatch, tmp_path, changes):
+        builds = counting(monkeypatch, "PchipInterpolator")
+        cfg = replace(config_mod.load_config(CONFIGS / "layer_decay.cfg"),
+                      **changes)
+        assert run_scenario(cfg, tmp_path)["verdict"] == "PASS"
+        assert builds == []
+
+    def test_a_layer_verdict_builds_two_once(self, monkeypatch):
+        # the initial state and the far-field gap both evaluate the layer
+        builds = counting(monkeypatch, "PchipInterpolator")
+        prepare_scenario(config_mod.load_config(CONFIGS
+                                                / "layer_stability.cfg"))
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("far, branch", [(FAR_SUPER, "lower"),
+                                             (FAR_SUB, "lower"),
+                                             (FAR_TRANS, "degenerate")],
+                             ids=["supersonic", "subsonic", "degenerate"])
+    def test_eval_builds_two_once_and_matches_an_eager_build(
+            self, monkeypatch, far, branch):
+        prof = construct_layer(PARAMS, far, 0.05, branch)
+        builds = counting(monkeypatch, "PchipInterpolator")
+        x = np.concatenate([prof.x[:-1:97], np.linspace(
+            0.0, prof.x_max, 1001, endpoint=False)])
+        rho, u, th = prof.eval(x)
+        assert len(builds) == 2
+        assert all(map(np.array_equal, prof.eval(x), (rho, u, th)))
+        assert len(builds) == 2
+        u_eager = PchipInterpolator(prof.x, prof.u, extrapolate=False)(x)
+        th_eager = PchipInterpolator(prof.x, prof.theta,
+                                     extrapolate=False)(x)
+        np.testing.assert_array_equal(bits(u), bits(u_eager))
+        np.testing.assert_array_equal(bits(th), bits(th_eager))
+        np.testing.assert_array_equal(bits(rho), bits(prof.mass_flux
+                                                      / u_eager))
 
 
 def solve_ivp_walk(params, far, y0, span, t_eval, stops=(), backward=False):

@@ -423,6 +423,22 @@ class TestStepControls:
             assert math.isnan(cfl_dt(GasParams(eps=eps), end, grid, state,
                                      config))
 
+    @pytest.mark.parametrize("eps", [1e-4, 4.0])
+    @pytest.mark.parametrize("name, value", [
+        ("rho", math.nan), ("rho", -1e-3), ("rho", 0.0), ("theta", -1e-3)])
+    def test_a_state_run_would_refuse_gives_a_nan_step(self, eps, name,
+                                                        value):
+        # without extrema cfl_dt reads the state itself, and no state
+        # check has refused it: a NaN in the diffusivity must not fall to
+        # min()'s advective term, nor a negative rho give a negative step
+        grid = Grid1D(40.0, 16)
+        end = uniform_end()
+        state = constant_state(grid, end)
+        getattr(state, name)[5] = value
+        for config in (SolverConfig(), SolverConfig(dt_max=1e-3)):
+            assert math.isnan(cfl_dt(GasParams(eps=eps), end, grid, state,
+                                     config))
+
 
 def interior_fluid_sups(cfg, sizes):
     """Sup over the interior nodes of the rho/u/theta tendencies of
