@@ -6,8 +6,7 @@ from .gas import (EndStates, GasParams, classify_regime, dielectric_bound,
                   sound_speed)
 from .layer import (LayerError, LayerProfile, construct_layer, find_M0,
                     layer_jacobian, layer_ode_rhs, measure_decay)
-from .rarefaction import (BurgersWave, CompositeProfile, R3Curve,
-                          rarefaction_decay_check)
+from .rarefaction import BurgersWave, CompositeProfile, R3Curve
 from .solver import (FieldState, Grid1D, PositivityError, RunResult,
                      SolverConfig, SolverError, apply_boundary, cfl_dt,
                      record_times, run, spatial_rhs, step, write_snapshot_csv)

@@ -7,7 +7,7 @@ just the first one.  A ScenarioConfig runs the same checks when it is
 built, whether by the parser, in code or by `dataclasses.replace`, so one
 that exists is valid.  Of SCENARIOS, superposition_stability marches a layer
 of strength delta (none at 0) and a fan from theta_star to theta_plus (none
-at theta_plus); the two decay checks ignore theta_star.  Two optional
+at theta_plus); layer_decay ignores theta_star.  Two optional
 quantities take a literal that leaves them unset: `length = auto` (sized
 from the far state's fastest signal, then grown until the background
 reaches the far state at x = L) and `seed = none`.
@@ -25,7 +25,7 @@ from .layer import LAYER_BRANCHES
 __all__ = ["ScenarioConfig", "ConfigError", "SCENARIOS",
            "load_config", "parse_config_text", "echo_config"]
 
-SCENARIOS = ("superposition_stability", "burgers_decay", "layer_decay")
+SCENARIOS = ("superposition_stability", "layer_decay")
 
 POSITIVE = ("R", "mu", "kappa", "eps_fraction", "rho_plus", "theta_plus",
             "alpha", "t_final")

@@ -86,14 +86,16 @@ class EndStates:
 def sound_speed(params: GasParams, theta):
     """c = sqrt(R*gamma*theta); theta must be positive."""
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0):
+    if not np.all(theta > 0):             # nan fails too
         raise ValueError("sound_speed requires theta > 0")
     return np.sqrt(params.R * params.gamma * theta)
 
 
 def classify_regime(params: GasParams, u: float, theta: float) -> str:
     """'subsonic', 'transonic' or 'supersonic': |u|/c against 1 with a
-    relative tolerance of MACH_TOL."""
+    relative tolerance of MACH_TOL.  u must be finite and theta positive."""
+    if not math.isfinite(u):
+        raise ValueError("classify_regime requires a finite u")
     mach = abs(u) / float(sound_speed(params, theta))
     if abs(mach - 1.0) <= MACH_TOL:
         return "transonic"

@@ -346,7 +346,7 @@ def construct_layer(params: GasParams, far, delta: float,
     fails.
     """
     rho_f, u_f, th_f = far
-    if rho_f <= 0 or th_f <= 0:
+    if not (rho_f > 0 and th_f > 0):      # nan fails too
         raise ValueError("far state needs positive density and temperature")
     if not delta > 0:                     # nan fails too
         raise ValueError("layer strength delta must be positive")

@@ -30,16 +30,7 @@ from scipy.special import gammainc
 from .gas import GasParams, sound_speed
 from .layer import LayerProfile
 
-__all__ = [
-    "R3Curve", "BurgersWave", "CompositeProfile", "rarefaction_decay_check",
-]
-
-# module-level tolerance on fitted decay exponents (fraction of expected)
-DECAY_FIT_TOL = 0.15
-# decay fit: sample times, grid spacing, and room beyond the fan's right edge
-DECAY_TIMES = np.geomspace(1.0, 100.0, 24)
-DECAY_DX = 0.02
-DECAY_PAD = 40.0
+__all__ = ["R3Curve", "BurgersWave", "CompositeProfile"]
 
 
 @dataclass(frozen=True)
@@ -94,7 +85,7 @@ class BurgersWave:
 
     w_minus: float
     delta_r: float
-    alpha: float = 0.1
+    alpha: float
 
     def __post_init__(self) -> None:
         if not self.delta_r >= 0:         # nan fails too
@@ -171,34 +162,6 @@ class BurgersWave:
             g = x0 + self.w0(x0) * tau - xa
             x0 = x0 - g / (1.0 + self.w0_prime(x0) * tau)
         return x0
-
-
-def rarefaction_decay_check(params: GasParams, wave: BurgersWave) -> dict:
-    """Fit the decay exponents of the sup and L2 norms of the fan's velocity
-    slope u_bar_x = 2/(gamma+1) * w_x against (1+t) at DECAY_TIMES, both
-    from one evaluation per time.
-
-    Returns {"times": ..., "sup": fit, "l2": fit}; each fit holds the
-    "norms", the "fitted" slope, the "expected" one (-1 + 1/p: -1 for sup,
-    -1/2 for L2) and whether they agree within DECAY_FIT_TOL relative
-    ("passed").
-    """
-    times = DECAY_TIMES.copy()
-    sup, l2 = [], []
-    for t in times:
-        tau = 1.0 + t
-        x = np.arange(0.0, wave.w_plus * tau + DECAY_PAD, DECAY_DX)
-        ux = np.abs(2.0 / (params.gamma + 1.0) * wave.eval(x, tau)[1])
-        sup.append(ux.max())
-        l2.append(np.trapezoid(ux ** 2.0, x) ** 0.5)
-
-    def fit(norms, expected):
-        slope = float(np.polyfit(np.log1p(times), np.log(norms), 1)[0])
-        return {"norms": np.asarray(norms), "fitted": slope,
-                "expected": expected,
-                "passed": abs(slope - expected) <= DECAY_FIT_TOL * abs(expected)}
-
-    return {"times": times, "sup": fit(sup, -1.0), "l2": fit(l2, -0.5)}
 
 
 @dataclass

@@ -12,7 +12,6 @@ zero strength are absent:
     diagnostics.csv    one row per record (the solver scenario), with the
                        rel_fluid, sup_E and sup_b columns the verdict judges
     snapshot_*.csv     initial/final fields at 17 significant digits
-    decay_norms.csv    burgers_decay's slope norms
     layer_profile.csv  layer_decay's layer
 
 Every numeric artifact is a headed CSV table, and each number is filed
@@ -35,11 +34,9 @@ from .diagnostics import (bump_profile, fit_convergence, record_from_state,
                           write_diag_csv)
 from .gas import EndStates, GasParams, dielectric_bound, sound_speed
 from .layer import construct_layer, export_csv, find_M0, measure_decay
-from .rarefaction import DECAY_DX, DECAY_PAD, BurgersWave, \
-    CompositeProfile, R3Curve, rarefaction_decay_check
+from .rarefaction import BurgersWave, CompositeProfile, R3Curve
 from .solver import FieldState, Grid1D, SolverConfig, apply_boundary, run, \
     write_snapshot_csv
-from .table import write_table
 
 __all__ = ["ScenarioError", "PreparedRun", "prepare_scenario",
            "profile_scenario", "run_scenario", "run_batch"]
@@ -235,10 +232,9 @@ def _verdict_text(summary: dict) -> str:
 
 # every path, relative to out_dir, that some scenario emits
 ARTIFACTS = ("config.echo", "verdict.txt", "diagnostics.csv",
-             "snapshot_initial.csv", "snapshot_final.csv", "decay_norms.csv",
-             "layer_profile.csv")
+             "snapshot_initial.csv", "snapshot_final.csv", "layer_profile.csv")
 # every path, relative to out_dir, that profile_scenario writes
-PROFILE_ARTIFACTS = ("initial.csv", "layer_profile.csv", "speed_profile.csv")
+PROFILE_ARTIFACTS = ("initial.csv", "layer_profile.csv")
 
 
 def _clear(out_dir, names) -> None:
@@ -338,28 +334,10 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
     return summary, files
 
 
-def _burgers_wave(cfg: ScenarioConfig) -> BurgersWave:
-    """burgers_decay's fan: speed 0.5 rising by 3 to 3.5."""
-    return BurgersWave(0.5, 3.0, cfg.alpha)
-
-
 def _far_layer(cfg: ScenarioConfig):
     """layer_decay's layer: strength delta toward the far state."""
     far = (cfg.rho_plus, cfg.u_plus, cfg.theta_plus)
     return construct_layer(_gas(cfg), far, cfg.delta, cfg.layer_branch)
-
-
-def _drive_burgers_decay(cfg: ScenarioConfig) -> tuple:
-    check = rarefaction_decay_check(_gas(cfg), _burgers_wave(cfg))
-    times, sup, l2 = check["times"], check["sup"], check["l2"]
-    summary = {
-        "verdict": "PASS" if (sup["passed"] and l2["passed"]) else "FAIL",
-        "slope_sup": sup["fitted"], "slope_l2": l2["fitted"],
-    }
-    files = {"decay_norms.csv": lambda path: write_table(
-        path, "t,sup_slope_norm,l2_slope_norm",
-        (times, sup["norms"], l2["norms"]))}
-    return summary, files
 
 
 def _drive_layer_decay(cfg: ScenarioConfig) -> tuple:
@@ -389,7 +367,6 @@ def _drive_layer_decay(cfg: ScenarioConfig) -> tuple:
 
 _DRIVERS = {
     "superposition_stability": _drive_solver_scenario,
-    "burgers_decay": _drive_burgers_decay,
     "layer_decay": _drive_layer_decay,
 }
 
@@ -409,17 +386,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
 def profile_scenario(cfg: ScenarioConfig, out_dir) -> None:
     """Write the analytic objects of cfg's scenario into out_dir without
     marching: the solver scenario's initial.csv (its prep.state0) and,
-    with a layer, layer_profile.csv; layer_decay's layer_profile.csv; and
-    burgers_decay's speed_profile.csv, the fan at t = 0 on the grid of its
-    decay check.  out_dir is made first and cleared of what an earlier
-    profile left of PROFILE_ARTIFACTS, as in run_scenario."""
+    with a layer, layer_profile.csv; and layer_decay's layer_profile.csv.
+    out_dir is made first and cleared of what an earlier profile left of
+    PROFILE_ARTIFACTS, as in run_scenario."""
     _clear(out_dir, PROFILE_ARTIFACTS)
-    if cfg.scenario == "burgers_decay":
-        wave = _burgers_wave(cfg)
-        x = np.arange(0.0, wave.w_plus + DECAY_PAD, DECAY_DX)
-        write_table(os.path.join(out_dir, "speed_profile.csv"), "x,w,w_x",
-                    (x, *wave.eval(x, 1.0)))
-        return
     if cfg.scenario == "layer_decay":
         layer = _far_layer(cfg)
     else:

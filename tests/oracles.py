@@ -1,8 +1,8 @@
 """Independent oracles the tests check the package against.
 
 Nothing in the package calls these: each restates a piece of the theory
-(the field characteristics, a normalization constant, the sharp fan, two
-functional inequalities), measures the march's one-step map (its field
+(the field characteristics, a normalization constant, the sharp fan, the
+fan's slope decay rates, two functional inequalities), measures the march's one-step map (its field
 block's norm, its Jacobian's spectral radius), inverts an artifact writer
 or writes a table in pure Python, so a test can compare
 the package's numbers or bytes with a second route to the same result.
@@ -157,6 +157,43 @@ def exact_fan_profile(params: GasParams, curve: R3Curve, wave: BurgersWave,
     x = np.asarray(x, dtype=float)
     w = np.clip(x / (1.0 + t), wave.w_minus, wave.w_plus)
     return curve.state_from_w(w)
+
+
+# tolerance on fitted decay exponents (fraction of expected)
+DECAY_FIT_TOL = 0.15
+# decay fit: sample times, grid spacing, and room beyond the fan's right edge
+DECAY_TIMES = np.geomspace(1.0, 100.0, 24)
+DECAY_DX = 0.02
+DECAY_PAD = 40.0
+
+
+def rarefaction_decay_check(params: GasParams, wave: BurgersWave) -> dict:
+    """Fit the decay exponents of the sup and L2 norms of the fan's velocity
+    slope u_bar_x = 2/(gamma+1) * w_x against (1+t) at DECAY_TIMES, both
+    from one evaluation per time (the (1+t)^(-1+1/p) rates of
+    Hattori-Nishihara, Japan J. Indust. Appl. Math. 8, 1991).
+
+    Returns {"times": ..., "sup": fit, "l2": fit}; each fit holds the
+    "norms", the "fitted" slope, the "expected" one (-1 + 1/p: -1 for sup,
+    -1/2 for L2) and whether they agree within DECAY_FIT_TOL relative
+    ("passed").
+    """
+    times = DECAY_TIMES.copy()
+    sup, l2 = [], []
+    for t in times:
+        tau = 1.0 + t
+        x = np.arange(0.0, wave.w_plus * tau + DECAY_PAD, DECAY_DX)
+        ux = np.abs(2.0 / (params.gamma + 1.0) * wave.eval(x, tau)[1])
+        sup.append(ux.max())
+        l2.append(np.trapezoid(ux ** 2.0, x) ** 0.5)
+
+    def fit(norms, expected):
+        slope = float(np.polyfit(np.log1p(times), np.log(norms), 1)[0])
+        return {"norms": np.asarray(norms), "fitted": slope,
+                "expected": expected,
+                "passed": abs(slope - expected) <= DECAY_FIT_TOL * abs(expected)}
+
+    return {"times": times, "sup": fit(sup, -1.0), "l2": fit(l2, -0.5)}
 
 
 # --------------------------------------------------------------------------

@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from oracles import (cq_constant, exact_fan_profile, from_riemann,
-                     poincare_check, sobolev_check, to_riemann)
+                     poincare_check, rarefaction_decay_check, sobolev_check,
+                     to_riemann)
 from outflow1d.config import ScenarioConfig
 from outflow1d.gas import EndStates, GasParams, dielectric_bound
 from outflow1d.layer import (construct_layer, find_M0, layer_ode_rhs,
                              measure_decay)
-from outflow1d.rarefaction import (BurgersWave, R3Curve,
-                                   rarefaction_decay_check)
+from outflow1d.rarefaction import BurgersWave, R3Curve
 from outflow1d.scenarios import prepare_scenario
 from outflow1d.solver import FieldState, Grid1D, run
 

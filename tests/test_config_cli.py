@@ -23,6 +23,10 @@ from outflow1d.config import (ConfigError, ScenarioConfig, echo_config,
 from outflow1d.scenarios import run_scenario
 
 MINIMAL = "scenario = superposition_stability\n"
+# the bump alone on the constant far state: 50 steps, and the fluid part
+# keeps 0.85 of its size, so the verdict is FAIL
+SHORT_FAIL = MINIMAL + "delta = 0\ntheta_star = 1.0\nn_cells = 100\n" \
+    "t_final = 0.1\n"
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -44,7 +48,7 @@ class TestParsing:
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text(
-            "# experiment\n\nscenario = burgers_decay  # trailing\n"
+            "# experiment\n\nscenario = layer_decay  # trailing\n"
             "delta = 0.1\n")
         assert cfg.delta == 0.1
 
@@ -62,16 +66,17 @@ class TestParsing:
 
     def test_scenario_defaults_for_decay_study(self):
         # one default per key: a parsed config and one built in code agree,
-        # and the decay study's steep fan is its config file's own alpha
-        cfg = parse_config_text("scenario = burgers_decay\n")
-        assert cfg == ScenarioConfig(scenario="burgers_decay")
-        over = parse_config_text("scenario = burgers_decay\nalpha = 0.3\n")
-        assert over == ScenarioConfig(scenario="burgers_decay", alpha=0.3)
-        assert load_config(ROOT / "configs" / "burgers_decay.cfg").alpha \
-            == math.e
+        # and the decay study's layer is its config file's own
+        cfg = parse_config_text("scenario = layer_decay\n")
+        assert cfg == ScenarioConfig(scenario="layer_decay")
+        over = parse_config_text("scenario = layer_decay\ndelta = 0.3\n")
+        assert over == ScenarioConfig(scenario="layer_decay", delta=0.3)
+        assert load_config(ROOT / "configs" / "layer_decay.cfg") \
+            == ScenarioConfig(scenario="layer_decay", u_plus=-2.0, delta=0.1)
 
-    # each text fails to parse, and parsing stops before validation, so the
-    # retired scenario name layer_stability in it goes unreported
+    # each text but the last fails to parse, and parsing stops before
+    # validation, so the retired scenario name layer_stability in it goes
+    # unreported; the last parses, and its retired scenario is refused
     @pytest.mark.parametrize("text,needle", [
         ("scenario = layer_stability\njust words\n", "expected key = value"),
         ("scenario = layer_stability\ncolour = red\n", "unknown key"),
@@ -89,7 +94,7 @@ class TestParsing:
          "unknown key"),
         # retired knobs that took one value everywhere: eps is eps_fraction
         # times c_bar, the fan's star temperature is theta_star, and the
-        # bump and burgers_decay's fan are fixed, so an old config.echo
+        # bump and the fan's edge speeds are fixed, so an old config.echo
         # naming any of them no longer parses
         *((f"scenario = layer_stability\n{key} = {value}\n",
            f"line 2: unknown key {key!r}") for key, value in (
@@ -106,13 +111,16 @@ class TestParsing:
          "line 2: mu must be a finite number"),
         ("scenario = layer_stability\ndelta = -inf\n",
          "line 2: delta must be a finite number"),
+        ("scenario = burgers_decay\n",
+         "scenario must be one of superposition_stability, layer_decay"),
     ])
     def test_parse_errors_carry_context(self, text, needle):
         with pytest.raises(ConfigError) as exc:
             parse_config_text(text)
         assert any(needle in e for e in exc.value.errors)
-        assert not any(e.startswith("scenario must be one of")
-                       for e in exc.value.errors)
+        if not needle.startswith("scenario must be one of"):
+            assert not any(e.startswith("scenario must be one of")
+                           for e in exc.value.errors)
 
     def test_line_numbers_in_messages(self):
         with pytest.raises(ConfigError) as exc:
@@ -143,12 +151,12 @@ class TestValidation:
     def test_non_finite_floats_are_listed(self):
         # a config built in code never meets the parser's finiteness check
         with pytest.raises(ConfigError) as exc:
-            ScenarioConfig(scenario="burgers_decay", t_final=math.inf,
+            ScenarioConfig(scenario="layer_decay", t_final=math.inf,
                            length=math.nan, amplitude=-math.inf,
                            alpha=10**400)      # no float holds it
         for key in ("t_final", "length", "amplitude", "alpha"):
             assert f"{key} must be a finite number" in exc.value.errors
-        ScenarioConfig(scenario="burgers_decay", t_final=1.0, length=None,
+        ScenarioConfig(scenario="layer_decay", t_final=1.0, length=None,
                        amplitude=0.0)
 
     def test_a_config_built_in_code_is_checked(self):
@@ -207,8 +215,7 @@ class TestValidation:
     def test_zero_strength_layer_scoped_to_layer_decay(self):
         # a zero-strength layer has no tail for layer_decay to measure; the
         # solver scenario builds no layer at delta = 0
-        for scenario in ("superposition_stability", "burgers_decay"):
-            ScenarioConfig(scenario=scenario, delta=0.0)
+        ScenarioConfig(scenario="superposition_stability", delta=0.0)
         with pytest.raises(ConfigError) as exc:
             ScenarioConfig(scenario="layer_decay", delta=0.0)
         assert exc.value.errors == [
@@ -216,10 +223,9 @@ class TestValidation:
             "has no tail to measure"]
 
     def test_theta_star_scoped_to_superposition(self):
-        # ignored by the decay checks; the solver scenario takes theta_star
-        # up to theta_plus, where it builds no fan
-        for scenario in ("layer_decay", "burgers_decay"):
-            parse_config_text(f"scenario = {scenario}\ntheta_star = 2.0\n")
+        # ignored by layer_decay; the solver scenario takes theta_star up
+        # to theta_plus, where it builds no fan
+        parse_config_text("scenario = layer_decay\ntheta_star = 2.0\n")
         parse_config_text(MINIMAL + "theta_star = 1.0\n")
         for value in ("1.0000001", "2.0", "0", "-0.5"):
             with pytest.raises(ConfigError) as exc:
@@ -263,7 +269,7 @@ class TestEcho:
         # default theta_star above its theta_plus = 0.6, which only the
         # solver scenario refuses
         paths = sorted((ROOT / "configs").glob("*.cfg"))
-        assert len(paths) == 5
+        assert len(paths) == 4
         for path in paths + [ROOT / "bench" / "degenerate_layer.cfg"]:
             cfg = load_config(path)
             assert parse_config_text(echo_config(cfg)) == cfg
@@ -341,23 +347,16 @@ class TestCli:
         assert header == "x,u_tilde,theta_tilde,rho_tilde"
         assert capsys.readouterr().out == f"wrote analytic profiles to {out}\n"
 
-    def test_profile_writes_the_fan_speed(self, write_cfg, tmp_path, capsys):
-        path = write_cfg("scenario = burgers_decay\n")
-        out = tmp_path / "prof"
-        assert main(["profile", "--config", path, "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == ["speed_profile.csv"]
-        lines = (out / "speed_profile.csv").read_text().splitlines()
-        assert lines[0] == "x,w,w_x"
-        assert float(lines[1].split(",")[1]) == 0.5     # the fan's w_-
-
     def test_run_failing_fit_returns_one(self, write_cfg, tmp_path, capsys):
-        # the untuned smoothing never reaches the asymptotic decay window
-        path = write_cfg("scenario = burgers_decay\nalpha = 0.1\n")
-        out = tmp_path / "burg"
+        path = write_cfg(SHORT_FAIL)
+        out = tmp_path / "short"
         assert main(["run", "--config", path, "--out", str(out)]) == 1
         assert "FAIL" in capsys.readouterr().out
-        assert (out / "verdict.txt").read_text().startswith(
-            "scenario = burgers_decay")
+        verdict = (out / "verdict.txt").read_text()
+        assert verdict.startswith("scenario = superposition_stability\n"
+                                  "verdict = FAIL\n")
+        assert "fit_rel_fluid.verdict = FAIL\n" in verdict
+        assert "steps = 50\n" in verdict
 
     def test_profile_refused_build_returns_one(self, write_cfg, tmp_path,
                                                capsys):
@@ -538,7 +537,7 @@ class TestCli:
     def test_batch_mixed_verdicts(self, write_cfg, tmp_path, capsys):
         good = write_cfg("scenario = layer_decay\nu_plus = -2.0\n"
                          "delta = 0.1\n", "good.cfg")
-        bad = write_cfg("scenario = burgers_decay\nalpha = 0.1\n", "bad.cfg")
+        bad = write_cfg(SHORT_FAIL, "bad.cfg")
         out = tmp_path / "batch"
         code = main(["batch", "--config", good, bad, "--out", str(out),
                      "--workers", "2"])

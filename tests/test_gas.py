@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import from_riemann, to_riemann
 from outflow1d.gas import (EndStates, GasParams, classify_regime,
                            dielectric_bound, sound_speed)
+from outflow1d.layer import construct_layer
 from outflow1d.rarefaction import BurgersWave
 from outflow1d.solver import Grid1D
 
@@ -60,14 +61,25 @@ NON_FINITE = {
     "Grid1D(inf)": lambda: Grid1D(math.inf, 100),
     "BurgersWave(alpha=nan)": lambda: BurgersWave(0.5, 3.0, math.nan),
     "BurgersWave(delta_r=nan)": lambda: BurgersWave(0.5, math.nan, 0.1),
+    "classify_regime(theta=nan)":
+        lambda: classify_regime(GasParams(), -2.0, math.nan),
+    "classify_regime(u=nan)":
+        lambda: classify_regime(GasParams(), math.nan, 1.0),
+    "construct_layer(theta_plus=nan)":
+        lambda: construct_layer(GasParams(), (1.0, -2.0, math.nan), 0.1),
+    "construct_layer(rho_plus=nan)":
+        lambda: construct_layer(GasParams(), (math.nan, -2.0, 1.0), 0.1),
 }
 
 
 @pytest.mark.parametrize("name", list(NON_FINITE))
 def test_constructors_refuse_non_finite_values(name):
-    # each guard is written `not v > 0`, which nan fails
-    with pytest.raises(ValueError):
+    # each guard is written `not v > 0` (or asks for a finite u), which nan
+    # fails; a nan past the guard fails later with a subclass, such as
+    # numpy's LinAlgError
+    with pytest.raises(ValueError) as exc:
         NON_FINITE[name]()
+    assert type(exc.value) is ValueError
 
 
 class TestRegime:

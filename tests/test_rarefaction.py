@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cq_constant, exact_fan_profile
+from oracles import (DECAY_DX, DECAY_PAD, DECAY_TIMES, cq_constant,
+                     exact_fan_profile, rarefaction_decay_check)
 from outflow1d.config import ScenarioConfig, load_config
 from outflow1d.gas import GasParams, sound_speed
 from outflow1d.layer import construct_layer
-from outflow1d.rarefaction import (DECAY_DX, DECAY_PAD, DECAY_TIMES,
-                                   BurgersWave, CompositeProfile, R3Curve,
-                                   rarefaction_decay_check)
+from outflow1d.rarefaction import BurgersWave, CompositeProfile, R3Curve
 from outflow1d.scenarios import prepare_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -262,7 +261,8 @@ class TestFanProfiles:
         # left state on the curve with w_- >= 0, fan opening toward +x
         rho_m, u_m, th_m = self.CURVE.state_at_theta(0.9)
         w_m = float(u_m + sound_speed(PARAMS, th_m))
-        return BurgersWave(w_minus=w_m, delta_r=self.CURVE.w_plus - w_m)
+        return BurgersWave(w_minus=w_m, delta_r=self.CURVE.w_plus - w_m,
+                           alpha=0.1)
 
     def test_left_of_fan_is_constant_state(self):
         wave = self.make_wave()
@@ -324,7 +324,8 @@ class TestComposite:
         star = R3Curve(PARAMS, *PLUS).state_at_theta(0.94)
         layer = construct_layer(PARAMS, star, 0.05)
         w_star = float(star[1] + sound_speed(PARAMS, star[2]))
-        wave = BurgersWave(w_minus=w_star, delta_r=self.CURVE.w_plus - w_star)
+        wave = BurgersWave(w_minus=w_star,
+                           delta_r=self.CURVE.w_plus - w_star, alpha=0.1)
         return star, layer, wave
 
     def test_no_component_is_the_star(self):

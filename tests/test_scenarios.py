@@ -23,7 +23,7 @@ from outflow1d.diagnostics import DIAG_COLUMNS, bump_profile, \
 from outflow1d.gas import (EndStates, GasParams, classify_regime,
                            dielectric_bound, sound_speed)
 from outflow1d.layer import LayerError
-from outflow1d.rarefaction import BurgersWave, R3Curve
+from outflow1d.rarefaction import R3Curve
 from outflow1d.scenarios import (PreparedRun, ScenarioError,
                                  default_domain_length, prepare_scenario,
                                  run_batch, run_scenario)
@@ -48,6 +48,12 @@ def rarefaction_cfg(**over) -> ScenarioConfig:
                 t_final=10.0)
     base.update(over)
     return ScenarioConfig(**base)
+
+
+def short_cfg() -> ScenarioConfig:
+    """The bump alone on the constant far state, marched for 50 steps."""
+    return ScenarioConfig(scenario="superposition_stability", delta=0.0,
+                          theta_star=1.0, n_cells=100, t_final=0.1)
 
 
 def superposition_cfg(**over) -> ScenarioConfig:
@@ -224,9 +230,8 @@ class TestPrepareFanScenarios:
         assert (bg.star != plus) == has_fan
 
     def test_non_solver_scenarios_cannot_be_prepared(self):
-        for name in ("burgers_decay", "layer_decay"):
-            with pytest.raises(ScenarioError, match="not solver-backed"):
-                prepare_scenario(ScenarioConfig(scenario=name))
+        with pytest.raises(ScenarioError, match="not solver-backed"):
+            prepare_scenario(ScenarioConfig(scenario="layer_decay"))
 
 
 
@@ -531,23 +536,6 @@ class TestLayerDecay:
         assert not any(tmp_path.iterdir())
 
 
-class TestBurgersDecay:
-    def test_one_fan_evaluation_per_sample_time(self, monkeypatch, tmp_path):
-        # the sup and L2 norms of each of the 24 slope grids come from one
-        # evaluation of the fan
-        calls, eval_ = [], BurgersWave.eval
-
-        def counting(self, x, tau):
-            calls.append(tau)
-            return eval_(self, x, tau)
-
-        monkeypatch.setattr(BurgersWave, "eval", counting)
-        summary = run_scenario(load_config(CONFIGS / "burgers_decay.cfg"),
-                               tmp_path)
-        assert summary["verdict"] == "PASS"
-        assert len(calls) == 24
-
-
 class TestOneWalkPerLayer:
     """A layer is named by its strength and branch; the one orbit walk that
     builds it also yields its boundary data, the x = 0 sample."""
@@ -617,11 +605,12 @@ class TestReusedOutputDirectory:
         run_scenario(ScenarioConfig(scenario="layer_decay"), tmp_path)
         layer_files = files_in(tmp_path) - {"notes.txt", "plots/mine.dat"}
         assert "layer_profile.csv" in layer_files
-        run_scenario(load_config(CONFIGS / "burgers_decay.cfg"), tmp_path)
-        burgers_files = files_in(tmp_path) - {"notes.txt", "plots/mine.dat"}
-        assert burgers_files == {
-            "config.echo", "verdict.txt", "decay_norms.csv"}
-        assert layer_files | burgers_files <= set(scenarios.ARTIFACTS)
+        run_scenario(short_cfg(), tmp_path)
+        march_files = files_in(tmp_path) - {"notes.txt", "plots/mine.dat"}
+        assert march_files == {
+            "config.echo", "verdict.txt", "diagnostics.csv",
+            "snapshot_initial.csv", "snapshot_final.csv"}
+        assert layer_files | march_files <= set(scenarios.ARTIFACTS)
         for name in ("notes.txt", "plots/mine.dat"):
             assert (tmp_path / name).read_text() == "keep\n"
 
@@ -638,14 +627,13 @@ class TestReusedOutputDirectory:
         assert (tmp_path / "notes.txt").read_text() == "keep\n"
 
     def test_an_earlier_profile_is_removed(self, tmp_path):
-        # the layer's initial.csv and layer_profile.csv must not stand next
-        # to the fan's speed profile
+        # the layer's layer_profile.csv must not stand next to the initial
+        # state of a run without a layer
         scenarios.profile_scenario(
             load_config(CONFIGS / "layer_stability.cfg"), tmp_path)
         assert files_in(tmp_path) == {"initial.csv", "layer_profile.csv"}
-        scenarios.profile_scenario(
-            load_config(CONFIGS / "burgers_decay.cfg"), tmp_path)
-        assert files_in(tmp_path) == {"speed_profile.csv"}
+        scenarios.profile_scenario(short_cfg(), tmp_path)
+        assert files_in(tmp_path) == {"initial.csv"}
 
 
 @pytest.fixture(scope="module")
@@ -772,10 +760,6 @@ class TestVerdictSchema:
             "scenario", "verdict", "case_tag", "decay_u.kind",
             "decay_u.rate", "decay_u.rate_oracle", "decay_theta_kind",
             "monotone_from"]
-        run_scenario(load_config(CONFIGS / "burgers_decay.cfg"),
-                     tmp_path / "burgers")
-        assert self.keys(tmp_path / "burgers") == [
-            "scenario", "verdict", "slope_sup", "slope_l2"]
         run_scenario(load_config(ROOT / "bench" / "degenerate_layer.cfg"),
                      tmp_path / "degenerate")
         assert self.keys(tmp_path / "degenerate") == [

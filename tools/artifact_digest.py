@@ -2,7 +2,7 @@
 
     python3 tools/artifact_digest.py OUT_DIR
 
-Runs the five configs/*.cfg and bench/degenerate_layer.cfg with the package
+Runs the four configs/*.cfg and bench/degenerate_layer.cfg with the package
 in this checkout's src/, each into OUT_DIR/<config stem>, writes each one's
 `outflow1d profile` into OUT_DIR/<config stem>/profile, and prints one
 `sha256  relative/path` line per file, sorted by path.  The wall-clock
