@@ -27,7 +27,7 @@ DECAY_RATIO = 0.5        # fit_convergence: last/first quartile mean to PASS
 def bump_profile(x, amplitude: float, center: float,
                  width: float) -> np.ndarray:
     """Localized bump: amplitude * cos^2(pi (x-c)/w) on |x - c| <= w/2."""
-    if width <= 0:
+    if not width > 0:                     # nan fails too
         raise ValueError("width must be positive")
     x = np.asarray(x, dtype=float)
     arg = np.pi * (x - center) / width
@@ -43,10 +43,14 @@ def sup_norm(f):
 def fit_convergence(times, values) -> dict:
     """Decide whether a sampled signal is decaying.
 
-    Verdict PASS when the mean over the last quarter of the samples is at
-    most DECAY_RATIO times the mean over the first quarter.  Requires at
-    least 10 samples whose positive times span a decade; otherwise
-    INCONCLUSIVE.  Also reports a least-squares exponential rate
+    A nonempty signal that is exactly 0.0 at every sample has nothing to
+    damp: verdict PASS with note "nothing to damp", whatever its length or
+    time span (its quartile means are 0.0, its ratio and rate nan).  Any
+    other signal is PASS when the mean over the last quarter of the samples
+    is at most DECAY_RATIO times the mean over the first quarter, FAIL
+    otherwise (ratio inf when the first quarter is all 0), and INCONCLUSIVE
+    with fewer than 10 samples or when their positive times do not span a
+    decade.  Also reports a least-squares exponential rate
     (value ~ exp(-rate * t)) over the positive samples.
     """
     times = np.asarray(times, float)
@@ -56,6 +60,10 @@ def fit_convergence(times, values) -> dict:
     out = {"verdict": "INCONCLUSIVE", "n": int(times.size),
            "first_quartile_mean": math.nan, "last_quartile_mean": math.nan,
            "ratio": math.nan, "rate": math.nan}
+    if values.size and not np.any(values):      # a nan sample is not 0
+        out.update(verdict="PASS", first_quartile_mean=0.0,
+                   last_quartile_mean=0.0, note="nothing to damp")
+        return out
     if times.size < 10:
         return out
     pos = times > 0

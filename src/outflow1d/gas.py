@@ -63,9 +63,9 @@ class GasParams:
 class EndStates:
     """Boundary data at x=0 and far-field state at x=+inf.
 
-    The outflow condition requires u_minus < 0.  rho at the boundary is not
-    free data (the u<0 characteristic leaves the domain): the solver evolves
-    rho(0) with the boundary flux rho(0)*u_minus.
+    The outflow problem requires u_minus < 0 and u_plus < 0.  rho at the
+    boundary is not free data (the u<0 characteristic leaves the domain):
+    the solver evolves rho(0) with the boundary flux rho(0)*u_minus.
     """
 
     u_minus: float
@@ -77,6 +77,8 @@ class EndStates:
     def __post_init__(self) -> None:
         if not self.u_minus < 0:
             raise ValueError("u_minus must be negative (outflow problem)")
+        if not self.u_plus < 0:
+            raise ValueError("u_plus must be negative (outflow problem)")
         if not (self.theta_minus > 0 and self.theta_plus > 0):
             raise ValueError("temperatures must be positive")
         if not self.rho_plus > 0:
@@ -105,8 +107,8 @@ def classify_regime(params: GasParams, u: float, theta: float) -> str:
 def dielectric_bound(params: GasParams, end: EndStates) -> float:
     """The stability threshold c_bar = 1/(64*beta1*beta3) for the dielectric
     constant, with beta1 = max(|u-|, |u+|), beta2 = max(theta-, theta+) and
-    beta3 = beta1 + sqrt(R*gamma*beta2).  EndStates requires u- < 0, so
-    beta1 > 0 and c_bar is finite."""
+    beta3 = beta1 + sqrt(R*gamma*beta2).  EndStates requires u- < 0 and
+    u+ < 0, so beta1 > 0 and c_bar is finite."""
     beta1 = max(abs(end.u_minus), abs(end.u_plus))
     beta2 = max(end.theta_minus, end.theta_plus)
     beta3 = beta1 + math.sqrt(params.R * params.gamma * beta2)

@@ -22,6 +22,7 @@ at x = w_-(1+t) exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,8 @@ class BurgersWave:
     alpha: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.w_minus):
+            raise ValueError("w_minus must be finite")
         if not self.delta_r >= 0:         # nan fails too
             raise ValueError("delta_r must be nonnegative")
         if not self.alpha > 0:

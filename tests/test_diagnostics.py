@@ -107,6 +107,35 @@ class TestConvergenceFit:
         with pytest.raises(ValueError):
             fit_convergence([1.0, 2.0], [1.0])
 
+    def test_all_zero_series_has_nothing_to_damp(self):
+        t = np.linspace(0.0, 20.0, 51)
+        out = fit_convergence(t, np.zeros(51))
+        assert (out["verdict"], out["n"], out["note"]) \
+            == ("PASS", 51, "nothing to damp")
+        assert out["first_quartile_mean"] == out["last_quartile_mean"] == 0.0
+        assert np.isnan(out["ratio"]) and np.isnan(out["rate"])
+
+    def test_short_all_zero_series_is_not_inconclusive(self):
+        # too few samples for a fit, but there is nothing to fit
+        out = fit_convergence([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+        assert out["verdict"] == "PASS"
+        assert out["note"] == "nothing to damp"
+
+    def test_growth_from_zero_fails(self):
+        # 0 through the first quartile, then positive: not nothing to damp
+        t = np.linspace(0.0, 20.0, 51)
+        values = np.where(np.arange(51) < 12, 0.0, 1e-3)
+        out = fit_convergence(t, values)
+        assert out["verdict"] == "FAIL"
+        assert out["ratio"] == np.inf
+        assert "note" not in out
+
+    def test_a_nan_sample_is_not_zero(self):
+        out = fit_convergence(np.linspace(0.0, 20.0, 51),
+                              np.r_[np.zeros(50), np.nan])
+        assert out["verdict"] == "FAIL"
+        assert "note" not in out
+
 
 class Uniform:
     """Constant background (rho, u, theta) = (1, -0.5, 1)."""

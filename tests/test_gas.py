@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import from_riemann, to_riemann
+from outflow1d.diagnostics import bump_profile
 from outflow1d.gas import (EndStates, GasParams, classify_regime,
                            dielectric_bound, sound_speed)
 from outflow1d.layer import construct_layer
@@ -50,6 +51,11 @@ class TestEndStates:
         with pytest.raises(ValueError):
             make_end(u_minus=0.1)
 
+    @pytest.mark.parametrize("u_plus", [0.1, 0.0])
+    def test_far_state_outflow_sign_enforced(self, u_plus):
+        with pytest.raises(ValueError, match="u_plus must be negative"):
+            make_end(u_plus=u_plus)
+
 
 NON_FINITE = {
     "GasParams(mu=nan)": lambda: GasParams(mu=math.nan),
@@ -57,10 +63,14 @@ NON_FINITE = {
     "EndStates(u_minus=nan)": lambda: make_end(u_minus=math.nan),
     "EndStates(theta_minus=nan)": lambda: make_end(theta_minus=math.nan),
     "EndStates(rho_plus=nan)": lambda: make_end(rho_plus=math.nan),
+    "EndStates(u_plus=nan)": lambda: make_end(u_plus=math.nan),
     "Grid1D(nan)": lambda: Grid1D(math.nan, 100),
     "Grid1D(inf)": lambda: Grid1D(math.inf, 100),
     "BurgersWave(alpha=nan)": lambda: BurgersWave(0.5, 3.0, math.nan),
     "BurgersWave(delta_r=nan)": lambda: BurgersWave(0.5, math.nan, 0.1),
+    "BurgersWave(w_minus=nan)": lambda: BurgersWave(math.nan, 3.0, 0.1),
+    "bump_profile(width=nan)":
+        lambda: bump_profile(np.linspace(0.0, 10.0, 11), 0.5, 5.0, math.nan),
     "classify_regime(theta=nan)":
         lambda: classify_regime(GasParams(), -2.0, math.nan),
     "classify_regime(u=nan)":
@@ -74,8 +84,8 @@ NON_FINITE = {
 
 @pytest.mark.parametrize("name", list(NON_FINITE))
 def test_constructors_refuse_non_finite_values(name):
-    # each guard is written `not v > 0` (or asks for a finite u), which nan
-    # fails; a nan past the guard fails later with a subclass, such as
+    # each guard is written `not v > 0` (or asks for a finite u or w), which
+    # nan fails; a nan past the guard fails later with a subclass, such as
     # numpy's LinAlgError
     with pytest.raises(ValueError) as exc:
         NON_FINITE[name]()

@@ -111,12 +111,18 @@ class TestBurgersWave:
 
     @pytest.mark.parametrize("kw", [
         {"delta_r": -0.1}, {"alpha": 0.0},
+        {"w_minus": math.inf}, {"w_minus": -math.inf},
     ])
     def test_validation(self, kw):
         base = dict(w_minus=0.5, delta_r=3.0, alpha=0.1)
         base.update(kw)
         with pytest.raises(ValueError):
             BurgersWave(**base)
+
+    def test_negative_w_minus_stays_valid(self):
+        wave = BurgersWave(w_minus=-0.5, delta_r=3.0, alpha=0.1)
+        w, _ = wave.eval([-10.0, 5.0], 1.0)
+        assert w[0] == -0.5 and np.all(np.isfinite(w))
 
     def test_data_matches_closed_form_for_q1(self):
         # q = 1: regularized ramp is 1 - e^-z (1+z), z = alpha*x

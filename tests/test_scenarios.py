@@ -716,11 +716,21 @@ class TestSolverScenarioRun:
         for fit in ("fit_rel_fluid", "fit_rel_field"):
             assert f"{fit}.ratio = {summary[fit]['ratio']}\n" in text
 
-    def test_zero_amplitude_passes_trivially(self, tmp_path):
+    def test_zero_amplitude_passes_trivially(self, tmp_path, monkeypatch):
         cfg = layer_cfg(amplitude=0.0, n_cells=64, t_final=5.0, seed=None)
+        marches, march = [], scenarios.run
+
+        def counting_run(*args, **kw):
+            marches.append(args)
+            return march(*args, **kw)
+
+        monkeypatch.setattr(scenarios, "run", counting_run)
         summary = run_scenario(cfg, tmp_path / "quiet")
         assert summary["verdict"] == "PASS"
-        assert "zero amplitude" in summary["fit_rel_fluid"]["note"]
+        assert len(marches) == 1            # no reference march
+        for fit in ("fit_rel_fluid", "fit_rel_field"):
+            assert summary[fit]["verdict"] == "PASS"
+            assert summary[fit]["note"] == "nothing to damp"
         # the data are the reference's start, so nothing separates the two
         # runs, while the analytic background is some way off
         table = self.diagnostics(tmp_path / "quiet")
@@ -765,6 +775,59 @@ class TestVerdictSchema:
         assert self.keys(tmp_path / "degenerate") == [
             "scenario", "verdict", "case_tag", "decay_u.kind",
             "decay_u.exponent", "decay_theta_kind", "monotone_from"]
+
+    def test_an_amplitude_zero_run_notes_both_fits(self, tmp_path):
+        # judged by fit_convergence like any run: the same keys plus a note
+        run_scenario(layer_cfg(amplitude=0.0, n_cells=64, t_final=5.0),
+                     tmp_path)
+        fit = (*self.FIT, "note")
+        assert self.keys(tmp_path) == [
+            "scenario", "verdict",
+            *(f"fit_rel_fluid.{k}" for k in fit),
+            *(f"fit_rel_field.{k}" for k in fit),
+            "steps", "runtime_s", "warnings"]
+
+
+class TestDecoupledProbes:
+    """Around E = b = 0 the fluid and the field decouple at first order, so
+    a bump in one part alone is a probe of that part: the other part's
+    series is 0, or second order in the amplitude."""
+
+    @staticmethod
+    def run_probe(monkeypatch, tmp_path, keep, amplitude=0.01) -> dict:
+        """Run layer_stability.cfg, coarse and short, with the bump of
+        _apply_perturbation kept in the rows of keep only."""
+        bump = scenarios._apply_perturbation
+
+        def probe(cfg, grid, state, params):
+            before = state.data.copy()
+            out = bump(cfg, grid, state, params)
+            drop = [k for k in range(5) if k not in keep]
+            state.data[drop] = before[drop]
+            return out
+
+        monkeypatch.setattr(scenarios, "_apply_perturbation", probe)
+        cfg = replace(load_config(CONFIGS / "layer_stability.cfg"),
+                      n_cells=100, t_final=20.0, amplitude=amplitude)
+        return run_scenario(cfg, tmp_path / f"a{amplitude}")
+
+    def test_a_fluid_only_bump_passes(self, monkeypatch, tmp_path):
+        # the field series is 0 at every record: nothing to damp, not FAIL
+        summary = self.run_probe(monkeypatch, tmp_path, keep=(1, 2))
+        assert summary["verdict"] == "PASS"
+        assert summary["fit_rel_field"]["note"] == "nothing to damp"
+        assert summary["fit_rel_fluid"]["verdict"] == "PASS"
+        assert "note" not in summary["fit_rel_fluid"]
+
+    def test_a_field_only_bump_moves_the_fluid_at_second_order(
+            self, monkeypatch, tmp_path):
+        first = []
+        for amplitude in (0.01, 0.1):
+            summary = self.run_probe(monkeypatch, tmp_path, keep=(3, 4),
+                                     amplitude=amplitude)
+            assert summary["verdict"] == "PASS"
+            first.append(summary["fit_rel_fluid"]["first_quartile_mean"])
+        assert first[1] / first[0] == pytest.approx(100.0, rel=0.01)
 
 
 class TestReferencePairing:
