@@ -42,17 +42,17 @@ class GasParams:
     eps: float = 1.0
 
     def __post_init__(self) -> None:
-        # `not v > 0`: nan fails too
-        if not self.R > 0:
-            raise ValueError("R must be positive")
-        if not self.gamma > 1:
-            raise ValueError("gamma must exceed 1")
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        # `not 0 < v < inf`: nan and inf fail too
+        if not 0 < self.R < math.inf:
+            raise ValueError("R must be positive and finite")
+        if not 1 < self.gamma < math.inf:
+            raise ValueError("gamma must exceed 1 and be finite")
+        if not 0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
 
     @property
     def sqrt_eps(self) -> float:
@@ -75,14 +75,16 @@ class EndStates:
     theta_plus: float
 
     def __post_init__(self) -> None:
-        if not self.u_minus < 0:
-            raise ValueError("u_minus must be negative (outflow problem)")
-        if not self.u_plus < 0:
-            raise ValueError("u_plus must be negative (outflow problem)")
-        if not (self.theta_minus > 0 and self.theta_plus > 0):
-            raise ValueError("temperatures must be positive")
-        if not self.rho_plus > 0:
-            raise ValueError("rho_plus must be positive")
+        # `not -inf < v < 0` and `not 0 < v < inf`: nan and inf fail too
+        if not -math.inf < self.u_minus < 0:
+            raise ValueError("u_minus must be negative and finite (outflow)")
+        if not -math.inf < self.u_plus < 0:
+            raise ValueError("u_plus must be negative and finite (outflow)")
+        if not (0 < self.theta_minus < math.inf
+                and 0 < self.theta_plus < math.inf):
+            raise ValueError("temperatures must be positive and finite")
+        if not 0 < self.rho_plus < math.inf:
+            raise ValueError("rho_plus must be positive and finite")
 
 
 def sound_speed(params: GasParams, theta):

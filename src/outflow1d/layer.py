@@ -346,8 +346,9 @@ def construct_layer(params: GasParams, far, delta: float,
     fails.
     """
     rho_f, u_f, th_f = far
-    if not (rho_f > 0 and th_f > 0):      # nan fails too
-        raise ValueError("far state needs positive density and temperature")
+    if not (0 < rho_f < math.inf and 0 < th_f < math.inf):  # nan fails too
+        raise ValueError("far state needs positive, finite density and "
+                         "temperature")
     if not delta > 0:                     # nan fails too
         raise ValueError("layer strength delta must be positive")
     if branch not in LAYER_BRANCHES:

@@ -75,7 +75,8 @@ class R3Curve:
         theta = c * c / (p.R * p.gamma)
         rho = self.rho_plus * (theta / self.theta_plus) ** (1.0 / (p.gamma - 1.0))
         u = w - c
-        if np.any(rho <= 0) or np.any(rho > self.rho_plus * (1 + 1e-12)):
+        top = self.rho_plus * (1 + 1e-12)
+        if not (np.all(rho > 0) and np.all(rho <= top)):    # nan fails too
             raise ValueError("state left the admissible band (0, rho_plus]")
         return rho, u, theta
 
@@ -91,10 +92,10 @@ class BurgersWave:
     def __post_init__(self) -> None:
         if not math.isfinite(self.w_minus):
             raise ValueError("w_minus must be finite")
-        if not self.delta_r >= 0:         # nan fails too
-            raise ValueError("delta_r must be nonnegative")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 <= self.delta_r < math.inf:    # nan fails too
+            raise ValueError("delta_r must be nonnegative and finite")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
 
     @property
     def w_plus(self) -> float:
@@ -113,10 +114,13 @@ class BurgersWave:
 
     def eval(self, x, tau):
         """Arrays w and w_x on the points x at Burgers time tau (no shock:
-        w0 is nondecreasing).
+        w0 is nondecreasing).  tau = 0 gives w0 itself; raises ValueError
+        unless 0 <= tau < inf (nan fails too).
 
         Points left of the fan edge x <= w_-*tau short-circuit to w_- exactly.
         """
+        if not 0.0 <= tau < math.inf:
+            raise ValueError("Burgers time tau must be nonnegative and finite")
         x = np.asarray(x, dtype=float)
         w = np.full(x.shape, self.w_minus, dtype=float)
         wx = np.zeros(x.shape, dtype=float)

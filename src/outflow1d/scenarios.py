@@ -61,7 +61,8 @@ BUMP_WIDTH = 2.0
 @dataclass
 class PreparedRun:
     """Everything a solver scenario needs to march.  state0 is the state
-    the march starts from: its boundary values are already enforced."""
+    the march starts from: its boundary values are already enforced.
+    solver_config is a field-less SolverConfig that no march reads."""
 
     params: GasParams
     end: EndStates
@@ -295,11 +296,10 @@ def _drive_solver_scenario(cfg: ScenarioConfig) -> tuple:
                 f"{prep.grid.dx:.3g}, bump width {BUMP_WIDTH:g}); refine "
                 "the grid")
         run(prep.params, prep.end, prep.grid, ref0, cfg.t_final,
-            prep.solver_config, record_dt=prep.record_dt,
+            record_dt=prep.record_dt,
             recorder=lambda t, s, _: reference.append(s.data[:3].copy()))
     result = run(prep.params, prep.end, prep.grid, prep.state0, cfg.t_final,
-                 prep.solver_config, record_dt=prep.record_dt,
-                 recorder=recorder)
+                 record_dt=prep.record_dt, recorder=recorder)
 
     times = [r.t for r in diag_records]
     fit_rel_fluid = fit_convergence(times, [r.rel_fluid for r in diag_records])

@@ -152,30 +152,23 @@ class FieldState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-march controls.
-
-    The stiff eps E_t = -E relaxation is always applied exactly, as
-    half-interval decay factors around each step; it never limits dt.
-    dt_max, if given, caps every step.
-    """
-
-    dt_max: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.dt_max is not None and not self.dt_max > 0:
-            raise ValueError("dt_max must be positive")
+    """A field-less placeholder: the march has no options.  Every step is
+    the stability bound at CFL.  spatial_rhs, step, cfl_dt and run still
+    accept one as their optional config argument and never read it."""
 
 
 _outflow_rhs = _compiled.LIB.outflow_rhs
 
 
 def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
-                state: FieldState, config: SolverConfig):
-    """Tendencies at every node plus the boundary mass fluxes.
+                state: FieldState, config: SolverConfig | None = None):
+    """(tendencies, flux_left, flux_right): the tendencies at every node
+    and the boundary mass fluxes rho(0) u_- in and the flux out at x = L,
+    as floats.  config is accepted and unread.
 
     Boundary-node tendencies are zero for Dirichlet / characteristic
     controlled fields; apply_boundary owns those values.  The relaxation
-    -E/eps is left to step's exact factors.  config is unread.
+    -E/eps is left to step's exact factors.
 
     One call of the compiled stencil outflow_rhs fills a new block.  It
     reads the state block as C-contiguous, writable doubles (ctypes's
@@ -207,8 +200,7 @@ def spatial_rhs(params: GasParams, end: EndStates, grid: Grid1D,
         ctypes.c_double.from_buffer(tend), dx, inv_dx, half_inv_dx,
         flux_left, p.R, p.mu, 2.0 * p.mu * inv_dx, p.kappa * inv_dx * inv_dx,
         p.gamma - 1.0, se, 1.0 / p.eps, half_inv_dx / se)
-    return (FieldState.of(tend),
-            {"flux_left": flux_left, "flux_right": flux_right})
+    return FieldState.of(tend), flux_left, flux_right
 
 
 def apply_boundary(params: GasParams, end: EndStates,
@@ -241,12 +233,12 @@ def apply_boundary(params: GasParams, end: EndStates,
 
 
 def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
-           state: FieldState, config: SolverConfig,
+           state: FieldState, config: SolverConfig | None = None,
            extrema: tuple | None = None) -> float:
-    """Stable step CFL * min(dx / s_max, 1 / (2D/dx^2 + max|u|/dx)),
-    capped at dt_max: a closed formula of the rows' extrema.  extrema, if
-    given, is _check_state's (minima, maxima) of this state's rows; state
-    is read (through _extrema) only without them, and end is never read.
+    """Stable step CFL * min(dx / s_max, 1 / (2D/dx^2 + max|u|/dx)): a
+    closed formula of the rows' extrema.  extrema, if given, is
+    _check_state's (minima, maxima) of this state's rows; state is read
+    (through _extrema) only without them; end and config are unread.
 
     s_max = max(sqrt(R gamma theta_max) + max|u|, 1/sqrt(eps)) with
     max|u| = max(-u_min, u_max).  Rounded multiply, sqrt and add are
@@ -269,18 +261,16 @@ def cfl_dt(params: GasParams, end: EndStates, grid: Grid1D,
     diffusivity = max(p.mu / rho_min,
                       p.kappa * (p.gamma - 1.0) / (p.R * rho_min))
     dx = grid.dx
-    dt = CFL * min(dx / s_max,
-                   1.0 / (2.0 * diffusivity / (dx * dx) + u_abs / dx))
-    if config.dt_max is not None:
-        dt = min(dt, config.dt_max)
-    return dt
+    return CFL * min(dx / s_max,
+                     1.0 / (2.0 * diffusivity / (dx * dx) + u_abs / dx))
 
 
 def step(params: GasParams, end: EndStates, grid: Grid1D, state: FieldState,
-         dt: float, config: SolverConfig):
+         dt: float, config: SolverConfig | None = None):
     """One Heun step, Strang-wrapped in exact relaxation halves.  Returns
-    (new_state, info) where info carries the stage-averaged boundary fluxes
-    of spatial_rhs for the mass audit.
+    (new_state, net_flux): net_flux, the stage-averaged inflow less the
+    stage-averaged outflow of spatial_rhs, is the mass audit's rate.
+    config is accepted and unread.
 
     Boundary values are enforced on the relaxed start and once on the
     result after its closing relaxation half.  Enforcing them on the Euler
@@ -294,10 +284,10 @@ def step(params: GasParams, end: EndStates, grid: Grid1D, state: FieldState,
     np.multiply(work.E, decay, out=work.E)
     apply_boundary(params, end, work)
 
-    k1, f1 = spatial_rhs(params, end, grid, work, config)
+    k1, in1, out1 = spatial_rhs(params, end, grid, work)
     stage = k1.data * dt
     stage += work.data
-    k2, f2 = spatial_rhs(params, end, grid, FieldState.of(stage), config)
+    k2, in2, out2 = spatial_rhs(params, end, grid, FieldState.of(stage))
     k1.data += k2.data
     k1.data *= 0.5 * dt
     # work + dt/2 (k1 + k2) in a block allocated last: on top of the heap it
@@ -308,7 +298,7 @@ def step(params: GasParams, end: EndStates, grid: Grid1D, state: FieldState,
     np.multiply(new.E, decay, out=new.E)
     apply_boundary(params, end, new)
 
-    return new, {key: 0.5 * (f1[key] + f2[key]) for key in f1}
+    return new, 0.5 * (in1 + in2) - 0.5 * (out1 + out2)
 
 
 def _mass(grid: Grid1D, state: FieldState) -> float:
@@ -348,7 +338,8 @@ class RunResult:
 def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
         t_final: float, config: SolverConfig | None = None,
         record_dt: float | None = None, recorder=None) -> RunResult:
-    """March state0 to t_final.
+    """March state0 to t_final, each step the bound of cfl_dt; config is
+    accepted and unread.
 
     The march lands exactly on each of record_times(t_final, record_dt).
     recorder, if given, is called as recorder(t, state, mass_residual_max)
@@ -360,8 +351,6 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     and whether it meets the theory's dielectric bound is for whoever set
     it (prepare_scenario files that in its warnings).
     """
-    if config is None:
-        config = SolverConfig()
     if state0.n_nodes != grid.n_nodes:
         raise SolverError("state and grid sizes disagree")
     times = record_times(t_final, record_dt)
@@ -376,21 +365,20 @@ def run(params: GasParams, end: EndStates, grid: Grid1D, state0: FieldState,
     t, steps, mass_residual_max = 0.0, 0, 0.0
     for t_event in times[1:]:
         while t < t_event:
-            dt_stab = cfl_dt(params, end, grid, state, config, extrema)
+            dt_stab = cfl_dt(params, end, grid, state, extrema=extrema)
             if dt_stab < DT_FLOOR:
                 raise SolverError(f"step size collapsed to {dt_stab:g} "
                                   f"at t = {t:g}")
             remaining = t_event - t
             landed = remaining <= dt_stab * (1.0 + 1e-12)
             dt = remaining if landed else dt_stab
-            state, info = step(params, end, grid, state, dt, config)
+            state, net_flux = step(params, end, grid, state, dt)
             mass_after = _mass(grid, state)
             t = t_event if landed else t + dt
             steps += 1
             extrema = _check_state(state, t, steps)
 
-            resid = abs((mass_after - mass) / dt
-                        - (info["flux_left"] - info["flux_right"]))
+            resid = abs((mass_after - mass) / dt - net_flux)
             mass = mass_after
             mass_residual_max = max(mass_residual_max, resid)
 

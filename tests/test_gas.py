@@ -79,14 +79,29 @@ NON_FINITE = {
         lambda: construct_layer(GasParams(), (1.0, -2.0, math.nan), 0.1),
     "construct_layer(rho_plus=nan)":
         lambda: construct_layer(GasParams(), (math.nan, -2.0, 1.0), 0.1),
+    **{f"GasParams({name}=inf)":
+       (lambda name=name: GasParams(**{name: math.inf}))
+       for name in ("R", "gamma", "mu", "kappa", "eps")},
+    **{f"EndStates({name}={value})":
+       (lambda name=name, value=value: make_end(**{name: value}))
+       for name, value in (("u_minus", -math.inf), ("u_plus", -math.inf),
+                           ("theta_minus", math.inf),
+                           ("theta_plus", math.inf),
+                           ("rho_plus", math.inf))},
+    "BurgersWave(delta_r=inf)": lambda: BurgersWave(0.5, math.inf, 0.1),
+    "BurgersWave(alpha=inf)": lambda: BurgersWave(0.5, 3.0, math.inf),
+    "construct_layer(theta_plus=inf)":
+        lambda: construct_layer(GasParams(), (1.0, -2.0, math.inf), 0.1),
+    "construct_layer(rho_plus=inf)":
+        lambda: construct_layer(GasParams(), (math.inf, -2.0, 1.0), 0.1),
 }
 
 
 @pytest.mark.parametrize("name", list(NON_FINITE))
 def test_constructors_refuse_non_finite_values(name):
-    # each guard is written `not v > 0` (or asks for a finite u or w), which
-    # nan fails; a nan past the guard fails later with a subclass, such as
-    # numpy's LinAlgError
+    # each guard is written `not 0 < v < inf` (or asks for a finite u or
+    # w), which nan and inf fail; a value past the guard fails later with
+    # a subclass, such as numpy's LinAlgError
     with pytest.raises(ValueError) as exc:
         NON_FINITE[name]()
     assert type(exc.value) is ValueError

@@ -92,6 +92,8 @@ class TestR3Curve:
             curve.state_from_w(curve.w_plus + 1.0)   # rho above rho_plus
         with pytest.raises(ValueError):
             curve.state_from_w(curve.invariant)      # vacuum
+        with pytest.raises(ValueError):
+            curve.state_from_w([math.nan])           # no density at all
 
 
 class TestNormalization:
@@ -158,6 +160,28 @@ class TestBurgersWave:
         assert np.all(np.diff(w) >= -1e-12)
         assert np.all(wx >= 0.0)
         assert w.min() >= 0.5 and w.max() <= 3.5 + 1e-12
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0, -1e-300])
+    def test_eval_refuses_a_time_outside_zero_to_inf(self, tau):
+        # past the guard, nan would skip the fan (every point the star
+        # value), inf would give w_- everywhere and a negative tau would
+        # follow characteristics backward
+        with pytest.raises(ValueError, match="tau"):
+            self.WAVE.eval([0.0, 5.0, 50.0], tau)
+
+    def test_eval_at_time_zero_is_the_data(self):
+        x = np.linspace(-5.0, 60.0, 131)
+        w, wx = self.WAVE.eval(x, 0.0)
+        np.testing.assert_array_equal(w, self.WAVE.w0(x))
+        np.testing.assert_array_equal(wx, self.WAVE.w0_prime(x))
+
+    def test_the_composite_refuses_a_nan_time(self):
+        # the fan's Burgers time 1 + t carries a nan t to the guard, where
+        # it would otherwise read the star state across the whole fan
+        prep = prepare_scenario(load_config(
+            ROOT / "configs" / "superposition_stability.cfg"))
+        with pytest.raises(ValueError, match="tau"):
+            prep.background.eval([50.0, 150.0, 300.0], math.nan)
 
     def test_exact_left_value_before_the_fan(self):
         tau = 4.0

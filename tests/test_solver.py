@@ -1,5 +1,6 @@
 """Time marcher: invariants, audits, boundary identity, serialization."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -47,9 +48,9 @@ def step_dts(monkeypatch):
     """Every dt that run passes to solver.step, in order."""
     dts = []
 
-    def recording(params, end, grid, state, dt, config):
+    def recording(params, end, grid, state, dt):
         dts.append(dt)
-        return step(params, end, grid, state, dt, config)
+        return step(params, end, grid, state, dt)
 
     monkeypatch.setattr(solver, "step", recording)
     return dts
@@ -119,13 +120,6 @@ class TestConstruction:
         assert FieldState.of(a).data is a
         with pytest.raises(ValueError):
             FieldState.of(np.ones((4, 17)))
-
-    @pytest.mark.parametrize("kw", [
-        {"dt_max": -1.0}, {"dt_max": 0.0}, {"dt_max": float("nan")},
-    ])
-    def test_config_validation(self, kw):
-        with pytest.raises(ValueError):
-            SolverConfig(**kw)
 
 
 class TestExactInvariants:
@@ -354,14 +348,34 @@ class TestFailureModes:
 
 
 class TestStepControls:
-    def test_dt_max_is_honored(self, step_dts):
-        params = GasParams(eps=0.01)
-        end = uniform_end()
-        grid = Grid1D(40.0, 64)
-        cfg = SolverConfig(dt_max=1e-3)
-        res = run(params, end, grid, constant_state(grid, end), 0.1, cfg)
-        assert len(step_dts) == res.steps >= 100
-        assert max(step_dts) <= 1e-3
+    def test_a_solver_config_changes_no_bit(self, composite, layer_setup):
+        # SolverConfig has no field, and no function reads one passed by
+        # position, as callers that still hand on prep.solver_config do
+        assert dataclasses.fields(SolverConfig) == ()
+        cfg = SolverConfig()
+        prep = composite
+        args = (prep.params, prep.end, prep.grid)
+        state = march_states(prep)["perturbed"]
+        extrema = _check_state(state, 0.0, 0)
+        got, *fluxes = spatial_rhs(*args, state, cfg)
+        want, *want_fluxes = spatial_rhs(*args, state)
+        np.testing.assert_array_equal(bits(got.data), bits(want.data))
+        assert fluxes == want_fluxes
+        dt = cfl_dt(*args, state)
+        assert cfl_dt(*args, state, cfg) == dt
+        assert cfl_dt(*args, state, cfg, extrema) \
+            == cfl_dt(*args, state, extrema=extrema) == dt
+        got, net_flux = step(*args, state, dt, cfg)
+        want, want_net_flux = step(*args, state, dt)
+        np.testing.assert_array_equal(bits(got.data), bits(want.data))
+        assert net_flux == want_net_flux
+        params, end, grid, _, state0 = layer_setup
+        got = run(params, end, grid, state0, 0.2, cfg, record_dt=0.1)
+        want = run(params, end, grid, state0, 0.2, record_dt=0.1)
+        np.testing.assert_array_equal(bits(got.state.data),
+                                      bits(want.state.data))
+        assert (got.steps, got.mass_residual_max) \
+            == (want.steps, want.mass_residual_max)
 
     def test_field_speed_enters_the_full_cfl(self):
         # at eps = 1e-4 the field speed 1/sqrt(eps) = 100 outruns the sound
@@ -369,8 +383,7 @@ class TestStepControls:
         params = GasParams(eps=1e-4)
         end = uniform_end()
         grid = Grid1D(40.0, 64)
-        dt = cfl_dt(params, end, grid, constant_state(grid, end),
-                    SolverConfig())
+        dt = cfl_dt(params, end, grid, constant_state(grid, end))
         assert dt == pytest.approx(0.9 * grid.dx * params.sqrt_eps,
                                    rel=1e-15)
 
@@ -406,7 +419,7 @@ class TestStepControls:
                            speed * rng.uniform(-1.0, 1.0, n),
                            rng.uniform(0.01, 10.0, n),
                            rng.standard_normal(n), rng.standard_normal(n))
-        dt = cfl_dt(params, uniform_end(), grid, state, SolverConfig())
+        dt = cfl_dt(params, uniform_end(), grid, state)
         sound = np.abs(state.u) + np.sqrt(params.R * params.gamma
                                           * state.theta)
         limit = Fraction(solver.CFL) * (1 + Fraction(1, 2 ** 52))
@@ -419,9 +432,7 @@ class TestStepControls:
         end = uniform_end()
         state = constant_state(grid, end)
         state.theta[5] = math.nan
-        for config in (SolverConfig(), SolverConfig(dt_max=1e-3)):
-            assert math.isnan(cfl_dt(GasParams(eps=eps), end, grid, state,
-                                     config))
+        assert math.isnan(cfl_dt(GasParams(eps=eps), end, grid, state))
 
     @pytest.mark.parametrize("eps", [1e-4, 4.0])
     @pytest.mark.parametrize("name, value", [
@@ -435,9 +446,7 @@ class TestStepControls:
         end = uniform_end()
         state = constant_state(grid, end)
         getattr(state, name)[5] = value
-        for config in (SolverConfig(), SolverConfig(dt_max=1e-3)):
-            assert math.isnan(cfl_dt(GasParams(eps=eps), end, grid, state,
-                                     config))
+        assert math.isnan(cfl_dt(GasParams(eps=eps), end, grid, state))
 
 
 def interior_fluid_sups(cfg, sizes):
@@ -446,8 +455,8 @@ def interior_fluid_sups(cfg, sizes):
     rows = []
     for n in sizes:
         prep = prepare_scenario(replace(cfg, n_cells=n, amplitude=0.0))
-        tend, _ = spatial_rhs(prep.params, prep.end, prep.grid, prep.state0,
-                              prep.solver_config)
+        tend, _, _ = spatial_rhs(prep.params, prep.end, prep.grid,
+                                 prep.state0)
         rows.append(np.abs(tend.data[:3, 1:-1]).max(axis=1))
     return np.array(rows)
 
@@ -541,7 +550,7 @@ def reference_rhs(params, end, grid, state):
     t2 = (w2[2:] - w2[1:-1]) / (se * dx)
     dE[1:-1] = (t1 + t2) / p.eps - u[1:-1] * b[1:-1] / p.eps
     db[1:-1] = (t2 - t1) / se
-    return tend, {"flux_left": flux_left, "flux_right": flux[-1]}
+    return tend, flux_left, flux[-1]
 
 
 def reference_boundary(params, end, data):
@@ -562,18 +571,18 @@ def reference_step(params, end, grid, state, dt):
     work = state.data.copy()
     work[3] *= decay
     reference_boundary(params, end, work)
-    k1, f1 = reference_rhs(params, end, grid, FieldState.of(work))
+    k1, in1, out1 = reference_rhs(params, end, grid, FieldState.of(work))
     stage = work + dt * k1
     reference_boundary(params, end, stage)
-    k2, f2 = reference_rhs(params, end, grid, FieldState.of(stage))
+    k2, in2, out2 = reference_rhs(params, end, grid, FieldState.of(stage))
     new = work + 0.5 * dt * (k1 + k2)
     reference_boundary(params, end, new)
     new[3] *= decay
     reference_boundary(params, end, new)
-    return new, {key: 0.5 * (f1[key] + f2[key]) for key in f1}
+    return new, 0.5 * (in1 + in2) - 0.5 * (out1 + out2)
 
 
-def reference_cfl_dt(params, grid, state, config):
+def reference_cfl_dt(params, grid, state):
     p = params
     c = np.sqrt(p.R * p.gamma * state.theta)
     s_max = max(float(np.max(np.abs(state.u) + c)), 1.0 / p.sqrt_eps)
@@ -583,11 +592,8 @@ def reference_cfl_dt(params, grid, state, config):
     # Heun's real-axis bound with diffusion and upwind convection together
     u_abs = float(np.max(np.abs(state.u)))
     dx = grid.dx
-    dt = 0.9 * min(dx / s_max,
-                   1.0 / (2.0 * diffusivity / (dx * dx) + u_abs / dx))
-    if config.dt_max is not None:
-        dt = min(dt, config.dt_max)
-    return dt
+    return 0.9 * min(dx / s_max,
+                     1.0 / (2.0 * diffusivity / (dx * dx) + u_abs / dx))
 
 
 @pytest.fixture(scope="module", params=[401, 2001])
@@ -617,10 +623,9 @@ class TestReferenceStencil:
     def test_tendencies_match_row_by_row(self, composite, which):
         prep = composite
         state = march_states(prep)[which]
-        got, fluxes = spatial_rhs(prep.params, prep.end, prep.grid, state,
-                                  prep.solver_config)
-        want, want_fluxes = reference_rhs(prep.params, prep.end, prep.grid,
-                                          state)
+        got, *fluxes = spatial_rhs(prep.params, prep.end, prep.grid, state)
+        want, *want_fluxes = reference_rhs(prep.params, prep.end, prep.grid,
+                                           state)
         assert fluxes == want_fluxes
         for name, g, w in zip(solver.FIELDS, got.data, want):
             scale = np.max(np.abs(w))
@@ -633,25 +638,21 @@ class TestReferenceStencil:
     def test_step_matches(self, composite, which):
         prep = composite
         state = march_states(prep)[which]
-        dt = cfl_dt(prep.params, prep.end, prep.grid, state,
-                    prep.solver_config)
-        new, info = step(prep.params, prep.end, prep.grid, state, dt,
-                         prep.solver_config)
-        want, want_info = reference_step(prep.params, prep.end, prep.grid,
-                                         state, dt)
+        dt = cfl_dt(prep.params, prep.end, prep.grid, state)
+        new, net_flux = step(prep.params, prep.end, prep.grid, state, dt)
+        want, want_net_flux = reference_step(prep.params, prep.end,
+                                             prep.grid, state, dt)
         assert np.max(np.abs(new.data - want)) <= 1e-13
-        for key, value in want_info.items():
-            assert abs(info[key] - value) <= 1e-13
+        assert abs(net_flux - want_net_flux) <= 1e-13
 
     @pytest.mark.parametrize("which", ["initial", "perturbed"])
-    @pytest.mark.parametrize("config", [
-        SolverConfig(), SolverConfig(dt_max=1e-4)],
-        ids=["full", "capped"])       # the bound as computed; dt_max binding
+    @pytest.mark.parametrize("config", [SolverConfig()], ids=["full"])
     def test_cfl_dt_is_bitwise(self, composite, which, config):
+        # config is passed by position, as the benchmark passes it
         prep = composite
         state = march_states(prep)[which]
         args = (prep.params, prep.end, prep.grid, state, config)
-        want = reference_cfl_dt(prep.params, prep.grid, state, config)
+        want = reference_cfl_dt(prep.params, prep.grid, state)
         assert cfl_dt(*args) == want
         assert cfl_dt(*args, _check_state(state, 0.0, 0)) == want
 
@@ -672,12 +673,11 @@ class TestReferenceStencil:
         assert sound.max() > 1.0 / params.sqrt_eps
         bound = (math.sqrt(state.theta.max() * (params.R * params.gamma))
                  + np.abs(state.u).max())
-        config = SolverConfig()
         want = 0.9 * (grid.dx / bound)
-        assert cfl_dt(params, end, grid, state, config) == want
-        assert cfl_dt(params, end, grid, state, config,
-                      _check_state(state, 0.0, 0)) == want
-        assert want < reference_cfl_dt(params, grid, state, config)
+        assert cfl_dt(params, end, grid, state) == want
+        assert cfl_dt(params, end, grid, state,
+                      extrema=_check_state(state, 0.0, 0)) == want
+        assert want < reference_cfl_dt(params, grid, state)
 
     def test_perturbed_state_takes_the_general_branches(self, composite):
         states = march_states(composite)
@@ -706,8 +706,7 @@ class TestReferenceStencil:
         monkeypatch.setattr(solver, "apply_boundary", counted)
         state = prep.state0
         for _ in range(2):
-            state, _ = step(prep.params, prep.end, prep.grid, state, 1e-3,
-                            prep.solver_config)
+            state, _ = step(prep.params, prep.end, prep.grid, state, 1e-3)
         assert len(calls) == 4
 
     @pytest.mark.parametrize("which", ["initial", "perturbed"])
@@ -716,29 +715,28 @@ class TestReferenceStencil:
         # stage too; dropping that call must not move a single bit
         prep = composite
         args = (prep.params, prep.end, prep.grid)
-        config = prep.solver_config
 
         def stage_call_step(state, dt):
             decay = math.exp(-dt / (2.0 * prep.params.eps))
             work = state.copy()
             work.E *= decay
             apply_boundary(prep.params, prep.end, work)
-            k1, f1 = spatial_rhs(*args, work, config)
+            k1, in1, out1 = spatial_rhs(*args, work)
             stage = FieldState.of(work.data + dt * k1.data)
             apply_boundary(prep.params, prep.end, stage)
-            k2, f2 = spatial_rhs(*args, stage, config)
+            k2, in2, out2 = spatial_rhs(*args, stage)
             new = FieldState.of(work.data + 0.5 * dt * (k1.data + k2.data))
             new.E *= decay
             apply_boundary(prep.params, prep.end, new)
-            return new, {key: 0.5 * (f1[key] + f2[key]) for key in f1}
+            return new, 0.5 * (in1 + in2) - 0.5 * (out1 + out2)
 
         got = want = march_states(prep)[which]
         for _ in range(300):
-            dt = cfl_dt(*args, got, config)
-            got, info = step(*args, got, dt, config)
-            want, want_info = stage_call_step(want, dt)
+            dt = cfl_dt(*args, got)
+            got, net_flux = step(*args, got, dt)
+            want, want_net_flux = stage_call_step(want, dt)
             np.testing.assert_array_equal(got.data, want.data)
-            assert info == want_info
+            assert net_flux == want_net_flux
 
 
 # --------------------------------------------------------------------------
@@ -749,7 +747,7 @@ class TestReferenceStencil:
 # states) with or without the state check's extrema.
 # --------------------------------------------------------------------------
 
-def select_rhs(params, end, grid, state, config):
+def select_rhs(params, end, grid, state):
     p = params
     dx = grid.dx
     inv_dx = 1.0 / dx
@@ -762,7 +760,6 @@ def select_rhs(params, end, grid, state, config):
     flux = np.where(u_half >= 0.0, rho[:-1], rho[1:])
     flux *= u_half
     flux_left = rho[0] * end.u_minus
-    fluxes = {"flux_left": flux_left, "flux_right": flux[-1]}
     np.subtract(flux[:-1], flux[1:], out=drho)
     drho *= inv_dx
     tend[0, 0] = (flux_left - flux[0]) / (0.5 * dx)
@@ -814,7 +811,7 @@ def select_rhs(params, end, grid, state, config):
     dE *= 1.0 / p.eps
     np.add(dw2, dw1, out=db)
     db *= 0.5 * inv_dx / se
-    return FieldState.of(tend), fluxes
+    return FieldState.of(tend), flux_left, flux[-1]
 
 
 @pytest.fixture(scope="module")
@@ -830,22 +827,20 @@ class TestOutflowBranches:
 
     def march_both(self, prep, state, monkeypatch, outflow):
         args = (prep.params, prep.end, prep.grid)
-        config = prep.solver_config
         got = want = state
         assert (state.u.max() < 0.0) == outflow
         for n_step in range(300):
             assert got.u.max() < 0.0 or not outflow
-            dt = cfl_dt(*args, got, config, _check_state(got, 0.0, n_step))
-            assert dt == cfl_dt(*args, got, config)
-            assert dt == reference_cfl_dt(prep.params, prep.grid, want,
-                                          config)
-            got, info = step(*args, got, dt, config)
+            dt = cfl_dt(*args, got, extrema=_check_state(got, 0.0, n_step))
+            assert dt == cfl_dt(*args, got)
+            assert dt == reference_cfl_dt(prep.params, prep.grid, want)
+            got, net_flux = step(*args, got, dt)
             with monkeypatch.context() as m:
                 m.setattr(solver, "spatial_rhs", select_rhs)
-                want, want_info = step(*args, want, dt, config)
+                want, want_net_flux = step(*args, want, dt)
             np.testing.assert_array_equal(got.data, want.data)
-            assert info == want_info
-            assert all(type(value) is float for value in info.values())
+            assert net_flux == want_net_flux
+            assert type(net_flux) is float
 
     @pytest.mark.parametrize("which", ["initial", "perturbed"])
     def test_composite_march_is_bitwise(self, composite, which,
@@ -887,16 +882,15 @@ class TestBoundaryField:
         boundary flux, fluid row and interior field entry bit for bit.
         Returns the two final states."""
         args = (prep.params, prep.end, prep.grid)
-        config = prep.solver_config
         got = want = state
         for _ in range(300):
-            dt = cfl_dt(*args, got, config)
-            got, info = step(*args, got, dt, config)
+            dt = cfl_dt(*args, got)
+            got, net_flux = step(*args, got, dt)
             with monkeypatch.context() as m:
                 m.setattr(solver, "apply_boundary", extrapolating_boundary)
-                assert cfl_dt(*args, want, config) == dt
-                want, want_info = step(*args, want, dt, config)
-            assert info == want_info
+                assert cfl_dt(*args, want) == dt
+                want, want_net_flux = step(*args, want, dt)
+            assert net_flux == want_net_flux
             np.testing.assert_array_equal(got.data[:3], want.data[:3])
             np.testing.assert_array_equal(got.data[3:, 1:-1],
                                           want.data[3:, 1:-1])
@@ -975,13 +969,12 @@ def assert_oracle_bits(params, end, grid, block, nan_sign=True):
     float64 values, bit for bit (with nan_sign false, but for the sign of
     a NaN), and leaves the block as it was."""
     before = np.array(block, copy=True)
-    got, fluxes = spatial_rhs(params, end, grid, FieldState.of(block),
-                              SolverConfig())
-    want, want_fluxes = select_rhs(params, end, grid, FieldState.of(
-        np.array(block, dtype=np.float64)), SolverConfig())
-    assert all(type(value) is float for value in fluxes.values())
-    got = bits(np.append(got.data, list(fluxes.values())))
-    want = np.append(want.data, [float(v) for v in want_fluxes.values()])
+    got, *fluxes = spatial_rhs(params, end, grid, FieldState.of(block))
+    want, *want_fluxes = select_rhs(params, end, grid, FieldState.of(
+        np.array(block, dtype=np.float64)))
+    assert all(type(value) is float for value in fluxes)
+    got = bits(np.append(got.data, fluxes))
+    want = np.append(want.data, [float(v) for v in want_fluxes])
     sign = np.uint64(0 if nan_sign else 1 << 63) * np.isnan(want)
     np.testing.assert_array_equal(got | sign, bits(want) | sign)
     np.testing.assert_array_equal(bits(block), bits(before))
@@ -1048,7 +1041,7 @@ class TestCompiledStencil:
     def test_two_nodes_are_refused(self):
         with pytest.raises(ValueError, match="at least 3 nodes"):
             spatial_rhs(GasParams(), uniform_end(), self.GRID,
-                        FieldState.of(rough_block(2, 0)), SolverConfig())
+                        FieldState.of(rough_block(2, 0)))
 
 
 class TestStencilBuild:
