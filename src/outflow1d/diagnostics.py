@@ -45,11 +45,13 @@ def fit_convergence(times, values) -> dict:
 
     A nonempty signal that is exactly 0.0 at every sample has nothing to
     damp: verdict PASS with note "nothing to damp", whatever its length or
-    time span (its quartile means are 0.0, its ratio and rate nan).  Any
-    other signal is PASS when the mean over the last quarter of the samples
-    is at most DECAY_RATIO times the mean over the first quarter, FAIL
-    otherwise (ratio inf when the first quarter is all 0), and INCONCLUSIVE
-    with fewer than 10 samples or when their positive times do not span a
+    time span (its quartile means are 0.0, its ratio and rate nan).  A
+    signal with a NaN or infinite sample is FAIL, whatever its length or
+    time span (its quartile means, ratio and rate nan).  Any other signal
+    is PASS when the mean over the last quarter of the samples is at most
+    DECAY_RATIO times the mean over the first quarter, FAIL otherwise
+    (ratio inf when the first quarter is all 0), and INCONCLUSIVE with
+    fewer than 10 samples or when their positive times do not span a
     decade.  Also reports a least-squares exponential rate
     (value ~ exp(-rate * t)) over the positive samples.
     """
@@ -64,6 +66,8 @@ def fit_convergence(times, values) -> dict:
         out.update(verdict="PASS", first_quartile_mean=0.0,
                    last_quartile_mean=0.0, note="nothing to damp")
         return out
+    if not np.isfinite(values).all():
+        return {**out, "verdict": "FAIL"}
     if times.size < 10:
         return out
     pos = times > 0

@@ -131,10 +131,15 @@ def layer_ode_rhs(params: GasParams, far, u, theta):
 
     Floats (the orbit walk) and arrays give bitwise equal results: the
     square is a product, as a float's ** 2 goes through libm pow.  Singular
-    on u = 0 (the equations divide by the velocity).
+    on u = 0 (the equations divide by the velocity): LayerError when any
+    |u| < 1e-12 max(1, |u_+|), while NaN compares False and passes through.
+    A float u makes no numpy call: its comparison is a Python bool, tested
+    by identity, because a numpy reduction on it costs more than the rest
+    of the call together (the walk calls this once per LSODA evaluation).
     """
     rho_f, u_f, th_f = far
-    if np.less(abs(u), 1e-12 * max(1.0, abs(u_f))).any():
+    small = abs(u) < 1e-12 * max(1.0, abs(u_f))
+    if small is True or (small is not False and small.any()):
         raise LayerError("layer ODE is singular at u = 0")
     m = rho_f * u_f
     R, g = params.R, params.gamma

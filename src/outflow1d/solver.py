@@ -83,7 +83,10 @@ class Grid1D:
     def __post_init__(self) -> None:
         if not 0.0 < self.length < math.inf:    # nan fails too
             raise ValueError("domain length must be positive and finite")
-        if self.n_cells < 16:
+        n = self.n_cells
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError("n_cells must be an integer")
+        if n < 16:
             raise ValueError("grid needs at least 16 cells")
 
     @property

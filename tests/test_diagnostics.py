@@ -136,6 +136,22 @@ class TestConvergenceFit:
         assert out["verdict"] == "FAIL"
         assert "note" not in out
 
+    @pytest.mark.parametrize("where", [
+        np.s_[:], np.s_[2], np.s_[-2], np.s_[25]],
+        ids=["all", "first quartile", "last quartile", "middle"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_sample_fails(self, where, bad):
+        t = np.geomspace(0.5, 50.0, 51)
+        values = np.exp(-t)                 # PASS while every sample is finite
+        values[where] = bad
+        out = fit_convergence(t, values)
+        assert out["verdict"] == "FAIL"
+        assert np.isnan(out["ratio"])
+
+    def test_a_short_series_with_inf_fails(self):
+        out = fit_convergence([1.0, 2.0, 3.0], [3.0, np.inf, 1.0])
+        assert out["verdict"] == "FAIL"
+
 
 class Uniform:
     """Constant background (rho, u, theta) = (1, -0.5, 1)."""

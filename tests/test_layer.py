@@ -120,6 +120,28 @@ class TestRhsOnFloats:
             layer_ode_rhs(PARAMS, FAR_SUPER, np.array([math.nan, 0.0]),
                           np.ones(2))
 
+    # the guard's bound is 1e-12 * max(1, |u_+|) = 2e-12 on FAR_SUPER
+    AS_TYPES = [float, np.float64, np.array, lambda u: np.array([1.0, u])]
+    TYPE_IDS = ["float", "float64", "0-d", "1-d"]
+
+    @pytest.mark.parametrize("u", [0.0, -0.0, 5e-13, -5e-13])
+    @pytest.mark.parametrize("as_type", AS_TYPES, ids=TYPE_IDS)
+    def test_u_near_zero_raises_for_every_input_type(self, as_type, u):
+        with pytest.raises(LayerError, match="singular at u = 0"):
+            layer_ode_rhs(PARAMS, FAR_SUPER, as_type(u), 1.0)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("as_type", AS_TYPES, ids=TYPE_IDS)
+    def test_nan_and_inf_pass_the_guard(self, as_type, u):
+        with np.errstate(invalid="ignore"):     # inf - inf in numpy types
+            du, dth = layer_ode_rhs(PARAMS, FAR_SUPER, as_type(u), 1.0)
+        assert np.shape(du) == np.shape(dth) == np.shape(as_type(u))
+
+    def test_float_path_returns_python_floats(self):
+        for u in (-1.9, 2e-12, -2e-12, math.nan):
+            assert all(type(v) is float
+                       for v in layer_ode_rhs(PARAMS, FAR_SUPER, u, 1.0))
+
 
 @pytest.fixture(scope="module")
 def super_profile():

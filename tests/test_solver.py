@@ -75,6 +75,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Grid1D(**kw)
 
+    @pytest.mark.parametrize("n_cells", [
+        16.5, 16.0, np.float64(64.0), True, np.bool_(True), "64", None],
+        ids=["16.5", "16.0", "float64", "True", "bool_", "str", "None"])
+    def test_grid_refuses_a_non_integer_cell_count(self, n_cells):
+        with pytest.raises(ValueError, match="n_cells must be an integer"):
+            Grid1D(10.0, n_cells)
+
+    @pytest.mark.parametrize("n_cells", [np.int64(64), np.int32(64),
+                                         np.uint16(64)])
+    def test_grid_accepts_numpy_integers(self, n_cells):
+        g = Grid1D(10.0, n_cells)
+        assert g.n_nodes == 65 and g.x.size == 65 and g.x[-1] == 10.0
+
     def test_field_state_requires_matching_sizes(self):
         z = np.zeros(5)
         with pytest.raises(ValueError):
